@@ -418,7 +418,8 @@ def cmd_check(args, out: Path):
     bad = [r for r in results if r.verdict == "violated"
            or (r.verdict == "undecided" and r.event_observed)]
     for label, r in zip(labels, results):
-        shown = "-" if not r.event_observed else f"{r.estimate:.4g} ± {r.halfwidth:.2g}"
+        shown = (f"{r.estimate:.4g} ± {r.halfwidth:.2g}"
+                 if r.event_observed and r.estimate is not None else "-")
         print(f"check: {label} = {shown} -> {r.verdict}")
     return 0 if not bad else 1
 

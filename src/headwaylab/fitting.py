@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
+from .artifacts import fmt_num
 from .patches import PatchStructure, compute_fractions, patch_of
 
 
@@ -515,11 +516,11 @@ def write_patch_model(pm: PatchModel, path: str) -> None:
     with open(path, "w") as fh:
         for j, (d, mu) in enumerate(zip(pm.dists, pm.means), start=1):
             if isinstance(d, ErlangParams):
-                fh.write(f"patch {j} erlang {d.k} {d.rate!r} mu {mu!r}\n")
+                fh.write(f"patch {j} erlang {d.k} {fmt_num(d.rate)} mu {fmt_num(mu)}\n")
             else:
-                branches = " ".join(f"{k} {r!r} {a!r}" for k, r, a in
+                branches = " ".join(f"{k} {fmt_num(r)} {fmt_num(a)}" for k, r, a in
                                     zip(d.shapes, d.rates, d.weights))
-                fh.write(f"patch {j} hyper {d.m} {branches} mu {mu!r}\n")
+                fh.write(f"patch {j} hyper {d.m} {branches} mu {fmt_num(mu)}\n")
 
 
 def read_patch_model(path: str) -> PatchModel:

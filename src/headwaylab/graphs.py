@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import fmt_num
+
 
 class GraphError(ValueError):
     pass
@@ -296,10 +298,10 @@ def write_graph(g: RouteGraph, path: str) -> None:
     with open(path, "w") as fh:
         for nid in sorted(g.nodes):
             x, y = g.nodes[nid]
-            fh.write(f"node {nid} {x!r} {y!r}\n")
+            fh.write(f"node {nid} {fmt_num(x)} {fmt_num(y)}\n")
         for eid in sorted(g.edges):
             a, b, ln = g.edges[eid]
-            fh.write(f"edge {eid} {a} {b} {ln!r}\n")
+            fh.write(f"edge {eid} {a} {b} {fmt_num(ln)}\n")
 
 
 def read_graph(path: str) -> RouteGraph:

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .route import EdgeIndex, UnmatchedMeasurement, route_completion
+from .artifacts import fmt_num
+from .route import CompletionTable, EdgeIndex, best_candidate
+from .route import route_completion  # noqa: F401  (kept public here; perfbench counts its calls)
 
 
 class PatchError(ValueError):
@@ -91,6 +93,11 @@ def _terminus_far_nodes(rm) -> dict[int, tuple[float, float]]:
 def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     """Route-completion fraction for every raw measurement.
 
+    Each vehicle trace is snapped with batched KD-tree queries
+    (`EdgeIndex.batches`, one query per record per call); the plain snap
+    and both directions' restricted snaps and fractions are picks among those
+    candidates, so the loop below only walks precomputed arrays.
+
     Direction state starts undefined and records before a vehicle's first
     terminus-edge visit are skipped.  Where the two directions share geometry,
     samples on a terminus edge are ambiguous (approach vs departure); each
@@ -101,30 +108,40 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     index = index or EdgeIndex(rm.graph, sample_step=max(rm.rejection_radius / 2, 1e-9))
     term_a, term_b = rm.termini
     far_nodes = _terminus_far_nodes(rm)
+    tables = [CompletionTable(rm, d) for d in (0, 1)]
     out: dict[str, list[tuple[int, float, float, float]]] = {}
     unmatched = 0
 
-    def completion(rec, term):
-        nonlocal unmatched
-        try:
-            return route_completion(rm, (rec.x, rec.y), term, index)
-        except UnmatchedMeasurement:
-            unmatched += 1
-            return None
-
     for vid in ts.vehicles():
-        snaps = []
-        for rec in ts.traces[vid]:
-            hit = index.snap(rec.x, rec.y)
-            if hit is None or hit[2] > rm.rejection_radius:
-                unmatched += 1
-                continue
-            snaps.append((rec, hit[0]))
+        recs = ts.traces[vid]
+        edges, snap_dists = [], []
+        fracs, oks = ([], []), ([], [])  # per direction: fraction and matched flag of every record
+        for cands in index.batches([(r.x, r.y) for r in recs]):
+            edge, _, dist = best_candidate(*cands)
+            edges += edge.tolist()
+            snap_dists += dist.tolist()
+            for tbl, frac_d, ok_d in zip(tables, fracs, oks):
+                frac, ok = tbl.fractions(*cands)
+                frac_d += frac.tolist()
+                ok_d += ok.tolist()
+        # (record index, snapped edge) of the records within the rejection radius
+        snaps = [(r, eid) for r, (eid, dist) in enumerate(zip(edges, snap_dists))
+                 if dist <= rm.rejection_radius]
+        unmatched += len(recs) - len(snaps)
         rows = []
+
+        def emit(r, term):
+            nonlocal unmatched
+            d = 0 if term == term_a else 1
+            if oks[d][r]:
+                rows.append((recs[r].t, fracs[d][r], recs[r].x, recs[r].y))
+            else:
+                unmatched += 1
+
         last_term = None
         i = 0
         while i < len(snaps):
-            rec, eid = snaps[i]
+            r, eid = snaps[i]
             arriving_at = eid if (eid in (term_a, term_b) and eid != last_term) else None
             if arriving_at is not None:
                 j = i
@@ -133,7 +150,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
                     run.append(snaps[j][0])
                     j += 1
                 node = far_nodes.get(arriving_at)
-                dists = [math.hypot(r.x - node[0], r.y - node[1]) for r in run]
+                dists = [math.hypot(recs[r].x - node[0], recs[r].y - node[1]) for r in run]
                 split = dists.index(min(dists))
                 # at equal speed on both sides, the turnaround lies between
                 # the closest sample and its nearer neighbour, so the closest
@@ -145,20 +162,16 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
                     if k <= split:
                         if last_term is None:
                             continue  # inbound leg of the very first visit
-                        frac = completion(r, last_term)
+                        emit(r, last_term)
                     else:
-                        frac = completion(r, arriving_at)
-                    if frac is not None:
-                        rows.append((r.t, frac, r.x, r.y))
+                        emit(r, arriving_at)
                 last_term = arriving_at
                 i = j
                 continue
             if last_term is None:
                 i += 1
                 continue
-            frac = completion(rec, last_term)
-            if frac is not None:
-                rows.append((rec.t, frac, rec.x, rec.y))
+            emit(r, last_term)
             i += 1
         if rows:
             out[vid] = rows
@@ -269,7 +282,7 @@ def write_patches(ps: PatchStructure, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"# gamma {ps.gamma}\n")
         for b in ps.breakpoints:
-            fh.write(f"{b!r}\n")
+            fh.write(f"{fmt_num(b)}\n")
 
 
 def read_patches(path: str) -> PatchStructure:

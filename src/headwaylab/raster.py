@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import fmt_num
+
 DEFAULT_RESOLUTION = 1024
 GAP_SECONDS = 300.0
 GAP_DISTANCE = 5000.0  # straight-line jump threshold, in input coordinate units
@@ -376,7 +378,8 @@ def write_pgm(r: Raster, path: str) -> None:
         fh.write(f"P5\n{r.width} {r.height}\n255\n".encode())
         fh.write(img[::-1].tobytes())
     with open(path + ".meta", "w") as fh:
-        fh.write(f"cell_size {r.cell_size!r}\norigin {r.origin[0]!r} {r.origin[1]!r}\n")
+        fh.write(f"cell_size {fmt_num(r.cell_size)}\n"
+                 f"origin {fmt_num(r.origin[0])} {fmt_num(r.origin[1])}\n")
 
 
 def write_mask_pgm(m: SkeletonMask, path: str) -> None:

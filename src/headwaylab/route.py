@@ -6,6 +6,13 @@ Each direction is the modal edge sequence among terminus-to-terminus passages,
 stitched through the graph where the sampling interval skips edges.  A point
 then maps to a route-completion fraction in [0, 1): cumulative offset of its
 snapped edge plus the along-edge projection, divided by the full loop length.
+
+Snapping is batched: `EdgeIndex.candidates` makes one KD-tree query for a
+batch of points (a vehicle trace, in chunks of at most `EdgeIndex.batch`)
+and projects every point onto the edges owning its k nearest samples in
+numpy.  Each pass over the records (route derivation, each
+`compute_fractions` call) snaps a record with that one query; the plain and
+the direction-restricted snaps are picks among the same candidates.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .artifacts import fmt_num
 from .graphs import RouteGraph
 
 
@@ -56,44 +64,87 @@ class RouteModel:
 
 
 class EdgeIndex:
-    """Nearest-edge lookup via a KD-tree over densified edge samples."""
+    """Nearest-edge lookup via a KD-tree over densified edge samples.
+
+    Every lookup goes through `candidates`: one KD-tree query for a batch of
+    points, then a numpy projection of each point onto the edges owning its
+    k nearest samples.  Edge geometry is held in arrays by the edge's
+    position among the sorted edge ids, so edge ids need not be small, dense
+    or non-negative."""
+
+    batch = 8192  # points per `candidates` call in `batches`
 
     def __init__(self, graph: RouteGraph, sample_step: float):
         self.graph = graph
+        ids = _edge_ids(graph)
+        self._ax, self._ay, self._dx, self._dy, self._len = np.zeros((5, len(ids)))
         pts = []
         owners = []
-        for eid, (a, b, ln) in graph.edges.items():
+        positions = []
+        for pos, eid in enumerate(ids.tolist()):
+            a, b, ln = graph.edges[eid]
             pa, pb = graph.nodes[a], graph.nodes[b]
+            self._ax[pos], self._ay[pos] = pa
+            self._dx[pos], self._dy[pos] = pb[0] - pa[0], pb[1] - pa[1]
+            self._len[pos] = ln
             n = max(1, int(math.ceil(ln / sample_step)))
             for k in range(n + 1):
                 t = k / n
                 pts.append((pa[0] + (pb[0] - pa[0]) * t, pa[1] + (pb[1] - pa[1]) * t))
                 owners.append(eid)
+                positions.append(pos)
         self.tree = cKDTree(np.asarray(pts))
         self.owners = np.asarray(owners)
+        self._owner_pos = np.asarray(positions)
 
-    def _project(self, eid: int, x: float, y: float) -> tuple[float, float]:
-        a, b, ln = self.graph.edges[eid]
-        pa, pb = self.graph.nodes[a], self.graph.nodes[b]
-        dx, dy = pb[0] - pa[0], pb[1] - pa[1]
-        t = 0.0 if ln == 0 else ((x - pa[0]) * dx + (y - pa[1]) * dy) / (ln * ln)
-        t = min(1.0, max(0.0, t))
-        px, py = pa[0] + dx * t, pa[1] + dy * t
-        return t * ln, math.hypot(x - px, y - py)
+    def candidates(self, points, k: int = 6):
+        """Project each of N points onto the edges owning its k nearest
+        samples (k capped at the sample count).  Returns (edge, along, dist)
+        arrays of shape (N, k), columns in nearest-sample order; an edge that
+        owns several of the samples repeats."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        k = min(k, self.owners.size)
+        _, idx = self.tree.query(pts, k=k)
+        idx = idx.reshape(len(pts), k)
+        pos = self._owner_pos[idx]
+        x, y = pts[:, :1], pts[:, 1:]
+        ax, ay, dx, dy, ln = (tbl[pos] for tbl in (self._ax, self._ay, self._dx, self._dy, self._len))
+        t = np.divide((x - ax) * dx + (y - ay) * dy, ln * ln,
+                      out=np.zeros_like(ln), where=ln != 0)
+        t = np.clip(t, 0.0, 1.0)
+        return self.owners[idx], t * ln, np.hypot(x - (ax + dx * t), y - (ay + dy * t))
+
+    def batches(self, points, k: int = 6):
+        """`candidates` of successive chunks of at most `batch` points, so the
+        (chunk, k) arrays stay bounded however long a vehicle trace is."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        for start in range(0, len(pts), self.batch):
+            yield self.candidates(pts[start:start + self.batch], k)
 
     def snap(self, x: float, y: float, k: int = 6, restrict: set[int] | None = None):
         """Return (edge_id, along_distance, distance) of the best projection
-        among the edges owning the k nearest samples."""
-        _, idx = self.tree.query((x, y), k=k)
-        idx = np.atleast_1d(idx)
-        best = None
-        for eid in dict.fromkeys(self.owners[idx]):
-            if restrict is not None and eid not in restrict:
-                continue
-            along, dist = self._project(int(eid), x, y)
-            if best is None or dist < best[2]:
-                best = (int(eid), along, dist)
-        return best
+        among the edges owning the k nearest samples, or None when restrict
+        excludes all of them."""
+        edge, along, dist = self.candidates([(x, y)], k)
+        keep = None if restrict is None else np.isin(edge, list(restrict))
+        edge, along, dist = best_candidate(edge, along, dist, keep)
+        if dist[0] == math.inf:
+            return None
+        return int(edge[0]), float(along[0]), float(dist[0])
+
+
+def _edge_ids(graph: RouteGraph) -> np.ndarray:
+    return np.array(sorted(graph.edges), dtype=np.int64)
+
+
+def best_candidate(edge, along, dist, keep=None):
+    """Per row of `EdgeIndex.candidates` output, the first candidate of least
+    distance among those where `keep` is true.  Returns (edge, along, dist)
+    arrays of shape (N,); dist is inf where no candidate is kept."""
+    if keep is not None:
+        dist = np.where(keep, dist, math.inf)
+    j = np.argmin(dist, axis=1)[:, None]
+    return tuple(np.take_along_axis(a, j, axis=1)[:, 0] for a in (edge, along, dist))
 
 
 def _graph_distances(graph: RouteGraph, sources: set[int]) -> dict[int, float]:
@@ -222,17 +273,21 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
         raise RouteError("graph needs at least 2 edges")
     index = EdgeIndex(graph, sample_step=max(rejection_radius / 2, 1e-9))
 
-    # snap all records; accumulate dwell time per edge
+    # snap all records, in batches per vehicle; accumulate dwell time per edge
     dwell = defaultdict(float)
     snapped: dict[str, list[tuple[int, int, float]]] = {}  # vid -> [(t, edge, along)]
     for vid in ts.vehicles():
         recs = ts.traces[vid]
+        edges, alongs, dists = [], [], []
+        for cands in index.batches([(r.x, r.y) for r in recs]):
+            edge, along, dist = best_candidate(*cands)
+            edges += edge.tolist()
+            alongs += along.tolist()
+            dists += dist.tolist()
         rows = []
-        for i, rec in enumerate(recs):
-            hit = index.snap(rec.x, rec.y)
-            if hit is None or hit[2] > rejection_radius:
+        for i, (rec, eid, along, dist) in enumerate(zip(recs, edges, alongs, dists)):
+            if dist > rejection_radius:
                 continue
-            eid, along, _ = hit
             if i + 1 < len(recs):
                 dt = min(recs[i + 1].t - rec.t, 300.0)
                 dwell[eid] += dt
@@ -322,34 +377,65 @@ class UnmatchedMeasurement(RouteError):
     pass
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+class CompletionTable:
+    """Route-completion fractions in one direction: the start offset,
+    orientation and length of each direction edge, by the edge's position
+    among the sorted graph edge ids as in `EdgeIndex` (the first visit wins
+    if a direction repeats an edge)."""
+
+    def __init__(self, rm: RouteModel, d: int):
+        self.rm = rm
+        self.ids = _edge_ids(rm.graph)
+        position = {eid: pos for pos, eid in enumerate(self.ids.tolist())}
+        self.member = np.zeros(len(self.ids), dtype=bool)
+        self.forward = np.zeros(len(self.ids), dtype=bool)
+        self.offset, self.length = np.zeros((2, len(self.ids)))
+        for de in reversed(rm.directions[d]):
+            pos = position.get(de.edge_id)
+            if pos is None:
+                continue  # not in the graph, so never a candidate
+            self.member[pos] = True
+            self.forward[pos] = de.forward
+            self.offset[pos] = de.start_offset
+            self.length[pos] = de.length
+
+    def fractions(self, edge, along, dist):
+        """Fractions of the points whose `EdgeIndex.candidates` output is
+        given, each point snapped to the nearest of its candidate edges that
+        belong to this direction.  Returns (fraction, matched) arrays of
+        shape (N,); a point is matched when that edge exists and lies within
+        the rejection radius."""
+        pos = np.searchsorted(self.ids, edge)
+        pos, along, dist = best_candidate(pos, along, dist, self.member[pos])
+        within = np.where(self.forward[pos], along, self.length[pos] - along)
+        frac = np.minimum((self.offset[pos] + within) / self.rm.loop_length, _BELOW_ONE)
+        return frac, np.isfinite(dist) & (dist <= self.rm.rejection_radius)
+
+
 def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: int,
                      index: EdgeIndex | None = None) -> float:
     """Fraction in [0, 1) of the full loop at the given point, travelling in
     the direction that starts at last_terminus."""
     d = 0 if last_terminus == rm.termini[0] else 1
-    seq = rm.directions[d]
-    candidates = {e.edge_id for e in seq}
     index = index or EdgeIndex(rm.graph, sample_step=max(rm.rejection_radius / 2, 1e-9))
-    hit = index.snap(point[0], point[1], restrict=candidates)
-    if hit is None or hit[2] > rm.rejection_radius:
+    frac, matched = CompletionTable(rm, d).fractions(*index.candidates([point]))
+    if not matched[0]:
         raise UnmatchedMeasurement(f"point beyond rejection radius {rm.rejection_radius}")
-    eid, along, _ = hit
-    for de in seq:
-        if de.edge_id == eid:
-            within = along if de.forward else de.length - along
-            frac = (de.start_offset + within) / rm.loop_length
-            return min(frac, math.nextafter(1.0, 0.0))
-    raise UnmatchedMeasurement("snapped edge outside direction sequence")
+    return float(frac[0])
 
 
 def write_route_model(rm: RouteModel, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"termini {rm.termini[0]} {rm.termini[1]}\n")
-        fh.write(f"loop_length {rm.loop_length!r}\n")
-        fh.write(f"rejection_radius {rm.rejection_radius!r}\n")
+        fh.write(f"loop_length {fmt_num(rm.loop_length)}\n")
+        fh.write(f"rejection_radius {fmt_num(rm.rejection_radius)}\n")
         for d, seq in enumerate(rm.directions):
             for de in seq:
-                fh.write(f"segment {d} {de.edge_id} {int(de.forward)} {de.start_offset!r} {de.length!r}\n")
+                fh.write(f"segment {d} {de.edge_id} {int(de.forward)} "
+                         f"{fmt_num(de.start_offset)} {fmt_num(de.length)}\n")
 
 
 def read_route_model(path: str, graph: RouteGraph) -> RouteModel:

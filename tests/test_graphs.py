@@ -121,3 +121,14 @@ def test_graph_file_rejects_nonpositive_length(tmp_path):
     path.write_text("node 0 0 0\nnode 1 1 0\nedge 0 0 1 0.0\n")
     with pytest.raises(GraphError):
         read_graph(str(path))
+
+
+def test_graph_file_roundtrip_numpy_scalars(tmp_path):
+    # build_graph takes node coordinates from numpy arrays
+    g = RouteGraph({0: (np.float64(0.5), np.float64(8.788)), 1: (np.float64(3.5), np.float64(12.788))},
+                   {0: (0, 1, np.float64(5.0))})
+    path = str(tmp_path / "g.txt")
+    write_graph(g, path)
+    back = read_graph(path)
+    assert back.nodes == g.nodes
+    assert back.edges == g.edges
