@@ -4,7 +4,6 @@ intermediate artifacts, plus `pipeline` to run them end to end."""
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -33,18 +32,17 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="headwaylab",
-                                 description="AVL traces -> patch model -> headway model checking")
-    ap.add_argument("--config", help="key = value config file; flags override it")
-    sub = ap.add_subparsers(dest="command", required=True)
+CONFIG_FLAG = "--config"
 
-    def add_common(p):
-        p.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("ingest", help="parse and window-filter raw AVL text")
-    p.add_argument("input")
-    add_common(p)
+# Each stage's flags are declared once, here; the stage's own subcommand and
+# `pipeline` both take them.
+
+def _out_flag(p):
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _ingest_flags(p):
     p.add_argument("--delimiter", default=",")
     p.add_argument("--cols", default="0,1,2,3", help="vehicle,x,y,t column indices")
     p.add_argument("--route-col", type=int)
@@ -54,78 +52,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weekdays", help="comma list of weekday numbers, Monday=0")
     p.add_argument("--tz-offset", type=int, default=0)
 
-    p = sub.add_parser("heatmap", help="rasterize observation heat map")
-    p.add_argument("input", help="ingested traces.csv")
-    add_common(p)
+
+def _heatmap_flags(p):
     p.add_argument("--cell-size", type=float)
     p.add_argument("--resolution", type=int, default=raster.DEFAULT_RESOLUTION)
     p.add_argument("--delta", type=float, default=0.0, help="interpolation weight")
     p.add_argument("--boost", type=float, default=0.0, help="contrast boost")
 
-    p = sub.add_parser("blur", help="Gaussian blur")
-    p.add_argument("input", help="heatmap.pgm")
-    add_common(p)
+
+def _blur_flags(p):
     p.add_argument("--sigma", type=float, default=1.0)
 
-    p = sub.add_parser("skeleton", help="threshold and thin")
-    p.add_argument("input", help="blurred.pgm")
-    add_common(p)
+
+def _skeleton_flags(p):
     p.add_argument("--tau", type=float, required=True, help="intensity threshold")
     p.add_argument("--eta", type=float, required=True, help="erosion step")
 
-    p = sub.add_parser("graph", help="skeleton to pruned route graph")
-    p.add_argument("input", help="skeleton.pgm")
-    add_common(p)
+
+def _graph_flags(p):
     p.add_argument("--epsilon", type=float, default=2.0, help="RDP tolerance in cells")
     p.add_argument("--split-divisor", type=float, default=1.0)
 
-    p = sub.add_parser("route", help="termini, direction segments, loop length")
-    p.add_argument("graph", help="graph.txt")
-    p.add_argument("traces", help="traces.csv")
-    add_common(p)
-    p.add_argument("--rejection-radius", type=float, required=True)
+
+def _route_flags(p):
+    p.add_argument("--rejection-radius", type=float,
+                   help="snapping radius; required by `route`, `pipeline` defaults to 3 cells")
     p.add_argument("--termini", default="dwell", choices=["dwell", "extremes"])
 
-    p = sub.add_parser("patches", help="bin counts and clustering")
-    p.add_argument("route", help="route.txt")
-    p.add_argument("graph", help="graph.txt")
-    p.add_argument("traces", help="traces.csv")
-    add_common(p)
+
+def _patches_flags(p):
     p.add_argument("--gamma", type=int, default=50)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--method", default="jenks", choices=["jenks", "jenks-counts", "merge"])
 
-    p = sub.add_parser("fit", help="crossing times and phase-type fits")
-    p.add_argument("route", help="route.txt")
-    p.add_argument("graph", help="graph.txt")
-    p.add_argument("patches", help="patches.txt")
-    p.add_argument("traces", help="traces.csv")
-    add_common(p)
+
+def _fit_flags(p):
     p.add_argument("--branches", type=int, default=1, help="hyper-Erlang branches (1 = Erlang)")
     p.add_argument("--fit-seed", type=int, default=0)
     p.add_argument("--cdf-out", action="store_true", help="emit per-patch CDF comparison TSVs")
 
-    def add_sim_args(p, seed_required=True):
-        p.add_argument("--beta", type=int, required=True, help="bus count")
-        p.add_argument("--seed", type=int, required=seed_required)
-        p.add_argument("--r", type=float, help="timetabled loop duration override")
-        p.add_argument("--no-timetable", action="store_true")
-        p.add_argument("--termini-patches", help="two 1-based patch indices, e.g. 1,7")
-        p.add_argument("--holding", type=float, help="holding threshold seconds")
-        p.add_argument("--speedmod", type=float, help="speed modification threshold fraction")
-        p.add_argument("--slowdown", type=float, default=0.9)
-        p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
 
-    p = sub.add_parser("simulate", help="run the bus simulator, log events")
-    p.add_argument("model", help="model.txt")
-    add_common(p)
-    add_sim_args(p)
+def _sim_flags(p):
+    p.add_argument("--beta", type=int, required=True, help="bus count")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--r", type=float, help="timetabled loop duration override")
+    p.add_argument("--no-timetable", action="store_true")
+    p.add_argument("--termini-patches", help="two 1-based patch indices, e.g. 1,7")
+    p.add_argument("--holding", type=float, help="holding threshold seconds")
+    p.add_argument("--speedmod", type=float, help="speed modification threshold fraction")
+    p.add_argument("--slowdown", type=float, default=0.9)
+    p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
+
+
+def _simulate_flags(p):
     p.add_argument("--horizon", type=float, default=50000.0, help="simulated seconds")
 
-    p = sub.add_parser("check", help="statistical model checking of properties")
-    p.add_argument("model", help="model.txt")
-    add_common(p)
-    add_sim_args(p)
+
+def _check_flags(p):
     p.add_argument("--properties", help="property file; default: EWT/EVWT/BPH per patch")
     p.add_argument("--patches-list", help="patch indices for the default properties")
     p.add_argument("--warmup", type=float)
@@ -134,61 +117,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=300.0, help="wall-clock seconds per assertion set")
     p.add_argument("--max-sim-time", type=float)
 
+
+# stage -> (help, positional arguments with their help, flag declarations)
+STAGE_ARGS = {
+    "ingest": ("parse and window-filter raw AVL text", [("input", None)], [_ingest_flags]),
+    "heatmap": ("rasterize observation heat map", [("input", "ingested traces.csv")],
+                [_heatmap_flags]),
+    "blur": ("Gaussian blur", [("input", "heatmap.pgm")], [_blur_flags]),
+    "skeleton": ("threshold and thin", [("input", "blurred.pgm")], [_skeleton_flags]),
+    "graph": ("skeleton to pruned route graph", [("input", "skeleton.pgm")], [_graph_flags]),
+    "route": ("termini, direction segments, loop length",
+              [("graph", "graph.txt"), ("traces", "traces.csv")], [_route_flags]),
+    "patches": ("bin counts and clustering",
+                [("route", "route.txt"), ("graph", "graph.txt"), ("traces", "traces.csv")],
+                [_patches_flags]),
+    "fit": ("crossing times and phase-type fits",
+            [("route", "route.txt"), ("graph", "graph.txt"), ("patches", "patches.txt"),
+             ("traces", "traces.csv")], [_fit_flags]),
+    "simulate": ("run the bus simulator, log events", [("model", "model.txt")],
+                 [_sim_flags, _simulate_flags]),
+    "check": ("statistical model checking of properties", [("model", "model.txt")],
+              [_sim_flags, _check_flags]),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="headwaylab",
+                                 description="AVL traces -> patch model -> headway model checking")
+    ap.add_argument(CONFIG_FLAG, help="key = value config file; flags override it")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for stage, (text, positionals, flag_sets) in STAGE_ARGS.items():
+        p = sub.add_parser(stage, help=text)
+        for name, about in positionals:
+            p.add_argument(name, help=about)
+        _out_flag(p)
+        for add_flags in flag_sets:
+            add_flags(p)
+
     p = sub.add_parser("pipeline", help="run all stages in order")
     p.add_argument("input")
-    add_common(p)
+    _out_flag(p)
     p.add_argument("--resume-from", choices=STAGES)
-    # ingest
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--cols", default="0,1,2,3")
-    p.add_argument("--route-col", type=int)
-    p.add_argument("--route-value")
-    p.add_argument("--time-format", default="unix", choices=sorted(ingest.TIME_HOOKS))
-    p.add_argument("--window")
-    p.add_argument("--weekdays")
-    p.add_argument("--tz-offset", type=int, default=0)
-    # raster/graph
-    p.add_argument("--cell-size", type=float)
-    p.add_argument("--resolution", type=int, default=raster.DEFAULT_RESOLUTION)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--boost", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--split-divisor", type=float, default=1.0)
-    p.add_argument("--rejection-radius", type=float)
-    p.add_argument("--termini", default="dwell", choices=["dwell", "extremes"])
-    # patches/fit
-    p.add_argument("--gamma", type=int, default=50)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--method", default="jenks", choices=["jenks", "jenks-counts", "merge"])
-    p.add_argument("--branches", type=int, default=1)
-    p.add_argument("--fit-seed", type=int, default=0)
-    # simulate/check
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--r", type=float)
-    p.add_argument("--no-timetable", action="store_true")
-    p.add_argument("--holding", type=float)
-    p.add_argument("--speedmod", type=float)
-    p.add_argument("--slowdown", type=float, default=0.9)
-    p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
-    p.add_argument("--horizon", type=float, default=50000.0)
-    p.add_argument("--warmup", type=float)
-    p.add_argument("--batches", type=int, default=32)
-    p.add_argument("--rel-halfwidth", type=float, default=0.10)
-    p.add_argument("--budget", type=float, default=300.0)
-    p.add_argument("--max-sim-time", type=float)
+    # _sim_flags serves both simulate and check; declare it once
+    for add_flags in dict.fromkeys(f for _, _, flag_sets in STAGE_ARGS.values() for f in flag_sets):
+        add_flags(p)
     return ap
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags so that explicit flags
     override the file (argparse keeps the last occurrence)."""
-    if "--config" not in argv:
+    if CONFIG_FLAG not in argv:
         return argv
-    i = argv.index("--config")
+    i = argv.index(CONFIG_FLAG)
     path = argv[i + 1]
     extra = []
     for line in Path(path).read_text().splitlines():
@@ -200,7 +181,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         value = value.strip()
         if value.lower() in ("true", "yes"):
             extra.append(f"--{key}")
-        else:
+        elif value.lower() not in ("false", "no"):
             extra.extend([f"--{key}", value])
     rest = argv[:i] + argv[i + 2:]
     # insert config-derived flags right after the subcommand
@@ -234,7 +215,7 @@ def _window_from(args) -> ingest.TimeWindow | None:
     return ingest.TimeWindow(int(start), int(end), weekdays)
 
 
-def _sim_config(args, pm: fitting.PatchModel, termini_patches) -> simulate.SimConfig:
+def _sim_config(args, termini_patches) -> simulate.SimConfig:
     return simulate.SimConfig(
         n_buses=args.beta,
         timetable=not args.no_timetable,
@@ -244,7 +225,7 @@ def _sim_config(args, pm: fitting.PatchModel, termini_patches) -> simulate.SimCo
         speedmod_threshold=args.speedmod,
         slowdown=args.slowdown,
         init=args.init,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
 
 
@@ -305,6 +286,8 @@ def cmd_graph(args, out: Path):
 def cmd_route(args, out: Path):
     g = graphs.read_graph(args.graph)
     ts = _load_traces(args.traces)
+    if args.rejection_radius is None:
+        raise StageError("route", "no rejection radius given")
     rm = route.derive_route_model(g, ts, args.rejection_radius, args.termini)
     route.write_route_model(rm, str(out / "route.txt"))
     d1 = rm.direction_length(0)
@@ -345,7 +328,7 @@ def cmd_fit(args, out: Path):
         if len(obs[j]) >= 3 and j not in flagged:
             reports[j] = fitting.anderson_darling(obs[j], pm.dists[j - 1])
     fitting.write_gof_tsv(reports, str(out / "gof.tsv"))
-    if getattr(args, "cdf_out", False):
+    if args.cdf_out:
         fitting.write_cdf_comparison(obs, pm, str(out / "cdf"))
     if flagged:
         print(f"fit: WARNING patches with too few observations: {flagged}")
@@ -357,7 +340,7 @@ def _load_model_for_sim(args, out: Path):
     pm = fitting.read_patch_model(args.model)
     termini_patches = None
     if not args.no_timetable:
-        if getattr(args, "termini_patches", None):
+        if args.termini_patches:
             a, b = args.termini_patches.split(",")
             termini_patches = (int(a), int(b))
         else:
@@ -370,8 +353,9 @@ def _load_model_for_sim(args, out: Path):
                 ps = patches.read_patches(str(patches_path))
                 termini_patches = _terminus_patches_from_route(rm, ps, pm)
             else:
-                raise StageError("simulate", "terminus patches unknown; pass --termini-patches")
-    cfg = _sim_config(args, pm, termini_patches)
+                raise StageError("simulate", "terminus patches unknown: none given, and no "
+                                 "route, patches and graph artifacts to derive them from")
+    cfg = _sim_config(args, termini_patches)
     return simulate.build_model(pm, cfg)
 
 
@@ -388,13 +372,13 @@ def cmd_check(args, out: Path):
     model = _load_model_for_sim(args, out)
     n = model.n
     plist = ([int(x) for x in args.patches_list.split(",")]
-             if getattr(args, "patches_list", None) else list(range(1, n + 1)))
+             if args.patches_list else list(range(1, n + 1)))
     ecfg = properties.EstimatorConfig(
         warmup_time=args.warmup, batches=args.batches,
         rel_halfwidth_target=args.rel_halfwidth, wall_budget=args.budget,
         max_sim_time=args.max_sim_time)
     texts: list[tuple[str, str]] = []
-    if getattr(args, "properties", None):
+    if args.properties:
         raw = Path(args.properties).read_text()
         if "_j" in raw:
             for j, txt in properties.expand_per_patch(raw, plist).items():
@@ -439,13 +423,9 @@ def cmd_pipeline(args, out: Path):
     if want("ingest"):
         cmd_ingest(ns, out)
     ns.input = str(out / "traces.csv")
-    ts = _load_traces(ns.input)
-    extent = _extent(ts)
-    cell = args.cell_size if args.cell_size else extent / args.resolution
-    if args.rejection_radius is None:
+    if ns.rejection_radius is None:
+        cell = args.cell_size or _extent(_load_traces(ns.input)) / args.resolution
         ns.rejection_radius = 3.0 * cell
-    if args.tau is None or args.eta is None:
-        raise StageError("skeleton", "tau and eta are required (set via flags or config)")
     if want("heatmap"):
         cmd_heatmap(ns, out)
     if want("blur"):
@@ -468,12 +448,9 @@ def cmd_pipeline(args, out: Path):
     if want("fit"):
         cmd_fit(ns, out)
     ns.model = str(out / "model.txt")
-    ns.termini_patches = None
     if want("simulate"):
         cmd_simulate(ns, out)
     if want("check"):
-        ns.patches_list = None
-        ns.properties = None
         return cmd_check(ns, out)
     return 0
 

@@ -9,8 +9,13 @@ more than 5 minutes between records, and by straight-line jumps of more than
 
 Erlang fitting follows the moment-matched likelihood scan: lambda = k / mean,
 k increased from 1 until the log-likelihood first drops, previous k returned.
-The hyper-Erlang fit is a deterministic multi-start EM whose M-step applies
-the same scan to responsibility-weighted statistics.
+The hyper-Erlang fit is a deterministic multi-start EM with one loop: its
+E-step and the reported log-likelihood share one computation of the
+per-branch log densities, and its M-step applies the same scan to
+responsibility-weighted statistics, keeping a branch unchanged when the scan's
+objective would fall.  A fit capped at max_iter iterations is the EM state
+after that many steps, which is how the log-likelihood's monotonicity is
+tested.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .artifacts import fmt_num
-from .patches import PatchStructure, compute_fractions, patch_of
+from .patches import PatchStructure, compute_fractions
 
 
 class FitError(ValueError):
@@ -117,21 +122,7 @@ def dist_cdf(dist: Distribution, t) -> np.ndarray:
     return out
 
 
-def dist_mean(dist: Distribution) -> float:
-    return dist.mean
-
-
 # --- crossing time extraction -------------------------------------------
-
-@dataclass
-class CrossingObservation:
-    patch: int
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise FitError("duration must be positive")
-
 
 def extract_crossing_times(ts, rm, ps: PatchStructure,
                            gap_seconds: float = GAP_SECONDS,
@@ -173,8 +164,6 @@ def extract_crossing_times(ts, rm, ps: PatchStructure,
             crossed = []
             for j, b in enumerate(bounds, start=1):
                 rel = b - f1 if not wrapped or b > f1 else b - f1 + 1.0
-                if wrapped and b > f1:
-                    rel = b - f1
                 if 0.0 < rel <= df:
                     tau = t1 + dt * rel / df
                     crossed.append((rel, j, math.ceil(tau - 1e-9)))
@@ -192,6 +181,14 @@ def extract_crossing_times(ts, rm, ps: PatchStructure,
 
 # --- Erlang / hyper-Erlang fitting ---------------------------------------
 
+def _erlang_objective(total_w: float, sum_wx: float, sum_wlogx: float,
+                      k: int, rate: float) -> float:
+    """Weighted Erlang(k, rate) log-likelihood from the sufficient statistics
+    sum w, sum w*x and sum w*log(x)."""
+    return (total_w * (k * math.log(rate) - gammaln(k))
+            + (k - 1) * sum_wlogx - rate * sum_wx)
+
+
 def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP):
     """Scan k = 1, 2, ... with rate = k / weighted mean; stop at the first
     log-likelihood decrease and return (k, rate, loglik) of the previous step.
@@ -201,9 +198,7 @@ def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP)
         raise FitError("non-positive mean")
 
     def loglik(k: int) -> float:
-        rate = k / mean
-        return (total_w * (k * math.log(rate) - gammaln(k))
-                + (k - 1) * sum_wlogx - rate * sum_wx)
+        return _erlang_objective(total_w, sum_wx, sum_wlogx, k, k / mean)
 
     prev = loglik(1)
     k = 1
@@ -226,23 +221,15 @@ def fit_erlang(obs, k_cap: int = K_CAP) -> ErlangParams:
     return ErlangParams(k, rate)
 
 
-def erlang_loglik_scan(obs, k_max: int) -> np.ndarray:
-    """Log-likelihood for k = 1..k_max with rate = k/mean (oracle helper)."""
-    x = np.asarray(list(obs), dtype=np.float64)
-    n, sx, slx = float(x.size), float(x.sum()), float(np.log(x).sum())
-    mean = sx / n
-    ks = np.arange(1, k_max + 1)
-    rates = ks / mean
-    return n * (ks * np.log(rates) - gammaln(ks)) + (ks - 1) * slx - rates * sx
-
-
-def _loglik_hyper(x, logx, shapes, rates, weights) -> float:
+def _log_densities(x, logx, shapes, rates, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch weighted log densities log(a_i f_i(x)), one row per branch,
+    and the mixture log density log f(x), their log-sum-exp over branches."""
     comp = np.stack([
         math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - gammaln(k)
         for a, k, r in zip(weights, shapes, rates)
     ])
     mx = comp.max(axis=0)
-    return float(np.sum(mx + np.log(np.exp(comp - mx).sum(axis=0))))
+    return comp, mx + np.log(np.exp(comp - mx).sum(axis=0))
 
 
 def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
@@ -253,7 +240,9 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
     responsibility-weighted statistics; a candidate that would lower the
     expected complete-data objective is rejected, which keeps the data
     log-likelihood non-decreasing within a run.  m = 1 reduces exactly to
-    fit_erlang."""
+    fit_erlang.  A run stops after max_iter iterations, when an iteration
+    gains less than tol per observation, or when a branch loses all
+    responsibility."""
     x = np.asarray(list(obs), dtype=np.float64)
     if m < 1:
         raise FitError("m must be >= 1")
@@ -270,36 +259,20 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
     best: tuple[float, HyperErlangParams] | None = None
     for start in range(restarts):
         rng = np.random.default_rng([seed, start])
-        # quantile split, randomly perturbed after the first start
+        # quantile split, the branch means randomly perturbed after the first start
         edges = np.linspace(0, x.size, m + 1).astype(int)
         shapes, rates, weights = [], [], []
-        ok = True
         for b in range(m):
-            sel = x[order[edges[b]:edges[b + 1]]]
-            if start > 0:
-                noise = rng.uniform(0.6, 1.6)
-                mean_b = float(sel.mean()) * noise
-            else:
-                mean_b = float(sel.mean())
-            k0 = max(1, min(K_CAP, round((mean_b / (sel.std() + 1e-9)) ** 2))) if sel.size > 1 else 1
-            if mean_b <= 0:
-                ok = False
-                break
+            sel = x[order[edges[b]:edges[b + 1]]]  # at least 2 positive values
+            mean_b = float(sel.mean()) * (rng.uniform(0.6, 1.6) if start > 0 else 1.0)
+            k0 = max(1, min(K_CAP, round((mean_b / (sel.std() + 1e-9)) ** 2)))
             shapes.append(int(k0))
             rates.append(k0 / mean_b)
             weights.append(sel.size / x.size)
-        if not ok:
-            continue
-        shapes, rates, weights = list(shapes), list(rates), list(weights)
 
         prev_ll = -math.inf
         for _ in range(max_iter):
-            comp = np.stack([
-                math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - gammaln(k)
-                for a, k, r in zip(weights, shapes, rates)
-            ])
-            mx = comp.max(axis=0)
-            lse = mx + np.log(np.exp(comp - mx).sum(axis=0))
+            comp, lse = _log_densities(x, logx, shapes, rates, weights)
             ll = float(lse.sum())
             resp = np.exp(comp - lse)
             # M-step
@@ -315,25 +288,21 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
                 swl = float((w * logx).sum())
                 k_new, r_new, q_new = _scan_k(tw, swx, swl)
                 # guard: never let the M-step lower the expected objective
-                k_old, r_old = shapes[b], rates[b]
-                q_old = (tw * (k_old * math.log(r_old) - gammaln(k_old))
-                         + (k_old - 1) * swl - r_old * swx)
-                if q_new < q_old:
-                    k_new, r_new = k_old, r_old
+                if q_new < _erlang_objective(tw, swx, swl, shapes[b], rates[b]):
+                    k_new, r_new = shapes[b], rates[b]
                 new_shapes.append(k_new)
                 new_rates.append(r_new)
                 new_weights.append(tw / x.size)
             if degenerate:
                 break
             shapes, rates, weights = new_shapes, new_rates, new_weights
-            if ll - prev_ll < tol * x.size and prev_ll > -math.inf:
-                prev_ll = ll
+            if ll - prev_ll < tol * x.size:
                 break
             prev_ll = ll
         total_w = sum(weights)
         weights = [w / total_w for w in weights]
         cand = HyperErlangParams(tuple(shapes), tuple(rates), tuple(weights))
-        ll = _loglik_hyper(x, logx, shapes, rates, weights)
+        ll = float(_log_densities(x, logx, shapes, rates, weights)[1].sum())
         if best is None or ll > best[0]:
             best = (ll, cand)
     if best is None:
@@ -343,50 +312,8 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
 
 def hyper_erlang_loglik(obs, params: HyperErlangParams) -> float:
     x = np.asarray(list(obs), dtype=np.float64)
-    return _loglik_hyper(x, np.log(x), params.shapes, params.rates, params.weights)
-
-
-def em_loglik_trace(obs, m: int, seed: int = 0, max_iter: int = 60) -> list[float]:
-    """Log-likelihood after each EM iteration of a single run (for the
-    monotonicity check)."""
-    x = np.asarray(list(obs), dtype=np.float64)
-    logx = np.log(x)
-    order = np.argsort(x)
-    edges = np.linspace(0, x.size, m + 1).astype(int)
-    shapes, rates, weights = [], [], []
-    for b in range(m):
-        sel = x[order[edges[b]:edges[b + 1]]]
-        mean_b = float(sel.mean())
-        k0 = max(1, round((mean_b / (sel.std() + 1e-9)) ** 2))
-        shapes.append(int(min(k0, K_CAP)))
-        rates.append(k0 / mean_b)
-        weights.append(sel.size / x.size)
-    trace = []
-    for _ in range(max_iter):
-        comp = np.stack([
-            math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - gammaln(k)
-            for a, k, r in zip(weights, shapes, rates)
-        ])
-        mx = comp.max(axis=0)
-        lse = mx + np.log(np.exp(comp - mx).sum(axis=0))
-        trace.append(float(lse.sum()))
-        resp = np.exp(comp - lse)
-        new_shapes, new_rates, new_weights = [], [], []
-        for b in range(m):
-            w = resp[b]
-            tw = float(w.sum())
-            swx, swl = float((w * x).sum()), float((w * logx).sum())
-            k_new, r_new, _ = _scan_k(tw, swx, swl)
-            k_old, r_old = shapes[b], rates[b]
-            q_old = tw * (k_old * math.log(r_old) - gammaln(k_old)) + (k_old - 1) * swl - r_old * swx
-            q_new = tw * (k_new * math.log(r_new) - gammaln(k_new)) + (k_new - 1) * swl - r_new * swx
-            if q_new < q_old:
-                k_new, r_new = k_old, r_old
-            new_shapes.append(k_new)
-            new_rates.append(r_new)
-            new_weights.append(tw / x.size)
-        shapes, rates, weights = new_shapes, new_rates, new_weights
-    return trace
+    _, lse = _log_densities(x, np.log(x), params.shapes, params.rates, params.weights)
+    return float(lse.sum())
 
 
 # --- goodness of fit ------------------------------------------------------
@@ -459,7 +386,7 @@ class PatchModel:
 
     def __post_init__(self):
         if not self.means:
-            self.means = [dist_mean(d) for d in self.dists]
+            self.means = [d.mean for d in self.dists]
 
     @property
     def n(self) -> int:
@@ -495,19 +422,6 @@ def fit_patch_model(observations: dict[int, list[float]], branches: int = 1,
         else:
             dists.append(fit_hyper_erlang(xs, branches, seed=seed))
     return PatchModel(dists), flagged
-
-
-def derive_timetable(pm: PatchModel, n_buses: int, route_duration: float | None = None):
-    """Implicit timetable constants: the timetabled loop duration r (defaults
-    to the sum of patch means), the scheduled inter-departure time r / beta,
-    and per-bus, per-patch offsets h[i][j] = r*(i-1)/beta + c_j."""
-    if n_buses < 1:
-        raise FitError("need at least one bus")
-    r = route_duration if route_duration is not None else pm.total()
-    mu_tot = r / n_buses
-    c = pm.cumulative_means()
-    h = [[r * i / n_buses + c[j] for j in range(pm.n)] for i in range(n_buses)]
-    return r, mu_tot, h
 
 
 # --- model file I/O -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parse, window-filter and normalize raw AVL measurements.
+"""Parse and window-filter raw AVL measurements.
 
 Input is delimiter-separated text with one vehicle report per row (vehicle id,
 planar x, planar y, timestamp).  Rows are grouped per vehicle and sorted by
@@ -10,17 +10,13 @@ is shift- and uniform-scale-invariant, so no datum conversion happens here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable
 
 
 class IngestError(ValueError):
     pass
-
-
-class DegenerateExtentError(IngestError):
-    """All points coincide; no coordinate frame can be derived."""
 
 
 @dataclass(frozen=True)
@@ -67,26 +63,6 @@ class TimeWindow:
     def __post_init__(self):
         if not (0 <= self.daily_start < self.daily_end <= 86400):
             raise IngestError("require 0 <= daily_start < daily_end <= 86400")
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Maps normalized coordinates back to the original frame:
-    original = normalized * scale + offset."""
-
-    scale: float
-    offset_x: float
-    offset_y: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise IngestError("scale must be positive")
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return x * self.scale + self.offset_x, y * self.scale + self.offset_y
-
-    def invert(self, x: float, y: float) -> tuple[float, float]:
-        return (x - self.offset_x) / self.scale, (y - self.offset_y) / self.scale
 
 
 def _parse_unix(tok: str) -> int:
@@ -207,27 +183,3 @@ def filter_window(ts: TraceSet, window: TimeWindow, tz_offset: int = 0) -> Trace
         if kept:
             out[vid] = kept
     return TraceSet(out)
-
-
-def normalize_coordinates(ts: TraceSet) -> tuple[TraceSet, AffineTransform]:
-    """Map coordinates into a [0,1]x[0,1]-bounded frame, preserving aspect ratio.
-
-    The returned transform maps normalized coordinates back to the input frame.
-    Normalization removes any uniform scale and offset of the input, so two
-    inputs differing by such a map normalize identically (exactly so whenever
-    the map itself is exact in floating point, e.g. power-of-two scales).
-    """
-    xs = [r.x for r in ts.all_records()]
-    ys = [r.y for r in ts.all_records()]
-    if not xs:
-        raise IngestError("empty trace set")
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    extent = max(max_x - min_x, max_y - min_y)
-    if extent <= 0:
-        raise DegenerateExtentError("all points identical")
-    out = {
-        vid: [replace(r, x=(r.x - min_x) / extent, y=(r.y - min_y) / extent) for r in recs]
-        for vid, recs in ts.traces.items()
-    }
-    return TraceSet(out), AffineTransform(scale=extent, offset_x=min_x, offset_y=min_y)

@@ -194,11 +194,10 @@ def bin_counts(ts, rm, gamma: int, index: EdgeIndex | None = None) -> BinCounts:
     return BinCounts(gamma, counts)
 
 
-def _segment_dp(values: list[float], n: int) -> tuple[list[int], float]:
+def _segment_dp(values: list[float], n: int) -> list[int]:
     """Exact DP: split `values` into n contiguous segments minimizing the total
     within-segment sum of squared deviations.  Returns the segment start
-    positions (excluding 0) and the optimal objective.  Ties break toward the
-    leftmost break vector."""
+    positions (excluding 0).  Ties break toward the leftmost break vector."""
     m = len(values)
     if n > m:
         raise PatchError("more segments than values")
@@ -229,7 +228,7 @@ def _segment_dp(values: list[float], n: int) -> tuple[list[int], float]:
         if k > 1:
             breaks.append(j)
         i = j
-    return breaks[::-1], float(cost[n][m])
+    return breaks[::-1]
 
 
 def jenks_cluster(c: BinCounts, n: int) -> PatchStructure:
@@ -241,13 +240,7 @@ def jenks_cluster(c: BinCounts, n: int) -> PatchStructure:
     if n == 1:
         return PatchStructure(c.gamma, [])
     d = [abs(c.counts[i + 1] - c.counts[i]) for i in range(c.gamma - 1)]
-    breaks, _ = _segment_dp(d, n)
-    return PatchStructure(c.gamma, breaks)
-
-
-def jenks_objective(c: BinCounts, n: int) -> float:
-    d = [abs(c.counts[i + 1] - c.counts[i]) for i in range(c.gamma - 1)]
-    return _segment_dp(d, n)[1]
+    return PatchStructure(c.gamma, _segment_dp(d, n))
 
 
 def jenks_cluster_counts(c: BinCounts, n: int) -> PatchStructure:
@@ -257,8 +250,7 @@ def jenks_cluster_counts(c: BinCounts, n: int) -> PatchStructure:
         raise PatchError("need 1 <= n <= gamma")
     if n == 1:
         return PatchStructure(c.gamma, [])
-    breaks, _ = _segment_dp([float(x) for x in c.counts], n)
-    return PatchStructure(c.gamma, breaks)
+    return PatchStructure(c.gamma, _segment_dp([float(x) for x in c.counts], n))
 
 
 def merge_adjacent_cluster(c: BinCounts) -> PatchStructure:

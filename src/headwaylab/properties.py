@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -88,8 +88,6 @@ class SteadyStateQuery:
     function: str
     clock: str
     threshold: float
-    relation: str = "<"
-    source: str = ""
 
 
 @dataclass

@@ -330,43 +330,6 @@ def skeletonize(r: Raster, tau: float, eta: float, max_passes: int = 100000) -> 
     return SkeletonMask(alive, r.cell_size, r.origin)
 
 
-def zhang_suen(binary: np.ndarray) -> np.ndarray:
-    """Reference Zhang-Suen thinning of a binary image (oracle for tests)."""
-    img = binary.astype(np.uint8).copy()
-
-    def neighbours(i, j, im):
-        return [im[i - 1, j], im[i - 1, j + 1], im[i, j + 1], im[i + 1, j + 1],
-                im[i + 1, j], im[i + 1, j - 1], im[i, j - 1], im[i - 1, j - 1]]
-
-    changed = True
-    while changed:
-        changed = False
-        for step in (0, 1):
-            marks = []
-            for i in range(1, img.shape[0] - 1):
-                for j in range(1, img.shape[1] - 1):
-                    if not img[i, j]:
-                        continue
-                    p = neighbours(i, j, img)
-                    b = sum(p)
-                    if not (2 <= b <= 6):
-                        continue
-                    a = sum(1 for k in range(8) if p[k] == 0 and p[(k + 1) % 8] == 1)
-                    if a != 1:
-                        continue
-                    if step == 0:
-                        if p[0] * p[2] * p[4] != 0 or p[2] * p[4] * p[6] != 0:
-                            continue
-                    else:
-                        if p[0] * p[2] * p[6] != 0 or p[0] * p[4] * p[6] != 0:
-                            continue
-                    marks.append((i, j))
-            for i, j in marks:
-                img[i, j] = 0
-                changed = True
-    return img.astype(bool)
-
-
 # --- raster file I/O ----------------------------------------------------
 
 def write_pgm(r: Raster, path: str) -> None:

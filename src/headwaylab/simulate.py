@@ -20,7 +20,13 @@ Three control mechanisms can modify departures:
 All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
 since the last departure from j by any bus, and H_j the number of buses that
-departed j within the trailing hour.
+departed j within the trailing hour.  A departure at b counts in H_j while
+t < b + HOUR; with hour ticks on, an expiry event fires at b + HOUR, so H_j
+changes only at events.
+
+One event step serves both ways of driving the simulator: `advance()`
+processes and returns one event, and `run()` repeats the step until a stop
+condition, handing each event to an observer before the state update.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .fitting import Distribution, ErlangParams, HyperErlangParams, PatchModel
+from .fitting import Distribution, ErlangParams, PatchModel
 
 HOUR = 3600.0
 
@@ -131,7 +137,7 @@ class Simulator:
     (seed, replication) pairs use independent generator streams."""
 
     def __init__(self, model: SimModel, seed: int | None = None, replication: int = 0,
-                 hour_ticks: bool = False, debug: bool = False):
+                 hour_ticks: bool = False):
         self.model = model
         cfg = model.cfg
         self.rng = np.random.default_rng([seed if seed is not None else cfg.seed, replication])
@@ -140,7 +146,6 @@ class Simulator:
         self.t = 0.0
         self.events_processed = 0
         self.hour_ticks = hour_ticks
-        self.debug = debug
         self.slow_draws = 0
 
         self.patch = [1] * self.beta
@@ -155,7 +160,6 @@ class Simulator:
         self.last_dep = [None] * (self.n + 1)  # y_j base
         self.last_dep_bus = [[None] * self.beta for _ in range(self.n + 1)]  # z_ij base
         self._expiries: list[tuple[float, int, int]] = []  # (t+3600, patch, bus)
-        self._ring: list[list[tuple[float, int]]] = [[] for _ in range(self.n + 1)]  # debug cross-check
 
         self._init_buses()
 
@@ -293,7 +297,7 @@ class Simulator:
             if name.startswith("H_"):
                 j = int(name[2:])
                 return float(sum(1 for b in self.last_dep_bus[j]
-                                 if b is not None and t - b < HOUR))
+                                 if b is not None and t < b + HOUR))
             if name.startswith("c_"):
                 return float(self.dep_count[int(name[2:])])
         except (ValueError, IndexError):
@@ -312,8 +316,7 @@ class Simulator:
             t = self.pending[i]
             if not math.isfinite(t):
                 raise SimError("simulation stalled: no pending events")
-            if self.phases_left[i] > 1:
-                self.t = t
+            if self.phases_left[i] > 1:  # a phase completion is not an event: the clock stays
                 self.phases_left[i] -= 1
                 self.progress_base[i] += self.progress_per_phase[i]
                 factor = self._speed_factor(i)
@@ -332,25 +335,31 @@ class Simulator:
             heapq.heappop(self._expiries)
         return self._expiries[0][0] if self._expiries else math.inf
 
-    def advance(self) -> Event:
-        """Process and return the next state-changing event (a departure, or an
-        hour-window expiry when hour ticks are enabled)."""
+    def _step(self, observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
+        """Process the next event: a departure, or an hour-window expiry when
+        hour ticks are enabled.  The observer, if any, sees the state before
+        the event's update."""
+        t_prev = self.t
         dep_t, bus = self._next_departure()
-        if self.hour_ticks:
-            exp_t = self._next_expiry()
-            if exp_t <= dep_t:
-                t, j, _ = heapq.heappop(self._expiries)
-                self.t = max(self.t, t)
-                self.events_processed += 1
-                return Event(t, "expiry", 0, j)
-        j = self.patch[bus]
-        self.t = dep_t
-        ev = Event(dep_t, "dep", bus + 1, j, self.lap[bus])
-        self._apply_departure(bus, j, dep_t)
+        if self.hour_ticks and self._next_expiry() <= dep_t:
+            t, j, _ = heapq.heappop(self._expiries)
+            ev = Event(t, "expiry", 0, j)
+            if observer is not None:
+                observer(t_prev, ev, self)
+            self.t = t
+        else:
+            j = self.patch[bus]
+            ev = Event(dep_t, "dep", bus + 1, j, self.lap[bus])
+            if observer is not None:
+                observer(t_prev, ev, self)
+            self.t = dep_t
+            self._apply_departure(bus, j, dep_t)
         self.events_processed += 1
-        if self.debug:
-            self._check_hour_counts()
         return ev
+
+    def advance(self) -> Event:
+        """Process and return the next state-changing event."""
+        return self._step(None)
 
     def _apply_departure(self, bus: int, j: int, t: float):
         self.dep_count[j] += 1
@@ -358,23 +367,10 @@ class Simulator:
         self.last_dep_bus[j][bus] = t
         if self.hour_ticks:
             heapq.heappush(self._expiries, (t + HOUR, j, bus))
-        if self.debug:
-            ring = self._ring[j]
-            ring.append((t, bus))
-            while ring and ring[0][0] <= t - HOUR:
-                ring.pop(0)
         nxt = j + 1 if j < self.n else 1
         if nxt == 1:
             self.lap[bus] += 1
         self._enter_patch(bus, nxt, t)
-
-    def _check_hour_counts(self):
-        # a bus departing j twice within an hour counts once in H_j
-        for j in range(1, self.n + 1):
-            fast = sum(1 for b in self.last_dep_bus[j] if b is not None and self.t - b < HOUR)
-            ring = len({b for (x, b) in self._ring[j] if x > self.t - HOUR})
-            if fast != ring:
-                raise AssertionError(f"H_{j} mismatch: indicator={fast} ring={ring}")
 
     def run(self, observer: Callable[[float, Event, "Simulator"], None] | None = None,
             until_time: float | None = None, max_events: int | None = None,
@@ -393,29 +389,8 @@ class Simulator:
                 return True
             if wall_deadline is not None and _time.monotonic() > wall_deadline:
                 return False
-            t_prev = self.t
-            dep_t, bus = self._next_departure()
-            if self.hour_ticks:
-                exp_t = self._next_expiry()
-                if exp_t <= dep_t:
-                    t, j, b = heapq.heappop(self._expiries)
-                    ev = Event(t, "expiry", 0, j)
-                    if observer is not None:
-                        observer(t_prev, ev, self)
-                    self.t = max(self.t, t)
-                    self.events_processed += 1
-                    processed += 1
-                    continue
-            j = self.patch[bus]
-            ev = Event(dep_t, "dep", bus + 1, j, self.lap[bus])
-            if observer is not None:
-                observer(t_prev, ev, self)
-            self.t = dep_t
-            self._apply_departure(bus, j, dep_t)
-            self.events_processed += 1
+            self._step(observer)
             processed += 1
-            if self.debug:
-                self._check_hour_counts()
 
     def _peek_time(self) -> float:
         nxt = min(self.pending)

@@ -152,7 +152,3 @@ def generate_traces(model: SyntheticModel, n_buses: int, days: int,
     ts = TraceSet(traces)
     ts.validate()
     return ts
-
-
-def crossing_ground_truth(model: SyntheticModel) -> dict[int, float]:
-    return {j + 1: p.mean for j, p in enumerate(model.params)}

@@ -1,5 +1,33 @@
+import argparse
+
+import pytest
+
 from headwaylab import fitting, graphs, ingest, patches, raster, route, synthetic
-from headwaylab.cli import ARTIFACTS, main
+from headwaylab.cli import ARTIFACTS, _apply_config_file, build_parser, main
+
+
+def subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_pipeline_accepts_every_stage_flag():
+    parsers = subparsers(build_parser())
+    pipeline = parsers.pop("pipeline")
+    missing = [(stage, opt) for stage, p in parsers.items()
+               for opt in p._option_string_actions if opt not in pipeline._option_string_actions]
+    assert missing == []
+
+
+@pytest.mark.parametrize("value, expected", [("true", True), ("yes", True),
+                                             ("false", False), ("no", False)])
+def test_config_file_boolean(tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"no_timetable = {value}\nbeta = 2\n")
+    argv = _apply_config_file(["--config", str(cfg), "simulate", "m.txt", "--seed", "1"])
+    args = build_parser().parse_args(argv)
+    assert args.model == "m.txt" and args.beta == 2
+    assert args.no_timetable is expected
 
 
 def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
@@ -9,7 +37,8 @@ def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
     out = tmp_path / "out"
     rc = main(["pipeline", str(csv), "--out", str(out), "--tau", "0.3", "--eta", "1",
                "--beta", "1", "--seed", "1", "--gamma", "40", "--n", "8",
-               "--method", "jenks-counts", "--max-sim-time", "1e5", "--budget", "5"])
+               "--method", "jenks-counts", "--max-sim-time", "1e5", "--budget", "5",
+               "--cdf-out", "--patches-list", "1,2"])
     assert rc in (0, 1)
     for names in ARTIFACTS.values():
         for name in names:
@@ -24,6 +53,9 @@ def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
     assert patches.read_patches(str(out / "patches.txt")).n == 8
     assert fitting.read_patch_model(str(out / "model.txt")).n == 8
     assert rm.loop_length > 0
+    assert list(out.glob("cdf_patch*.tsv"))
+    rows = (out / "results.tsv").read_text().splitlines()
+    assert len(rows) == 1 + 6  # header, then EWT, EVWT and BPH of patches 1 and 2
 
 
 def test_check_shows_dash_for_observed_but_unestimated(tmp_path, capsys):

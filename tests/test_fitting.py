@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from conftest import straight_route_model, traces_from_fractions
 from headwaylab import fitting
 from headwaylab.fitting import (ErlangParams, FitError, HyperErlangParams, PatchModel,
                                 anderson_darling, anderson_darling_statistic,
-                                derive_timetable, dist_cdf, em_loglik_trace,
-                                erlang_loglik_scan, extract_crossing_times, fit_erlang,
+                                dist_cdf, extract_crossing_times, fit_erlang,
                                 fit_hyper_erlang, hyper_erlang_loglik, phase_type_eval,
                                 read_patch_model, write_patch_model)
 from headwaylab.patches import PatchStructure
+from headwaylab.simulate import SimConfig, build_model
 
 AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
 AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
@@ -89,6 +90,16 @@ def test_fit_erlang_rate_is_k_over_mean(rng):
     assert fit.rate == pytest.approx(fit.k / x.mean(), rel=1e-12)
 
 
+def erlang_loglik_scan(obs, k_max: int) -> np.ndarray:
+    """Log-likelihood for k = 1..k_max with rate = k/mean (oracle)."""
+    x = np.asarray(list(obs), dtype=np.float64)
+    n, sx, slx = float(x.size), float(x.sum()), float(np.log(x).sum())
+    mean = sx / n
+    ks = np.arange(1, k_max + 1)
+    rates = ks / mean
+    return n * (ks * np.log(rates) - gammaln(ks)) + (ks - 1) * slx - rates * sx
+
+
 def test_fit_erlang_matches_exhaustive_scan(rng):
     for _ in range(20):
         k = int(rng.integers(1, 40))
@@ -131,7 +142,8 @@ def test_em_monotone_loglik(rng):
     gen = HyperErlangParams((4, 40), (0.02, 0.4), (0.5, 0.5))
     comp = rng.random(3000) < 0.5
     x = np.where(comp, rng.gamma(4, 50.0, size=3000), rng.gamma(40, 2.5, size=3000))
-    trace = em_loglik_trace(x, 2, max_iter=40)
+    trace = [hyper_erlang_loglik(x, fit_hyper_erlang(x, 2, restarts=1, max_iter=i))
+             for i in range(1, 41)]
     diffs = np.diff(trace)
     assert np.all(diffs >= -1e-9 * len(x))
 
@@ -333,30 +345,37 @@ def airlink_model():
     return PatchModel([ErlangParams(k, l) for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
 
 
+def timetable(pm, n_buses, route_duration=None):
+    return build_model(pm, SimConfig(n_buses=n_buses, route_duration=route_duration,
+                                     terminus_patches=(1, 7)))
+
+
 def test_timetable_airlink_constants():
     pm = airlink_model()
-    r, mu_tot, h = derive_timetable(pm, 11, route_duration=5259.0)
-    assert r == 5259.0
-    assert mu_tot == pytest.approx(478.09, abs=0.01)
-    c = pm.cumulative_means()
-    assert c[0] == 0.0
+    m = timetable(pm, 11, route_duration=5259.0)
+    assert m.r == 5259.0
+    assert m.mu_tot == pytest.approx(478.09, abs=0.01)
+    assert m.anchors == pm.cumulative_means()
+    assert m.anchors[0] == 0.0
     # cumulative mean before the second terminus patch (printed value 2744)
-    assert c[6] == pytest.approx(2741.0, abs=1.0)
-    assert h[1][0] == pytest.approx(478.09, abs=0.01)
+    assert m.anchors[6] == pytest.approx(2741.0, abs=1.0)
+    # slot offset of bus 2 at patch 1: r/beta + c_1
+    assert m.offsets[1] + m.anchors[0] == pytest.approx(478.09, abs=0.01)
 
 
 def test_timetable_default_r_is_sum_of_means():
     pm = airlink_model()
-    r, mu_tot, h = derive_timetable(pm, 11)
-    assert r == pytest.approx(pm.total())
-    assert r == pytest.approx(5272.98, abs=0.05)
+    m = timetable(pm, 11)
+    assert m.r == pytest.approx(pm.total())
+    assert m.r == pytest.approx(5272.98, abs=0.05)
 
 
 def test_timetable_single_bus():
     pm = airlink_model()
-    r, mu_tot, h = derive_timetable(pm, 1)
-    assert mu_tot == r
-    assert h[0] == pytest.approx(pm.cumulative_means())
+    m = timetable(pm, 1)
+    assert m.mu_tot == m.r
+    assert m.offsets == [0.0]
+    assert [m.offsets[0] + c for c in m.anchors] == pytest.approx(pm.cumulative_means())
 
 
 def test_patch_model_file_roundtrip(tmp_path):

@@ -1,12 +1,7 @@
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from headwaylab import ingest
-from headwaylab.ingest import (AvlRecord, ColumnSchema, DegenerateExtentError,
-                               IngestError, TimeWindow, TraceSet)
+from headwaylab.ingest import AvlRecord, ColumnSchema, IngestError, TimeWindow, TraceSet
 
 
 def parse(lines, schema=None):
@@ -90,58 +85,6 @@ def test_window_identity_and_idempotent():
 def test_window_invariants():
     with pytest.raises(IngestError):
         TimeWindow(100, 100)
-
-
-def test_normalize_identity_on_unit_frame():
-    ts = TraceSet({"a": [AvlRecord("a", 0.0, 0.0, 0), AvlRecord("a", 1.0, 0.5, 1)]})
-    out, tf = ingest.normalize_coordinates(ts)
-    assert out.traces["a"][0].x == 0.0 and out.traces["a"][1].x == 1.0
-    assert tf.scale == 1.0 and tf.offset_x == 0.0 and tf.offset_y == 0.0
-
-
-def test_normalize_degenerate_extent():
-    ts = TraceSet({"a": [AvlRecord("a", 3.0, 4.0, 0), AvlRecord("a", 3.0, 4.0, 1)]})
-    with pytest.raises(DegenerateExtentError):
-        ingest.normalize_coordinates(ts)
-
-
-def test_transform_inverts_exactly():
-    ts = TraceSet({"a": [AvlRecord("a", 10.0, 20.0, 0), AvlRecord("a", 42.0, 4.0, 1)]})
-    out, tf = ingest.normalize_coordinates(ts)
-    for orig, norm in zip(ts.traces["a"], out.traces["a"]):
-        x, y = tf.apply(norm.x, norm.y)
-        assert x == pytest.approx(orig.x, abs=1e-12)
-        assert y == pytest.approx(orig.y, abs=1e-12)
-
-
-coords = st.tuples(
-    st.integers(min_value=0, max_value=2 ** 20),
-    st.integers(min_value=0, max_value=2 ** 20),
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    pts=st.lists(coords, min_size=2, max_size=12, unique=True),
-    scale_exp=st.integers(min_value=-8, max_value=8),
-    off=st.tuples(st.integers(min_value=-2 ** 28, max_value=2 ** 28),
-                  st.integers(min_value=-2 ** 28, max_value=2 ** 28)),
-)
-def test_normalize_shift_scale_invariance(pts, scale_exp, off):
-    """Exact invariance under uniform power-of-two scaling plus integer
-    offsets (maps that are themselves exact in floating point)."""
-    if len({p[0] for p in pts}) < 2 and len({p[1] for p in pts}) < 2:
-        return
-    scale = 2.0 ** scale_exp
-    base = TraceSet({"a": [AvlRecord("a", float(x), float(y), i)
-                           for i, (x, y) in enumerate(pts)]})
-    moved = TraceSet({"a": [AvlRecord("a", float(x) * scale + off[0],
-                                      float(y) * scale + off[1], i)
-                            for i, (x, y) in enumerate(pts)]})
-    norm_a, _ = ingest.normalize_coordinates(base)
-    norm_b, _ = ingest.normalize_coordinates(moved)
-    for ra, rb in zip(norm_a.traces["a"], norm_b.traces["a"]):
-        assert ra.x == rb.x and ra.y == rb.y  # bit-identical
 
 
 def test_serialize_roundtrip():

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy import stats
 from conftest import straight_route_model, traces_from_fractions
 from headwaylab import patches
 from headwaylab.patches import (BinCounts, PatchError, PatchStructure, bin_counts,
-                                jenks_cluster, jenks_cluster_counts, jenks_objective,
+                                jenks_cluster, jenks_cluster_counts,
                                 merge_adjacent_cluster, patch_of, read_patches,
                                 write_patches)
 
@@ -39,19 +38,21 @@ def test_patches_partition_unit_interval(widths, f):
     assert ps.n == len(widths)
 
 
+def segmentation_ssd(d, cuts):
+    """Within-segment SSD of d cut before each index in cuts."""
+    edges = [0, *cuts, len(d)]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        seg = d[a:b]
+        mean = sum(seg) / len(seg)
+        total += sum((x - mean) ** 2 for x in seg)
+    return total
+
+
 def brute_force_objective(d, n):
     """Best within-segment SSD over all contiguous n-segmentations."""
-    m = len(d)
-    best = math.inf
-    for cuts in itertools.combinations(range(1, m), n - 1):
-        edges = [0, *cuts, m]
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            seg = d[a:b]
-            mean = sum(seg) / len(seg)
-            total += sum((x - mean) ** 2 for x in seg)
-        best = min(best, total)
-    return best
+    return min(segmentation_ssd(d, cuts)
+               for cuts in itertools.combinations(range(1, len(d)), n - 1))
 
 
 def test_jenks_matches_brute_force_small():
@@ -61,7 +62,8 @@ def test_jenks_matches_brute_force_small():
         n = int(rng.integers(2, min(5, gamma)))
         counts = BinCounts(gamma, list(rng.integers(0, 50, size=gamma)))
         d = [abs(counts.counts[i + 1] - counts.counts[i]) for i in range(gamma - 1)]
-        assert jenks_objective(counts, n) == pytest.approx(
+        breaks = jenks_cluster(counts, n).break_bins
+        assert segmentation_ssd(d, breaks) == pytest.approx(
             brute_force_objective(d, n), abs=1e-9)
 
 

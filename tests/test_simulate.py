@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
-from headwaylab.simulate import (Event, SimConfig, SimError, Simulator, build_model,
+from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, build_model,
                                  run_trajectory)
 
 AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
@@ -18,6 +18,27 @@ def airlink_model(**overrides):
               terminus_patches=(1, 7), seed=1)
     kw.update(overrides)
     return build_model(pm, SimConfig(**kw))
+
+
+class HourRecount:
+    """Observer oracle for H_j: a ring of (expiry time, bus) per patch, fed
+    from departures.  Called before each event, it checks the state the
+    previous event left, expiries included; check() covers the last one.
+    A bus that departs j twice within the hour counts once."""
+
+    def __init__(self, n: int):
+        self.rings = {j: [] for j in range(1, n + 1)}
+
+    def __call__(self, t_prev: float, ev: Event, sim: Simulator):
+        self.check(sim)
+        if ev.kind == "dep":
+            self.rings[ev.patch].append((ev.t + HOUR, ev.bus))
+
+    def check(self, sim: Simulator):
+        for j, ring in self.rings.items():
+            ring[:] = [(x, b) for x, b in ring if x > sim.t]
+            fast, slow = sim.rval(f"H_{j}"), len({b for _, b in ring})
+            assert fast == slow, f"H_{j} mismatch at t={sim.t}: indicator={fast} ring={slow}"
 
 
 def two_patch_model(mu1=100.0, mu2=300.0, **overrides):
@@ -151,9 +172,10 @@ def test_rval_semantics():
 
 def test_h_counter_counts_recent_departures():
     m = airlink_model()
-    sim = Simulator(m, seed=23, hour_ticks=True, debug=True)
-    while sim.t < 2 * 3600:
-        sim.advance()
+    sim = Simulator(m, seed=23, hour_ticks=True)
+    oracle = HourRecount(m.n)
+    sim.run(oracle, until_time=2 * 3600)
+    oracle.check(sim)
     for j in range(1, 11):
         h = sim.rval(f"H_{j}")
         assert 0 <= h <= 11
@@ -163,9 +185,26 @@ def test_h_counter_counts_recent_departures():
 
 def test_debug_hour_recount_consistency():
     m = airlink_model()
-    sim = Simulator(m, seed=29, hour_ticks=True, debug=True)
-    for _ in range(5_000):
-        sim.advance()  # _check_hour_counts raises on mismatch
+    sim = Simulator(m, seed=29, hour_ticks=True)
+    oracle = HourRecount(m.n)
+    sim.run(oracle, max_events=5_000)
+    oracle.check(sim)
+
+
+@pytest.mark.parametrize("mode", ["aggregated", "phased"])
+def test_every_hour_expiry_is_an_event(mode):
+    # phase completions inside a patch must not move the clock past an
+    # expiry, or the expiry is dropped and H_j changes between events
+    m = airlink_model(mode=mode)
+    sim = Simulator(m, seed=3, hour_ticks=True)
+    deps, expiries = [], 0
+    for _ in range(4_000):
+        ev = sim.advance()
+        if ev.kind == "dep":
+            deps.append(ev.t)
+        else:
+            expiries += 1
+    assert expiries == sum(1 for b in deps if b + HOUR <= sim.t)
 
 
 def test_run_trajectory_budget_flag():
