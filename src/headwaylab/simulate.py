@@ -13,9 +13,9 @@ Three control mechanisms can modify departures:
   a late bus departs immediately on arrival.
 * bus holding: no departure from patch j until the time since the previous
   departure from j reaches theta_h.
-* speed modification: when a bus leads its follower by more than a fraction
-  theta_s of the route, its subsequently drawn phase rates are scaled by the
-  slowdown factor (phase-level simulation).
+* speed modification: when a bus leads its follower (the nearest bus behind
+  it) by more than a fraction theta_s of the route, its subsequently drawn
+  phase rates are scaled by the slowdown factor (phase-level simulation).
 
 All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
@@ -155,6 +155,9 @@ class Simulator:
         self.phase_rate = [0.0] * self.beta
         self.progress_base = [0.0] * self.beta  # completed fraction inside current patch
         self.progress_per_phase = [0.0] * self.beta
+        # route fraction of each bus, _route_progress cached; rewritten
+        # wherever patch or progress_base changes
+        self.pos = [self._route_progress(b) for b in range(self.beta)]
 
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
         self.last_dep = [None] * (self.n + 1)  # y_j base
@@ -228,15 +231,10 @@ class Simulator:
         theta = self.model.cfg.speedmod_threshold
         if theta is None or self.beta < 2:
             return 1.0
-        prog_i = self._route_progress(i)
-        gap = None
-        for b in range(self.beta):
-            if b == i:
-                continue
-            g = (prog_i - self._route_progress(b)) % 1.0
-            if gap is None or g < gap:
-                gap = g
-        if gap is not None and gap > theta:
+        pos = self.pos
+        p = pos[i]
+        gap = min([(p - q) % 1.0 for q in pos[:i] + pos[i + 1:]])
+        if gap > theta:
             self.slow_draws += 1
             return self.model.cfg.slowdown
         return 1.0
@@ -257,6 +255,7 @@ class Simulator:
         m = self.model
         self.patch[i] = j
         self.progress_base[i] = progress
+        self.pos[i] = self._route_progress(i)
         if m.cfg.timetable and j in m.termini:
             lap = init_slot_lap if init_slot_lap is not None else self.lap[i]
             slot = m.r * lap + m.offsets[i] + m.anchors[j - 1]
@@ -312,13 +311,14 @@ class Simulator:
         m = self.model
         theta_h = m.cfg.holding_threshold
         while True:
-            i = min(range(self.beta), key=lambda b: (self.pending[b], b))
-            t = self.pending[i]
+            t = min(self.pending)
+            i = self.pending.index(t)  # ties go to the lowest bus index
             if not math.isfinite(t):
                 raise SimError("simulation stalled: no pending events")
             if self.phases_left[i] > 1:  # a phase completion is not an event: the clock stays
                 self.phases_left[i] -= 1
                 self.progress_base[i] += self.progress_per_phase[i]
+                self.pos[i] = self._route_progress(i)
                 factor = self._speed_factor(i)
                 self.pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
                 continue
