@@ -188,38 +188,32 @@ class Simulator:
         lap_len = m.r if m.cfg.timetable else t
         return entries, max(lap_len, t)
 
+    def _uniform_place(self, i: int, timeline: list[tuple[float, float]],
+                       lap_len: float) -> tuple[int, float, int]:
+        """(patch, progress, slot lap) of bus i under uniform init: where a
+        schedule-adherent bus departing patch 1 at -offsets[i] would be at t = 0."""
+        phi = (lap_len - self.model.offsets[i]) % lap_len if lap_len > 0 else 0.0
+        for j, (entry, dep) in enumerate(timeline, 1):
+            if entry <= phi < dep:
+                span = dep - entry
+                prog = 0.0 if span <= 0 else (phi - entry) / span
+                return j, prog, -1 if phi > 0 else 0
+        return 1, 0.0, 0  # phi lands in the closing dwell of patch 1
+
     def _init_buses(self):
-        m = self.model
-        cfg = m.cfg
-        if cfg.init == "terminus":
-            for i in range(self.beta):
-                self.patch[i] = 1
-                self.lap[i] = 0
-                self._enter_patch(i, 1, 0.0)
-            return
-        # uniform init: bus i sits where a schedule-adherent bus departing
-        # patch 1 at -offsets[i] would be at t = 0
-        timeline, lap_len = self._lap_timeline()
-        for i in range(self.beta):
-            phi = (lap_len - m.offsets[i]) % lap_len if lap_len > 0 else 0.0
-            placed = False
-            for j in range(1, self.n + 1):
-                entry, dep = timeline[j - 1]
-                if entry <= phi < dep:
-                    self.patch[i] = j
-                    self.lap[i] = -1 if phi > 0 else 0
-                    span = dep - entry
-                    prog = 0.0 if span <= 0 else (phi - entry) / span
-                    self._enter_patch(i, j, 0.0, progress=prog, init_slot_lap=self.lap[i])
-                    placed = True
-                    break
-            if not placed:  # phi lands in the closing dwell of patch 1
-                self.patch[i] = 1
-                self.lap[i] = 0
-                self._enter_patch(i, 1, 0.0, init_slot_lap=0)
-        for i in range(self.beta):
-            if self.patch[i] == 1 and self.lap[i] < 0:
-                self.lap[i] = 0
+        if self.model.cfg.init == "terminus":
+            places = [(1, 0.0, 0)] * self.beta
+        else:
+            timeline, lap_len = self._lap_timeline()
+            places = [self._uniform_place(i, timeline, lap_len) for i in range(self.beta)]
+        # place the whole fleet before the first draws: a bus's speed factor
+        # reads the gap to the bus behind it
+        for i, (j, prog, _) in enumerate(places):
+            self.patch[i], self.progress_base[i] = j, prog
+            self.pos[i] = self._route_progress(i)
+        for i, (j, prog, slot_lap) in enumerate(places):
+            self.lap[i] = 0 if j == 1 else slot_lap
+            self._enter_patch(i, j, 0.0, progress=prog, init_slot_lap=slot_lap)
 
     # -- sojourn draws -------------------------------------------------------
 

@@ -41,6 +41,56 @@ class HourRecount:
             assert fast == slow, f"H_{j} mismatch at t={sim.t}: indicator={fast} ring={slow}"
 
 
+class FleetScanSimulator(Simulator):
+    """Reference for the cached route positions: every speed-factor draw
+    recomputes each bus's position from patch and progress_base and scans the
+    fleet for the nearest bus behind, and the next bus is picked with a key
+    on (pending, bus).  `wraps` counts draws whose nearest bus behind sits
+    across the 1.0 -> 0.0 wrap, ahead of the drawing bus in route fraction."""
+
+    wraps = 0
+
+    def _position(self, b: int) -> float:
+        lo, hi = self.model.spans[self.patch[b] - 1]
+        return lo + (hi - lo) * min(self.progress_base[b], 1.0)
+
+    def _speed_factor(self, i: int) -> float:
+        theta = self.model.cfg.speedmod_threshold
+        if theta is None or self.beta < 2:
+            return 1.0
+        prog_i = self._position(i)
+        gap = behind = None
+        for b in range(self.beta):
+            if b == i:
+                continue
+            g = (prog_i - self._position(b)) % 1.0
+            if gap is None or g < gap:
+                gap, behind = g, b
+        self.wraps += prog_i < self._position(behind)
+        if gap > theta:
+            self.slow_draws += 1
+            return self.model.cfg.slowdown
+        return 1.0
+
+    def _next_departure(self) -> tuple[float, int]:
+        theta_h = self.model.cfg.holding_threshold
+        while True:
+            i = min(range(self.beta), key=lambda b: (self.pending[b], b))
+            t = self.pending[i]
+            if self.phases_left[i] > 1:
+                self.phases_left[i] -= 1
+                self.progress_base[i] += self.progress_per_phase[i]
+                factor = self._speed_factor(i)
+                self.pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
+                continue
+            if theta_h is not None:
+                base = self.last_dep[self.patch[i]]
+                if base is not None and t < base + theta_h:
+                    self.pending[i] = base + theta_h
+                    continue
+            return t, i
+
+
 def two_patch_model(mu1=100.0, mu2=300.0, **overrides):
     pm = PatchModel([ErlangParams(1, 1 / mu1), ErlangParams(1, 1 / mu2)])
     kw = dict(n_buses=1, timetable=False, seed=3)
@@ -236,6 +286,20 @@ def test_speed_modification_slows_leader():
     assert sim.t > base.t  # same event count takes longer with slowed phases
 
 
+@pytest.mark.parametrize("breakpoints", [None, (0.0, 0.02, 0.1, 0.15, 0.3, 0.31, 0.5, 0.52,
+                                                0.7, 0.9, 1.0)])
+def test_initial_speed_draws_see_the_placed_fleet(breakpoints):
+    # every bus draws its first phase at construction (no timetabled
+    # terminus), each against the whole fleet already in place
+    m = airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
+                      breakpoints=breakpoints)
+    sim = Simulator(m, seed=5)
+    pos = [lo + (hi - lo) * min(prog, 1.0) for (lo, hi), prog in
+           zip((m.spans[j - 1] for j in sim.patch), sim.progress_base)]
+    gaps = [min((p - q) % 1.0 for b, q in enumerate(pos) if b != i) for i, p in enumerate(pos)]
+    assert sim.slow_draws == sum(g > 0.15 for g in gaps)
+
+
 def test_hyper_erlang_branch_draws():
     pm = PatchModel([HyperErlangParams((2, 40), (0.01, 0.4), (0.5, 0.5)),
                      ErlangParams(5, 0.05)])
@@ -266,3 +330,45 @@ def test_event_log_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t\tbus\tkind\tpatch\tlap"
     assert len(lines) == len(events) + 1
+
+
+# (model, hour ticks, events compared)
+ORACLE_CASES = {
+    "airlink-speedmod-holding": (
+        lambda: airlink_model(holding_threshold=120.0, speedmod_threshold=0.15), False, 600),
+    # every bus starts in patch 1 and is held there: equal pending times
+    "terminus-init": (
+        lambda: airlink_model(timetable=False, holding_threshold=120.0,
+                              speedmod_threshold=0.15, init="terminus"), False, 600),
+    "hyper-erlang-phased-speedmod": (
+        lambda: build_model(
+            PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)),
+                        ErlangParams(8, 0.05), HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)),
+                        ErlangParams(15, 0.1)]),
+            SimConfig(n_buses=4, timetable=False, speedmod_threshold=0.3, slowdown=0.5, seed=2)),
+        False, 3000),
+    "unequal-breakpoints": (
+        lambda: airlink_model(timetable=False, speedmod_threshold=0.15,
+                              breakpoints=(0.0, 0.02, 0.1, 0.15, 0.3, 0.31, 0.5, 0.52,
+                                           0.7, 0.9, 1.0)), False, 600),
+    "timetabled-phased-hour-ticks": (lambda: airlink_model(mode="phased"), True, 600),
+    "aggregated-timetable": (lambda: airlink_model(), True, 5000),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cached_positions_match_fleet_scan(case):
+    make, ticks, n_events = ORACLE_CASES[case]
+    m = make()
+    fast = Simulator(m, seed=17, hour_ticks=ticks)
+    ref = FleetScanSimulator(m, seed=17, hour_ticks=ticks)
+    for _ in range(n_events):
+        a, b = fast.advance(), ref.advance()
+        assert (a.t, a.kind, a.bus, a.patch, a.lap) == (b.t, b.kind, b.bus, b.patch, b.lap)
+    assert fast.slow_draws == ref.slow_draws
+    assert fast.pending == ref.pending
+    if m.cfg.speedmod_threshold is not None:
+        assert ref.slow_draws > 0
+        # with patch 1 untimetabled, a bus just past 0.0 draws while its
+        # follower is still short of 1.0
+        assert ref.wraps > 0 or m.cfg.timetable
