@@ -166,13 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags so that explicit flags
-    override the file (argparse keeps the last occurrence)."""
-    if CONFIG_FLAG not in argv:
+    override the file (argparse keeps the last occurrence).  The flag takes
+    argparse's forms, `--config PATH` and `--config=PATH`; one without a path
+    is a usage error."""
+    pre = argparse.ArgumentParser(prog="headwaylab", add_help=False, allow_abbrev=False)
+    pre.add_argument(CONFIG_FLAG)
+    ns, rest = pre.parse_known_args(argv)
+    if ns.config is None:
         return argv
-    i = argv.index(CONFIG_FLAG)
-    path = argv[i + 1]
     extra = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(ns.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -183,7 +186,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             extra.append(f"--{key}")
         elif value.lower() not in ("false", "no"):
             extra.extend([f"--{key}", value])
-    rest = argv[:i] + argv[i + 2:]
     # insert config-derived flags right after the subcommand
     for k, a in enumerate(rest):
         if a in STAGES or a == "pipeline":

@@ -30,6 +30,21 @@ def test_config_file_boolean(tmp_path, value, expected):
     assert args.no_timetable is expected
 
 
+def test_config_file_equals_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 2\nseed = 4\n")
+    argv = _apply_config_file([f"--config={cfg}", "simulate", "m.txt"])
+    args = build_parser().parse_args(argv)
+    assert (args.beta, args.seed) == (2, 4)
+
+
+def test_config_flag_without_path_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "m.txt", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
 def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
     ts = synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=3, seed=3)
     csv = tmp_path / "avl.csv"
@@ -70,3 +85,17 @@ def test_check_shows_dash_for_observed_but_unestimated(tmp_path, capsys):
     assert "check: ewt_1:ewt = - -> undecided" in lines
     rows = (tmp_path / "results.tsv").read_text().splitlines()
     assert rows[1].startswith("ewt_1:ewt\t1\t-\t-\t-\t")
+
+
+def test_check_phased_with_holding_and_speedmod(tmp_path):
+    # speed modification runs on the phased simulator; holding gates its departures
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3, 4)))
+    props = tmp_path / "props.txt"
+    props.write_text('hw() = s.rval("y_1");\nS [ hw(), "c_1" ] < 1e9;\nS [ hw(), "time" ] < 1e9;\n')
+    rc = main(["check", str(model), "--out", str(tmp_path), "--beta", "3", "--seed", "1",
+               "--no-timetable", "--holding", "120", "--speedmod", "0.15",
+               "--properties", str(props), "--max-sim-time", "1e5", "--budget", "20"])
+    assert rc == 0
+    rows = (tmp_path / "results.tsv").read_text().splitlines()
+    assert len(rows) == 1 + 2
