@@ -167,15 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags so that explicit flags
     override the file (argparse keeps the last occurrence).  The flag takes
-    argparse's forms, `--config PATH` and `--config=PATH`; one without a path
-    is a usage error."""
+    argparse's forms, `--config PATH` and `--config=PATH`; one without a path,
+    or with a path that cannot be read, is a usage error."""
     pre = argparse.ArgumentParser(prog="headwaylab", add_help=False, allow_abbrev=False)
     pre.add_argument(CONFIG_FLAG)
     ns, rest = pre.parse_known_args(argv)
     if ns.config is None:
         return argv
+    try:
+        text = Path(ns.config).read_text()
+    except OSError as exc:
+        pre.error(f"cannot read config file: {exc}")
     extra = []
-    for line in Path(ns.config).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

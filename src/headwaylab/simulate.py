@@ -155,9 +155,9 @@ class Simulator:
         self.phase_rate = [0.0] * self.beta
         self.progress_base = [0.0] * self.beta  # completed fraction inside current patch
         self.progress_per_phase = [0.0] * self.beta
-        # route fraction of each bus, _route_progress cached; rewritten
-        # wherever patch or progress_base changes
-        self.pos = [self._route_progress(b) for b in range(self.beta)]
+        # route fraction of each bus: _route_progress, rewritten wherever
+        # patch or progress_base changes
+        self.pos = [0.0] * self.beta
 
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
         self.last_dep = [None] * (self.n + 1)  # y_j base

@@ -38,11 +38,15 @@ def test_config_file_equals_form(tmp_path):
     assert (args.beta, args.seed) == (2, 4)
 
 
-def test_config_flag_without_path_is_usage_error(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "m.txt", "--config"], "--config: expected one argument"),
+    (["--config={tmp}/none.cfg", "simulate", "m.txt"], "cannot read config file"),
+])
+def test_config_flag_without_readable_path_is_usage_error(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "m.txt", "--config"])
+        main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
-    assert "--config: expected one argument" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
