@@ -20,6 +20,7 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -328,55 +329,78 @@ def expand_per_patch(text: str, patches: list[int]) -> dict[int, str]:
 
 # --- evaluation ---------------------------------------------------------------
 
-def evaluate_expr(expr, rval, constants: dict[str, float] | None = None,
-                  functions: dict[str, object] | None = None) -> float:
-    """Strict numeric evaluation; comparisons yield 1.0/0.0.  An infinite
-    sentinel from rval raises UndefinedSample so the estimator can skip it."""
+def compile_expr(expr, read: Callable[[str], Callable[[float], float]],
+                 constants: dict[str, float] | None = None,
+                 functions: dict[str, object] | None = None) -> Callable[[float], float]:
+    """Turn an expression into a function of the time t, once.
+
+    `read(name)` resolves a state name into a function of t (as
+    Simulator.reader does) and is called here, for every name in the
+    expression, taken branch or not; a name in `constants` is a constant.
+    The compiled function evaluates strictly, left operand first, with
+    comparisons yielding 1.0/0.0 and only the taken branch of an
+    if-then-else.  An infinite read raises UndefinedSample so the estimator
+    can skip the sample; a zero divisor raises EvalError."""
     constants = constants or {}
     functions = functions or {}
+    isinf = math.isinf
 
-    def ev(e) -> float:
-        if isinstance(e, Num):
-            return e.value
+    def comp(e) -> Callable[[float], float]:
+        if isinstance(e, Num) or (isinstance(e, Rval) and e.name in constants):
+            c = e.value if isinstance(e, Num) else constants[e.name]
+            return lambda t: c
         if isinstance(e, Rval):
-            if e.name in constants:
-                return constants[e.name]
-            v = rval(e.name)
-            if math.isinf(v):
-                raise UndefinedSample(e.name)
-            return v
+            get, name = read(e.name), e.name
+
+            def rval(t):
+                v = get(t)
+                if isinf(v):
+                    raise UndefinedSample(name)
+                return v
+            return rval
         if isinstance(e, Call):
-            return ev(functions[e.name])
+            return comp(functions[e.name])
         if isinstance(e, Unary):
-            return -ev(e.operand)
-        if isinstance(e, Binary):
-            a = ev(e.left)
-            b = ev(e.right)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b == 0:
-                    raise EvalError("division by zero")
-                return a / b
-            if e.op == "<":
-                return 1.0 if a < b else 0.0
-            if e.op == ">":
-                return 1.0 if a > b else 0.0
-            if e.op == "<=":
-                return 1.0 if a <= b else 0.0
-            if e.op == ">=":
-                return 1.0 if a >= b else 0.0
-            if e.op == "==":
-                return 1.0 if a == b else 0.0
+            f = comp(e.operand)
+            return lambda t: -f(t)
         if isinstance(e, IfThenElse):
-            return ev(e.then) if ev(e.cond) != 0.0 else ev(e.other)
+            cond, then, other = comp(e.cond), comp(e.then), comp(e.other)
+            return lambda t: then(t) if cond(t) != 0.0 else other(t)
+        if isinstance(e, Binary) and e.op in _BINARY:
+            return _BINARY[e.op](comp(e.left), comp(e.right))
         raise EvalError(f"cannot evaluate node {e!r}")
 
-    return ev(expr)
+    return comp(expr)
+
+
+def _divide(a, b):
+    def div(t):
+        x = a(t)
+        y = b(t)
+        if y == 0:
+            raise EvalError("division by zero")
+        return x / y
+    return div
+
+
+# each entry closes an operator over its compiled operands, left one first
+_BINARY = {
+    "+": lambda a, b: lambda t: a(t) + b(t),
+    "-": lambda a, b: lambda t: a(t) - b(t),
+    "*": lambda a, b: lambda t: a(t) * b(t),
+    "/": _divide,
+    "<": lambda a, b: lambda t: 1.0 if a(t) < b(t) else 0.0,
+    ">": lambda a, b: lambda t: 1.0 if a(t) > b(t) else 0.0,
+    "<=": lambda a, b: lambda t: 1.0 if a(t) <= b(t) else 0.0,
+    ">=": lambda a, b: lambda t: 1.0 if a(t) >= b(t) else 0.0,
+    "==": lambda a, b: lambda t: 1.0 if a(t) == b(t) else 0.0,
+}
+
+
+def evaluate_expr(expr, rval, constants: dict[str, float] | None = None,
+                  functions: dict[str, object] | None = None) -> float:
+    """One evaluation of expr, reading state names through rval(name)."""
+    return compile_expr(expr, lambda name: lambda t: rval(name), constants, functions)(0.0)
 
 
 # --- steady-state estimation ---------------------------------------------------
@@ -502,12 +526,6 @@ class _Accumulator:
         return self._cut(batches)
 
 
-def _clock_value(sim: Simulator, clock: str, t: float) -> float:
-    if clock == "time":
-        return t
-    return sim.rval(clock, at=t)
-
-
 def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                           functions: dict[str, object], cfg: EstimatorConfig | None = None,
                           seed: int | None = None, replication: int = 0) -> EstimateResult:
@@ -516,46 +534,55 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     cfg = cfg or EstimatorConfig()
     expr = functions[query.function]
     clock = query.clock
-    if clock != "time" and not re.fullmatch(r"c_\d+", clock):
+    counter = re.fullmatch(r"c_([0-9]+)", clock)
+    if clock != "time" and counter is None:
         raise PropertyError(f"clock must be 'time' or a departure counter, got {clock!r}")
+    clock_patch = int(counter.group(1)) if counter else 0
+    if counter and not 1 <= clock_patch <= model.n:
+        raise PropertyError(f"clock {clock!r} names no patch of a {model.n}-patch model")
     needs_ticks = _mentions_hour_counter(expr, functions)
     sim = Simulator(model, seed=seed, replication=replication, hour_ticks=needs_ticks)
-    constants = {"mu_tot": model.mu_tot}
+    f = compile_expr(expr, sim.reader, {"mu_tot": model.mu_tot}, functions)
     warmup = cfg.warmup_time if cfg.warmup_time is not None else 10.0 * model.r
     chunk = cfg.chunk_time if cfg.chunk_time is not None else 20.0 * model.r
     acc = _Accumulator()
-    state = {"t_prev": 0.0, "c_prev": 0.0, "skipped": 0, "warm": False}
+    add = acc.add
+    warm = False
+    last = 0.0  # time of the previous event once warm (time clock)
+    skipped = 0
     deadline = _time.monotonic() + cfg.wall_budget
 
-    def observer(t_prev: float, ev: Event, s: Simulator):
-        if not state["warm"]:
-            if ev.t <= warmup:
-                state["t_prev"] = ev.t
-                state["c_prev"] = _clock_value(s, clock, ev.t) + (
-                    1.0 if clock != "time" and ev.kind == "dep" and f"c_{ev.patch}" == clock else 0.0)
-                return
-            state["warm"] = True
-            state["t_prev"] = max(t_prev, warmup)
-            state["c_prev"] = _clock_value(s, clock, state["t_prev"])
-        if clock == "time":
-            w = ev.t - state["t_prev"]
+    if clock == "time":
+        # the state x_{i-1} holds over (t_{i-1}, t_i]: weight t_i - t_{i-1}
+        def observer(t_prev: float, ev: Event, s: Simulator):
+            nonlocal warm, last, skipped
+            t = ev.t
+            if not warm:
+                if t <= warmup:
+                    return
+                warm = True
+                last = max(t_prev, warmup)
+            w = t - last
             if w > 0:
-                t_eval = state["t_prev"]
                 try:
-                    f = evaluate_expr(expr, lambda nm: s.rval(nm, at=t_eval), constants, functions)
-                    acc.add(w, f)
+                    add(w, f(last))
                 except UndefinedSample:
-                    state["skipped"] += 1
-            state["t_prev"] = ev.t
-        else:
-            inc = 1.0 if (ev.kind == "dep" and f"c_{ev.patch}" == clock) else 0.0
-            if inc > 0:
+                    skipped += 1
+            last = t
+    else:
+        # the counter steps by one at each departure from its patch
+        def observer(t_prev: float, ev: Event, s: Simulator):
+            nonlocal warm, skipped
+            t = ev.t
+            if not warm:
+                if t <= warmup:
+                    return
+                warm = True
+            if ev.patch == clock_patch and ev.kind == "dep":
                 try:
-                    f = evaluate_expr(expr, lambda nm: s.rval(nm, at=ev.t), constants, functions)
-                    acc.add(inc, f)
+                    add(1.0, f(t))
                 except UndefinedSample:
-                    state["skipped"] += 1
-            state["t_prev"] = ev.t
+                    skipped += 1
 
     truncated = False
     estimate = halfwidth = None
@@ -595,7 +622,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     verdict = _verdict(estimate, halfwidth, query.threshold, event_observed)
     return EstimateResult(estimate, halfwidth if halfwidth is not None else math.inf,
                           rel, used_batches, total_clock, sim.t, verdict,
-                          event_observed, state["skipped"], truncated, query)
+                          event_observed, skipped, truncated, query)
 
 
 def _mentions_hour_counter(expr, functions) -> bool:
@@ -627,7 +654,11 @@ def _verdict(estimate, halfwidth, threshold, event_observed) -> str:
 
 def check_assertions(model: SimModel, prop: PropertyFile, cfg: EstimatorConfig | None = None,
                      seed: int | None = None) -> list[EstimateResult]:
-    """Evaluate every assertion, one independent trajectory per assertion."""
+    """Evaluate every assertion, each on its own trajectory.  The generator
+    stream is (seed, replication) with replication the assertion's index in
+    `prop`, so the assertions of one file see independent trajectories, but
+    a caller that passes one assertion per file, as the CLI's `check` does,
+    replays the same (seed, 0) trajectory for every assertion."""
     results = []
     for idx, q in enumerate(prop.assertions):
         results.append(estimate_steady_state(model, q, prop.functions, cfg,

@@ -9,8 +9,8 @@ Three control mechanisms can modify departures:
   loops and c_j is the cumulative-mean anchor of the patch.  The scheduled
   slot replaces the fitted terminus sojourn: the empirical dwell at a
   terminus is exactly the wait for the next scheduled departure, so drawing
-  both would double-count it and make the schedule unkeepable (see README);
-  a late bus departs immediately on arrival.
+  both would double-count it and make the schedule unkeepable; a late bus
+  departs immediately on arrival.
 * bus holding: no departure from patch j until the time since the previous
   departure from j reaches theta_h.
 * speed modification: when a bus leads its follower (the nearest bus behind
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -42,6 +43,9 @@ import numpy as np
 from .fitting import Distribution, ErlangParams, PatchModel
 
 HOUR = 3600.0
+
+# y_j, H_j, c_j (one index) and z_i_j (two)
+_STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
 
 
 class SimError(ValueError):
@@ -272,30 +276,54 @@ class Simulator:
 
     # -- metrics view ---------------------------------------------------------
 
-    def rval(self, name: str, at: float | None = None) -> float:
-        t = self.t if at is None else at
+    def reader(self, name: str) -> Callable[[float], float]:
+        """Resolve a state name once into a function of the time t that reads
+        this simulator's live state: time, mu_tot, y_j, z_i_j, H_j or c_j,
+        with j in 1..n and i in 1..beta.  y_j and z_i_j read infinity until
+        the departure they measure from has happened.  An unknown or
+        out-of-range name raises SimError here, not when it is read."""
         if name == "time":
-            return t
+            return lambda t: t
         if name == "mu_tot":
-            return self.model.mu_tot
-        try:
-            if name.startswith("y_"):
-                j = int(name[2:])
-                base = self.last_dep[j]
+            mu_tot = self.model.mu_tot
+            return lambda t: mu_tot
+        m = _STATE_NAME.fullmatch(name)
+        if m is None:
+            raise SimError(f"unknown state quantity {name!r}")
+        kind, first, second = m.groups()
+        bus, j = (int(first), int(second)) if second else (1, int(first))
+        if (kind == "z") != bool(second) or not (1 <= j <= self.n and 1 <= bus <= self.beta):
+            raise SimError(f"unknown state quantity {name!r}")
+        if kind == "y":
+            last_dep = self.last_dep
+
+            def y(t: float) -> float:
+                base = last_dep[j]
                 return math.inf if base is None else t - base
-            if name.startswith("z_"):
-                si, sj = name[2:].split("_")
-                base = self.last_dep_bus[int(sj)][int(si) - 1]
+            return y
+        if kind == "z":
+            bases, i = self.last_dep_bus[j], bus - 1
+
+            def z(t: float) -> float:
+                base = bases[i]
                 return math.inf if base is None else t - base
-            if name.startswith("H_"):
-                j = int(name[2:])
-                return float(sum(1 for b in self.last_dep_bus[j]
-                                 if b is not None and t < b + HOUR))
-            if name.startswith("c_"):
-                return float(self.dep_count[int(name[2:])])
-        except (ValueError, IndexError):
-            pass
-        raise SimError(f"unknown state quantity {name!r}")
+            return z
+        if kind == "H":
+            bases = self.last_dep_bus[j]
+
+            def h(t: float) -> float:
+                count = 0
+                for b in bases:
+                    if b is not None and t < b + HOUR:
+                        count += 1
+                return float(count)
+            return h
+        dep_count = self.dep_count
+        return lambda t: float(dep_count[j])
+
+    def rval(self, name: str, at: float | None = None) -> float:
+        """The value of a state name at time `at` (default: now)."""
+        return self.reader(name)(self.t if at is None else at)
 
     # -- event loop -------------------------------------------------------------
 

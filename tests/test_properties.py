@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import airlink_model
+from headwaylab import properties
 from headwaylab.fitting import ErlangParams, PatchModel
-from headwaylab.properties import (EstimatorConfig, EvalError, ParseError,
-                                   PropertyError, SteadyStateQuery, UndefinedSample,
-                                   _Accumulator, _verdict, bph_query, check_assertions,
-                                   estimate_steady_state, evaluate_expr, evwt_query,
-                                   ewt_query, expand_per_patch, headway_query,
-                                   parse_quatex, write_results_tsv)
-from headwaylab.simulate import SimConfig, build_model
+from headwaylab.properties import (Binary, Call, EstimatorConfig, EvalError, IfThenElse,
+                                   Num, ParseError, PropertyError, Rval, SteadyStateQuery,
+                                   Unary, UndefinedSample, _Accumulator, _verdict, bph_query,
+                                   check_assertions, compile_expr, estimate_steady_state,
+                                   evaluate_expr, evwt_query, ewt_query, expand_per_patch,
+                                   headway_query, parse_quatex, write_results_tsv)
+from headwaylab.simulate import HOUR, SimConfig, SimError, Simulator, build_model
 
 EWT_TEXT = ('ewt() = 0.5 * (s.rval("y_6") - mu_tot) * (s.rval("y_6") - mu_tot) / mu_tot;\n'
             'S [ ewt(), "c_6" ] < 75;\n')
@@ -78,6 +80,170 @@ def test_eval_undefined_sentinel_skips():
     prop = parse_quatex('f() = s.rval("y_1");')
     with pytest.raises(UndefinedSample):
         evaluate_expr(prop.functions["f"], lambda n: math.inf)
+
+
+def tree_eval(expr, rval, constants=None, functions=None) -> float:
+    """Reference evaluator: walks the AST on every call, reading state names
+    through rval(name)."""
+    constants = constants or {}
+    functions = functions or {}
+
+    def ev(e) -> float:
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Rval):
+            if e.name in constants:
+                return constants[e.name]
+            v = rval(e.name)
+            if math.isinf(v):
+                raise UndefinedSample(e.name)
+            return v
+        if isinstance(e, Call):
+            return ev(functions[e.name])
+        if isinstance(e, Unary):
+            return -ev(e.operand)
+        if isinstance(e, Binary):
+            a = ev(e.left)
+            b = ev(e.right)
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if e.op == "/":
+                if b == 0:
+                    raise EvalError("division by zero")
+                return a / b
+            if e.op == "<":
+                return 1.0 if a < b else 0.0
+            if e.op == ">":
+                return 1.0 if a > b else 0.0
+            if e.op == "<=":
+                return 1.0 if a <= b else 0.0
+            if e.op == ">=":
+                return 1.0 if a >= b else 0.0
+            if e.op == "==":
+                return 1.0 if a == b else 0.0
+        if isinstance(e, IfThenElse):
+            return ev(e.then) if ev(e.cond) != 0.0 else ev(e.other)
+        raise EvalError(f"cannot evaluate node {e!r}")
+
+    return ev(expr)
+
+
+def snapshot_rval(state, name: str) -> float:
+    """Reference state reader over a recorded simulator state: parses the
+    name on every read."""
+    t, last_dep, last_dep_bus, dep_count = state
+    if name == "time":
+        return t
+    if name.startswith("y_"):
+        base = last_dep[int(name[2:])]
+        return math.inf if base is None else t - base
+    if name.startswith("z_"):
+        si, sj = name[2:].split("_")
+        base = last_dep_bus[int(sj)][int(si) - 1]
+        return math.inf if base is None else t - base
+    if name.startswith("H_"):
+        return float(sum(1 for b in last_dep_bus[int(name[2:])]
+                         if b is not None and t < b + HOUR))
+    if name.startswith("c_"):
+        return float(dep_count[int(name[2:])])
+    raise KeyError(name)
+
+
+ORACLE_TEXT = (
+    ewt_query(1) + evwt_query(5) + bph_query(7) + headway_query(10)
+    + 'gap() = s.rval("z_3_2") - s.rval("z_11_2");\n'
+    + 'share() = s.rval("c_5") / (s.rval("c_1") + 1);\n'
+    + 'hours() = s.rval("time") / 3600 - mu_tot;\n'
+    + 'tot() = mu_tot;\n'
+    + 'untaken() = if {s.rval("c_9") == 0} then 5 else s.rval("z_2_9") fi;\n'
+    + 'zero() = 1 / (s.rval("c_2") - s.rval("c_2"));\n'
+    + 'order() = s.rval("y_3") + zero();\n'
+    + 'mix() = -share() * (s.rval("H_2") <= 3) + (s.rval("y_5") >= 60) - (gap() < 0);\n')
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (UndefinedSample, EvalError) as err:
+        return type(err).__name__
+
+
+def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
+    # timetabled Airlink with hour ticks: departures and expiries, evaluated
+    # on the state before each event at the event time and at the previous one
+    prop = parse_quatex(ORACLE_TEXT)
+    model = airlink_model()
+    constants = {"mu_tot": model.mu_tot}
+    sim = Simulator(model, seed=41, hour_ticks=True)
+    compiled = {name: compile_expr(expr, sim.reader, constants, prop.functions)
+                for name, expr in prop.functions.items()}
+    states, got = [], []
+
+    def observer(t_prev, ev, s):
+        for t in (t_prev, ev.t):
+            states.append((t, list(s.last_dep), [list(row) for row in s.last_dep_bus],
+                           list(s.dep_count)))
+            got.append({name: outcome(lambda: f(t)) for name, f in compiled.items()})
+
+    sim.run(observer, max_events=2000)
+    assert sim.events_processed == 2000
+    for state, row in zip(states, got):
+        want = {name: outcome(lambda: tree_eval(expr, lambda nm: snapshot_rval(state, nm),
+                                                constants, prop.functions))
+                for name, expr in prop.functions.items()}
+        assert row == want, state[0]
+    seen = {name: {v if isinstance(v, str) else "value" for v in (r[name] for r in got)}
+            for name in prop.functions}
+    for name in ("ewt", "evwt", "headway", "gap", "untaken", "mix"):
+        assert seen[name] == {"value", "UndefinedSample"}, name
+    assert seen["zero"] == {"EvalError"}
+    assert seen["order"] == {"UndefinedSample", "EvalError"}  # left operand first
+    assert seen["tot"] == {"value"} and seen["bph"] == {"value"}
+    assert {r["evwt"] for r in got} >= {0.0, 1.0}
+    assert {r["bph"] for r in got} == {0.0, 1.0}
+    # the infinite read in the untaken else-branch never raised
+    assert any(r["untaken"] == 5.0 and math.isinf(snapshot_rval(s, "z_2_9"))
+               for r, s in zip(got, states))
+
+
+def test_compile_resolves_each_name_once_branches_included():
+    expr = parse_quatex('f() = if {s.rval("A") > 0} then s.rval("B") else -s.rval("C") fi;'
+                        ).functions["f"]
+    reads = []
+
+    def read(name):
+        reads.append(name)
+        return lambda t: t
+
+    f = compile_expr(expr, read)
+    assert sorted(reads) == ["A", "B", "C"]
+    assert (f(2.0), f(-3.0)) == (2.0, 3.0)
+    assert len(reads) == 3
+
+
+def test_compiled_if_skips_infinite_read_in_untaken_branch():
+    expr = parse_quatex('f() = if {s.rval("K") > 0} then 2 else s.rval("Y") fi;').functions["f"]
+    f = compile_expr(expr, lambda name: (lambda t: t) if name == "K" else (lambda t: math.inf))
+    assert f(1.0) == 2.0
+    with pytest.raises(UndefinedSample):
+        f(-1.0)
+
+
+@pytest.mark.parametrize("name", ["Q", "y_99", "z_1"])
+def test_unknown_state_name_fails_before_any_event(name, monkeypatch):
+    # the name sits in an untaken branch, so evaluating would never read it
+    prop = parse_quatex(f'f() = if {{1 > 0}} then 1 else s.rval("{name}") fi;\n'
+                        'S [ f(), "time" ] < 2;')
+    runs = []
+    monkeypatch.setattr(Simulator, "run", lambda self, *args, **kwargs: runs.append(1))
+    with pytest.raises(SimError, match=name):
+        estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
+                              EstimatorConfig(wall_budget=1.0), seed=1)
+    assert runs == []
 
 
 def test_expand_per_patch():
@@ -272,6 +438,35 @@ def test_bad_clock_rejected():
     prop = parse_quatex('one() = 1;\nS [ one(), "y_1" ] < 2;')
     with pytest.raises(PropertyError):
         estimate_steady_state(model, prop.assertions[0], prop.functions,
+                              EstimatorConfig(wall_budget=1.0), seed=1)
+
+
+def test_counter_clock_counts_departures_not_expiries():
+    # H_1 turns hour ticks on, so expiry events of patch 1 reach the observer
+    prop = parse_quatex('h() = s.rval("H_1");\nS [ h(), "c_1" ] < 99;')
+    model = airlink_model()
+    warmup = 20_000.0
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions,
+                                EstimatorConfig(warmup_time=warmup, wall_budget=30.0,
+                                                max_sim_time=300_000.0,
+                                                rel_halfwidth_target=0.0), seed=8)
+    sim = Simulator(model, seed=8)
+    deps = 0
+    while sim.t < res.sim_time:
+        ev = sim.advance()
+        deps += ev.patch == 1 and warmup < ev.t <= res.sim_time
+    assert res.total_clock == deps > 0
+
+
+@pytest.mark.parametrize("clock", ["c_0", "c_3"])
+def test_out_of_range_clock_rejected_before_simulating(clock, monkeypatch):
+    def no_simulator(*args, **kwargs):
+        raise AssertionError("simulated before checking the clock")
+
+    monkeypatch.setattr(properties, "Simulator", no_simulator)
+    prop = parse_quatex(f'one() = 1;\nS [ one(), "{clock}" ] < 2;')
+    with pytest.raises(PropertyError, match=clock):
+        estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
                               EstimatorConfig(wall_budget=1.0), seed=1)
 
 

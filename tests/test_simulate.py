@@ -3,21 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import AIRLINK_K, AIRLINK_LAM, airlink_model
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
 from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, build_model,
                                  run_trajectory)
-
-AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
-AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
-               0.0419, 0.0765, 0.1196, 0.1895]
-
-
-def airlink_model(**overrides):
-    pm = PatchModel([ErlangParams(k, l) for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
-    kw = dict(n_buses=11, timetable=True, route_duration=5259.0,
-              terminus_patches=(1, 7), seed=1)
-    kw.update(overrides)
-    return build_model(pm, SimConfig(**kw))
 
 
 class HourRecount:
@@ -218,6 +207,34 @@ def test_rval_semantics():
     # a patch no bus has departed yet returns the undefined sentinel
     fresh = Simulator(m, seed=22)
     assert math.isinf(fresh.rval("y_3"))
+
+
+@pytest.mark.parametrize("name", ["Q", "y_0", "y_11", "y_1_2", "y_-1", "y_ 1", "z_1",
+                                  "z_0_1", "z_12_1", "z_1_11", "H_0", "c_11", "time_1"])
+def test_reader_rejects_unknown_names_when_resolved(name):
+    sim = Simulator(airlink_model(), seed=21)
+    with pytest.raises(SimError, match="unknown state quantity"):
+        sim.reader(name)
+
+
+def test_readers_resolved_before_any_event_follow_the_state():
+    sim = Simulator(airlink_model(), seed=21, hour_ticks=True)
+    y = {j: sim.reader(f"y_{j}") for j in range(1, 11)}
+    c = {j: sim.reader(f"c_{j}") for j in range(1, 11)}
+    z = sim.reader("z_4_7")
+    deps = {j: 0 for j in range(1, 11)}
+    last_z = None
+    for _ in range(3000):
+        ev = sim.advance()
+        if ev.kind != "dep":
+            continue
+        deps[ev.patch] += 1
+        if (ev.bus, ev.patch) == (4, 7):
+            last_z = ev.t
+        assert y[ev.patch](ev.t + 1.5) == (ev.t + 1.5) - ev.t
+        assert c[ev.patch](0.0) == float(deps[ev.patch])
+        assert z(ev.t) == (math.inf if last_z is None else ev.t - last_z)
+    assert last_z is not None
 
 
 def test_h_counter_counts_recent_departures():
