@@ -7,12 +7,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fitting, graphs, ingest, patches, properties, raster, route, simulate
+from . import artifacts, fitting, graphs, ingest, patches, properties, raster, route, simulate
 
-STAGES = ["ingest", "heatmap", "blur", "skeleton", "graph", "route",
-          "patches", "fit", "simulate", "check"]
-
-ARTIFACTS = {
+ARTIFACTS = {  # stage -> the files it writes, stages in run order
     "ingest": ["traces.csv"],
     "heatmap": ["heatmap.pgm"],
     "blur": ["blurred.pgm"],
@@ -24,6 +21,7 @@ ARTIFACTS = {
     "simulate": ["events.tsv"],
     "check": ["results.tsv"],
 }
+STAGES = list(ARTIFACTS)
 
 
 class StageError(RuntimeError):
@@ -322,11 +320,8 @@ def cmd_fit(args, out: Path):
     ps = patches.read_patches(args.patches)
     ts = _load_traces(args.traces)
     obs = fitting.extract_crossing_times(ts, rm, ps)
-    with open(out / "observations.tsv", "w") as fh:
-        fh.write("patch\tduration\n")
-        for j in sorted(obs):
-            for d in obs[j]:
-                fh.write(f"{j}\t{d:.0f}\n")
+    rows = [(j, f"{d:.0f}") for j in sorted(obs) for d in obs[j]]
+    artifacts.write_lines(out / "observations.tsv", [("patch", "duration"), *rows], "\t")
     pm, flagged = fitting.fit_patch_model(obs, branches=args.branches, seed=args.fit_seed)
     fitting.write_patch_model(pm, str(out / "model.txt"))
     reports = {}
@@ -349,18 +344,14 @@ def _load_model_for_sim(args, out: Path):
         if args.termini_patches:
             a, b = args.termini_patches.split(",")
             termini_patches = (int(a), int(b))
+        elif all((out / name).exists() for name in ("graph.txt", "route.txt", "patches.txt")):
+            g = graphs.read_graph(str(out / "graph.txt"))
+            rm = route.read_route_model(str(out / "route.txt"), g)
+            ps = patches.read_patches(str(out / "patches.txt"))
+            termini_patches = _terminus_patches_from_route(rm, ps, pm)
         else:
-            route_path = out / "route.txt"
-            patches_path = out / "patches.txt"
-            graph_path = out / "graph.txt"
-            if route_path.exists() and patches_path.exists() and graph_path.exists():
-                g = graphs.read_graph(str(graph_path))
-                rm = route.read_route_model(str(route_path), g)
-                ps = patches.read_patches(str(patches_path))
-                termini_patches = _terminus_patches_from_route(rm, ps, pm)
-            else:
-                raise StageError("simulate", "terminus patches unknown: none given, and no "
-                                 "route, patches and graph artifacts to derive them from")
+            raise StageError("simulate", "terminus patches unknown: none given, and no "
+                             "route, patches and graph artifacts to derive them from")
     cfg = _sim_config(args, termini_patches)
     return simulate.build_model(pm, cfg)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .artifacts import fmt_num
+from .artifacts import read_lines, write_lines
 from .patches import PatchStructure, compute_fractions
 
 
@@ -85,31 +85,6 @@ class HyperErlangParams:
 
 
 Distribution = ErlangParams | HyperErlangParams
-
-
-def _erlang_logpdf(t, k, rate):
-    t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = k * np.log(rate) + (k - 1) * np.log(t) - rate * t - gammaln(k)
-    if k == 1:  # pdf(0) = rate, not nan
-        out = np.where(t == 0, math.log(rate), out)
-    return np.where(t < 0, -np.inf, out)
-
-
-def phase_type_eval(dist: Distribution, t: float) -> tuple[float, float]:
-    """(pdf, cdf) at t; densities are evaluated in log space so large shapes
-    do not overflow.  t < 0 yields (0, 0)."""
-    if t < 0:
-        return 0.0, 0.0
-    if isinstance(dist, ErlangParams):
-        pdf = float(np.exp(_erlang_logpdf(t, dist.k, dist.rate)))
-        cdf = float(gammainc(dist.k, dist.rate * t))
-        return pdf, cdf
-    pdf = cdf = 0.0
-    for a, k, r in zip(dist.weights, dist.shapes, dist.rates):
-        pdf += a * float(np.exp(_erlang_logpdf(t, k, r)))
-        cdf += a * float(gammainc(k, r * t))
-    return pdf, cdf
 
 
 def dist_cdf(dist: Distribution, t) -> np.ndarray:
@@ -427,70 +402,63 @@ def fit_patch_model(observations: dict[int, list[float]], branches: int = 1,
 # --- model file I/O -------------------------------------------------------
 
 def write_patch_model(pm: PatchModel, path: str) -> None:
-    with open(path, "w") as fh:
-        for j, (d, mu) in enumerate(zip(pm.dists, pm.means), start=1):
-            if isinstance(d, ErlangParams):
-                fh.write(f"patch {j} erlang {d.k} {fmt_num(d.rate)} mu {fmt_num(mu)}\n")
-            else:
-                branches = " ".join(f"{k} {fmt_num(r)} {fmt_num(a)}" for k, r, a in
-                                    zip(d.shapes, d.rates, d.weights))
-                fh.write(f"patch {j} hyper {d.m} {branches} mu {fmt_num(mu)}\n")
+    rows = []
+    for j, (d, mu) in enumerate(zip(pm.dists, pm.means), start=1):
+        if isinstance(d, ErlangParams):
+            rows.append(("patch", j, "erlang", d.k, d.rate, "mu", mu))
+        else:
+            branches = [v for b in zip(d.shapes, d.rates, d.weights) for v in b]
+            rows.append(("patch", j, "hyper", d.m, *branches, "mu", mu))
+    write_lines(path, rows)
 
 
 def read_patch_model(path: str) -> PatchModel:
     dists: list[Distribution] = []
     means: list[float] = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0] != "patch":
-                continue
-            kind = parts[2]
-            if kind == "erlang":
-                dists.append(ErlangParams(int(parts[3]), float(parts[4])))
-                means.append(float(parts[6]))
-            elif kind == "hyper":
-                m = int(parts[3])
-                vals = parts[4:4 + 3 * m]
-                shapes = tuple(int(vals[3 * i]) for i in range(m))
-                rates = tuple(float(vals[3 * i + 1]) for i in range(m))
-                weights = tuple(float(vals[3 * i + 2]) for i in range(m))
-                dists.append(HyperErlangParams(shapes, rates, weights))
-                means.append(float(parts[4 + 3 * m + 1]))
-            else:
-                raise FitError(f"unknown distribution kind {kind!r}")
+
+    def parse(fields):
+        if fields[0] != "patch":
+            return
+        _, j, kind, *params, mu_tag, mu = fields
+        if int(j) != len(dists) + 1 or mu_tag != "mu":
+            raise ValueError(f"expected 'patch {len(dists) + 1} ... mu MEAN'")
+        if kind == "erlang":
+            k, rate = params
+            dists.append(ErlangParams(int(k), float(rate)))
+        elif kind == "hyper":
+            m, *branches = params
+            if len(branches) != 3 * int(m):
+                raise ValueError(f"{m} branches need {3 * int(m)} values, found {len(branches)}")
+            dists.append(HyperErlangParams(tuple(int(k) for k in branches[0::3]),
+                                           tuple(float(r) for r in branches[1::3]),
+                                           tuple(float(a) for a in branches[2::3])))
+        else:
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        means.append(float(mu))
+
+    read_lines(path, parse)
     if not dists:
         raise FitError("empty patch model file")
-    pm = PatchModel(dists)
-    pm.means = means
-    return pm
+    return PatchModel(dists, means)
 
 
 def write_gof_tsv(reports: dict[int, GofReport], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("patch\tn_obs\tA2\tp\tmean\tsd\tcv\tskew\tkurt\n")
-        for j in sorted(reports):
-            g = reports[j]
-            fh.write(f"{j}\t{g.n_obs}\t{g.a2:.6g}\t{g.p:.6g}\t{g.mean:.6g}\t"
-                     f"{g.sd:.6g}\t{g.cv:.6g}\t{g.skewness:.6g}\t{g.excess_kurtosis:.6g}\n")
+    header = ("patch", "n_obs", "A2", "p", "mean", "sd", "cv", "skew", "kurt")
+    rows = [(j, g.n_obs, *(f"{v:.6g}" for v in (g.a2, g.p, g.mean, g.sd, g.cv,
+                                                g.skewness, g.excess_kurtosis)))
+            for j, g in sorted(reports.items())]
+    write_lines(path, [header, *rows], "\t")
 
 
 def write_cdf_comparison(observations: dict[int, list[float]], pm: PatchModel,
-                         path_prefix: str, samples: int = 200) -> list[str]:
+                         path_prefix: str, samples: int = 200) -> None:
     """Empirical step points plus fitted CDF samples, one TSV per patch."""
-    paths = []
     for j in sorted(observations):
         xs = np.sort(np.asarray(observations[j], dtype=np.float64))
         if xs.size == 0:
             continue
-        d = pm.dists[j - 1]
-        path = f"{path_prefix}_patch{j}.tsv"
-        with open(path, "w") as fh:
-            fh.write("kind\tx\tF\n")
-            for i, x in enumerate(xs, start=1):
-                fh.write(f"empirical\t{x:.6g}\t{i / xs.size:.6g}\n")
-            grid = np.linspace(0, float(xs[-1]) * 1.25, samples)
-            for x, F in zip(grid, dist_cdf(d, grid)):
-                fh.write(f"fitted\t{x:.6g}\t{F:.6g}\n")
-        paths.append(path)
-    return paths
+        grid = np.linspace(0, float(xs[-1]) * 1.25, samples)
+        rows = [("kind", "x", "F")]
+        rows += [("empirical", f"{x:.6g}", f"{i / xs.size:.6g}") for i, x in enumerate(xs, start=1)]
+        rows += [("fitted", f"{x:.6g}", f"{F:.6g}") for x, F in zip(grid, dist_cdf(pm.dists[j - 1], grid))]
+        write_lines(f"{path_prefix}_patch{j}.tsv", rows, "\t")

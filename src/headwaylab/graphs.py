@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt_num
+from .artifacts import read_lines, write_lines
 
 
 class GraphError(ValueError):
@@ -27,10 +27,6 @@ class RouteGraph:
             adj[a].append((b, eid))
             adj[b].append((a, eid))
         return adj
-
-    def edge_endpoints(self, eid: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        a, b, _ = self.edges[eid]
-        return self.nodes[a], self.nodes[b]
 
     def total_length(self) -> float:
         return sum(e[2] for e in self.edges.values())
@@ -295,28 +291,23 @@ def _largest_component(g: RouteGraph) -> RouteGraph:
 
 
 def write_graph(g: RouteGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        for nid in sorted(g.nodes):
-            x, y = g.nodes[nid]
-            fh.write(f"node {nid} {fmt_num(x)} {fmt_num(y)}\n")
-        for eid in sorted(g.edges):
-            a, b, ln = g.edges[eid]
-            fh.write(f"edge {eid} {a} {b} {fmt_num(ln)}\n")
+    rows = [("node", nid, *g.nodes[nid]) for nid in sorted(g.nodes)]
+    rows += [("edge", eid, *g.edges[eid]) for eid in sorted(g.edges)]
+    write_lines(path, rows)
 
 
 def read_graph(path: str) -> RouteGraph:
     g = RouteGraph()
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "node":
-                g.nodes[int(parts[1])] = (float(parts[2]), float(parts[3]))
-            elif parts[0] == "edge":
-                eid, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-                ln = float(parts[4])
-                if ln <= 0:
-                    raise GraphError("edge length must be positive")
-                g.edges[eid] = (a, b, ln)
+
+    def parse(fields):
+        if fields[0] == "node":
+            _, nid, x, y = fields
+            g.nodes[int(nid)] = (float(x), float(y))
+        elif fields[0] == "edge":
+            _, eid, a, b, ln = fields
+            if float(ln) <= 0:
+                raise GraphError("edge length must be positive")
+            g.edges[int(eid)] = (int(a), int(b), float(ln))
+
+    read_lines(path, parse)
     return g

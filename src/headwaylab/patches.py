@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt_num
+from .artifacts import read_lines, write_lines
 from .route import CompletionTable, EdgeIndex, best_candidate
 from .route import route_completion  # noqa: F401  (kept public here; perfbench counts its calls)
 
@@ -271,26 +271,26 @@ def merge_adjacent_cluster(c: BinCounts) -> PatchStructure:
 
 
 def write_patches(ps: PatchStructure, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# gamma {ps.gamma}\n")
-        for b in ps.breakpoints:
-            fh.write(f"{fmt_num(b)}\n")
+    write_lines(path, [("#", "gamma", ps.gamma), *((b,) for b in ps.breakpoints)])
 
 
 def read_patches(path: str) -> PatchStructure:
-    gamma = None
+    head: dict[str, int] = {}
     fractions = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# gamma"):
-                gamma = int(line.split()[2])
-            elif line and not line.startswith("#"):
-                fractions.append(float(line))
+
+    def parse(fields):
+        if fields[:2] == ["#", "gamma"]:
+            _, _, bins = fields
+            head["gamma"] = int(bins)
+        elif not fields[0].startswith("#"):
+            (fraction,) = fields
+            fractions.append(float(fraction))
+
+    read_lines(path, parse)
     if not fractions or fractions[0] != 0.0 or fractions[-1] != 1.0:
         raise PatchError("breakpoint file must start at 0.0 and end at 1.0")
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise PatchError("breakpoints must strictly increase")
-    gamma = gamma or 1000000
+    gamma = head.get("gamma") or 1000000
     bins = [round(f * gamma) for f in fractions[1:-1]]
     return PatchStructure(gamma, bins)

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
+from .artifacts import write_lines
 from .simulate import Event, SimModel, Simulator
 
 
@@ -689,15 +690,11 @@ def headway_query(patch: int, threshold: float = 1e9) -> str:
 
 def write_results_tsv(results: list[EstimateResult], path: str,
                       labels: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write("assertion\tpatch\testimate\thalfwidth\tverdict\tbatches\tsim_time\n")
-        for i, r in enumerate(results):
-            label = labels[i] if labels else (r.query.function if r.query else str(i))
-            patch = ""
-            if r.query and r.query.clock.startswith("c_"):
-                patch = r.query.clock[2:]
-            if r.event_observed and r.estimate is not None:
-                fh.write(f"{label}\t{patch}\t{r.estimate:.6g}\t{r.halfwidth:.3g}\t"
-                         f"{r.verdict}\t{r.batches}\t{r.sim_time:.0f}\n")
-            else:
-                fh.write(f"{label}\t{patch}\t-\t-\t-\t{r.batches}\t{r.sim_time:.0f}\n")
+    rows = [("assertion", "patch", "estimate", "halfwidth", "verdict", "batches", "sim_time")]
+    for i, r in enumerate(results):
+        label = labels[i] if labels else (r.query.function if r.query else str(i))
+        patch = r.query.clock[2:] if r.query and r.query.clock.startswith("c_") else ""
+        shown = ((f"{r.estimate:.6g}", f"{r.halfwidth:.3g}", r.verdict)
+                 if r.event_observed and r.estimate is not None else ("-", "-", "-"))
+        rows.append((label, patch, *shown, r.batches, f"{r.sim_time:.0f}"))
+    write_lines(path, rows, "\t")

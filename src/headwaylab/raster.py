@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import fmt_num
+from .artifacts import read_lines, write_lines
 
 DEFAULT_RESOLUTION = 1024
 GAP_SECONDS = 300.0
@@ -47,10 +47,6 @@ class Raster:
         j = min(int((x - self.origin[0]) / self.cell_size), self.width - 1)
         i = min(int((y - self.origin[1]) / self.cell_size), self.height - 1)
         return max(i, 0), max(j, 0)
-
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (self.origin[0] + (j + 0.5) * self.cell_size,
-                self.origin[1] + (i + 0.5) * self.cell_size)
 
 
 @dataclass
@@ -340,9 +336,7 @@ def write_pgm(r: Raster, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{r.width} {r.height}\n255\n".encode())
         fh.write(img[::-1].tobytes())
-    with open(path + ".meta", "w") as fh:
-        fh.write(f"cell_size {fmt_num(r.cell_size)}\n"
-                 f"origin {fmt_num(r.origin[0])} {fmt_num(r.origin[1])}\n")
+    write_lines(path + ".meta", [("cell_size", r.cell_size), ("origin", *r.origin)])
 
 
 def write_mask_pgm(m: SkeletonMask, path: str) -> None:
@@ -358,15 +352,18 @@ def read_pgm(path: str) -> Raster:
         width, height = int(dims[0]), int(dims[1])
         fh.readline()  # maxval
         data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
-    cell_size, origin = 1.0, (0.0, 0.0)
-    try:
-        with open(path + ".meta") as fh:
-            for line in fh:
-                parts = line.split()
-                if parts and parts[0] == "cell_size":
-                    cell_size = float(parts[1])
-                elif parts and parts[0] == "origin":
-                    origin = (float(parts[1]), float(parts[2]))
-    except FileNotFoundError:
-        pass
-    return Raster(data.reshape(height, width)[::-1].astype(np.float64), cell_size, origin)
+    meta = {}
+
+    def parse(fields):
+        if fields[0] == "cell_size":
+            _, size = fields
+            meta["cell_size"] = float(size)
+        elif fields[0] == "origin":
+            _, x, y = fields
+            meta["origin"] = (float(x), float(y))
+
+    read_lines(path + ".meta", parse)
+    if len(meta) < 2:
+        raise RasterError(f"{path}.meta: needs a cell_size and an origin line")
+    return Raster(data.reshape(height, width)[::-1].astype(np.float64),
+                  meta["cell_size"], meta["origin"])

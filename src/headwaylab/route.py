@@ -20,12 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .artifacts import fmt_num
+from .artifacts import read_lines, write_lines
 from .graphs import RouteGraph
 
 
@@ -428,38 +428,36 @@ def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: 
 
 
 def write_route_model(rm: RouteModel, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"termini {rm.termini[0]} {rm.termini[1]}\n")
-        fh.write(f"loop_length {fmt_num(rm.loop_length)}\n")
-        fh.write(f"rejection_radius {fmt_num(rm.rejection_radius)}\n")
-        for d, seq in enumerate(rm.directions):
-            for de in seq:
-                fh.write(f"segment {d} {de.edge_id} {int(de.forward)} "
-                         f"{fmt_num(de.start_offset)} {fmt_num(de.length)}\n")
+    rows = [("termini", *rm.termini), ("loop_length", rm.loop_length),
+            ("rejection_radius", rm.rejection_radius)]
+    rows += [("segment", d, de.edge_id, int(de.forward), de.start_offset, de.length)
+             for d, seq in enumerate(rm.directions) for de in seq]
+    write_lines(path, rows)
 
 
 def read_route_model(path: str, graph: RouteGraph) -> RouteModel:
-    termini = None
-    loop_length = None
-    radius = None
-    dirs: dict[int, list[DirectedEdge]] = {0: [], 1: []}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "termini":
-                termini = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "loop_length":
-                loop_length = float(parts[1])
-            elif parts[0] == "rejection_radius":
-                radius = float(parts[1])
-            elif parts[0] == "segment":
-                dirs[int(parts[1])].append(
-                    DirectedEdge(int(parts[2]), bool(int(parts[3])), float(parts[4]), float(parts[5])))
-    if termini is None or loop_length is None or radius is None:
+    head: dict = {}
+    dirs: tuple[list[DirectedEdge], list[DirectedEdge]] = ([], [])
+
+    def parse(fields):
+        tag = fields[0]
+        if tag == "termini":
+            _, a, b = fields
+            head[tag] = (int(a), int(b))
+        elif tag in ("loop_length", "rejection_radius"):
+            _, value = fields
+            head[tag] = float(value)
+        elif tag == "segment":
+            _, d, eid, forward, start, length = fields
+            if d not in ("0", "1"):
+                raise ValueError(f"direction {d} is not 0 or 1")
+            dirs[int(d)].append(DirectedEdge(int(eid), bool(int(forward)), float(start), float(length)))
+
+    read_lines(path, parse)
+    if len(head) < 3:
         raise RouteError("incomplete route model file")
     offsets = [de.start_offset for de in dirs[0] + dirs[1]]
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise RouteError("cumulative offsets must strictly increase")
-    return RouteModel(graph, termini, (dirs[0], dirs[1]), loop_length, radius)
+    return RouteModel(graph, head["termini"], dirs,
+                      head["loop_length"], head["rejection_radius"])

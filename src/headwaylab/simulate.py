@@ -40,6 +40,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .artifacts import write_lines
 from .fitting import Distribution, ErlangParams, PatchModel
 
 HOUR = 3600.0
@@ -436,7 +437,5 @@ def run_trajectory(model: SimModel, seed: int, stop: Callable[[Event, Simulator]
 
 
 def write_event_log(events: Iterable[Event], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t\tbus\tkind\tpatch\tlap\n")
-        for ev in events:
-            fh.write(f"{ev.t:.3f}\t{ev.bus}\t{ev.kind}\t{ev.patch}\t{ev.lap}\n")
+    write_lines(path, [("t", "bus", "kind", "patch", "lap"),
+                       *((f"{ev.t:.3f}", ev.bus, ev.kind, ev.patch, ev.lap) for ev in events)], "\t")

@@ -103,3 +103,12 @@ def test_check_phased_with_holding_and_speedmod(tmp_path):
     assert rc == 0
     rows = (tmp_path / "results.tsv").read_text().splitlines()
     assert len(rows) == 1 + 2
+
+
+def test_malformed_artifact_is_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("patch 1 erlang 4 0.01\n")
+    rc = main(["simulate", str(model), "--out", str(tmp_path), "--beta", "1", "--seed", "1",
+               "--termini-patches", "1,1"])
+    assert rc == 2
+    assert f"error: stage 'simulate' failed: {model}, line 1: " in capsys.readouterr().err

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
+from scipy.stats import gamma
 
 from conftest import straight_route_model, traces_from_fractions
 from headwaylab import fitting
 from headwaylab.fitting import (ErlangParams, FitError, HyperErlangParams, PatchModel,
                                 anderson_darling, anderson_darling_statistic,
                                 dist_cdf, extract_crossing_times, fit_erlang,
-                                fit_hyper_erlang, hyper_erlang_loglik, phase_type_eval,
+                                fit_hyper_erlang, hyper_erlang_loglik,
                                 read_patch_model, write_patch_model)
 from headwaylab.patches import PatchStructure
 from headwaylab.simulate import SimConfig, build_model
@@ -22,15 +23,20 @@ AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
 
 # --- phase-type evaluation -------------------------------------------------
 
+def density(d, t):
+    """Density at t > 0 from the EM's per-branch log densities."""
+    if isinstance(d, ErlangParams):
+        d = HyperErlangParams((d.k,), (d.rate,), (1.0,))
+    x = np.asarray(t, dtype=np.float64)
+    return np.exp(fitting._log_densities(x, np.log(x), d.shapes, d.rates, d.weights)[1])
+
+
 def test_exponential_special_case():
     lam = 0.25
     d = ErlangParams(1, lam)
-    pdf0, cdf0 = phase_type_eval(d, 0.0)
-    assert pdf0 == pytest.approx(lam)
-    assert cdf0 == 0.0
-    pdf, cdf = phase_type_eval(d, 3.0)
-    assert pdf == pytest.approx(lam * math.exp(-lam * 3.0), rel=1e-12)
-    assert cdf == pytest.approx(1 - math.exp(-lam * 3.0), rel=1e-12)
+    assert dist_cdf(d, 0.0) == 0.0
+    assert density(d, 3.0) == pytest.approx(lam * math.exp(-lam * 3.0), rel=1e-12)
+    assert dist_cdf(d, 3.0) == pytest.approx(1 - math.exp(-lam * 3.0), rel=1e-12)
 
 
 def test_published_patch2_mean():
@@ -41,23 +47,23 @@ def test_published_patch2_mean():
 
 def test_large_shape_no_overflow():
     d = ErlangParams(5000, 10.0)
-    pdf, cdf = phase_type_eval(d, d.mean)
+    pdf = density(d, d.mean)
     assert math.isfinite(pdf) and pdf > 0
-    assert 0.4 < cdf < 0.6
+    assert 0.4 < dist_cdf(d, d.mean) < 0.6
 
 
 def test_hyper_single_branch_equals_erlang():
     e = ErlangParams(7, 0.03)
     h = HyperErlangParams((7,), (0.03,), (1.0,))
     for t in (0.0, 10.0, 100.0, 400.0, 1000.0):
-        pe, ce = phase_type_eval(e, t)
-        ph, ch = phase_type_eval(h, t)
-        assert abs(pe - ph) < 1e-12
-        assert abs(ce - ch) < 1e-12
+        assert abs(dist_cdf(e, t) - dist_cdf(h, t)) < 1e-12
+        if t > 0:
+            assert abs(density(h, t) - gamma.pdf(t, 7, scale=1 / 0.03)) < 1e-12
 
 
 def test_negative_time_zero():
-    assert phase_type_eval(ErlangParams(3, 1.0), -1.0) == (0.0, 0.0)
+    assert dist_cdf(ErlangParams(3, 1.0), -1.0) == 0.0
+    assert dist_cdf(HyperErlangParams((3, 5), (1.0, 2.0), (0.5, 0.5)), -1.0) == 0.0
 
 
 def test_cdf_limits_and_pdf_integral():
@@ -66,13 +72,13 @@ def test_cdf_limits_and_pdf_integral():
         mean = d.mean
         sd = d.sd if isinstance(d, ErlangParams) else mean  # loose bound for mixtures
         hi = mean + 20 * sd
-        assert phase_type_eval(d, 0.0)[1] == 0.0
+        assert dist_cdf(d, 0.0) == 0.0
         ts = np.linspace(0, hi, 50)
         cdfs = dist_cdf(d, ts)
         assert np.all(np.diff(cdfs) >= -1e-12)
-        assert phase_type_eval(d, hi)[1] >= 1 - 1e-6
-        integral, _ = quad(lambda t: phase_type_eval(d, t)[0], 0, hi, limit=200)
-        assert abs(integral - phase_type_eval(d, hi)[1]) < 1e-6
+        assert dist_cdf(d, hi) >= 1 - 1e-6
+        integral, _ = quad(lambda t: density(d, t), 0, hi, limit=200)
+        assert abs(integral - dist_cdf(d, hi)) < 1e-6
 
 
 # --- Erlang fitting ----------------------------------------------------------

@@ -198,3 +198,15 @@ def test_pgm_roundtrip(tmp_path):
     assert back.width == r.width and back.height == r.height
     assert back.cell_size == r.cell_size and back.origin == r.origin
     assert np.array_equal(back.intensity > 0, r.intensity > 0)
+
+
+def test_pgm_needs_its_sidecar(tmp_path):
+    path = tmp_path / "x.pgm"
+    write_pgm(rasterize_heatmap(traces([(0.5, 0.5), (7.5, 3.5)]), cell_size=1.0), str(path))
+    meta = tmp_path / "x.pgm.meta"
+    meta.write_text("cell_size 1.0\n")
+    with pytest.raises(RasterError):
+        read_pgm(str(path))
+    meta.unlink()
+    with pytest.raises(FileNotFoundError):
+        read_pgm(str(path))
