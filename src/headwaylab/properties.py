@@ -589,8 +589,12 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     estimate = halfwidth = None
     used_batches = 0
     total_clock = 0.0
+    cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
+    chunks = 0
     while True:
-        finished = sim.run(observer, until_time=sim.t + chunk, wall_deadline=deadline)
+        chunks += 1
+        end = min(chunks * chunk, cap)  # absolute, so the cap is exact
+        finished = sim.run(observer, until_time=end, wall_deadline=deadline)
         bm = acc.batch_means(cfg.batches)
         if bm is not None:
             means, total_clock = bm
@@ -609,9 +613,9 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
         if not finished:
             truncated = True
             break
-        if cfg.max_sim_time is not None and sim.t >= cfg.max_sim_time:
+        if end >= cap:
             break
-        if clock != "time" and sim.t > warmup + 100 * chunk and acc.n == 0:
+        if clock != "time" and end > warmup + 100 * chunk and acc.n == 0:
             raise PropertyError(f"clock {clock!r} never advances")
 
     event_observed = acc.nonzero_f and acc.n > 0

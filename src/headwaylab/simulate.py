@@ -160,8 +160,8 @@ class Simulator:
         self.phase_rate = [0.0] * self.beta
         self.progress_base = [0.0] * self.beta  # completed fraction inside current patch
         self.progress_per_phase = [0.0] * self.beta
-        # route fraction of each bus: _route_progress, rewritten wherever
-        # patch or progress_base changes
+        # route fraction of each bus for the speed factor: _route_progress,
+        # rewritten in phased runs wherever patch or progress_base changes
         self.pos = [0.0] * self.beta
 
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
@@ -254,7 +254,8 @@ class Simulator:
         m = self.model
         self.patch[i] = j
         self.progress_base[i] = progress
-        self.pos[i] = self._route_progress(i)
+        if m.phased:
+            self.pos[i] = self._route_progress(i)
         if m.cfg.timetable and j in m.termini:
             lap = init_slot_lap if init_slot_lap is not None else self.lap[i]
             slot = m.r * lap + m.offsets[i] + m.anchors[j - 1]
@@ -328,14 +329,20 @@ class Simulator:
 
     # -- event loop -------------------------------------------------------------
 
-    def _next_departure(self) -> tuple[float, int]:
-        """Advance internal phase completions until some bus is ready to depart;
-        returns (time, bus).  Holding gates are re-evaluated here."""
-        m = self.model
-        theta_h = m.cfg.holding_threshold
+    def _next_event(self) -> Event:
+        """The next event, not yet applied: settle the phase completions and
+        holding gates that come before it, then return the earliest departure,
+        or the earliest hour-window expiry when it is due no later.  Ties
+        between buses go to the lowest index.  Settling draws no more than the
+        event needs, so a second call returns the same event."""
+        pending, expiries = self.pending, self._expiries
+        theta_h = self.model.cfg.holding_threshold
         while True:
-            t = min(self.pending)
-            i = self.pending.index(t)  # ties go to the lowest bus index
+            t = min(pending)
+            if expiries and expiries[0][0] <= t:
+                t, j, _ = expiries[0]
+                return Event(t, "expiry", 0, j)
+            i = pending.index(t)
             if not math.isfinite(t):
                 raise SimError("simulation stalled: no pending events")
             if self.phases_left[i] > 1:  # a phase completion is not an event: the clock stays
@@ -343,46 +350,33 @@ class Simulator:
                 self.progress_base[i] += self.progress_per_phase[i]
                 self.pos[i] = self._route_progress(i)
                 factor = self._speed_factor(i)
-                self.pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
+                pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
                 continue
+            j = self.patch[i]
             if theta_h is not None:
-                j = self.patch[i]
                 base = self.last_dep[j]
                 if base is not None and t < base + theta_h:
-                    self.pending[i] = base + theta_h
+                    pending[i] = base + theta_h
                     continue
-            return t, i
+            return Event(t, "dep", i + 1, j, self.lap[i])
 
-    def _next_expiry(self) -> float:
-        while self._expiries and self._expiries[0][0] <= self.t:
+    def _step(self, ev: Event,
+              observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
+        """Apply the event _next_event returned.  The observer, if any, sees
+        the state before the event's update."""
+        if observer is not None:
+            observer(self.t, ev, self)
+        self.t = ev.t
+        if ev.kind == "expiry":
             heapq.heappop(self._expiries)
-        return self._expiries[0][0] if self._expiries else math.inf
-
-    def _step(self, observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
-        """Process the next event: a departure, or an hour-window expiry when
-        hour ticks are enabled.  The observer, if any, sees the state before
-        the event's update."""
-        t_prev = self.t
-        dep_t, bus = self._next_departure()
-        if self.hour_ticks and self._next_expiry() <= dep_t:
-            t, j, _ = heapq.heappop(self._expiries)
-            ev = Event(t, "expiry", 0, j)
-            if observer is not None:
-                observer(t_prev, ev, self)
-            self.t = t
         else:
-            j = self.patch[bus]
-            ev = Event(dep_t, "dep", bus + 1, j, self.lap[bus])
-            if observer is not None:
-                observer(t_prev, ev, self)
-            self.t = dep_t
-            self._apply_departure(bus, j, dep_t)
+            self._apply_departure(ev.bus - 1, ev.patch, ev.t)
         self.events_processed += 1
         return ev
 
     def advance(self) -> Event:
         """Process and return the next state-changing event."""
-        return self._step(None)
+        return self._step(self._next_event(), None)
 
     def _apply_departure(self, bus: int, j: int, t: float):
         self.dep_count[j] += 1
@@ -400,26 +394,24 @@ class Simulator:
             wall_deadline: float | None = None) -> bool:
         """Drive events forward, invoking the observer with the pre-update state.
 
-        Returns False when stopped by the wall-clock deadline (truncated), else
-        True.  The observer is called as observer(t_prev, event, sim) before the
-        event's state change is applied (the simulator applies it right after),
-        so rval() at event time reflects the state x_{i-1}."""
+        With until_time T, every event at or before T is processed and none
+        after it, so afterwards self.t <= T.  Returns False when stopped by
+        the wall-clock deadline (truncated), else True.  The observer is
+        called as observer(t_prev, event, sim) before the event's state
+        change is applied (the simulator applies it right after), so rval()
+        at event time reflects the state x_{i-1}."""
+        stop = math.inf if until_time is None else until_time
         processed = 0
         while True:
-            if until_time is not None and self._peek_time() > until_time:
+            ev = self._next_event()
+            if ev.t > stop:
                 return True
             if max_events is not None and processed >= max_events:
                 return True
             if wall_deadline is not None and _time.monotonic() > wall_deadline:
                 return False
-            self._step(observer)
+            self._step(ev, observer)
             processed += 1
-
-    def _peek_time(self) -> float:
-        nxt = min(self.pending)
-        if self.hour_ticks and self._expiries:
-            nxt = min(nxt, self._expiries[0][0])
-        return nxt
 
 
 def run_trajectory(model: SimModel, seed: int, stop: Callable[[Event, Simulator], bool],

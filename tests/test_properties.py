@@ -294,6 +294,18 @@ def test_constant_one_under_counter_clock():
     assert res.halfwidth == 0.0
 
 
+@pytest.mark.parametrize("clock", ["time", "c_1"])
+def test_max_sim_time_caps_the_simulated_time(clock):
+    # chunks end at absolute multiples of chunk_time, the last one at the cap
+    prop = parse_quatex(f'y() = s.rval("y_1");\nS [ y(), "{clock}" ] < 1000;')
+    cfg = EstimatorConfig(warmup_time=500.0, wall_budget=30.0, chunk_time=10_000.0,
+                          max_sim_time=35_000.0, rel_halfwidth_target=0.0)
+    res = estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions, cfg,
+                                seed=4)
+    assert 30_000.0 < res.sim_time <= cfg.max_sim_time
+    assert not res.truncated
+
+
 def test_estimator_linearity_same_trajectory():
     model = two_patch_model()
     cfg = EstimatorConfig(warmup_time=500.0, wall_budget=30.0, max_sim_time=400_000.0,

@@ -33,11 +33,12 @@ class HourRecount:
 class FleetScanSimulator(Simulator):
     """Reference for the cached route positions: every speed-factor draw
     recomputes each bus's position from patch and progress_base and scans the
-    fleet for the nearest bus behind, and the next bus is picked with a key
-    on (pending, bus).  `wraps` counts draws whose nearest bus behind sits
+    fleet for the nearest bus behind, and the next event is selected with a
+    key on (pending, bus), so ties go to the lowest bus index.  `wraps` counts draws whose nearest bus behind sits
     across the 1.0 -> 0.0 wrap, ahead of the drawing bus in route fraction."""
 
     wraps = 0
+    picks = 0  # events this class selected, so a renamed hook cannot go unused
 
     def _position(self, b: int) -> float:
         lo, hi = self.model.spans[self.patch[b] - 1]
@@ -61,11 +62,14 @@ class FleetScanSimulator(Simulator):
             return self.model.cfg.slowdown
         return 1.0
 
-    def _next_departure(self) -> tuple[float, int]:
+    def _next_event(self) -> Event:
+        self.picks += 1
         theta_h = self.model.cfg.holding_threshold
         while True:
             i = min(range(self.beta), key=lambda b: (self.pending[b], b))
             t = self.pending[i]
+            if self._expiries and self._expiries[0][0] <= t:
+                return Event(self._expiries[0][0], "expiry", 0, self._expiries[0][1])
             if self.phases_left[i] > 1:
                 self.phases_left[i] -= 1
                 self.progress_base[i] += self.progress_per_phase[i]
@@ -77,7 +81,7 @@ class FleetScanSimulator(Simulator):
                 if base is not None and t < base + theta_h:
                     self.pending[i] = base + theta_h
                     continue
-            return t, i
+            return Event(t, "dep", i + 1, self.patch[i], self.lap[i])
 
 
 def two_patch_model(mu1=100.0, mu2=300.0, **overrides):
@@ -274,6 +278,28 @@ def test_every_hour_expiry_is_an_event(mode):
     assert expiries == sum(1 for b in deps if b + HOUR <= sim.t)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15),
+    dict(timetable=False, holding_threshold=120.0),
+], ids=["phased-held", "aggregated-held"])
+def test_run_processes_no_event_after_until_time(overrides):
+    # a held bus, or a bus with phases left, can sit in pending before T
+    # while its departure comes after T
+    m = airlink_model(**overrides)
+    sim = Simulator(m, seed=11, hour_ticks=True)
+    seen = []
+    for k in range(1, 11):
+        end = 2000.0 * k
+        sim.run(lambda t_prev, ev, s: seen.append(ev), until_time=end)
+        assert sim.t <= end
+        assert seen and all(ev.t <= end for ev in seen)
+        assert sim.events_processed == len(seen)
+    # stopping between chunks leaves the event stream as one run gives it
+    whole = Simulator(m, seed=11, hour_ticks=True)
+    assert seen == [whole.advance() for _ in seen]
+    assert {ev.kind for ev in seen} == {"dep", "expiry"}
+
+
 def test_run_trajectory_budget_flag():
     events, truncated = run_trajectory(airlink_model(), 3,
                                        lambda ev, s: False, max_events=100)
@@ -382,6 +408,7 @@ def test_cached_positions_match_fleet_scan(case):
     for _ in range(n_events):
         a, b = fast.advance(), ref.advance()
         assert (a.t, a.kind, a.bus, a.patch, a.lap) == (b.t, b.kind, b.bus, b.patch, b.lap)
+    assert ref.picks == n_events
     assert fast.slow_draws == ref.slow_draws
     assert fast.pending == ref.pending
     if m.cfg.speedmod_threshold is not None:
