@@ -65,7 +65,6 @@ class SimConfig:
     init: str = "uniform"  # or "terminus"
     seed: int = 0
     breakpoints: tuple[float, ...] | None = None  # patch spans; default equal
-    mode: str = "auto"  # "aggregated" | "phased" | "auto"
 
     def __post_init__(self):
         if self.n_buses < 1:
@@ -78,8 +77,6 @@ class SimConfig:
             raise SimError("speed threshold must be in (0, 1)")
         if self.init not in ("uniform", "terminus"):
             raise SimError("init must be 'uniform' or 'terminus'")
-        if self.mode not in ("aggregated", "phased", "auto"):
-            raise SimError("unknown simulation mode")
 
 
 @dataclass
@@ -122,10 +119,9 @@ def build_model(pm: PatchModel, cfg: SimConfig) -> SimModel:
         termini = tuple(sorted(cfg.terminus_patches))
         if any(not (1 <= t <= n) for t in termini):
             raise SimError("terminus patch index out of range")
-    phased = cfg.mode == "phased" or (cfg.mode == "auto" and cfg.speedmod_threshold is not None)
     offsets = [r * i / beta for i in range(beta)]
     return SimModel(list(pm.dists), list(pm.means), cfg, r, r / beta,
-                    anchors, offsets, termini, spans, phased)
+                    anchors, offsets, termini, spans, cfg.speedmod_threshold is not None)
 
 
 @dataclass
@@ -227,13 +223,12 @@ class Simulator:
         return lo + (hi - lo) * min(self.progress_base[i], 1.0)
 
     def _speed_factor(self, i: int) -> float:
-        theta = self.model.cfg.speedmod_threshold
-        if theta is None or self.beta < 2:
+        if self.beta < 2:
             return 1.0
         pos = self.pos
         p = pos[i]
         gap = min([(p - q) % 1.0 for q in pos[:i] + pos[i + 1:]])
-        if gap > theta:
+        if gap > self.model.cfg.speedmod_threshold:
             self.slow_draws += 1
             return self.model.cfg.slowdown
         return 1.0
@@ -390,8 +385,7 @@ class Simulator:
         self._enter_patch(bus, nxt, t)
 
     def run(self, observer: Callable[[float, Event, "Simulator"], None] | None = None,
-            until_time: float | None = None, max_events: int | None = None,
-            wall_deadline: float | None = None) -> bool:
+            until_time: float | None = None, wall_deadline: float | None = None) -> bool:
         """Drive events forward, invoking the observer with the pre-update state.
 
         With until_time T, every event at or before T is processed and none
@@ -401,17 +395,13 @@ class Simulator:
         change is applied (the simulator applies it right after), so rval()
         at event time reflects the state x_{i-1}."""
         stop = math.inf if until_time is None else until_time
-        processed = 0
         while True:
             ev = self._next_event()
             if ev.t > stop:
                 return True
-            if max_events is not None and processed >= max_events:
-                return True
             if wall_deadline is not None and _time.monotonic() > wall_deadline:
                 return False
             self._step(ev, observer)
-            processed += 1
 
 
 def run_trajectory(model: SimModel, seed: int, stop: Callable[[Event, Simulator], bool],

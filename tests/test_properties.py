@@ -189,8 +189,8 @@ def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
                            list(s.dep_count)))
             got.append({name: outcome(lambda: f(t)) for name, f in compiled.items()})
 
-    sim.run(observer, max_events=2000)
-    assert sim.events_processed == 2000
+    sim.run(observer, until_time=48_000.0)
+    assert sim.events_processed > 1500
     for state, row in zip(states, got):
         want = {name: outcome(lambda: tree_eval(expr, lambda nm: snapshot_rval(state, nm),
                                                 constants, prop.functions))

@@ -171,7 +171,9 @@ def test_near_deterministic_timetable_departures_on_slots():
 
 def test_exponential_phase_mean(rng):
     pm = PatchModel([ErlangParams(1, 0.02), ErlangParams(1, 0.02)])
-    m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=4, mode="phased"))
+    m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=4, speedmod_threshold=0.5,
+                                  slowdown=1.0))
+    assert m.phased
     sim = Simulator(m, seed=4)
     prev = 0.0
     gaps = []
@@ -258,15 +260,21 @@ def test_debug_hour_recount_consistency():
     m = airlink_model()
     sim = Simulator(m, seed=29, hour_ticks=True)
     oracle = HourRecount(m.n)
-    sim.run(oracle, max_events=5_000)
+    sim.run(oracle, until_time=120_000.0)
+    assert sim.events_processed > 4_000
     oracle.check(sim)
 
 
-@pytest.mark.parametrize("mode", ["aggregated", "phased"])
-def test_every_hour_expiry_is_an_event(mode):
+# speed modification with no slowdown: the phased simulator at the fitted rates
+PHASED_ONLY = dict(speedmod_threshold=0.15, slowdown=1.0)
+
+
+@pytest.mark.parametrize("overrides", [{}, PHASED_ONLY], ids=["aggregated", "phased"])
+def test_every_hour_expiry_is_an_event(overrides):
     # phase completions inside a patch must not move the clock past an
     # expiry, or the expiry is dropped and H_j changes between events
-    m = airlink_model(mode=mode)
+    m = airlink_model(**overrides)
+    assert m.phased == bool(overrides)
     sim = Simulator(m, seed=3, hour_ticks=True)
     deps, expiries = [], 0
     for _ in range(4_000):
@@ -322,7 +330,7 @@ def test_speed_modification_slows_leader():
         sim.advance()
     assert sim.slow_draws > 0
     # with slowdown the loop takes longer than the raw mean when gaps are wide
-    base_cfg = SimConfig(n_buses=2, timetable=False, seed=6, init="terminus", mode="phased")
+    base_cfg = SimConfig(n_buses=2, timetable=False, seed=6, init="terminus", **PHASED_ONLY)
     base = Simulator(build_model(pm, base_cfg), seed=6)
     for _ in range(30_000):
         base.advance()
@@ -394,7 +402,7 @@ ORACLE_CASES = {
         lambda: airlink_model(timetable=False, speedmod_threshold=0.15,
                               breakpoints=(0.0, 0.02, 0.1, 0.15, 0.3, 0.31, 0.5, 0.52,
                                            0.7, 0.9, 1.0)), False, 600),
-    "timetabled-phased-hour-ticks": (lambda: airlink_model(mode="phased"), True, 600),
+    "timetabled-phased-hour-ticks": (lambda: airlink_model(**PHASED_ONLY), True, 600),
     "aggregated-timetable": (lambda: airlink_model(), True, 5000),
 }
 
