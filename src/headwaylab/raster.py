@@ -345,13 +345,14 @@ def write_mask_pgm(m: SkeletonMask, path: str) -> None:
 
 def read_pgm(path: str) -> Raster:
     with open(path, "rb") as fh:
-        magic = fh.readline().split()[0]
-        if magic != b"P5":
-            raise RasterError("expected binary PGM (P5)")
-        dims = fh.readline().split()
+        magic, dims, maxval = (fh.readline().split() for _ in range(3))
+        if (magic != [b"P5"] or len(dims) != 2 or not all(map(bytes.isdigit, dims))
+                or len(maxval) != 1):
+            raise RasterError(f"{path}: needs a binary PGM header: P5, WIDTH HEIGHT, MAXVAL")
         width, height = int(dims[0]), int(dims[1])
-        fh.readline()  # maxval
         data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
+    if data.size != width * height:
+        raise RasterError(f"{path}: {data.size} pixel bytes, {width}x{height} needs {width * height}")
     meta = {}
 
     def parse(fields):

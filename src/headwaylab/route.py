@@ -451,6 +451,8 @@ def read_route_model(path: str, graph: RouteGraph) -> RouteModel:
             _, d, eid, forward, start, length = fields
             if d not in ("0", "1"):
                 raise ValueError(f"direction {d} is not 0 or 1")
+            if int(eid) not in graph.edges:
+                raise RouteError(f"{path}: segment edge {eid} is not an edge of the graph")
             dirs[int(d)].append(DirectedEdge(int(eid), bool(int(forward)), float(start), float(length)))
 
     read_lines(path, parse)

@@ -112,3 +112,12 @@ def test_malformed_artifact_is_a_usage_error(tmp_path, capsys):
                "--termini-patches", "1,1"])
     assert rc == 2
     assert f"error: stage 'simulate' failed: {model}, line 1: " in capsys.readouterr().err
+
+
+def test_empty_pgm_is_a_usage_error(tmp_path, capsys):
+    pgm = tmp_path / "empty.pgm"
+    pgm.write_bytes(b"")
+    (tmp_path / "empty.pgm.meta").write_text("cell_size 1.0\norigin 0.0 0.0\n")
+    rc = main(["graph", str(pgm), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"error: stage 'graph' failed: {pgm}: " in capsys.readouterr().err

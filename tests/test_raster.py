@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,4 +210,16 @@ def test_pgm_needs_its_sidecar(tmp_path):
         read_pgm(str(path))
     meta.unlink()
     with pytest.raises(FileNotFoundError):
+        read_pgm(str(path))
+
+
+@pytest.mark.parametrize("head", [b"", b"P5\n", b"P5\n3\n255\n", b"P5\n3 2\n", b"P2\n3 2\n255\n",
+                                  b"P5\n3 2\n255\n" + bytes(5)],
+                         ids=["empty", "magic-only", "one-dimension", "no-maxval", "ascii-pgm",
+                              "short-pixels"])
+def test_malformed_pgm_names_the_file(tmp_path, head):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(head)
+    (tmp_path / "x.pgm.meta").write_text("cell_size 1.0\norigin 0.0 0.0\n")
+    with pytest.raises(RasterError, match=re.escape(str(path))):
         read_pgm(str(path))

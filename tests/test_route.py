@@ -125,3 +125,11 @@ def test_route_model_file_validates_offsets(tmp_path):
                  "segment 0 0 1 5.0 5.0\nsegment 0 1 1 2.0 5.0\n")
     with pytest.raises(route.RouteError):
         read_route_model(str(p), straight_route_model().graph)
+
+
+def test_route_model_file_rejects_unknown_edge(tmp_path):
+    p = tmp_path / "route.txt"
+    p.write_text("termini 0 1\nloop_length 10.0\nrejection_radius 1.0\n"
+                 "segment 0 0 1 0.0 5.0\nsegment 1 999 0 5.0 5.0\n")
+    with pytest.raises(route.RouteError, match="edge 999"):
+        read_route_model(str(p), straight_route_model().graph)
