@@ -113,7 +113,8 @@ def _check_flags(p):
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--rel-halfwidth", type=float, default=0.10)
     p.add_argument("--budget", type=float, default=300.0, help="wall-clock seconds per assertion set")
-    p.add_argument("--max-sim-time", type=float)
+    p.add_argument("--max-sim-time", type=float,
+                   help="cap on simulated seconds per assertion; no event after it is processed")
 
 
 # stage -> (help, positional arguments with their help, flag declarations)

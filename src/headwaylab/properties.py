@@ -7,15 +7,16 @@ f against the clock C stays below p.  The estimate accumulates, over the
 event stream, (C(t_i) - C(t_{i-1})) * F(x_{i-1}) normalized by the total
 clock increment, evaluated with non-overlapping batch means on one long
 trajectory after a warmup; the run stops when the relative 95% confidence
-half-width reaches the target or the wall-clock budget runs out.  Batches
-carry equal clock weight, so the mean of the batch means equals
-sum(w*F)/sum(w); on long runs the stored units of clock weight merge
-pairwise when full (batch doubling, as in LBATCH and dynamic batch means),
-which bounds memory.
+half-width reaches the target, the simulated time reaches its cap, or the
+wall-clock budget runs out.  Batches carry equal clock weight, so the mean
+of the batch means equals sum(w*F)/sum(w); on long runs the stored units of
+clock weight merge pairwise when full (batch doubling, as in LBATCH and
+dynamic batch means), which bounds memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import time as _time
@@ -413,8 +414,12 @@ class EstimatorConfig:
     rel_halfwidth_target: float = 0.10
     wall_budget: float = 300.0
     min_samples: int = 64
+    # cap on simulated seconds: no event after it is processed, and the run
+    # stops there even when the half-width target is not met
     max_sim_time: float | None = None
-    chunk_time: float | None = None  # defaults to 20 * r
+    # seconds between convergence checks, which fall at whole multiples of
+    # it (and at max_sim_time); defaults to 20 * r
+    chunk_time: float | None = None
 
 
 @dataclass
@@ -586,13 +591,11 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                     skipped += 1
 
     truncated = False
-    estimate = halfwidth = None
+    estimate, halfwidth, rel = None, math.inf, math.inf
     used_batches = 0
     total_clock = 0.0
     cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
-    chunks = 0
-    while True:
-        chunks += 1
+    for chunks in itertools.count(1):
         end = min(chunks * chunk, cap)  # absolute, so the cap is exact
         finished = sim.run(observer, until_time=end, wall_deadline=deadline)
         bm = acc.batch_means(cfg.batches)
@@ -604,7 +607,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
             sd = float(dev.std(ddof=1)) if used_batches > 1 else math.inf
             tcrit = stats.t.ppf(0.975, used_batches - 1) if used_batches > 1 else math.inf
             halfwidth = tcrit * sd / math.sqrt(used_batches)
-            rel = halfwidth / abs(estimate) if estimate not in (None, 0.0) else (
+            rel = halfwidth / abs(estimate) if estimate != 0.0 else (
                 0.0 if halfwidth == 0.0 else math.inf)
             # an all-zero F stream is "event not yet observed": keep simulating
             # until the time or wall budget runs out, as the tables do
@@ -619,14 +622,8 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
             raise PropertyError(f"clock {clock!r} never advances")
 
     event_observed = acc.nonzero_f and acc.n > 0
-    if estimate is None:
-        rel = math.inf
-        halfwidth = math.inf
-    else:
-        rel = halfwidth / abs(estimate) if estimate != 0.0 else (0.0 if halfwidth == 0.0 else math.inf)
     verdict = _verdict(estimate, halfwidth, query.threshold, event_observed)
-    return EstimateResult(estimate, halfwidth if halfwidth is not None else math.inf,
-                          rel, used_batches, total_clock, sim.t, verdict,
+    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, sim.t, verdict,
                           event_observed, skipped, truncated, query)
 
 

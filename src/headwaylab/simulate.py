@@ -17,6 +17,11 @@ Three control mechanisms can modify departures:
   it) by more than a fraction theta_s of the route, its subsequently drawn
   phase rates are scaled by the slowdown factor (phase-level simulation).
 
+The simulator is phased exactly when speed modification is on: it then
+draws each exponential phase of a sojourn in turn, so a phase drawn after
+the gap to the follower widens runs slowed.  Otherwise each patch sojourn is
+one Gamma draw, the sum of its phases, equal in distribution.
+
 All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
 since the last departure from j by any bus, and H_j the number of buses that
@@ -24,9 +29,13 @@ departed j within the trailing hour.  A departure at b counts in H_j while
 t < b + HOUR; with hour ticks on, an expiry event fires at b + HOUR, so H_j
 changes only at events.
 
-One event step serves both ways of driving the simulator: `advance()`
-processes and returns one event, and `run()` repeats the step until a stop
-condition, handing each event to an observer before the state update.
+One next-event selection and one event step serve both ways of driving the
+simulator: `advance()` processes and returns one event, and `run()` repeats
+the step until a stop condition, handing each event to an observer before
+the state update.  `run(until_time=T)` processes every event at or before T
+and none after it, so it leaves the clock at the last event, at most T; the
+phases and holds it settles past T draw what the next run would, so a run
+cut into pieces gives the same events as one run.
 """
 
 from __future__ import annotations
