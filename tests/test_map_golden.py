@@ -1,0 +1,136 @@
+"""Golden pins for the map stages: heat map, skeleton, graph and route on a
+small seeded fixture, and skeletons of seeded random rasters.  The values
+were recorded from the implementation these stages replaced, so any change
+of output shows here, however the stages are written."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from headwaylab import graphs, raster, route, synthetic
+from headwaylab.ingest import TraceSet
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def text_digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def fixture_traces() -> TraceSet:
+    return synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=2, seed=7)
+
+
+@pytest.fixture(scope="module")
+def stages(fixture_traces):
+    heat = raster.rasterize_heatmap(fixture_traces, resolution=300)
+    blur = raster.gaussian_blur(heat, 1.0)
+    positive = blur.intensity[blur.intensity > 0]
+    skel = raster.skeletonize(blur, tau=0.3, eta=float(np.percentile(positive, 90)) / 40)
+    g = graphs.build_graph(skel, epsilon=2.0)
+    rm = route.derive_route_model(g, fixture_traces, rejection_radius=3 * heat.cell_size)
+    return heat, skel, g, rm
+
+
+def test_fixture_heat_map_pinned(stages):
+    heat = stages[0]
+    assert heat.intensity.shape == (91, 300)
+    assert digest(heat.intensity) == "71278c7774f77032"
+
+
+def test_fixture_skeleton_pinned(stages):
+    skel = stages[1]
+    assert int(skel.mask.sum()) == 334
+    assert digest(skel.mask) == "f085ff94b30378e6"
+
+
+def test_fixture_graph_pinned(stages):
+    g = stages[2]
+    assert len(g.edges) == 23
+    assert text_digest(sorted(g.edges.items())) == "98ee339c9dd43e7a"
+    assert text_digest(sorted(g.nodes.items())) == "ac1ed0ffaa38bfef"
+
+
+def test_fixture_route_pinned(stages):
+    rm = stages[3]
+    assert rm.termini == (0, 22)
+    assert rm.direction_length(0) == 8113.759673055872
+    assert rm.direction_length(1) == 8113.759673055872
+    assert text_digest([[(de.edge_id, de.forward, de.start_offset) for de in seq]
+                        for seq in rm.directions]) == "73194ac5a22ea680"
+
+
+def reference_heatmap(ts, cell_size, origin, shape, delta):
+    """Per-record heat map: each record's cell gains 1, then, for delta > 0,
+    each cell strictly between two consecutive records of one vehicle gains
+    delta, unless the pair spans more than 300 s or 5 km."""
+    grid = np.zeros(shape)
+
+    def cell(x, y):
+        j = min(max(int((x - origin[0]) / cell_size), 0), shape[1] - 1)
+        i = min(max(int((y - origin[1]) / cell_size), 0), shape[0] - 1)
+        return i, j
+
+    for vid in ts.vehicles():
+        recs = ts.traces[vid]
+        for rec in recs:
+            grid[cell(rec.x, rec.y)] += 1.0
+        for a, b in zip(recs, recs[1:]):
+            if delta == 0 or b.t - a.t > 300 or math.hypot(b.x - a.x, b.y - a.y) > 5000:
+                continue
+            ends = {cell(a.x, a.y), cell(b.x, b.y)}
+            for c in raster._supercover_cells(a.x, a.y, b.x, b.y, origin, cell_size,
+                                              shape[1], shape[0]):
+                if c not in ends:
+                    grid[c] += delta
+    return grid
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2])
+def test_fixture_heat_map_matches_per_record_reference(fixture_traces, delta):
+    heat = raster.rasterize_heatmap(fixture_traces, resolution=300, delta=delta)
+    want = reference_heatmap(fixture_traces, heat.cell_size, heat.origin, heat.intensity.shape, delta)
+    if delta == 0:
+        assert np.array_equal(heat.intensity, want)
+    else:
+        assert (want > 0).sum() > (heat.intensity == 1.0).sum()  # segments were drawn
+        np.testing.assert_allclose(heat.intensity, want, rtol=1e-9, atol=0)
+
+
+def random_raster(seed: int) -> tuple[raster.Raster, float, float]:
+    """Speckle noise, square blobs and thick horizontal, vertical and diagonal
+    strokes of random strength, with a threshold and an erosion step."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(24, 49, size=2))
+    grid = rng.uniform(0.0, 2.0, size=(h, w))
+    for _ in range(int(rng.integers(2, 6))):
+        i, j = int(rng.integers(3, h - 3)), int(rng.integers(3, w - 3))
+        grid[i - 2:i + 3, j - 2:j + 3] += rng.uniform(2.0, 9.0)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(2, h - 2))
+        grid[i - 1:i + 2, 2:w - 2] += rng.uniform(4.0, 15.0)
+    j = int(rng.integers(2, w - 2))
+    grid[2:h - 2, j - 1:j + 1] += rng.uniform(1.0, 12.0)
+    for k in range(2, min(h, w) - 2):
+        grid[k, k] += rng.uniform(0.0, 10.0)
+    return raster.Raster(grid, 1.0, (0.0, 0.0)), 1.5, float(rng.uniform(0.3, 2.0))
+
+
+RANDOM_SKELETONS = {
+    0: "e12a04b70b9525e4", 1: "2b7d061a6aa5bf61", 2: "abd1203566d38f10", 3: "3dc697c7800fb0dd",
+    4: "4939a07a38eeee14", 5: "10a3a519a7679b34", 6: "31241f109090bc10", 7: "ff28f17fd236a921",
+    8: "38d4930258a385d8", 9: "5501c58afbfda27a", 10: "5c1afea61344367f", 11: "c6d0691fed39b173",
+    12: "0591421d22054393", 13: "55f03b58938aeeb2", 14: "cdcc3aa9a05a5079", 15: "90796f5289d6c835",
+    16: "57434cc31f2f989b", 17: "d1672c45c4cade26", 18: "25e91f29e87998a0", 19: "cd04f5bd52a260be",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_SKELETONS))
+def test_random_raster_skeleton_pinned(seed):
+    r, tau, eta = random_raster(seed)
+    assert digest(raster.skeletonize(r, tau, eta).mask) == RANDOM_SKELETONS[seed]

@@ -223,3 +223,29 @@ def test_malformed_pgm_names_the_file(tmp_path, head):
     (tmp_path / "x.pgm.meta").write_text("cell_size 1.0\norigin 0.0 0.0\n")
     with pytest.raises(RasterError, match=re.escape(str(path))):
         read_pgm(str(path))
+
+
+# bit k of a neighbourhood code is set when the pixel at this offset is
+RING_OFFSETS = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
+
+
+def test_thinning_tables_match_labelled_neighbourhoods():
+    """A pixel is simple when its set neighbours form one 8-connected piece
+    and exactly one 4-connected piece of its unset neighbours touches it
+    orthogonally; its degree counts the set neighbours."""
+    from scipy.ndimage import label
+
+    simple, degree = np.zeros(256, dtype=bool), np.zeros(256, dtype=np.uint8)
+    for code in range(256):
+        fg = np.zeros((3, 3), dtype=bool)
+        for bit, (di, dj) in enumerate(RING_OFFSETS):
+            fg[1 + di, 1 + dj] = bool(code >> bit & 1)
+        bg = ~fg
+        bg[1, 1] = False
+        _, fg_pieces = label(fg, structure=np.ones((3, 3)))
+        bg_labels, _ = label(bg)
+        touching = {bg_labels[p] for p in ((0, 1), (1, 0), (1, 2), (2, 1))} - {0}
+        simple[code] = fg_pieces == 1 and len(touching) == 1
+        degree[code] = fg.sum()
+    assert np.array_equal(raster._SIMPLE, simple)
+    assert np.array_equal(raster._DEGREE, degree)
