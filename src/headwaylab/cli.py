@@ -97,7 +97,10 @@ def _sim_flags(p):
     p.add_argument("--no-timetable", action="store_true")
     p.add_argument("--termini-patches", help="two 1-based patch indices, e.g. 1,7")
     p.add_argument("--holding", type=float, help="holding threshold seconds")
-    p.add_argument("--speedmod", type=float, help="speed modification threshold fraction")
+    p.add_argument("--speedmod", type=float,
+                   help="speed modification threshold fraction; the gap to the follower is "
+                        "measured on the patch spans of patches.txt in --out, or on equal "
+                        "spans when there is none")
     p.add_argument("--slowdown", type=float, default=0.9)
     p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
 
@@ -220,7 +223,7 @@ def _window_from(args) -> ingest.TimeWindow | None:
     return ingest.TimeWindow(int(start), int(end), weekdays)
 
 
-def _sim_config(args, termini_patches) -> simulate.SimConfig:
+def _sim_config(args, termini_patches, breakpoints) -> simulate.SimConfig:
     return simulate.SimConfig(
         n_buses=args.beta,
         timetable=not args.no_timetable,
@@ -231,6 +234,7 @@ def _sim_config(args, termini_patches) -> simulate.SimConfig:
         slowdown=args.slowdown,
         init=args.init,
         seed=args.seed,
+        breakpoints=breakpoints,
     )
 
 
@@ -339,31 +343,38 @@ def cmd_fit(args, out: Path):
 
 
 def _load_model_for_sim(args, out: Path):
+    """The simulation model of `model.txt`, with the patch spans of
+    `patches.txt` in the output directory when there is one."""
     pm = fitting.read_patch_model(args.model)
+    ps = None
+    if (out / "patches.txt").exists():
+        ps = patches.read_patches(str(out / "patches.txt"))
+        if ps.n != pm.n:
+            raise StageError("simulate", f"{out / 'patches.txt'} has {ps.n} patches, "
+                             f"{args.model} has {pm.n}")
     termini_patches = None
     if not args.no_timetable:
         if args.termini_patches:
             a, b = args.termini_patches.split(",")
             termini_patches = (int(a), int(b))
-        elif all((out / name).exists() for name in ("graph.txt", "route.txt", "patches.txt")):
+        elif ps is not None and all((out / name).exists() for name in ("graph.txt", "route.txt")):
             g = graphs.read_graph(str(out / "graph.txt"))
             rm = route.read_route_model(str(out / "route.txt"), g)
-            ps = patches.read_patches(str(out / "patches.txt"))
             termini_patches = _terminus_patches_from_route(rm, ps, pm)
         else:
             raise StageError("simulate", "terminus patches unknown: none given, and no "
                              "route, patches and graph artifacts to derive them from")
-    cfg = _sim_config(args, termini_patches)
+    cfg = _sim_config(args, termini_patches, None if ps is None else tuple(ps.breakpoints))
     return simulate.build_model(pm, cfg)
 
 
 def cmd_simulate(args, out: Path):
     model = _load_model_for_sim(args, out)
-    events, truncated = simulate.run_trajectory(
-        model, args.seed, stop=lambda ev, sim: ev.t >= args.horizon)
+    events = []
+    simulate.Simulator(model, seed=args.seed).run(
+        lambda t, ev, sim: events.append(ev), until_time=args.horizon)
     simulate.write_event_log(events, str(out / "events.tsv"))
-    print(f"simulate: {len(events)} departures to t={args.horizon:.0f}"
-          + (" (truncated)" if truncated else ""))
+    print(f"simulate: {len(events)} departures to t={args.horizon:.0f}")
 
 
 def cmd_check(args, out: Path):

@@ -3,9 +3,9 @@
 Crossing times come from route-completion fractions interpolated to 1-second
 granularity between consecutive records of one vehicle.  A per-vehicle timer
 emits a duration at every forward patch boundary crossing; the timer is
-poisoned (suppressing the next observation) by backward crossings, by gaps of
-more than 5 minutes between records, and by straight-line jumps of more than
-5 km, and recovers at the next forward crossing.
+poisoned (suppressing the next observation) by backward crossings and by
+trace gaps (`ingest.is_gap`: more than 5 minutes or a straight-line jump of
+more than 5 km between records), and recovers at the next forward crossing.
 
 Erlang fitting follows the moment-matched likelihood scan: lambda = k / mean,
 k increased from 1 until the log-likelihood first drops, previous k returned.
@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .artifacts import read_lines, write_lines
+from .ingest import is_gap
 from .patches import PatchStructure, compute_fractions
 
 
@@ -34,8 +35,6 @@ class FitError(ValueError):
     pass
 
 
-GAP_SECONDS = 300.0
-GAP_DISTANCE = 5000.0
 K_CAP = 10000
 
 
@@ -99,9 +98,7 @@ def dist_cdf(dist: Distribution, t) -> np.ndarray:
 
 # --- crossing time extraction -------------------------------------------
 
-def extract_crossing_times(ts, rm, ps: PatchStructure,
-                           gap_seconds: float = GAP_SECONDS,
-                           gap_distance: float = GAP_DISTANCE):
+def extract_crossing_times(ts, rm, ps: PatchStructure):
     """Per-patch crossing-time observations.
 
     Equivalent to walking interpolated fractions second by second: boundary
@@ -118,8 +115,7 @@ def extract_crossing_times(ts, rm, ps: PatchStructure,
         poisoned = True  # nothing observed yet
         for (t1, f1, x1, y1), (t2, f2, x2, y2) in zip(rows, rows[1:]):
             dt = t2 - t1
-            dist = math.hypot(x2 - x1, y2 - y1)
-            if dt > gap_seconds or dist > gap_distance:
+            if is_gap(dt, math.hypot(x2 - x1, y2 - y1)):
                 poisoned = True
                 continue
             df = f2 - f1

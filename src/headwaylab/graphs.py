@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_lines, write_lines
+from .raster import neighbour_counts
 
 
 class GraphError(ValueError):
@@ -69,16 +70,8 @@ def rdp(points: list[tuple[float, float]], epsilon: float) -> list[tuple[float, 
     return [p for p, k in zip(points, keep) if k]
 
 
+# tracing order: it fixes the order of runs, hence the edge ids
 _NBRS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
-def _neighbor_counts(mask: np.ndarray) -> np.ndarray:
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
-    out = np.zeros(mask.shape, dtype=np.uint8)
-    for di, dj in _NBRS:
-        out += padded[1 + di:padded.shape[0] - 1 + di, 1 + dj:padded.shape[1] - 1 + dj]
-    return out
 
 
 def build_graph(skel, epsilon: float, split_divisor: float = 1.0) -> RouteGraph:
@@ -99,7 +92,7 @@ def build_graph(skel, epsilon: float, split_divisor: float = 1.0) -> RouteGraph:
     cs = skel.cell_size
     ox, oy = skel.origin
 
-    counts = _neighbor_counts(mask)
+    counts = neighbour_counts(mask)
     node_px = mask & (counts != 0) & (counts != 2)
     isolated = mask & (counts == 0)  # stray dots: not part of any run
 

@@ -5,6 +5,12 @@ planar x, planar y, timestamp).  Rows are grouped per vehicle and sorted by
 time; everything downstream works on these per-vehicle chronological traces.
 Coordinates are treated as an arbitrary consistent planar frame: the pipeline
 is shift- and uniform-scale-invariant, so no datum conversion happens here.
+
+One trace-gap rule serves every later stage: two consecutive records of a
+vehicle are a gap when they lie more than GAP_SECONDS apart in time or more
+than GAP_DISTANCE apart in a straight line.  The heat map draws no segment
+across a gap, crossing extraction poisons its timer at one, and route
+derivation caps a record's dwell at GAP_SECONDS.
 """
 
 from __future__ import annotations
@@ -13,6 +19,15 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable
+
+
+GAP_SECONDS = 300.0
+GAP_DISTANCE = 5000.0  # in input coordinate units
+
+
+def is_gap(dt: float, dist: float) -> bool:
+    """Whether consecutive records dt seconds and dist units apart are a gap."""
+    return dt > GAP_SECONDS or dist > GAP_DISTANCE
 
 
 class IngestError(ValueError):

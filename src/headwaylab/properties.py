@@ -99,6 +99,21 @@ class PropertyFile:
     assertions: list[SteadyStateQuery]
 
 
+def _subterms(expr):
+    """expr and every term below it, parents before children and operands
+    left to right; a call is a leaf (its body is not entered)."""
+    yield expr
+    if isinstance(expr, Unary):
+        yield from _subterms(expr.operand)
+    elif isinstance(expr, Binary):
+        yield from _subterms(expr.left)
+        yield from _subterms(expr.right)
+    elif isinstance(expr, IfThenElse):
+        yield from _subterms(expr.cond)
+        yield from _subterms(expr.then)
+        yield from _subterms(expr.other)
+
+
 # --- lexer / parser ----------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -280,17 +295,7 @@ class _Parser:
     @staticmethod
     def _check_calls(functions, assertions):
         def calls_in(expr):
-            if isinstance(expr, Call):
-                yield expr.name
-            elif isinstance(expr, Unary):
-                yield from calls_in(expr.operand)
-            elif isinstance(expr, Binary):
-                yield from calls_in(expr.left)
-                yield from calls_in(expr.right)
-            elif isinstance(expr, IfThenElse):
-                yield from calls_in(expr.cond)
-                yield from calls_in(expr.then)
-                yield from calls_in(expr.other)
+            return (e.name for e in _subterms(expr) if isinstance(e, Call))
 
         for name, expr in functions.items():
             for callee in calls_in(expr):
@@ -628,20 +633,10 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
 
 
 def _mentions_hour_counter(expr, functions) -> bool:
-    def walk(e):
-        if isinstance(e, Rval):
-            return e.name.startswith("H_")
-        if isinstance(e, Unary):
-            return walk(e.operand)
-        if isinstance(e, Binary):
-            return walk(e.left) or walk(e.right)
-        if isinstance(e, IfThenElse):
-            return walk(e.cond) or walk(e.then) or walk(e.other)
-        if isinstance(e, Call):
-            return walk(functions[e.name])
-        return False
-
-    return walk(expr)
+    """Whether expr reads an H_j counter, itself or through a called function."""
+    return any(isinstance(e, Rval) and e.name.startswith("H_")
+               or isinstance(e, Call) and _mentions_hour_counter(functions[e.name], functions)
+               for e in _subterms(expr))
 
 
 def _verdict(estimate, halfwidth, threshold, event_observed) -> str:

@@ -2,10 +2,16 @@
 
 The heat map counts one unit per measurement per cell and optionally adds a
 configurable weight for every cell crossed by the straight line between
-consecutive same-vehicle measurements.  The skeleton stage thins the
-thresholded map to a one-pixel-wide, 8-connected centerline by eroding
-boundary-pixel intensity, so that faint structures (interpolation "hairs")
-exhaust and unravel while well-travelled lines survive.
+consecutive same-vehicle measurements, except across a trace gap (see
+`ingest`).  The skeleton stage thins the thresholded map to a one-pixel-wide,
+8-connected centerline by eroding boundary-pixel intensity, so that faint
+structures (interpolation "hairs") exhaust and unravel while well-travelled
+lines survive.
+
+Every pixel removal goes through one sweep rule: visit the given pixels in
+row-major order, clear each live one that the stage's removal test accepts
+(the test reads the pixel's 8-neighbourhood as it stands at that moment),
+and repeat until a whole visit clears none.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_lines, write_lines
+from .ingest import is_gap
 
 DEFAULT_RESOLUTION = 1024
-GAP_SECONDS = 300.0
-GAP_DISTANCE = 5000.0  # straight-line jump threshold, in input coordinate units
 
 
 class RasterError(ValueError):
@@ -42,11 +47,6 @@ class Raster:
     @property
     def width(self) -> int:
         return self.intensity.shape[1]
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        j = min(int((x - self.origin[0]) / self.cell_size), self.width - 1)
-        i = min(int((y - self.origin[1]) / self.cell_size), self.height - 1)
-        return max(i, 0), max(j, 0)
 
 
 @dataclass
@@ -85,24 +85,24 @@ def _supercover_cells(x0, y0, x1, y1, origin, cell_size, width, height):
 
 
 def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
-                      boost: float = 0.0, resolution: int = DEFAULT_RESOLUTION,
-                      gap_seconds: float = GAP_SECONDS,
-                      gap_distance: float = GAP_DISTANCE) -> Raster:
+                      boost: float = 0.0, resolution: int = DEFAULT_RESOLUTION) -> Raster:
     """Build the observation heat map.
 
     Every measurement adds 1.0 to its cell.  With delta > 0, every cell crossed
     by the segment between consecutive same-vehicle measurements (excluding the
-    two endpoint cells) gains delta; segments spanning a time gap > gap_seconds
-    or a straight-line jump > gap_distance are skipped.  A contrast boost
-    b >= 0 then applies intensity <- (intensity/max)**(1/(1+b)) * max.
+    two endpoint cells) gains delta; segments across a trace gap are skipped.
+    The map is the measurement counts plus delta times the crossing counts.
+    A contrast boost b >= 0 then applies
+    intensity <- (intensity/max)**(1/(1+b)) * max.
     """
     if delta < 0 or boost < 0:
         raise RasterError("delta and boost must be non-negative")
-    pts = [(r.x, r.y) for r in ts.all_records()]
-    if not pts:
+    recs = list(ts.all_records())
+    if not recs:
         raise RasterError("empty trace set")
-    xs, ys = zip(*pts)
-    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    xs = np.array([r.x for r in recs])
+    ys = np.array([r.y for r in recs])
+    min_x, max_x, min_y, max_y = (float(v) for v in (xs.min(), xs.max(), ys.min(), ys.max()))
     extent = max(max_x - min_x, max_y - min_y)
     if cell_size is None:
         if extent <= 0:
@@ -114,33 +114,34 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
     width = max(1, int(math.ceil((max_x - min_x) / cell_size)) or 1)
     height = max(1, int(math.ceil((max_y - min_y) / cell_size)) or 1)
     origin = (min_x, min_y)
+    # each record's cell, clamped to the grid
+    rows = np.clip(((ys - min_y) / cell_size).astype(np.int64), 0, height - 1)
+    cols = np.clip(((xs - min_x) / cell_size).astype(np.int64), 0, width - 1)
     grid = np.zeros((height, width), dtype=np.float64)
-    r = Raster(grid, cell_size, origin)
+    np.add.at(grid, (rows, cols), 1.0)
 
-    for vid in ts.vehicles():
-        recs = ts.traces[vid]
-        prev = None
-        for rec in recs:
-            i, j = r.cell_of(rec.x, rec.y)
-            grid[i, j] += 1.0
-            if delta > 0 and prev is not None:
-                dt = rec.t - prev.t
-                dist = math.hypot(rec.x - prev.x, rec.y - prev.y)
-                if dt <= gap_seconds and dist <= gap_distance:
-                    c0 = r.cell_of(prev.x, prev.y)
-                    c1 = (i, j)
-                    for cell in _supercover_cells(prev.x, prev.y, rec.x, rec.y,
-                                                  origin, cell_size, width, height):
-                        if cell != c0 and cell != c1:
-                            grid[cell] += delta
-            prev = rec
+    if delta > 0:
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        crossings = np.zeros_like(grid)
+        first = 0
+        for vid in ts.vehicles():
+            last = first + len(ts.traces[vid]) - 1
+            for k in range(first, last):
+                a, b = recs[k], recs[k + 1]
+                if is_gap(b.t - a.t, math.hypot(b.x - a.x, b.y - a.y)):
+                    continue
+                for cell in _supercover_cells(a.x, a.y, b.x, b.y, origin, cell_size, width, height):
+                    if cell != cells[k] and cell != cells[k + 1]:
+                        crossings[cell] += 1.0
+            first = last + 1
+        grid += delta * crossings
 
     if boost > 0:
         mx = grid.max()
         if mx > 0:
             np.power(grid / mx, 1.0 / (1.0 + boost), out=grid)
             grid *= mx
-    return r
+    return Raster(grid, cell_size, origin)
 
 
 def gaussian_blur(r: Raster, sigma: float) -> Raster:
@@ -167,6 +168,27 @@ def gaussian_blur(r: Raster, sigma: float) -> Raster:
 _RING = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
 
 
+def _components(cells, adjacent) -> list[set]:
+    """Connected components of `cells` under the relation adjacent(a, b)."""
+    comps = []
+    seen = set()
+    for start in cells:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            a = stack.pop()
+            for b in cells:
+                if b not in seen and adjacent(a, b):
+                    seen.add(b)
+                    comp.add(b)
+                    stack.append(b)
+        comps.append(comp)
+    return comps
+
+
 def _build_luts():
     """256-entry tables over the 8-neighborhood occupancy code.
 
@@ -175,63 +197,29 @@ def _build_luts():
     piece (so no local disconnection and no pinholes).
     degree[code]: number of set neighbours.
     """
+    def steps(a, b):
+        return abs(_RING[a][0] - _RING[b][0]), abs(_RING[a][1] - _RING[b][1])
+
+    def adjacent8(a, b):
+        return max(steps(a, b)) == 1
+
+    def adjacent4(a, b):
+        return sum(steps(a, b)) == 1
+
     simple = np.zeros(256, dtype=bool)
     degree = np.zeros(256, dtype=np.uint8)
     for code in range(256):
         fg = [k for k in range(8) if code >> k & 1]
         bg = [k for k in range(8) if not code >> k & 1]
         degree[code] = len(fg)
-
-        def ncomp(cells, conn8):
-            comps = 0
-            seen = set()
-            for s in cells:
-                if s in seen:
-                    continue
-                comps += 1
-                stack = [s]
-                seen.add(s)
-                while stack:
-                    a = stack.pop()
-                    for b in cells:
-                        if b in seen:
-                            continue
-                        di = abs(_RING[a][0] - _RING[b][0])
-                        dj = abs(_RING[a][1] - _RING[b][1])
-                        adj = (max(di, dj) == 1) if conn8 else (di + dj == 1)
-                        if adj:
-                            seen.add(b)
-                            stack.append(b)
-            return comps
-
-        fg_ok = ncomp(fg, True) == 1
-        # background components 4-adjacent to the center (orthogonal ring slots)
-        bg_comps_touching = 0
-        seen = set()
-        for s in bg:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                a = stack.pop()
-                for b in bg:
-                    if b in seen:
-                        continue
-                    di = abs(_RING[a][0] - _RING[b][0])
-                    dj = abs(_RING[a][1] - _RING[b][1])
-                    if di + dj == 1:
-                        seen.add(b)
-                        comp.add(b)
-                        stack.append(b)
-            if any(k in (0, 2, 4, 6) for k in comp):
-                bg_comps_touching += 1
-        simple[code] = fg_ok and bg_comps_touching == 1
+        # background pieces 4-adjacent to the center (orthogonal ring slots)
+        touching = [c for c in _components(bg, adjacent4) if c & {0, 2, 4, 6}]
+        simple[code] = len(_components(fg, adjacent8)) == 1 and len(touching) == 1
     return simple, degree
 
 
 _SIMPLE, _DEGREE = _build_luts()
+_REDUNDANT = _SIMPLE & (_DEGREE >= 2)  # removable without cutting or ending a line
 
 
 def _codes(alive: np.ndarray) -> np.ndarray:
@@ -244,6 +232,11 @@ def _codes(alive: np.ndarray) -> np.ndarray:
     return code
 
 
+def neighbour_counts(mask: np.ndarray) -> np.ndarray:
+    """Number of set 8-neighbours of every pixel; off-image neighbours are unset."""
+    return _DEGREE[_codes(mask)]
+
+
 def _code_at(alive, i, j) -> int:
     h, w = alive.shape
     code = 0
@@ -254,10 +247,24 @@ def _code_at(alive, i, j) -> int:
     return code
 
 
+def _sweep(alive: np.ndarray, pixels: list, removable) -> None:
+    """Clear, in the order given, every pixel of `pixels` that is alive and
+    for which removable(i, j, code) holds, code being its current
+    neighbourhood; repeat until a whole pass clears none."""
+    progress = True
+    while progress:
+        progress = False
+        for i, j in pixels:
+            if alive[i, j] and removable(i, j, _code_at(alive, i, j)):
+                alive[i, j] = False
+                progress = True
+
+
 _CC8 = np.ones((3, 3), dtype=np.uint8)
+_MAX_PASSES = 100000  # erosion passes before thinning is declared unstable
 
 
-def skeletonize(r: Raster, tau: float, eta: float, max_passes: int = 100000) -> SkeletonMask:
+def skeletonize(r: Raster, tau: float, eta: float) -> SkeletonMask:
     """Threshold at tau, then thin by intensity erosion.
 
     Each pass subtracts eta from every boundary pixel.  A pixel whose intensity
@@ -280,47 +287,27 @@ def skeletonize(r: Raster, tau: float, eta: float, max_passes: int = 100000) -> 
         raise RasterError("all pixels below threshold")
     locked = np.zeros_like(alive)
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         if not (alive & ~locked).any():
             break
-        codes = _codes(alive)
-        boundary = alive & ~locked & (_DEGREE[codes] < 8)
+        boundary = alive & ~locked & (neighbour_counts(alive) < 8)
         intensity[boundary] -= eta
         dead = alive & ~locked & (intensity <= 0)
         if dead.any():
             labels, _ = _cc_label(alive, structure=_CC8)
             live_labels = set(np.unique(labels[alive & (intensity > 0)]))
-            candidates = list(map(tuple, np.argwhere(dead)))
-            progress = True
-            while progress:
-                progress = False
-                for (i, j) in candidates:
-                    if not alive[i, j]:
-                        continue
-                    code = _code_at(alive, i, j)
-                    deg = _DEGREE[code]
-                    if deg == 0 or (deg >= 2 and _SIMPLE[code]) \
-                            or (deg == 1 and labels[i, j] in live_labels):
-                        alive[i, j] = False
-                        intensity[i, j] = 0.0
-                        progress = True
-            for (i, j) in candidates:
-                if alive[i, j]:
-                    locked[i, j] = True
-                    intensity[i, j] = 0.0
+
+            def exhausted_removable(i, j, code):
+                deg = _DEGREE[code]
+                return deg == 0 or _REDUNDANT[code] or (deg == 1 and labels[i, j] in live_labels)
+
+            _sweep(alive, np.argwhere(dead).tolist(), exhausted_removable)
+            locked |= dead & alive
     else:
         raise RasterError("thinning did not stabilize")
 
-    # fixed-point cleanup: no remaining pixel of degree >= 2 may be simple
-    progress = True
-    while progress:
-        progress = False
-        for (i, j) in map(tuple, np.argwhere(alive)):
-            code = _code_at(alive, i, j)
-            if _DEGREE[code] >= 2 and _SIMPLE[code]:
-                alive[i, j] = False
-                progress = True
-
+    # no remaining pixel of degree >= 2 may be simple
+    _sweep(alive, np.argwhere(alive).tolist(), lambda i, j, code: _REDUNDANT[code])
     if not alive.any():
         raise RasterError("thinning removed every pixel; lower eta or tau")
     return SkeletonMask(alive, r.cell_size, r.origin)

@@ -27,6 +27,7 @@ from scipy.spatial import cKDTree
 
 from .artifacts import read_lines, write_lines
 from .graphs import RouteGraph
+from .ingest import GAP_SECONDS
 
 
 class RouteError(ValueError):
@@ -147,33 +148,16 @@ def best_candidate(edge, along, dist, keep=None):
     return tuple(np.take_along_axis(a, j, axis=1)[:, 0] for a in (edge, along, dist))
 
 
-def _graph_distances(graph: RouteGraph, sources: set[int]) -> dict[int, float]:
+def _dijkstra(graph: RouteGraph, adj, sources) -> tuple[dict[int, float], dict[int, tuple[int, int]]]:
+    """Shortest distances from the nearest of `sources` over `adj`
+    (graph.adjacency()), and for every other reached node the (node, edge)
+    hop it is reached by.  Of parallel edges the shortest wins, the first in
+    adjacency order on a tie."""
     dist = {n: 0.0 for n in sources}
-    heap = [(0.0, n) for n in sources]
-    adj = graph.adjacency()
-    while heap:
-        d, n = heapq.heappop(heap)
-        if d > dist.get(n, math.inf):
-            continue
-        for m, eid in adj[n]:
-            nd = d + graph.edges[eid][2]
-            if nd < dist.get(m, math.inf):
-                dist[m] = nd
-                heapq.heappush(heap, (nd, m))
-    return dist
-
-
-def _shortest_node_path(graph: RouteGraph, src: int, dst: int) -> list[int] | None:
-    if src == dst:
-        return [src]
-    adj = graph.adjacency()
-    dist = {src: 0.0}
     prev: dict[int, tuple[int, int]] = {}
-    heap = [(0.0, src)]
+    heap = [(0.0, n) for n in sources]
     while heap:
         d, n = heapq.heappop(heap)
-        if n == dst:
-            break
         if d > dist.get(n, math.inf):
             continue
         for m, eid in adj[n]:
@@ -182,23 +166,7 @@ def _shortest_node_path(graph: RouteGraph, src: int, dst: int) -> list[int] | No
                 dist[m] = nd
                 prev[m] = (n, eid)
                 heapq.heappush(heap, (nd, m))
-    if dst not in dist:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]][0])
-    return path[::-1]
-
-
-def _edges_of_node_path(graph: RouteGraph, nodes: list[int]) -> list[tuple[int, bool]]:
-    adj = graph.adjacency()
-    out = []
-    for a, b in zip(nodes, nodes[1:]):
-        eid = min((e for m, e in adj[a] if m == b), key=lambda e: graph.edges[e][2], default=None)
-        if eid is None:
-            raise RouteError("broken node path")
-        out.append((eid, graph.edges[eid][0] == a))
-    return out
+    return dist, prev
 
 
 def _orient_chain(graph: RouteGraph, edge_ids: list[int]) -> list[tuple[int, bool]]:
@@ -230,33 +198,30 @@ def _orient_chain(graph: RouteGraph, edge_ids: list[int]) -> list[tuple[int, boo
     return out
 
 
-def _stitch(graph: RouteGraph, edge_seq: list[int], start_node: int) -> list[tuple[int, bool]]:
-    """Expand a coarse observed edge sequence into a contiguous directed path,
+def _stitch(graph: RouteGraph, adj, edge_seq: list[int], start_node: int) -> list[int]:
+    """Expand a coarse observed edge sequence into a contiguous edge path,
     filling gaps between consecutive observed edges by shortest paths."""
-    result: list[tuple[int, bool]] = []
+    result: list[int] = []
     cur = start_node
     for eid in edge_seq:
         a, b, _ = graph.edges[eid]
+        dist, prev = _dijkstra(graph, adj, [cur])
         # reach whichever endpoint is closer (by graph distance), then traverse
-        best = None
-        for enter, leave in ((a, b), (b, a)):
-            nodes = _shortest_node_path(graph, cur, enter)
-            if nodes is None:
-                continue
-            cost = sum(graph.edges[e][2] for e, _ in _edges_of_node_path(graph, nodes))
-            if best is None or cost < best[0]:
-                best = (cost, nodes, enter, leave)
-        if best is None:
+        enter, leave = (a, b) if dist.get(a, math.inf) <= dist.get(b, math.inf) else (b, a)
+        if enter not in dist:
             raise RouteError(f"edge {eid} unreachable while stitching route")
-        _, nodes, enter, leave = best
-        hops = _edges_of_node_path(graph, nodes)
-        for e, fwd in hops:
-            if result and result[-1][0] == e:
+        hops = []
+        node = enter
+        while node != cur:
+            node, e = prev[node]
+            hops.append(e)
+        for e in reversed(hops):
+            if result and result[-1] == e:
                 result.pop()  # immediate backtrack: drop the out-and-back pair
             else:
-                result.append((e, fwd))
-        if not result or result[-1][0] != eid:
-            result.append((eid, graph.edges[eid][0] == enter))
+                result.append(e)
+        if not result or result[-1] != eid:
+            result.append(eid)
         cur = leave
     return result
 
@@ -272,6 +237,7 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
     if len(graph.edges) < 2:
         raise RouteError("graph needs at least 2 edges")
     index = EdgeIndex(graph, sample_step=max(rejection_radius / 2, 1e-9))
+    adj = graph.adjacency()
 
     # snap all records, in batches per vehicle; accumulate dwell time per edge
     dwell = defaultdict(float)
@@ -289,7 +255,7 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
             if dist > rejection_radius:
                 continue
             if i + 1 < len(recs):
-                dt = min(recs[i + 1].t - rec.t, 300.0)
+                dt = min(recs[i + 1].t - rec.t, GAP_SECONDS)
                 dwell[eid] += dt
             rows.append((rec.t, eid, along))
         snapped[vid] = rows
@@ -310,7 +276,7 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
         # a terminus dwell can spread over several short edges, so the runner-up
         # by score may sit at the same end; require clear graph separation
         min_sep = 0.25 * graph.total_length()
-        dist_from_first = _graph_distances(graph, set(graph.edges[first][:2]))
+        dist_from_first, _ = _dijkstra(graph, adj, set(graph.edges[first][:2]))
         second = None
         for eid in ranked[1:]:
             a, b, _ = graph.edges[eid]
@@ -344,15 +310,13 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
         return list(best[0])
 
     def direction(from_e: int, to_e: int) -> list[tuple[int, bool]]:
-        coarse = modal(passages[(from_e, to_e)])
+        coarse = [from_e] + modal(passages[(from_e, to_e)]) + [to_e]
         a_from, b_from, _ = graph.edges[from_e]
         # start traversal at the far end of the from-terminus edge
-        seq = _stitch(graph, [from_e] + coarse + [to_e], a_from)
-        if not seq or seq[0][0] != from_e:
-            seq = _stitch(graph, [from_e] + coarse + [to_e], b_from)
-        # re-derive orientations by chaining shared nodes (the stitcher's
-        # backtrack pruning can leave stale flags)
-        return _orient_chain(graph, [e for e, _ in seq])
+        seq = _stitch(graph, adj, coarse, a_from)
+        if not seq or seq[0] != from_e:
+            seq = _stitch(graph, adj, coarse, b_from)
+        return _orient_chain(graph, seq)
 
     dir1 = direction(term_a, term_b)
     dir2 = direction(term_b, term_a)

@@ -413,20 +413,6 @@ class Simulator:
             self._step(ev, observer)
 
 
-def run_trajectory(model: SimModel, seed: int, stop: Callable[[Event, Simulator], bool],
-                   max_events: int = 10_000_000) -> tuple[list[Event], bool]:
-    """Chronological event stream until the stop predicate fires.  Returns
-    (events, truncated) where truncated flags budget exhaustion."""
-    sim = Simulator(model, seed=seed)
-    events: list[Event] = []
-    for _ in range(max_events):
-        ev = sim.advance()
-        events.append(ev)
-        if stop(ev, sim):
-            return events, False
-    return events, True
-
-
 def write_event_log(events: Iterable[Event], path: str) -> None:
     write_lines(path, [("t", "bus", "kind", "patch", "lap"),
                        *((f"{ev.t:.3f}", ev.bus, ev.kind, ev.patch, ev.lap) for ev in events)], "\t")

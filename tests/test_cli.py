@@ -3,7 +3,7 @@ import argparse
 import pytest
 
 from headwaylab import fitting, graphs, ingest, patches, raster, route, synthetic
-from headwaylab.cli import ARTIFACTS, _apply_config_file, build_parser, main
+from headwaylab.cli import ARTIFACTS, _apply_config_file, _load_model_for_sim, build_parser, main
 
 
 def subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -121,3 +121,33 @@ def test_empty_pgm_is_a_usage_error(tmp_path, capsys):
     rc = main(["graph", str(pgm), "--out", str(tmp_path)])
     assert rc == 2
     assert f"error: stage 'graph' failed: {pgm}: " in capsys.readouterr().err
+
+
+def three_patch_run(tmp_path, break_bins=(2, 15)):
+    """model.txt with three patches and a patches.txt of the given bins of 20
+    in tmp_path; returns the `simulate` argv for them."""
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3)))
+    patches.write_patches(patches.PatchStructure(20, list(break_bins)), str(tmp_path / "patches.txt"))
+    return ["simulate", str(model), "--out", str(tmp_path), "--beta", "3", "--seed", "1",
+            "--no-timetable", "--speedmod", "0.15"]
+
+
+def test_simulate_takes_patch_spans_from_patches_txt(tmp_path):
+    args = build_parser().parse_args(three_patch_run(tmp_path))
+    model = _load_model_for_sim(args, tmp_path)
+    assert model.spans == [(0.0, 0.1), (0.1, 0.75), (0.75, 1.0)]
+
+
+def test_patch_count_mismatch_is_a_usage_error(tmp_path, capsys):
+    rc = main(three_patch_run(tmp_path, break_bins=(10,)))
+    assert rc == 2
+    assert "has 2 patches" in capsys.readouterr().err
+
+
+def test_simulate_events_end_at_the_horizon(tmp_path):
+    rc = main(three_patch_run(tmp_path) + ["--horizon", "20000"])
+    assert rc == 0
+    rows = (tmp_path / "events.tsv").read_text().splitlines()[1:]
+    times = [float(row.split("\t")[0]) for row in rows]
+    assert times and max(times) <= 20000

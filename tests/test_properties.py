@@ -49,6 +49,25 @@ def test_parse_recursion_rejected():
         parse_quatex('f() = g() + 1;\ng() = f();\nS [ f(), "time" ] < 1;')
 
 
+def test_call_check_errors_name_the_function():
+    with pytest.raises(PropertyError, match="call to undefined function 'ghost'"):
+        parse_quatex('f() = if {1 < 2} then -(3 * ghost()) else 0 fi;\nS [ f(), "time" ] < 1;')
+    with pytest.raises(PropertyError, match="recursive definition of 'f'"):
+        parse_quatex('f() = 1 + (if {1 < 2} then g() else 0 fi);\ng() = -f();\nS [ f(), "time" ] < 1;')
+
+
+@pytest.mark.parametrize("body, ticks", [
+    ('s.rval("y_1")', False),
+    ('1 + (if {1 < 2} then 0 else -s.rval("H_2") fi)', True),
+    ('2 * g()', True),  # g reads H_1 in the branch of an if
+    ('2 * h()', False),
+])
+def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks):
+    prop = parse_quatex('g() = if {s.rval("c_1") > 0} then s.rval("H_1") else 0 fi;\n'
+                        f'h() = s.rval("z_1_1");\nf() = {body};\nS [ f(), "time" ] < 1;')
+    assert properties._mentions_hour_counter(prop.functions["f"], prop.functions) is ticks
+
+
 def test_eval_constants_arithmetic():
     prop = parse_quatex("f() = 2*3+1;")
     assert evaluate_expr(prop.functions["f"], lambda n: 0.0) == 7.0

@@ -5,8 +5,14 @@ import pytest
 
 from conftest import AIRLINK_K, AIRLINK_LAM, airlink_model
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
-from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, build_model,
-                                 run_trajectory)
+from headwaylab.simulate import HOUR, Event, SimConfig, SimError, Simulator, build_model
+
+
+def events_until(model, seed: int, until_time: float) -> list[Event]:
+    """The events Simulator.run processes up to until_time."""
+    events = []
+    Simulator(model, seed=seed).run(lambda t_prev, ev, sim: events.append(ev), until_time=until_time)
+    return events
 
 
 class HourRecount:
@@ -107,17 +113,17 @@ def test_single_bus_uniform_init_at_start():
 
 
 def test_seed_determinism_bitwise():
-    events_a, _ = run_trajectory(airlink_model(), 99, lambda ev, s: ev.t >= 40_000)
-    events_b, _ = run_trajectory(airlink_model(), 99, lambda ev, s: ev.t >= 40_000)
+    events_a = events_until(airlink_model(), 99, 40_000)
+    events_b = events_until(airlink_model(), 99, 40_000)
     assert [(e.t, e.bus, e.patch) for e in events_a] == \
            [(e.t, e.bus, e.patch) for e in events_b]
-    events_c, _ = run_trajectory(airlink_model(), 100, lambda ev, s: ev.t >= 40_000)
+    events_c = events_until(airlink_model(), 100, 40_000)
     assert [(e.t, e.bus, e.patch) for e in events_a] != \
            [(e.t, e.bus, e.patch) for e in events_c]
 
 
 def test_clock_monotone_and_tiebreak_by_bus():
-    events, _ = run_trajectory(airlink_model(), 7, lambda ev, s: ev.t >= 100_000)
+    events = events_until(airlink_model(), 7, 100_000)
     for a, b in zip(events, events[1:]):
         assert b.t > a.t or (b.t == a.t and b.bus > a.bus)
 
@@ -308,15 +314,12 @@ def test_run_processes_no_event_after_until_time(overrides):
     assert {ev.kind for ev in seen} == {"dep", "expiry"}
 
 
-def test_run_trajectory_budget_flag():
-    events, truncated = run_trajectory(airlink_model(), 3,
-                                       lambda ev, s: False, max_events=100)
-    assert truncated and len(events) == 100
-
-
 def test_empty_stop_immediately():
-    events, truncated = run_trajectory(airlink_model(), 3, lambda ev, s: True)
-    assert len(events) == 1 and not truncated
+    # a run that ends before the first event processes none and is not truncated
+    sim = Simulator(airlink_model(), seed=3)
+    seen = []
+    assert sim.run(lambda t_prev, ev, s: seen.append(ev), until_time=-1.0)
+    assert seen == [] and sim.t == 0.0 and sim.events_processed == 0
 
 
 def test_speed_modification_slows_leader():
@@ -375,7 +378,7 @@ def test_timetable_requires_termini():
 
 def test_event_log_roundtrip(tmp_path):
     from headwaylab.simulate import write_event_log
-    events, _ = run_trajectory(airlink_model(), 3, lambda ev, s: ev.t >= 20_000)
+    events = events_until(airlink_model(), 3, 20_000)
     path = tmp_path / "events.tsv"
     write_event_log(events, str(path))
     lines = path.read_text().splitlines()
