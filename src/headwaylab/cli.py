@@ -81,7 +81,7 @@ def _route_flags(p):
 def _patches_flags(p):
     p.add_argument("--gamma", type=int, default=50)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--method", default="jenks", choices=["jenks", "jenks-counts", "merge"])
+    p.add_argument("--method", default="jenks-counts", choices=["jenks", "jenks-counts", "merge"])
 
 
 def _fit_flags(p):

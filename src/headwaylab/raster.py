@@ -8,10 +8,26 @@ consecutive same-vehicle measurements, except across a trace gap (see
 structures (interpolation "hairs") exhaust and unravel while well-travelled
 lines survive.
 
-Every pixel removal goes through one sweep rule: visit the given pixels in
-row-major order, clear each live one that the stage's removal test accepts
-(the test reads the pixel's 8-neighbourhood as it stands at that moment),
-and repeat until a whole visit clears none.
+Thinning works on the thresholded image framed by one unset pixel and
+addressed by flat index, so the eight ring neighbours of pixel p sit at
+fixed offsets from p and every live pixel has all eight inside the array.
+Each pixel's neighbourhood code (bit k set when ring neighbour k is alive)
+is computed once and then kept current: clearing a pixel clears the bit that
+points back at it in the codes of its eight neighbours.  Every pixel removal goes through
+one sweep rule, `_sweep`: visit the given pixels in row-major order, clear
+each live one that the stage's removal test accepts (the test reads the
+pixel's current code), and repeat until a whole visit clears none.
+
+The erosion passes touch only the active pixels, those alive and not yet
+locked, kept as a row-major array of flat indices with their intensities in
+a parallel array.  A pass erodes the active pixels whose code is not 255 (at
+least one neighbour unset), sweeps the ones it exhausted and drops them from
+both arrays, so it costs work in proportion to the pixels it can change
+rather than to the image.  The one whole-image
+step left is the component labelling behind the live test of an exhausted
+line end, and it runs only in the passes where such a line end needs it.
+It labels the pixels alive at the start of the pass: those alive now plus
+the pass's exhausted ones, which are the only pixels its sweep can clear.
 """
 
 from __future__ import annotations
@@ -237,80 +253,113 @@ def neighbour_counts(mask: np.ndarray) -> np.ndarray:
     return _DEGREE[_codes(mask)]
 
 
-def _code_at(alive, i, j) -> int:
-    h, w = alive.shape
-    code = 0
-    for bit, (di, dj) in enumerate(_RING):
-        a, b = i + di, j + dj
-        if 0 <= a < h and 0 <= b < w and alive[a, b]:
-            code |= 1 << bit
-    return code
-
-
-def _sweep(alive: np.ndarray, pixels: list, removable) -> None:
+def _sweep(alive: np.ndarray, codes: np.ndarray, ring: list, pixels: list, removable) -> None:
     """Clear, in the order given, every pixel of `pixels` that is alive and
-    for which removable(i, j, code) holds, code being its current
-    neighbourhood; repeat until a whole pass clears none."""
+    for which removable(p, codes[p]) holds; repeat until a whole visit clears
+    none.  Pixels are flat indices into a zero-bordered image whose ring
+    neighbours lie at the flat offsets `ring`.  Clearing p clears, in the
+    code of each ring neighbour, the bit that points back at p, so `codes`
+    stays the current neighbourhood of every pixel."""
     progress = True
     while progress:
         progress = False
-        for i, j in pixels:
-            if alive[i, j] and removable(i, j, _code_at(alive, i, j)):
-                alive[i, j] = False
+        for p in pixels:
+            if alive[p] and removable(p, codes[p]):
+                alive[p] = False
+                for offset, keep in ring:
+                    codes[p + offset] &= keep
                 progress = True
 
 
-_CC8 = np.ones((3, 3), dtype=np.uint8)
-_MAX_PASSES = 100000  # erosion passes before thinning is declared unstable
+def _in_live_component(alive: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Flat mask of the pixels whose 8-connected component of `alive`
+    contains one of the flat indices `live`."""
+    from scipy.ndimage import label
+
+    labels, n = label(alive, structure=np.ones((3, 3), dtype=np.uint8))
+    labels = labels.ravel()
+    has_live = np.zeros(n + 1, dtype=bool)
+    has_live[labels[live]] = True
+    return has_live[labels]
 
 
 def skeletonize(r: Raster, tau: float, eta: float) -> SkeletonMask:
     """Threshold at tau, then thin by intensity erosion.
 
-    Each pass subtracts eta from every boundary pixel.  A pixel whose intensity
-    has been exhausted is cleared when removal keeps its neighbourhood
-    connected; an exhausted line end is cleared only while its connected
-    component still contains live (positive-intensity) pixels, so faint spurs
-    unravel off the well-travelled line but a structure that exhausts as a
-    whole locks in place instead of eating itself from the ends.  Line ends
-    with positive intensity are never cleared.  Terminates when every
-    remaining pixel is locked; a final sweep then removes any leftover
-    redundant (simple, degree >= 2) pixels so the result is one pixel wide.
-    """
-    from scipy.ndimage import label as _cc_label
+    Each pass subtracts eta from every boundary pixel: a live, unlocked pixel
+    with at least one unset neighbour.  The pixels this exhausts (intensity
+    <= 0) are swept in row-major order.  One is cleared when removal keeps
+    its neighbourhood connected.  An exhausted line end is cleared only while
+    its connected component still contains live (positive-intensity)
+    pixels, so faint spurs unravel off the well-travelled line but a
+    structure that exhausts as a whole locks in place instead of eating
+    itself from the ends.  Exhausted pixels that stay are locked.  Line ends
+    with positive intensity are never cleared.
 
+    The live test reads the components of the pixels alive at the start of
+    the pass, before the sweep clears any, so one exhausted line end's answer
+    does not depend on which others the sweep reached first.
+
+    The erosion ends when no unlocked pixel is on the boundary: either every
+    pixel is locked, or the unlocked ones are enclosed by locked ones and no
+    later pass could change anything.  It always ends: every pass lowers the
+    intensity of at least one unlocked pixel, and an eta too small to lower
+    the largest intensity in floating point is rejected.  A final sweep then
+    removes any leftover redundant (simple, degree >= 2) pixels so the result
+    is one pixel wide.
+
+    A pass reads only the active pixels, those alive and unlocked, and the
+    neighbourhood codes are kept current as pixels are cleared, so its cost
+    follows the pixels it can change; the module docstring gives the layout.
+    """
     if eta <= 0:
         raise RasterError("eta must be positive")
-    intensity = np.where(r.intensity >= tau, r.intensity, 0.0)
-    alive = intensity > 0
-    if not alive.any():
+    shape = (r.height + 2, r.width + 2)
+    above = (r.intensity >= tau) & (r.intensity > 0)
+    if not above.any():
         raise RasterError("all pixels below threshold")
-    locked = np.zeros_like(alive)
+    framed = np.zeros(shape, dtype=bool)
+    framed[1:-1, 1:-1] = above
+    alive = framed.ravel()
+    active = np.flatnonzero(alive)
+    level = r.intensity[above].astype(np.float64)  # the active pixels' intensities
+    top = level.max()
+    if not 2 * eta > np.spacing(top):  # then x - eta < x for every x <= top
+        raise RasterError(f"eta {eta:g} cannot erode intensity {top:g}")
+    ring = [(di * shape[1] + dj, 0xFF ^ 1 << (bit + 4) % 8) for bit, (di, dj) in enumerate(_RING)]
+    codes = _codes(alive.reshape(shape)).ravel()
 
-    for _ in range(_MAX_PASSES):
-        if not (alive & ~locked).any():
+    while active.size:
+        boundary = codes[active] != 255
+        if not boundary.any():
             break
-        boundary = alive & ~locked & (neighbour_counts(alive) < 8)
-        intensity[boundary] -= eta
-        dead = alive & ~locked & (intensity <= 0)
-        if dead.any():
-            labels, _ = _cc_label(alive, structure=_CC8)
-            live_labels = set(np.unique(labels[alive & (intensity > 0)]))
+        level[boundary] -= eta
+        exhausted = level <= 0
+        if not exhausted.any():
+            continue
+        dead, live = active[exhausted], active[~exhausted]
+        in_live = None
 
-            def exhausted_removable(i, j, code):
-                deg = _DEGREE[code]
-                return deg == 0 or _REDUNDANT[code] or (deg == 1 and labels[i, j] in live_labels)
+        def exhausted_removable(p, code):
+            nonlocal in_live
+            deg = _DEGREE[code]
+            if deg != 1:
+                return deg == 0 or _REDUNDANT[code]
+            if in_live is None:
+                at_start = alive.copy()
+                at_start[dead] = True
+                in_live = _in_live_component(at_start.reshape(shape), live)
+            return in_live[p]
 
-            _sweep(alive, np.argwhere(dead).tolist(), exhausted_removable)
-            locked |= dead & alive
-    else:
-        raise RasterError("thinning did not stabilize")
+        _sweep(alive, codes, ring, dead.tolist(), exhausted_removable)
+        active, level = live, level[~exhausted]
 
     # no remaining pixel of degree >= 2 may be simple
-    _sweep(alive, np.argwhere(alive).tolist(), lambda i, j, code: _REDUNDANT[code])
-    if not alive.any():
+    _sweep(alive, codes, ring, np.flatnonzero(alive).tolist(), lambda p, code: _REDUNDANT[code])
+    mask = alive.reshape(shape)[1:-1, 1:-1].copy()
+    if not mask.any():
         raise RasterError("thinning removed every pixel; lower eta or tau")
-    return SkeletonMask(alive, r.cell_size, r.origin)
+    return SkeletonMask(mask, r.cell_size, r.origin)
 
 
 # --- raster file I/O ----------------------------------------------------

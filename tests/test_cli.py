@@ -1,4 +1,5 @@
 import argparse
+import math
 
 import pytest
 
@@ -75,6 +76,34 @@ def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
     assert list(out.glob("cdf_patch*.tsv"))
     rows = (out / "results.tsv").read_text().splitlines()
     assert len(rows) == 1 + 6  # header, then EWT, EVWT and BPH of patches 1 and 2
+
+
+def test_pipeline_default_method_recovers_fixture_breakpoints(tmp_path):
+    """Without --method, `pipeline` places every breakpoint of the 8-patch
+    fixture within half a bin.  The derived loop starts at whichever
+    turnaround its first direction leaves from; starting at the far one
+    rotates the fixture's fractions by one half."""
+    fixture = synthetic.default_eight_patch_model()
+    ts = synthetic.generate_traces(fixture, n_buses=4, days=3, seed=5)
+    csv = tmp_path / "avl.csv"
+    csv.write_text(ingest.serialize(ts))
+    out = tmp_path / "out"
+    gamma = 40
+    rc = main(["pipeline", str(csv), "--out", str(out), "--tau", "0.3", "--eta", "1",
+               "--beta", "1", "--seed", "1", "--gamma", str(gamma), "--n", "8",
+               "--max-sim-time", "1e5", "--budget", "5", "--patches-list", "1"])
+    assert rc in (0, 1)
+    g = graphs.read_graph(str(out / "graph.txt"))
+    rm = route.read_route_model(str(out / "route.txt"), g)
+    first = rm.directions[0][0]
+    a, b, _ = g.edges[first.edge_id]
+    start = g.nodes[a if first.forward else b]
+    near, far = fixture.route.vertices[0], fixture.route.vertices[-1]
+    shift = 0.5 if math.dist(start, far) < math.dist(start, near) else 0.0
+    want = sorted((bp + shift) % 1.0 for bp in fixture.breakpoints[:-1])[1:]
+    got = patches.read_patches(str(out / "patches.txt")).breakpoints[1:-1]
+    assert len(got) == len(want) == 7
+    assert max(abs(x - y) for x, y in zip(got, want)) < 0.5 / gamma
 
 
 def test_check_shows_dash_for_observed_but_unestimated(tmp_path, capsys):

@@ -168,9 +168,10 @@ def test_skeleton_fixed_point_no_removable_pixels():
     grid[20, 2:38] += 12.0
     r = Raster(grid, 1.0, (0.0, 0.0))
     mask = skeletonize(r, tau=1.0, eta=0.5).mask
-    from headwaylab.raster import _DEGREE, _SIMPLE, _code_at
+    from headwaylab.raster import _DEGREE, _SIMPLE, _codes
+    codes = _codes(mask)
     for i, j in map(tuple, np.argwhere(mask)):
-        code = _code_at(mask, i, j)
+        code = codes[i, j]
         assert not (_DEGREE[code] >= 2 and _SIMPLE[code])
 
 
@@ -188,6 +189,135 @@ def test_skeleton_all_below_threshold_error():
     r = _line_raster(value=0.5)
     with pytest.raises(RasterError):
         skeletonize(r, tau=1.0, eta=1.0)
+
+
+@pytest.mark.parametrize("value", [1e20, math.inf], ids=["eta-below-rounding", "infinite"])
+def test_skeleton_rejects_an_eta_that_cannot_lower_the_intensity(value):
+    with pytest.raises(RasterError, match="cannot erode"):
+        skeletonize(_line_raster(value=value), tau=1.0, eta=1.0)
+
+
+def reference_skeletonize(r: Raster, tau: float, eta: float) -> np.ndarray:
+    """Whole-image thinning loop (oracle): every pass recomputes the codes of
+    every pixel, erodes the boundary, and, when a pixel exhausts, labels the
+    whole image and sweeps the exhausted pixels in row-major order."""
+    from scipy.ndimage import label
+
+    if eta <= 0:
+        raise RasterError("eta must be positive")
+    intensity = np.where(r.intensity >= tau, r.intensity, 0.0)
+    alive = intensity > 0
+    if not alive.any():
+        raise RasterError("all pixels below threshold")
+    locked = np.zeros_like(alive)
+    h, w = alive.shape
+
+    def code_at(i, j):
+        code = 0
+        for bit, (di, dj) in enumerate(RING_OFFSETS):
+            a, b = i + di, j + dj
+            if 0 <= a < h and 0 <= b < w and alive[a, b]:
+                code |= 1 << bit
+        return code
+
+    def sweep(pixels, removable):
+        progress = True
+        while progress:
+            progress = False
+            for i, j in pixels:
+                if alive[i, j] and removable(i, j, code_at(i, j)):
+                    alive[i, j] = False
+                    progress = True
+
+    for _ in range(100000):
+        if not (alive & ~locked).any():
+            break
+        boundary = alive & ~locked & (raster.neighbour_counts(alive) < 8)
+        intensity[boundary] -= eta
+        dead = alive & ~locked & (intensity <= 0)
+        if dead.any():
+            labels, _ = label(alive, structure=np.ones((3, 3)))
+            live_labels = set(np.unique(labels[alive & (intensity > 0)]))
+
+            def exhausted_removable(i, j, code):
+                deg = raster._DEGREE[code]
+                return deg == 0 or raster._REDUNDANT[code] or (deg == 1 and labels[i, j] in live_labels)
+
+            sweep(np.argwhere(dead).tolist(), exhausted_removable)
+            locked |= dead & alive
+    else:
+        raise RasterError("thinning did not stabilize")
+    sweep(np.argwhere(alive).tolist(), lambda i, j, code: raster._REDUNDANT[code])
+    if not alive.any():
+        raise RasterError("thinning removed every pixel; lower eta or tau")
+    return alive
+
+
+def thinning_outcome(thin, r, tau, eta):
+    """The mask `thin` returns, or the message of the RasterError it raises."""
+    try:
+        return thin(r, tau, eta)
+    except RasterError as exc:
+        return str(exc)
+
+
+def assert_same_thinning(r, tau, eta):
+    got = thinning_outcome(lambda *a: skeletonize(*a).mask, r, tau, eta)
+    want = thinning_outcome(reference_skeletonize, r, tau, eta)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_skeleton_matches_whole_image_reference_on_random_rasters():
+    from test_map_golden import random_raster
+
+    for seed in range(20, 220):
+        assert_same_thinning(*random_raster(seed))
+
+
+def _strokes_to_every_border(rng):
+    grid = rng.uniform(0.0, 2.0, size=(20, 30))
+    for rows, cols in ((slice(0, 3), slice(None)), (slice(17, 20), slice(None)),
+                       (slice(None), slice(0, 3)), (slice(None), slice(27, 30)),
+                       (slice(8, 11), slice(None)), (slice(None), slice(13, 16))):
+        grid[rows, cols] += rng.uniform(3.0, 12.0)
+    return grid
+
+
+def _row(rng):
+    return rng.uniform(0.0, 6.0, size=(1, 40))
+
+
+EDGE_RASTERS = {  # name: (grid from a generator, eta); tau is 1.5
+    "one-pixel": (lambda rng: np.array([[5.0]]), 1.0),
+    "row": (_row, 0.7),
+    "column": (lambda rng: _row(rng).T, 0.7),
+    "border-strokes": (_strokes_to_every_border, 0.8),
+    "huge-eta-row": (_row, 1e9),  # every pixel is on the boundary and exhausts at once
+    "huge-eta-strokes": (_strokes_to_every_border, 1e9),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_RASTERS))
+def test_skeleton_matches_whole_image_reference_on_edge_shapes(name):
+    make, eta = EDGE_RASTERS[name]
+    assert_same_thinning(Raster(make(np.random.default_rng(3)), 1.0, (0.0, 0.0)), 1.5, eta)
+
+
+def test_skeleton_ends_when_unlocked_pixels_are_enclosed_by_locked_ones():
+    """An unexhausted pixel whose eight neighbours are all locked is never on
+    the boundary, so no later pass can change anything: the erosion ends
+    there and the final sweep still leaves no redundant pixel."""
+    from test_map_golden import random_raster
+
+    r, tau, eta = random_raster(1662)
+    r.intensity *= np.random.default_rng(1662).uniform(0.5, 3, size=r.intensity.shape)
+    mask = skeletonize(r, tau, eta).mask
+    codes = raster._codes(mask)
+    assert not (mask & (r.intensity < tau)).any()
+    assert not raster._REDUNDANT[codes[mask]].any()
 
 
 def test_pgm_roundtrip(tmp_path):
