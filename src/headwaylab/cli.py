@@ -1,5 +1,12 @@
 """Command-line pipeline: each stage is a subcommand with inspectable
-intermediate artifacts, plus `pipeline` to run them end to end."""
+intermediate artifacts, plus `pipeline` to run them end to end.
+
+Each stage `cmd_<stage>(args, out, *inputs)` takes objects, writes its
+artifacts to `out` and returns exactly what the next stage would read back from
+them: for the three PGM stages, the 8-bit raster.  A subcommand reads its
+inputs from its positional artifacts (`COMMANDS`); `pipeline` parses the traces
+once and hands each result on, so it writes the bytes of the ten subcommands
+run one after another."""
 
 from __future__ import annotations
 
@@ -81,7 +88,6 @@ def _route_flags(p):
 def _patches_flags(p):
     p.add_argument("--gamma", type=int, default=50)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--method", default="jenks-counts", choices=["jenks", "jenks-counts", "merge"])
 
 
 def _fit_flags(p):
@@ -115,7 +121,7 @@ def _check_flags(p):
     p.add_argument("--warmup", type=float)
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--rel-halfwidth", type=float, default=0.10)
-    p.add_argument("--budget", type=float, default=300.0, help="wall-clock seconds per assertion set")
+    p.add_argument("--budget", type=float, default=300.0, help="wall-clock seconds per assertion")
     p.add_argument("--max-sim-time", type=float,
                    help="cap on simulated seconds per assertion; no event after it is processed")
 
@@ -199,10 +205,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return extra + rest
 
 
-def _load_traces(path: str) -> ingest.TraceSet:
+def _load_traces(path) -> ingest.TraceSet:
+    """traces.csv as `ingest` wrote it; a row that does not read back as
+    written (rejected, or a duplicate) is an error naming the file."""
     with open(path) as fh:
-        ts, _ = ingest.parse_records(fh, ingest.ColumnSchema())
+        ts, report = ingest.parse_records(fh, ingest.ColumnSchema())
+    if report.rows_rejected or report.duplicates_dropped:
+        raise artifacts.ArtifactError(f"{path}: {report.rows_rejected} rejected and "
+                                      f"{report.duplicates_dropped} duplicate rows")
     return ts
+
+
+def _load_route(graph_path, route_path) -> route.RouteModel:
+    return route.read_route_model(str(route_path), graphs.read_graph(str(graph_path)))
 
 
 def _schema_from(args) -> ingest.ColumnSchema:
@@ -223,21 +238,6 @@ def _window_from(args) -> ingest.TimeWindow | None:
     return ingest.TimeWindow(int(start), int(end), weekdays)
 
 
-def _sim_config(args, termini_patches, breakpoints) -> simulate.SimConfig:
-    return simulate.SimConfig(
-        n_buses=args.beta,
-        timetable=not args.no_timetable,
-        route_duration=args.r,
-        terminus_patches=termini_patches,
-        holding_threshold=args.holding,
-        speedmod_threshold=args.speedmod,
-        slowdown=args.slowdown,
-        init=args.init,
-        seed=args.seed,
-        breakpoints=breakpoints,
-    )
-
-
 def _terminus_patches_from_route(rm: route.RouteModel, ps: patches.PatchStructure,
                                  pm: fitting.PatchModel):
     """The gate applies where buses dwell: of the two patches flanking each
@@ -252,7 +252,43 @@ def _terminus_patches_from_route(rm: route.RouteModel, ps: patches.PatchStructur
     return (a, b)
 
 
-def cmd_ingest(args, out: Path):
+def _sim_model(args, pm, ps, rm) -> simulate.SimModel:
+    """The simulation model of `pm` on the patch spans of `ps`, or on equal
+    spans when `ps` is None; the terminus patches, unless given, come from `rm`."""
+    if ps is not None and ps.n != pm.n:
+        raise StageError(args.command, f"{Path(args.out) / 'patches.txt'} has {ps.n} "
+                         f"patches, the model has {pm.n}")
+    termini_patches = None
+    if not args.no_timetable:
+        if args.termini_patches:
+            a, b = args.termini_patches.split(",")
+            termini_patches = (int(a), int(b))
+        elif ps is not None and rm is not None:
+            termini_patches = _terminus_patches_from_route(rm, ps, pm)
+        else:
+            raise StageError(args.command, "terminus patches unknown: none given, and no "
+                             "route, patches and graph artifacts to derive them from")
+    return simulate.build_model(pm, simulate.SimConfig(
+        n_buses=args.beta, timetable=not args.no_timetable, route_duration=args.r,
+        terminus_patches=termini_patches, holding_threshold=args.holding,
+        speedmod_threshold=args.speedmod, slowdown=args.slowdown, init=args.init,
+        seed=args.seed, breakpoints=None if ps is None else tuple(ps.breakpoints)))
+
+
+def _load_model_for_sim(args, out: Path) -> simulate.SimModel:
+    """The simulation model of `model.txt`, with the patch spans of
+    `patches.txt` in the output directory when there is one."""
+    pm = fitting.read_patch_model(args.model)
+    ps = rm = None
+    if (out / "patches.txt").exists():
+        ps = patches.read_patches(str(out / "patches.txt"))
+        derive = not (args.no_timetable or args.termini_patches)
+        if derive and all((out / name).exists() for name in ("graph.txt", "route.txt")):
+            rm = _load_route(out / "graph.txt", out / "route.txt")
+    return _sim_model(args, pm, ps, rm)
+
+
+def cmd_ingest(args, out: Path) -> ingest.TraceSet:
     window = _window_from(args)
     with open(args.input) as fh:
         ts, report = ingest.parse_records(fh, _schema_from(args))
@@ -261,40 +297,39 @@ def cmd_ingest(args, out: Path):
     (out / "traces.csv").write_text(ingest.serialize(ts))
     print(f"ingest: kept {report.rows_kept} rows, rejected {report.rows_rejected}, "
           f"duplicates {report.duplicates_dropped}; {len(ts)} records after window")
+    return ts
 
 
-def cmd_heatmap(args, out: Path):
-    ts = _load_traces(args.input)
+def cmd_heatmap(args, out: Path, ts) -> raster.Raster:
     r = raster.rasterize_heatmap(ts, cell_size=args.cell_size, delta=args.delta,
                                  boost=args.boost, resolution=args.resolution)
-    raster.write_pgm(r, str(out / "heatmap.pgm"))
+    heat = raster.write_pgm(r, str(out / "heatmap.pgm"))
     print(f"heatmap: {r.width}x{r.height} cells, cell_size {r.cell_size:.3g}")
+    return heat
 
 
-def cmd_blur(args, out: Path):
-    r = raster.read_pgm(args.input)
-    raster.write_pgm(raster.gaussian_blur(r, args.sigma), str(out / "blurred.pgm"))
+def cmd_blur(args, out: Path, heat) -> raster.Raster:
+    blurred = raster.write_pgm(raster.gaussian_blur(heat, args.sigma), str(out / "blurred.pgm"))
     print(f"blur: sigma {args.sigma}")
+    return blurred
 
 
-def cmd_skeleton(args, out: Path):
-    r = raster.read_pgm(args.input)
-    mask = raster.skeletonize(r, args.tau, args.eta)
-    raster.write_mask_pgm(mask, str(out / "skeleton.pgm"))
+def cmd_skeleton(args, out: Path, blurred) -> raster.Raster:
+    mask = raster.skeletonize(blurred, args.tau, args.eta)
+    skeleton = raster.write_mask_pgm(mask, str(out / "skeleton.pgm"))
     print(f"skeleton: {int(mask.mask.sum())} pixels")
+    return skeleton
 
 
-def cmd_graph(args, out: Path):
-    r = raster.read_pgm(args.input)
-    mask = raster.SkeletonMask(r.intensity > 0, r.cell_size, r.origin)
+def cmd_graph(args, out: Path, skeleton) -> graphs.RouteGraph:
+    mask = raster.SkeletonMask(skeleton.intensity > 0, skeleton.cell_size, skeleton.origin)
     g = graphs.build_graph(mask, args.epsilon, args.split_divisor)
     graphs.write_graph(g, str(out / "graph.txt"))
     print(f"graph: {len(g.nodes)} nodes, {len(g.edges)} edges, length {g.total_length():.1f}")
+    return g
 
 
-def cmd_route(args, out: Path):
-    g = graphs.read_graph(args.graph)
-    ts = _load_traces(args.traces)
+def cmd_route(args, out: Path, g, ts) -> route.RouteModel:
     if args.rejection_radius is None:
         raise StageError("route", "no rejection radius given")
     rm = route.derive_route_model(g, ts, args.rejection_radius, args.termini)
@@ -302,28 +337,17 @@ def cmd_route(args, out: Path):
     d1 = rm.direction_length(0)
     d2 = rm.direction_length(1)
     print(f"route: termini edges {rm.termini}, directions {d1:.1f} / {d2:.1f}, loop {rm.loop_length:.1f}")
+    return rm
 
 
-def cmd_patches(args, out: Path):
-    g = graphs.read_graph(args.graph)
-    rm = route.read_route_model(args.route, g)
-    ts = _load_traces(args.traces)
-    counts = patches.bin_counts(ts, rm, args.gamma)
-    if args.method == "jenks":
-        ps = patches.jenks_cluster(counts, args.n)
-    elif args.method == "jenks-counts":
-        ps = patches.jenks_cluster_counts(counts, args.n)
-    else:
-        ps = patches.merge_adjacent_cluster(counts)
+def cmd_patches(args, out: Path, rm, ts) -> patches.PatchStructure:
+    ps = patches.jenks_cluster_counts(patches.bin_counts(ts, rm, args.gamma), args.n)
     patches.write_patches(ps, str(out / "patches.txt"))
     print(f"patches: n={ps.n}, breakpoints {['%.3f' % b for b in ps.breakpoints]}")
+    return ps
 
 
-def cmd_fit(args, out: Path):
-    g = graphs.read_graph(args.graph)
-    rm = route.read_route_model(args.route, g)
-    ps = patches.read_patches(args.patches)
-    ts = _load_traces(args.traces)
+def cmd_fit(args, out: Path, rm, ps, ts) -> fitting.PatchModel:
     obs = fitting.extract_crossing_times(ts, rm, ps)
     rows = [(j, f"{d:.0f}") for j in sorted(obs) for d in obs[j]]
     artifacts.write_lines(out / "observations.tsv", [("patch", "duration"), *rows], "\t")
@@ -340,36 +364,10 @@ def cmd_fit(args, out: Path):
         print(f"fit: WARNING patches with too few observations: {flagged}")
     print("fit: " + ", ".join(
         f"p{j}:mu={pm.means[j - 1]:.0f}" for j in range(1, pm.n + 1)))
+    return pm
 
 
-def _load_model_for_sim(args, out: Path):
-    """The simulation model of `model.txt`, with the patch spans of
-    `patches.txt` in the output directory when there is one."""
-    pm = fitting.read_patch_model(args.model)
-    ps = None
-    if (out / "patches.txt").exists():
-        ps = patches.read_patches(str(out / "patches.txt"))
-        if ps.n != pm.n:
-            raise StageError("simulate", f"{out / 'patches.txt'} has {ps.n} patches, "
-                             f"{args.model} has {pm.n}")
-    termini_patches = None
-    if not args.no_timetable:
-        if args.termini_patches:
-            a, b = args.termini_patches.split(",")
-            termini_patches = (int(a), int(b))
-        elif ps is not None and all((out / name).exists() for name in ("graph.txt", "route.txt")):
-            g = graphs.read_graph(str(out / "graph.txt"))
-            rm = route.read_route_model(str(out / "route.txt"), g)
-            termini_patches = _terminus_patches_from_route(rm, ps, pm)
-        else:
-            raise StageError("simulate", "terminus patches unknown: none given, and no "
-                             "route, patches and graph artifacts to derive them from")
-    cfg = _sim_config(args, termini_patches, None if ps is None else tuple(ps.breakpoints))
-    return simulate.build_model(pm, cfg)
-
-
-def cmd_simulate(args, out: Path):
-    model = _load_model_for_sim(args, out)
+def cmd_simulate(args, out: Path, model) -> None:
     events = []
     simulate.Simulator(model, seed=args.seed).run(
         lambda t, ev, sim: events.append(ev), until_time=args.horizon)
@@ -377,8 +375,7 @@ def cmd_simulate(args, out: Path):
     print(f"simulate: {len(events)} departures to t={args.horizon:.0f}")
 
 
-def cmd_check(args, out: Path):
-    model = _load_model_for_sim(args, out)
+def cmd_check(args, out: Path, model) -> int:
     n = model.n
     plist = ([int(x) for x in args.patches_list.split(",")]
              if args.patches_list else list(range(1, n + 1)))
@@ -417,7 +414,9 @@ def cmd_check(args, out: Path):
     return 0 if not bad else 1
 
 
-def cmd_pipeline(args, out: Path):
+def cmd_pipeline(args, out: Path) -> int:
+    """Run the stages in order, each on the objects the one before returned.
+    A stage before --resume-from is not run; its artifact is read instead."""
     start = STAGES.index(args.resume_from) if args.resume_from else 0
 
     def want(stage):
@@ -428,59 +427,44 @@ def cmd_pipeline(args, out: Path):
             raise StageError(stage, f"cannot resume: missing artifacts {missing}")
         return False
 
-    ns = argparse.Namespace(**vars(args))
-    if want("ingest"):
-        cmd_ingest(ns, out)
-    ns.input = str(out / "traces.csv")
-    if ns.rejection_radius is None:
-        cell = args.cell_size or _extent(_load_traces(ns.input)) / args.resolution
-        ns.rejection_radius = 3.0 * cell
-    if want("heatmap"):
-        cmd_heatmap(ns, out)
-    if want("blur"):
-        ns.input = str(out / "heatmap.pgm")
-        cmd_blur(ns, out)
-    if want("skeleton"):
-        ns.input = str(out / "blurred.pgm")
-        cmd_skeleton(ns, out)
-    if want("graph"):
-        ns.input = str(out / "skeleton.pgm")
-        cmd_graph(ns, out)
-    ns.graph = str(out / "graph.txt")
-    ns.traces = str(out / "traces.csv")
-    if want("route"):
-        cmd_route(ns, out)
-    ns.route = str(out / "route.txt")
-    if want("patches"):
-        cmd_patches(ns, out)
-    ns.patches = str(out / "patches.txt")
-    if want("fit"):
-        cmd_fit(ns, out)
-    ns.model = str(out / "model.txt")
+    def saved(name):
+        return str(out / name)
+
+    ts = cmd_ingest(args, out) if want("ingest") else _load_traces(saved("traces.csv"))
+    heat = cmd_heatmap(args, out, ts) if want("heatmap") else raster.read_pgm(saved("heatmap.pgm"))
+    blurred = cmd_blur(args, out, heat) if want("blur") else raster.read_pgm(saved("blurred.pgm"))
+    skeleton = (cmd_skeleton(args, out, blurred) if want("skeleton")
+                else raster.read_pgm(saved("skeleton.pgm")))
+    g = cmd_graph(args, out, skeleton) if want("graph") else graphs.read_graph(saved("graph.txt"))
+    if args.rejection_radius is None:
+        args.rejection_radius = 3.0 * heat.cell_size
+    rm = (cmd_route(args, out, g, ts) if want("route")
+          else route.read_route_model(saved("route.txt"), g))
+    ps = cmd_patches(args, out, rm, ts) if want("patches") else patches.read_patches(saved("patches.txt"))
+    pm = (cmd_fit(args, out, rm, ps, ts) if want("fit")
+          else fitting.read_patch_model(saved("model.txt")))
+    model = _sim_model(args, pm, ps, rm)
     if want("simulate"):
-        cmd_simulate(ns, out)
-    if want("check"):
-        return cmd_check(ns, out)
-    return 0
+        cmd_simulate(args, out, model)
+    return cmd_check(args, out, model)
 
 
-def _extent(ts) -> float:
-    xs = [r.x for r in ts.all_records()]
-    ys = [r.y for r in ts.all_records()]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
-
-
+# command -> its run from the command line: a stage's subcommand reads the
+# stage's inputs from its positional artifacts
 COMMANDS = {
     "ingest": cmd_ingest,
-    "heatmap": cmd_heatmap,
-    "blur": cmd_blur,
-    "skeleton": cmd_skeleton,
-    "graph": cmd_graph,
-    "route": cmd_route,
-    "patches": cmd_patches,
-    "fit": cmd_fit,
-    "simulate": cmd_simulate,
-    "check": cmd_check,
+    "heatmap": lambda args, out: cmd_heatmap(args, out, _load_traces(args.input)),
+    "blur": lambda args, out: cmd_blur(args, out, raster.read_pgm(args.input)),
+    "skeleton": lambda args, out: cmd_skeleton(args, out, raster.read_pgm(args.input)),
+    "graph": lambda args, out: cmd_graph(args, out, raster.read_pgm(args.input)),
+    "route": lambda args, out: cmd_route(args, out, graphs.read_graph(args.graph),
+                                         _load_traces(args.traces)),
+    "patches": lambda args, out: cmd_patches(args, out, _load_route(args.graph, args.route),
+                                             _load_traces(args.traces)),
+    "fit": lambda args, out: cmd_fit(args, out, _load_route(args.graph, args.route),
+                                     patches.read_patches(args.patches), _load_traces(args.traces)),
+    "simulate": lambda args, out: cmd_simulate(args, out, _load_model_for_sim(args, out)),
+    "check": lambda args, out: cmd_check(args, out, _load_model_for_sim(args, out)),
     "pipeline": cmd_pipeline,
 }
 
@@ -502,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: stage {args.command!r} failed: {exc}", file=sys.stderr)
         return 2
-    return rc or 0
+    return rc if args.command in ("check", "pipeline") else 0
 
 
 if __name__ == "__main__":

@@ -173,12 +173,17 @@ def parse_records(stream: Iterable[str], schema: ColumnSchema | None = None) -> 
 
 
 def serialize(ts: TraceSet, schema: ColumnSchema | None = None) -> str:
-    """Inverse of parse_records on well-formed trace sets (default column order)."""
+    """Inverse of parse_records (default column order).  A vehicle id that
+    would not read back as written, because it contains the delimiter or
+    starts with the comment mark '#', raises IngestError."""
     schema = schema or ColumnSchema()
     if (schema.vehicle_col, schema.x_col, schema.y_col, schema.t_col) != (0, 1, 2, 3):
         raise IngestError("serialize supports the default column order only")
     lines = []
     for rec in ts.all_records():
+        if schema.delimiter in rec.vehicle_id or rec.vehicle_id.startswith("#"):
+            raise IngestError(f"vehicle {rec.vehicle_id!r} cannot be written: its id contains "
+                              f"the delimiter {schema.delimiter!r} or starts with '#'")
         lines.append(schema.delimiter.join([rec.vehicle_id, repr(rec.x), repr(rec.y), str(rec.t)]))
     return "\n".join(lines) + ("\n" if lines else "")
 

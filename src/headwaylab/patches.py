@@ -1,13 +1,12 @@
 """Patch identification: bin route-completion observations, cluster bins.
 
-Two clustering routes are provided.  jenks_cluster follows the published
-description: an exact dynamic-programming segmentation (Fisher's method, the
-1-D equivalent of K-means / Jenks natural breaks) of the sequence of absolute
-count differences between adjacent bins.  jenks_cluster_counts applies the
-same exact segmentation to the raw count sequence itself, which is what the
-top-level algorithm's clustering call receives as input; on piecewise-constant
-occupancy profiles only the latter recovers the level changes, so the pipeline
-exposes both.  merge_adjacent_cluster is the threshold-free greedy variant.
+Every raw measurement snapped to the route adds one to the count of its
+route-completion bin.  `jenks_cluster_counts` then cuts the count sequence
+into n contiguous patches by an exact dynamic-programming segmentation
+(Fisher's method, the 1-D equivalent of K-means / Jenks natural breaks) that
+minimizes the within-patch sum of squared deviations.  Time spent per unit of
+route is proportional to the counts, so on the piecewise-constant occupancy
+profile of a route of patches the cuts land on the level changes.
 """
 
 from __future__ import annotations
@@ -231,43 +230,15 @@ def _segment_dp(values: list[float], n: int) -> list[int]:
     return breaks[::-1]
 
 
-def jenks_cluster(c: BinCounts, n: int) -> PatchStructure:
-    """Natural-breaks segmentation on the absolute differences between
-    adjacent bin counts (exact DP optimum, leftmost ties).  A segment boundary
-    between d_{i-1} and d_i maps to a breakpoint at bin i."""
-    if n < 1 or n > c.gamma:
-        raise PatchError("need 1 <= n <= gamma")
-    if n == 1:
-        return PatchStructure(c.gamma, [])
-    d = [abs(c.counts[i + 1] - c.counts[i]) for i in range(c.gamma - 1)]
-    return PatchStructure(c.gamma, _segment_dp(d, n))
-
-
 def jenks_cluster_counts(c: BinCounts, n: int) -> PatchStructure:
-    """Same exact segmentation applied to the raw count sequence: a boundary
-    between counts[i-1] and counts[i] maps to a breakpoint at bin i."""
+    """Exact natural-breaks segmentation of the bin counts into n patches
+    (leftmost ties): a boundary between counts[i-1] and counts[i] maps to a
+    breakpoint at bin i."""
     if n < 1 or n > c.gamma:
         raise PatchError("need 1 <= n <= gamma")
     if n == 1:
         return PatchStructure(c.gamma, [])
     return PatchStructure(c.gamma, _segment_dp([float(x) for x in c.counts], n))
-
-
-def merge_adjacent_cluster(c: BinCounts) -> PatchStructure:
-    """Greedy merging: repeatedly merge the adjacent pair whose merger has the
-    lowest observation count, until the merger would exceed the highest count
-    among the initial bins.  Ties break leftmost; the patch count is emergent."""
-    limit = max(c.counts)
-    sums = list(c.counts)
-    starts = list(range(c.gamma))  # first bin index of each current patch
-    while len(sums) > 1:
-        merged = [sums[i] + sums[i + 1] for i in range(len(sums) - 1)]
-        i = min(range(len(merged)), key=lambda k: (merged[k], k))
-        if merged[i] > limit:
-            break
-        sums[i:i + 2] = [merged[i]]
-        del starts[i + 1]
-    return PatchStructure(c.gamma, starts[1:])
 
 
 def write_patches(ps: PatchStructure, path: str) -> None:

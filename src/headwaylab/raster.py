@@ -364,19 +364,21 @@ def skeletonize(r: Raster, tau: float, eta: float) -> SkeletonMask:
 
 # --- raster file I/O ----------------------------------------------------
 
-def write_pgm(r: Raster, path: str) -> None:
+def write_pgm(r: Raster, path: str) -> Raster:
     """Binary PGM (P5, 8-bit, max-normalized) plus a text sidecar with the
-    grid geometry.  Row 0 is written last so the image is y-up in viewers."""
+    grid geometry.  Row 0 is written last so the image is y-up in viewers.
+    Returns the 8-bit raster, as `read_pgm` reads it back."""
     mx = r.intensity.max()
     img = (r.intensity / mx * 255.0).astype(np.uint8) if mx > 0 else np.zeros_like(r.intensity, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{r.width} {r.height}\n255\n".encode())
         fh.write(img[::-1].tobytes())
     write_lines(path + ".meta", [("cell_size", r.cell_size), ("origin", *r.origin)])
+    return Raster(img.astype(np.float64), r.cell_size, r.origin)
 
 
-def write_mask_pgm(m: SkeletonMask, path: str) -> None:
-    write_pgm(Raster(m.mask.astype(np.float64), m.cell_size, m.origin), path)
+def write_mask_pgm(m: SkeletonMask, path: str) -> Raster:
+    return write_pgm(Raster(m.mask.astype(np.float64), m.cell_size, m.origin), path)
 
 
 def read_pgm(path: str) -> Raster:

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import math
+import shutil
 
 import pytest
 
 from headwaylab import fitting, graphs, ingest, patches, raster, route, synthetic
-from headwaylab.cli import ARTIFACTS, _apply_config_file, _load_model_for_sim, build_parser, main
+from headwaylab.artifacts import ArtifactError
+from headwaylab.cli import (ARTIFACTS, _apply_config_file, _load_model_for_sim, _load_traces,
+                            build_parser, main)
 
 
 def subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -57,7 +62,7 @@ def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
     out = tmp_path / "out"
     rc = main(["pipeline", str(csv), "--out", str(out), "--tau", "0.3", "--eta", "1",
                "--beta", "1", "--seed", "1", "--gamma", "40", "--n", "8",
-               "--method", "jenks-counts", "--max-sim-time", "1e5", "--budget", "5",
+               "--max-sim-time", "1e5", "--budget", "5",
                "--cdf-out", "--patches-list", "1,2"])
     assert rc in (0, 1)
     for names in ARTIFACTS.values():
@@ -79,8 +84,8 @@ def test_pipeline_end_to_end_artifacts_read_back(tmp_path):
 
 
 def test_pipeline_default_method_recovers_fixture_breakpoints(tmp_path):
-    """Without --method, `pipeline` places every breakpoint of the 8-patch
-    fixture within half a bin.  The derived loop starts at whichever
+    """`pipeline` places every breakpoint of the 8-patch fixture within half
+    a bin.  The derived loop starts at whichever
     turnaround its first direction leaves from; starting at the far one
     rotates the fixture's fractions by one half."""
     fixture = synthetic.default_eight_patch_model()
@@ -169,9 +174,12 @@ def test_simulate_takes_patch_spans_from_patches_txt(tmp_path):
 
 
 def test_patch_count_mismatch_is_a_usage_error(tmp_path, capsys):
-    rc = main(three_patch_run(tmp_path, break_bins=(10,)))
-    assert rc == 2
-    assert "has 2 patches" in capsys.readouterr().err
+    argv = three_patch_run(tmp_path, break_bins=(10,))
+    for command in ("simulate", "check"):
+        rc = main([command, *argv[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"stage '{command}' failed" in err and "has 2 patches" in err
 
 
 def test_simulate_events_end_at_the_horizon(tmp_path):
@@ -180,3 +188,125 @@ def test_simulate_events_end_at_the_horizon(tmp_path):
     rows = (tmp_path / "events.tsv").read_text().splitlines()[1:]
     times = [float(row.split("\t")[0]) for row in rows]
     assert times and max(times) <= 20000
+
+
+SEED3_FLAGS = {  # subcommand -> its flags in the runs below; `pipeline` takes them all
+    "skeleton": ["--tau", "0.3", "--eta", "1"],
+    "patches": ["--gamma", "40", "--n", "8"],
+    "simulate": ["--beta", "1", "--seed", "1"],
+    "check": ["--beta", "1", "--seed", "1", "--max-sim-time", "1e5", "--budget", "5",
+              "--patches-list", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def seed3_csv(tmp_path_factory):
+    ts = synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=3, seed=3)
+    csv = tmp_path_factory.mktemp("seed3") / "avl.csv"
+    csv.write_text(ingest.serialize(ts))
+    return csv
+
+
+def run_main(argv):
+    """main(argv) with its stdout and its `ingest.parse_records` calls counted."""
+    stdout, calls = io.StringIO(), []
+    real = ingest.parse_records
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(ingest, "parse_records", counted)
+        rc = main(argv)
+    return rc, stdout.getvalue(), len(calls)
+
+
+def run_pipeline(csv, out, *extra):
+    flags = [flag for stage_flags in SEED3_FLAGS.values() for flag in stage_flags]
+    return run_main(["pipeline", str(csv), "--out", str(out), *flags, *extra])
+
+
+def run_chained(csv, d, heatmap_flags):
+    """The ten subcommands one after another; returns their stdout."""
+    text = []
+
+    def sub(stage, *argv):
+        rc, stdout, _ = run_main([stage, *map(str, argv), "--out", str(d),
+                                  *SEED3_FLAGS.get(stage, [])])
+        assert rc in ((0, 1) if stage == "check" else (0,)), stage
+        text.append(stdout)
+
+    sub("ingest", csv)
+    sub("heatmap", d / "traces.csv", *heatmap_flags)
+    sub("blur", d / "heatmap.pgm")
+    sub("skeleton", d / "blurred.pgm")
+    sub("graph", d / "skeleton.pgm")
+    radius = 3.0 * raster.read_pgm(str(d / "heatmap.pgm")).cell_size
+    sub("route", d / "graph.txt", d / "traces.csv", "--rejection-radius", repr(radius))
+    sub("patches", d / "route.txt", d / "graph.txt", d / "traces.csv")
+    sub("fit", d / "route.txt", d / "graph.txt", d / "patches.txt", d / "traces.csv")
+    sub("simulate", d / "model.txt")
+    sub("check", d / "model.txt")
+    return "".join(text)
+
+
+def same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    return [n for n in names if (a / n).read_bytes() != (b / n).read_bytes()]
+
+
+def test_pipeline_parses_the_traces_once(seed3_csv, tmp_path):
+    rc, _, parses = run_pipeline(seed3_csv, tmp_path)
+    assert rc in (0, 1)
+    assert parses == 1
+
+
+@pytest.mark.parametrize("heatmap_flags", [[], ["--delta", "0.5"]])
+def test_pipeline_writes_the_chained_subcommands_bytes(seed3_csv, tmp_path, heatmap_flags):
+    rc, stdout, _ = run_pipeline(seed3_csv, tmp_path / "pipeline", *heatmap_flags)
+    assert rc in (0, 1)
+    chained = run_chained(seed3_csv, tmp_path / "chained", heatmap_flags)
+    assert same_files(tmp_path / "pipeline", tmp_path / "chained") == []
+    assert stdout == chained
+
+
+def test_pipeline_resumes_from_fit_to_the_same_bytes(seed3_csv, tmp_path):
+    full = tmp_path / "full"
+    run_pipeline(seed3_csv, full)
+    resumed = tmp_path / "resumed"
+    shutil.copytree(full, resumed)
+    for stage in ("fit", "simulate", "check"):
+        for name in ARTIFACTS[stage]:
+            (resumed / name).unlink()
+    rc, _, parses = run_pipeline(seed3_csv, resumed, "--resume-from", "fit")
+    assert rc in (0, 1) and parses == 1
+    assert same_files(full, resumed) == []
+
+
+def test_pipeline_resume_names_a_missing_upstream_artifact(seed3_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_pipeline(seed3_csv, out)
+    (out / "graph.txt").unlink()
+    rc, _, _ = run_pipeline(seed3_csv, out, "--resume-from", "fit")
+    assert rc == 2
+    assert "stage 'graph' failed: cannot resume: missing artifacts ['graph.txt']" in \
+        capsys.readouterr().err
+
+
+def test_ingest_rejects_a_vehicle_id_that_does_not_read_back(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("bus,7;0.0;0.0;100\nbus,7;10.0;0.0;130\n")
+    rc = main(["ingest", str(raw), "--out", str(tmp_path), "--delimiter", ";"])
+    assert rc == 2
+    assert "vehicle 'bus,7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["a,0.0,0.0,100\na,x,0.0,130\n",
+                                  "a,0.0,0.0,100\na,1.0,0.0,100\n"])
+def test_traces_csv_that_does_not_read_back_is_an_artifact_error(tmp_path, rows):
+    traces = tmp_path / "traces.csv"
+    traces.write_text(rows)
+    with pytest.raises(ArtifactError, match="traces.csv: "):
+        _load_traces(traces)

@@ -95,6 +95,13 @@ def test_serialize_roundtrip():
     assert report.rows_rejected == 0
 
 
+@pytest.mark.parametrize("vid", ["bus,7", "#7"])
+def test_serialize_rejects_an_id_that_would_not_read_back(vid):
+    ts = TraceSet({vid: [AvlRecord(vid, 0.0, 0.0, 100)]})
+    with pytest.raises(IngestError, match=f"vehicle '{vid}'"):
+        ingest.serialize(ts)
+
+
 def test_filter_window_submultiset():
     ts = TraceSet({"a": [AvlRecord("a", 0, 0, t) for t in range(0, 86400, 3600)]})
     out = ingest.filter_window(ts, TimeWindow(3600, 7200))

@@ -9,9 +9,7 @@ from scipy import stats
 from conftest import straight_route_model, traces_from_fractions
 from headwaylab import patches
 from headwaylab.patches import (BinCounts, PatchError, PatchStructure, bin_counts,
-                                jenks_cluster, jenks_cluster_counts,
-                                merge_adjacent_cluster, patch_of, read_patches,
-                                write_patches)
+                                jenks_cluster_counts, patch_of, read_patches, write_patches)
 
 
 def test_patch_of_boundaries():
@@ -61,60 +59,34 @@ def test_jenks_matches_brute_force_small():
         gamma = int(rng.integers(4, 13))
         n = int(rng.integers(2, min(5, gamma)))
         counts = BinCounts(gamma, list(rng.integers(0, 50, size=gamma)))
-        d = [abs(counts.counts[i + 1] - counts.counts[i]) for i in range(gamma - 1)]
-        breaks = jenks_cluster(counts, n).break_bins
-        assert segmentation_ssd(d, breaks) == pytest.approx(
-            brute_force_objective(d, n), abs=1e-9)
+        breaks = jenks_cluster_counts(counts, n).break_bins
+        assert segmentation_ssd(counts.counts, breaks) == pytest.approx(
+            brute_force_objective(counts.counts, n), abs=1e-9)
 
 
 def test_jenks_degenerate_all_equal_leftmost():
     counts = BinCounts(8, [5] * 8)
-    ps = jenks_cluster(counts, 4)
+    ps = jenks_cluster_counts(counts, 4)
     assert ps.break_bins == [1, 2, 3]
 
 
 def test_jenks_deterministic():
     rng = np.random.default_rng(3)
     counts = BinCounts(20, list(rng.integers(0, 100, size=20)))
-    a = jenks_cluster(counts, 5)
-    b = jenks_cluster(counts, 5)
+    a = jenks_cluster_counts(counts, 5)
+    b = jenks_cluster_counts(counts, 5)
     assert a.break_bins == b.break_bins
 
 
 def test_jenks_rejects_excess_classes():
     with pytest.raises(PatchError):
-        jenks_cluster(BinCounts(4, [1, 2, 3, 4]), 5)
+        jenks_cluster_counts(BinCounts(4, [1, 2, 3, 4]), 5)
 
 
 def test_jenks_counts_recovers_steps():
     counts = BinCounts(12, [50, 52, 48, 9, 11, 10, 30, 31, 29, 28, 70, 71])
     ps = jenks_cluster_counts(counts, 4)
     assert ps.break_bins == [3, 6, 10]
-
-
-def test_merge_adjacent_first_merge_is_cheapest_pair():
-    # counts (5,1,1,9): cheapest merger is bins 2-3 (sum 2)
-    ps = merge_adjacent_cluster(BinCounts(4, [5, 1, 1, 9]))
-    # after (5,2,9): merging (5,2)=7 <= 9 happens; (7,9)=16 > 9 stops
-    assert ps.break_bins == [3]
-
-
-def test_merge_adjacent_worked_example():
-    # (3,3,3,10): merges (3,3)->6, then (6,3)->9, stops before (9,10)=19>10
-    ps = merge_adjacent_cluster(BinCounts(4, [3, 3, 3, 10]))
-    assert ps.break_bins == [3]
-    assert ps.n == 2
-
-
-def test_merge_single_bin_unchanged():
-    ps = merge_adjacent_cluster(BinCounts(1, [5]))
-    assert ps.n == 1 and ps.break_bins == []
-
-
-def test_merge_stops_when_merger_exceeds_initial_max():
-    # (4,4): merged sum 8 > max initial 4, so nothing merges
-    ps = merge_adjacent_cluster(BinCounts(2, [4, 4]))
-    assert ps.n == 2
 
 
 def test_bin_counts_uniform_loop_chi_square():
