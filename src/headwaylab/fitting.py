@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .artifacts import read_lines, write_lines
 from .ingest import is_gap
@@ -87,6 +86,8 @@ Distribution = ErlangParams | HyperErlangParams
 
 
 def dist_cdf(dist: Distribution, t) -> np.ndarray:
+    from scipy.special import gammainc
+
     t = np.asarray(t, dtype=np.float64)
     if isinstance(dist, ErlangParams):
         return gammainc(dist.k, dist.rate * np.maximum(t, 0.0))
@@ -153,9 +154,11 @@ def extract_crossing_times(ts, rm, ps: PatchStructure):
 # --- Erlang / hyper-Erlang fitting ---------------------------------------
 
 def _erlang_objective(total_w: float, sum_wx: float, sum_wlogx: float,
-                      k: int, rate: float) -> float:
+                      k: int, rate: float, gammaln) -> float:
     """Weighted Erlang(k, rate) log-likelihood from the sufficient statistics
-    sum w, sum w*x and sum w*log(x)."""
+    sum w, sum w*x and sum w*log(x).  The caller binds scipy.special.gammaln
+    once and passes it in: this runs millions of times in a hyper-Erlang fit,
+    where an import on each call would add a large share of its cost."""
     return (total_w * (k * math.log(rate) - gammaln(k))
             + (k - 1) * sum_wlogx - rate * sum_wx)
 
@@ -164,12 +167,14 @@ def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP)
     """Scan k = 1, 2, ... with rate = k / weighted mean; stop at the first
     log-likelihood decrease and return (k, rate, loglik) of the previous step.
     The profile likelihood is unimodal in k, so this is the global optimum."""
+    from scipy.special import gammaln
+
     mean = sum_wx / total_w
     if mean <= 0:
         raise FitError("non-positive mean")
 
     def loglik(k: int) -> float:
-        return _erlang_objective(total_w, sum_wx, sum_wlogx, k, k / mean)
+        return _erlang_objective(total_w, sum_wx, sum_wlogx, k, k / mean, gammaln)
 
     prev = loglik(1)
     k = 1
@@ -195,6 +200,8 @@ def fit_erlang(obs, k_cap: int = K_CAP) -> ErlangParams:
 def _log_densities(x, logx, shapes, rates, weights) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch weighted log densities log(a_i f_i(x)), one row per branch,
     and the mixture log density log f(x), their log-sum-exp over branches."""
+    from scipy.special import gammaln
+
     comp = np.stack([
         math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - gammaln(k)
         for a, k, r in zip(weights, shapes, rates)
@@ -224,6 +231,7 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
     if m == 1:
         e = fit_erlang(x)
         return HyperErlangParams((e.k,), (e.rate,), (1.0,))
+    from scipy.special import gammaln
 
     logx = np.log(x)
     order = np.argsort(x)
@@ -259,7 +267,7 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
                 swl = float((w * logx).sum())
                 k_new, r_new, q_new = _scan_k(tw, swx, swl)
                 # guard: never let the M-step lower the expected objective
-                if q_new < _erlang_objective(tw, swx, swl, shapes[b], rates[b]):
+                if q_new < _erlang_objective(tw, swx, swl, shapes[b], rates[b], gammaln):
                     k_new, r_new = shapes[b], rates[b]
                 new_shapes.append(k_new)
                 new_rates.append(r_new)

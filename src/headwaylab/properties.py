@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .artifacts import write_lines
 from .simulate import Event, SimModel, Simulator
@@ -426,6 +425,11 @@ class EstimatorConfig:
     # it (and at max_sim_time); defaults to 20 * r
     chunk_time: float | None = None
 
+    def __post_init__(self):
+        if self.batches < 2:
+            raise PropertyError(f"need at least 2 batches for a confidence interval, "
+                                f"got {self.batches}")
+
 
 @dataclass
 class EstimateResult:
@@ -595,6 +599,9 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                 except UndefinedSample:
                     skipped += 1
 
+    from scipy.special import stdtrit  # the t quantile, without loading scipy.stats
+
+    tcrit = stdtrit(cfg.batches - 1, 0.975)
     truncated = False
     estimate, halfwidth, rel = None, math.inf, math.inf
     used_batches = 0
@@ -609,9 +616,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
             used_batches = len(means)
             dev = means - means[0]  # identical batch means give sd exactly 0
             estimate = float(means[0] + dev.mean())
-            sd = float(dev.std(ddof=1)) if used_batches > 1 else math.inf
-            tcrit = stats.t.ppf(0.975, used_batches - 1) if used_batches > 1 else math.inf
-            halfwidth = tcrit * sd / math.sqrt(used_batches)
+            halfwidth = tcrit * float(dev.std(ddof=1)) / math.sqrt(used_batches)
             rel = halfwidth / abs(estimate) if estimate != 0.0 else (
                 0.0 if halfwidth == 0.0 else math.inf)
             # an all-zero F stream is "event not yet observed": keep simulating

@@ -23,7 +23,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .artifacts import read_lines, write_lines
 from .graphs import RouteGraph
@@ -76,6 +75,8 @@ class EdgeIndex:
     batch = 8192  # points per `candidates` call in `batches`
 
     def __init__(self, graph: RouteGraph, sample_step: float):
+        from scipy.spatial import cKDTree
+
         self.graph = graph
         ids = _edge_ids(graph)
         self._ax, self._ay, self._dx, self._dy, self._len = np.zeros((5, len(ids)))

@@ -2,7 +2,11 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,41 @@ def test_check_phased_with_holding_and_speedmod(tmp_path):
     assert rc == 0
     rows = (tmp_path / "results.tsv").read_text().splitlines()
     assert len(rows) == 1 + 2
+
+
+@pytest.mark.parametrize("batches", ["1", "0", "-3"])
+def test_check_with_fewer_than_two_batches_is_a_usage_error(tmp_path, capsys, batches):
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3)))
+    rc = main(["check", str(model), "--out", str(tmp_path), "--beta", "2", "--seed", "1",
+               "--termini-patches", "1,2", "--patches-list", "1", "--max-sim-time", "1e5",
+               "--budget", "5", "--batches", batches])
+    assert rc == 2
+    assert "error: stage 'check' failed: need at least 2 batches" in capsys.readouterr().err
+
+
+SIMULATE_WITHOUT_SCIPY = """
+import sys
+import headwaylab.cli
+from conftest import airlink_model
+from headwaylab import properties, simulate
+model = airlink_model()
+prop = properties.parse_quatex(properties.ewt_query(2))
+events = []
+simulate.Simulator(model, seed=1).run(lambda t, ev, sim: events.append(ev), until_time=20_000)
+assert prop.assertions and events
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_import_and_a_simulation_load_no_scipy():
+    # scipy costs about a second to import; only the functions that call it load it
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys):

@@ -352,6 +352,24 @@ def test_alternating_renewal_estimate():
     assert abs(res.estimate - expect) <= max(2.5 * res.halfwidth, 0.02)
 
 
+@pytest.mark.parametrize("batches", [1, 0, -3])
+def test_estimator_config_needs_two_batches(batches):
+    with pytest.raises(PropertyError, match="at least 2 batches"):
+        EstimatorConfig(batches=batches)
+
+
+def test_estimate_repeats_bit_for_bit():
+    # stops at the half-width target, so the t quantile sets where it stops
+    prop = parse_quatex(in_patch1_text())
+    res = estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
+                                EstimatorConfig(warmup_time=5000.0, wall_budget=60.0,
+                                                rel_halfwidth_target=0.05,
+                                                max_sim_time=2e6), seed=3)
+    assert (res.estimate, res.halfwidth, res.batches, res.sim_time) == (
+        0.25281803907994466, 0.011718738786538101, 32, 671762.9807100861)
+    assert not res.truncated
+
+
 def test_batch_means_match_direct_t_interval():
     rng = np.random.default_rng(42)
     xs = rng.normal(5.0, 2.0, size=32)
