@@ -16,18 +16,28 @@ Three control mechanisms can modify departures:
 * speed modification: when a bus leads its follower (the nearest bus behind
   it) by more than a fraction theta_s of the route, its subsequently drawn
   phase rates are scaled by the slowdown factor (phase-level simulation).
+  The fleet's route fractions are kept in an ascending ring; a bus that
+  moves is taken out, and its follower is the largest fraction left at or
+  below its new one, or the largest of all across the 1.0 -> 0.0 wrap.
+  Float subtraction is monotone, so that one gap equals the minimum over
+  the whole fleet bit for bit.  A bus alone has no follower and is never
+  slowed.
 
 The simulator is phased exactly when speed modification is on: it then
 draws each exponential phase of a sojourn in turn, so a phase drawn after
-the gap to the follower widens runs slowed.  Otherwise each patch sojourn is
-one Gamma draw, the sum of its phases, equal in distribution.
+the gap to the follower widens runs slowed.  A phase completion is not an
+event: one settling loop completes phases, earliest first, until the
+earliest pending item is a departure, a holding gate or an expiry.  Each
+completion moves the bus along its patch and in the ring and draws its next
+phase.  Otherwise each patch sojourn is one Gamma draw, the sum of its
+phases, equal in distribution.
 
 All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
 since the last departure from j by any bus, and H_j the number of buses that
 departed j within the trailing hour.  A departure at b counts in H_j while
-t < b + HOUR; with hour ticks on, an expiry event fires at b + HOUR, so H_j
-changes only at events.
+t < b + HOUR.  H_j needs hour ticks: an expiry event fires at b + HOUR, so
+H_j changes only at events, and a count per patch follows it there.
 
 One next-event selection and one event step serve both ways of driving the
 simulator: `advance()` processes and returns one event, and `run()` repeats
@@ -44,6 +54,7 @@ import heapq
 import math
 import re
 import time as _time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -60,6 +71,19 @@ _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
 
 class SimError(ValueError):
     pass
+
+
+def _ring_move(ring: list[float], old: float, new: float) -> float:
+    """Move one bus from route fraction `old` to `new` in `ring`, the fleet's
+    fractions in ascending order, and return the gap back to its follower:
+    min((new - q) % 1.0) over the other buses' fractions q, or 0.0 for a bus
+    alone.  The follower is the largest q <= new, else (index -1) the largest
+    q of all, across the 1.0 -> 0.0 wrap."""
+    del ring[bisect_left(ring, old)]
+    k = bisect_right(ring, new)
+    gap = (new - ring[k - 1]) % 1.0 if ring else 0.0
+    ring.insert(k, new)
+    return gap
 
 
 @dataclass
@@ -165,13 +189,16 @@ class Simulator:
         self.phase_rate = [0.0] * self.beta
         self.progress_base = [0.0] * self.beta  # completed fraction inside current patch
         self.progress_per_phase = [0.0] * self.beta
-        # route fraction of each bus for the speed factor: _route_progress,
-        # rewritten in phased runs wherever patch or progress_base changes
+        # route fraction of each bus for the gap to its follower: _route_progress,
+        # rewritten in phased runs wherever patch or progress_base changes;
+        # ring holds the same fractions in ascending order
         self.pos = [0.0] * self.beta
+        self.ring: list[float] = []
 
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
         self.last_dep = [None] * (self.n + 1)  # y_j base
         self.last_dep_bus = [[None] * self.beta for _ in range(self.n + 1)]  # z_ij base
+        self.hour_count = [0] * (self.n + 1)  # H_j after the processed expiries (hour ticks)
         self._expiries: list[tuple[float, int, int]] = []  # (t+3600, patch, bus)
 
         self._init_buses()
@@ -221,6 +248,7 @@ class Simulator:
         for i, (j, prog, _) in enumerate(places):
             self.patch[i], self.progress_base[i] = j, prog
             self.pos[i] = self._route_progress(i)
+        self.ring = sorted(self.pos)
         for i, (j, prog, slot_lap) in enumerate(places):
             self.lap[i] = 0 if j == 1 else slot_lap
             self._enter_patch(i, j, 0.0, progress=prog, init_slot_lap=slot_lap)
@@ -231,16 +259,11 @@ class Simulator:
         lo, hi = self.model.spans[self.patch[i] - 1]
         return lo + (hi - lo) * min(self.progress_base[i], 1.0)
 
-    def _speed_factor(self, i: int) -> float:
-        if self.beta < 2:
-            return 1.0
-        pos = self.pos
-        p = pos[i]
-        gap = min([(p - q) % 1.0 for q in pos[:i] + pos[i + 1:]])
-        if gap > self.model.cfg.speedmod_threshold:
-            self.slow_draws += 1
-            return self.model.cfg.slowdown
-        return 1.0
+    def _move(self, i: int, p: float) -> float:
+        """Put bus i at route fraction p; return the gap back to its follower."""
+        gap = _ring_move(self.ring, self.pos[i], p)
+        self.pos[i] = p
+        return gap
 
     def _pick_branch(self, dist: Distribution) -> tuple[int, float]:
         if isinstance(dist, ErlangParams):
@@ -259,7 +282,7 @@ class Simulator:
         self.patch[i] = j
         self.progress_base[i] = progress
         if m.phased:
-            self.pos[i] = self._route_progress(i)
+            gap = self._move(i, self._route_progress(i))
         if m.cfg.timetable and j in m.termini:
             lap = init_slot_lap if init_slot_lap is not None else self.lap[i]
             slot = m.r * lap + m.offsets[i] + m.anchors[j - 1]
@@ -273,8 +296,10 @@ class Simulator:
             self.phases_left[i] = k_left
             self.phase_rate[i] = rate
             self.progress_per_phase[i] = 1.0 / k
-            factor = self._speed_factor(i)
-            self.pending[i] = now + self.rng.exponential(1.0 / (rate * factor))
+            if gap > m.cfg.speedmod_threshold:
+                self.slow_draws += 1
+                rate *= m.cfg.slowdown
+            self.pending[i] = now + self.rng.exponential(1.0 / rate)
         else:
             self.phases_left[i] = 1
             self.progress_per_phase[i] = 1.0 - progress
@@ -285,9 +310,10 @@ class Simulator:
     def reader(self, name: str) -> Callable[[float], float]:
         """Resolve a state name once into a function of the time t that reads
         this simulator's live state: time, mu_tot, y_j, z_i_j, H_j or c_j,
-        with j in 1..n and i in 1..beta.  y_j and z_i_j read infinity until
-        the departure they measure from has happened.  An unknown or
-        out-of-range name raises SimError here, not when it is read."""
+        with j in 1..n and i in 1..beta, at a t no earlier than the clock.
+        y_j and z_i_j read infinity until the departure they measure from has
+        happened.  An unknown or out-of-range name, or H_j on a simulator
+        without hour ticks, raises SimError here, not when it is read."""
         if name == "time":
             return lambda t: t
         if name == "mu_tot":
@@ -315,14 +341,15 @@ class Simulator:
                 return math.inf if base is None else t - base
             return z
         if kind == "H":
-            bases = self.last_dep_bus[j]
+            if not self.hour_ticks:
+                raise SimError(f"{name} needs a simulator with hour ticks")
+            bases, counts, expiries = self.last_dep_bus[j], self.hour_count, self._expiries
 
             def h(t: float) -> float:
-                count = 0
-                for b in bases:
-                    if b is not None and t < b + HOUR:
-                        count += 1
-                return float(count)
+                if expiries and expiries[0][0] <= t:
+                    # an expiry due by t is not processed yet: count the departures
+                    return float(sum(1 for b in bases if b is not None and t < b + HOUR))
+                return float(counts[j])
             return h
         dep_count = self.dep_count
         return lambda t: float(dep_count[j])
@@ -349,12 +376,8 @@ class Simulator:
             i = pending.index(t)
             if not math.isfinite(t):
                 raise SimError("simulation stalled: no pending events")
-            if self.phases_left[i] > 1:  # a phase completion is not an event: the clock stays
-                self.phases_left[i] -= 1
-                self.progress_base[i] += self.progress_per_phase[i]
-                self.pos[i] = self._route_progress(i)
-                factor = self._speed_factor(i)
-                pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
+            if self.phases_left[i] > 1:
+                self._settle_phases()
                 continue
             j = self.patch[i]
             if theta_h is not None:
@@ -364,6 +387,41 @@ class Simulator:
                     continue
             return Event(t, "dep", i + 1, j, self.lap[i])
 
+    def _settle_phases(self):
+        """Complete phases, earliest first, until the earliest pending item
+        is a departure, a holding gate or an expiry.  A phase completion is
+        not an event: the clock stays.  It moves the bus along its patch and
+        in the ring, and draws its next phase, slowed when the gap back to
+        its follower exceeds theta_s."""
+        pending, phases_left, patch = self.pending, self.phases_left, self.patch
+        progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
+        pos, ring, spans = self.pos, self.ring, self.model.spans
+        theta, slowdown = self.model.cfg.speedmod_threshold, self.model.cfg.slowdown
+        exponential = self.rng.exponential
+        stop = self._expiries[0][0] if self._expiries else math.inf
+        slow_draws = self.slow_draws
+        while True:
+            t = min(pending)
+            if t >= stop:
+                break
+            i = pending.index(t)
+            left = phases_left[i]
+            if left < 2:
+                break
+            phases_left[i] = left - 1
+            b = progress[i] + per_phase[i]
+            progress[i] = b
+            lo, hi = spans[patch[i] - 1]
+            p = lo + (hi - lo) * (b if b < 1.0 else 1.0)
+            gap = _ring_move(ring, pos[i], p)
+            pos[i] = p
+            rate = phase_rate[i]
+            if gap > theta:
+                slow_draws += 1
+                rate *= slowdown
+            pending[i] = t + exponential(1.0 / rate)
+        self.slow_draws = slow_draws
+
     def _step(self, ev: Event,
               observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
         """Apply the event _next_event returned.  The observer, if any, sees
@@ -372,7 +430,9 @@ class Simulator:
             observer(self.t, ev, self)
         self.t = ev.t
         if ev.kind == "expiry":
-            heapq.heappop(self._expiries)
+            x, j, bus = heapq.heappop(self._expiries)
+            if x == self.last_dep_bus[j][bus] + HOUR:  # not superseded by a later departure
+                self.hour_count[j] -= 1
         else:
             self._apply_departure(ev.bus - 1, ev.patch, ev.t)
         self.events_processed += 1
@@ -385,8 +445,10 @@ class Simulator:
     def _apply_departure(self, bus: int, j: int, t: float):
         self.dep_count[j] += 1
         self.last_dep[j] = t
-        self.last_dep_bus[j][bus] = t
+        prev, self.last_dep_bus[j][bus] = self.last_dep_bus[j][bus], t
         if self.hour_ticks:
+            if prev is None or prev + HOUR <= t:  # the bus's last departure has expired
+                self.hour_count[j] += 1
             heapq.heappush(self._expiries, (t + HOUR, j, bus))
         nxt = j + 1 if j < self.n else 1
         if nxt == 1:

@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import AIRLINK_K, AIRLINK_LAM, airlink_model
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
-from headwaylab.simulate import HOUR, Event, SimConfig, SimError, Simulator, build_model
+from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, _ring_move,
+                                 build_model)
 
 
 def events_until(model, seed: int, until_time: float) -> list[Event]:
@@ -37,11 +41,12 @@ class HourRecount:
 
 
 class FleetScanSimulator(Simulator):
-    """Reference for the cached route positions: every speed-factor draw
-    recomputes each bus's position from patch and progress_base and scans the
-    fleet for the nearest bus behind, and the next event is selected with a
-    key on (pending, bus), so ties go to the lowest bus index.  `wraps` counts draws whose nearest bus behind sits
-    across the 1.0 -> 0.0 wrap, ahead of the drawing bus in route fraction."""
+    """Reference for the ring of route positions: every gap read recomputes
+    each bus's position from patch and progress_base and scans the fleet for
+    the nearest bus behind, and the next event is selected with a key on
+    (pending, bus), so ties go to the lowest bus index.  `wraps` counts gap
+    reads whose nearest bus behind sits across the 1.0 -> 0.0 wrap, ahead of
+    the moving bus in route fraction."""
 
     wraps = 0
     picks = 0  # events this class selected, so a renamed hook cannot go unused
@@ -50,10 +55,9 @@ class FleetScanSimulator(Simulator):
         lo, hi = self.model.spans[self.patch[b] - 1]
         return lo + (hi - lo) * min(self.progress_base[b], 1.0)
 
-    def _speed_factor(self, i: int) -> float:
-        theta = self.model.cfg.speedmod_threshold
-        if theta is None or self.beta < 2:
-            return 1.0
+    def _move(self, i: int, p: float | None) -> float:
+        if self.beta < 2:
+            return 0.0
         prog_i = self._position(i)
         gap = behind = None
         for b in range(self.beta):
@@ -63,7 +67,13 @@ class FleetScanSimulator(Simulator):
             if gap is None or g < gap:
                 gap, behind = g, b
         self.wraps += prog_i < self._position(behind)
-        if gap > theta:
+        return gap
+
+    def _speed_factor(self, i: int) -> float:
+        theta = self.model.cfg.speedmod_threshold
+        if theta is None:
+            return 1.0
+        if self._move(i, None) > theta:
             self.slow_draws += 1
             return self.model.cfg.slowdown
         return 1.0
@@ -262,6 +272,24 @@ def test_h_counter_counts_recent_departures():
     assert sim.rval("H_1") <= 9
 
 
+def test_h_counter_when_buses_depart_twice_within_the_hour():
+    # a 400 s loop: each bus departs each patch about nine times an hour, so
+    # most expiries belong to a departure the same bus has since superseded
+    m = two_patch_model(n_buses=3)
+    sim = Simulator(m, seed=31, hour_ticks=True)
+    oracle = HourRecount(m.n)
+    sim.run(oracle, until_time=30_000.0)
+    oracle.check(sim)
+    assert sim.events_processed > 300
+    assert sim.hour_count[1:] == [3, 3]
+
+
+def test_h_needs_hour_ticks():
+    sim = Simulator(airlink_model(), seed=21)
+    with pytest.raises(SimError, match="hour ticks"):
+        sim.reader("H_1")
+
+
 def test_debug_hour_recount_consistency():
     m = airlink_model()
     sim = Simulator(m, seed=29, hour_ticks=True)
@@ -354,6 +382,39 @@ def test_initial_speed_draws_see_the_placed_fleet(breakpoints):
     assert sim.slow_draws == sum(g > 0.15 for g in gaps)
 
 
+def test_lone_phased_bus_is_never_slowed():
+    # a bus alone has no follower, so no gap can exceed theta_s
+    pm = PatchModel([ErlangParams(5, 0.05), ErlangParams(5, 0.05)])
+    m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=4, speedmod_threshold=0.1,
+                                  slowdown=0.5))
+    sim = Simulator(m, seed=4)
+    for _ in range(2000):
+        sim.advance()
+    assert sim.slow_draws == 0
+
+
+BELOW_ONE = math.nextafter(1.0, 0.0)
+FRACTION = st.sampled_from([0.0, 0.5, BELOW_ONE]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FRACTION, min_size=2, max_size=15), st.integers(0, 14), FRACTION,
+       st.none() | st.integers(0, 14))
+@example([BELOW_ONE, 0.3], 1, 0.0, None)  # follower one ulp below 1.0, across the wrap
+@example([BELOW_ONE, 0.0], 1, BELOW_ONE, None)
+@example([0.25, 0.25, 0.25], 0, 0.25, None)  # exact ties
+@example([0.0, 0.0], 1, 0.0, 0)
+def test_ring_gap_is_the_fleet_minimum(fleet, mover, new, tie):
+    i = mover % len(fleet)
+    if tie is not None:
+        new = fleet[tie % len(fleet)]
+    ring = sorted(fleet)
+    gap = _ring_move(ring, fleet[i], new)
+    assert gap == min((new - q) % 1.0 for b, q in enumerate(fleet) if b != i)
+    fleet[i] = new
+    assert ring == sorted(fleet)
+
+
 def test_hyper_erlang_branch_draws():
     pm = PatchModel([HyperErlangParams((2, 40), (0.01, 0.4), (0.5, 0.5)),
                      ErlangParams(5, 0.05)])
@@ -427,3 +488,33 @@ def test_cached_positions_match_fleet_scan(case):
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
         # follower is still short of 1.0
         assert ref.wraps > 0 or m.cfg.timetable
+
+
+# at seed 5: a digest of the first 20,000 events' (t, bus, patch, lap), then
+# slow_draws and pending, recorded from the phased simulator that scanned the
+# whole fleet at each phase completion; the ring and the settling loop must
+# draw the same
+PHASED_PINS = {
+    "airlink-holding-speedmod": (
+        lambda: airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
+                              slowdown=0.9),
+        "42ea50feaabdbe8d7123a9306892fc31023265ba476dd91cb26f5b837d784047", 213029,
+        [984949.3825090125, 984884.5355616347, 984869.8783199112, 984865.6950381784,
+         984870.7275105139, 984899.0157352838, 984906.0921148598, 984909.2317181445,
+         984891.8221352546, 984876.4522499931, 984891.9739389473]),
+    "hyper-erlang-phased-speedmod": (
+        ORACLE_CASES["hyper-erlang-phased-speedmod"][0],
+        "ef42907b3625de3d436ccfc0262f39dada47fc687ee2e96a1e84db145e2c46b5", 60470,
+        [926143.5676253269, 926153.6776534611, 926133.8873314622, 926161.7200317034]),
+}
+
+
+@pytest.mark.parametrize("case", PHASED_PINS)
+def test_phased_stream_matches_the_recorded_one(case):
+    make, digest, slow_draws, pending = PHASED_PINS[case]
+    sim = Simulator(make(), seed=5)
+    h = hashlib.sha256()
+    for _ in range(20_000):
+        ev = sim.advance()
+        h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
+    assert (h.hexdigest(), sim.slow_draws, sim.pending) == (digest, slow_draws, pending)
