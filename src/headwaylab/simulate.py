@@ -36,8 +36,8 @@ All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
 since the last departure from j by any bus, and H_j the number of buses that
 departed j within the trailing hour.  A departure at b counts in H_j while
-t < b + HOUR.  H_j needs hour ticks: an expiry event fires at b + HOUR, so
-H_j changes only at events, and a count per patch follows it there.
+t < b + HOUR; with hour ticks on, an expiry event fires at b + HOUR, so H_j
+changes only at events.
 
 One next-event selection and one event step serve both ways of driving the
 simulator: `advance()` processes and returns one event, and `run()` repeats
@@ -198,7 +198,6 @@ class Simulator:
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
         self.last_dep = [None] * (self.n + 1)  # y_j base
         self.last_dep_bus = [[None] * self.beta for _ in range(self.n + 1)]  # z_ij base
-        self.hour_count = [0] * (self.n + 1)  # H_j after the processed expiries (hour ticks)
         self._expiries: list[tuple[float, int, int]] = []  # (t+3600, patch, bus)
 
         self._init_buses()
@@ -265,6 +264,15 @@ class Simulator:
         self.pos[i] = p
         return gap
 
+    def _slowed_rate(self, rate: float, gap: float) -> float:
+        """The rate of a phase drawn `gap` ahead of the follower: scaled by
+        the slowdown, and counted in slow_draws, when the gap exceeds theta_s."""
+        cfg = self.model.cfg
+        if gap > cfg.speedmod_threshold:
+            self.slow_draws += 1
+            return rate * cfg.slowdown
+        return rate
+
     def _pick_branch(self, dist: Distribution) -> tuple[int, float]:
         if isinstance(dist, ErlangParams):
             return dist.k, dist.rate
@@ -296,10 +304,7 @@ class Simulator:
             self.phases_left[i] = k_left
             self.phase_rate[i] = rate
             self.progress_per_phase[i] = 1.0 / k
-            if gap > m.cfg.speedmod_threshold:
-                self.slow_draws += 1
-                rate *= m.cfg.slowdown
-            self.pending[i] = now + self.rng.exponential(1.0 / rate)
+            self.pending[i] = now + self.rng.exponential(1.0 / self._slowed_rate(rate, gap))
         else:
             self.phases_left[i] = 1
             self.progress_per_phase[i] = 1.0 - progress
@@ -310,10 +315,9 @@ class Simulator:
     def reader(self, name: str) -> Callable[[float], float]:
         """Resolve a state name once into a function of the time t that reads
         this simulator's live state: time, mu_tot, y_j, z_i_j, H_j or c_j,
-        with j in 1..n and i in 1..beta, at a t no earlier than the clock.
-        y_j and z_i_j read infinity until the departure they measure from has
-        happened.  An unknown or out-of-range name, or H_j on a simulator
-        without hour ticks, raises SimError here, not when it is read."""
+        with j in 1..n and i in 1..beta.  y_j and z_i_j read infinity until
+        the departure they measure from has happened.  An unknown or
+        out-of-range name raises SimError here, not when it is read."""
         if name == "time":
             return lambda t: t
         if name == "mu_tot":
@@ -341,15 +345,14 @@ class Simulator:
                 return math.inf if base is None else t - base
             return z
         if kind == "H":
-            if not self.hour_ticks:
-                raise SimError(f"{name} needs a simulator with hour ticks")
-            bases, counts, expiries = self.last_dep_bus[j], self.hour_count, self._expiries
+            bases = self.last_dep_bus[j]
 
             def h(t: float) -> float:
-                if expiries and expiries[0][0] <= t:
-                    # an expiry due by t is not processed yet: count the departures
-                    return float(sum(1 for b in bases if b is not None and t < b + HOUR))
-                return float(counts[j])
+                count = 0
+                for b in bases:
+                    if b is not None and t < b + HOUR:
+                        count += 1
+                return float(count)
             return h
         dep_count = self.dep_count
         return lambda t: float(dep_count[j])
@@ -396,10 +399,8 @@ class Simulator:
         pending, phases_left, patch = self.pending, self.phases_left, self.patch
         progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
         pos, ring, spans = self.pos, self.ring, self.model.spans
-        theta, slowdown = self.model.cfg.speedmod_threshold, self.model.cfg.slowdown
-        exponential = self.rng.exponential
+        slowed_rate, exponential = self._slowed_rate, self.rng.exponential
         stop = self._expiries[0][0] if self._expiries else math.inf
-        slow_draws = self.slow_draws
         while True:
             t = min(pending)
             if t >= stop:
@@ -415,12 +416,7 @@ class Simulator:
             p = lo + (hi - lo) * (b if b < 1.0 else 1.0)
             gap = _ring_move(ring, pos[i], p)
             pos[i] = p
-            rate = phase_rate[i]
-            if gap > theta:
-                slow_draws += 1
-                rate *= slowdown
-            pending[i] = t + exponential(1.0 / rate)
-        self.slow_draws = slow_draws
+            pending[i] = t + exponential(1.0 / slowed_rate(phase_rate[i], gap))
 
     def _step(self, ev: Event,
               observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
@@ -430,9 +426,7 @@ class Simulator:
             observer(self.t, ev, self)
         self.t = ev.t
         if ev.kind == "expiry":
-            x, j, bus = heapq.heappop(self._expiries)
-            if x == self.last_dep_bus[j][bus] + HOUR:  # not superseded by a later departure
-                self.hour_count[j] -= 1
+            heapq.heappop(self._expiries)
         else:
             self._apply_departure(ev.bus - 1, ev.patch, ev.t)
         self.events_processed += 1
@@ -445,10 +439,8 @@ class Simulator:
     def _apply_departure(self, bus: int, j: int, t: float):
         self.dep_count[j] += 1
         self.last_dep[j] = t
-        prev, self.last_dep_bus[j][bus] = self.last_dep_bus[j][bus], t
+        self.last_dep_bus[j][bus] = t
         if self.hour_ticks:
-            if prev is None or prev + HOUR <= t:  # the bus's last departure has expired
-                self.hour_count[j] += 1
             heapq.heappush(self._expiries, (t + HOUR, j, bus))
         nxt = j + 1 if j < self.n else 1
         if nxt == 1:

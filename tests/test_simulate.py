@@ -281,13 +281,6 @@ def test_h_counter_when_buses_depart_twice_within_the_hour():
     sim.run(oracle, until_time=30_000.0)
     oracle.check(sim)
     assert sim.events_processed > 300
-    assert sim.hour_count[1:] == [3, 3]
-
-
-def test_h_needs_hour_ticks():
-    sim = Simulator(airlink_model(), seed=21)
-    with pytest.raises(SimError, match="hour ticks"):
-        sim.reader("H_1")
 
 
 def test_debug_hour_recount_consistency():
