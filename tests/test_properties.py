@@ -352,6 +352,30 @@ def test_alternating_renewal_estimate():
     assert abs(res.estimate - expect) <= max(2.5 * res.halfwidth, 0.02)
 
 
+
+# (query, Airlink overrides) -> (estimate, halfwidth, batches, sim_time, verdict)
+# at seed 5 over 40 r, recorded from the simulator that scanned the fleet for H_j
+ESTIMATE_PINS = {
+    "bph-3-untimetabled": ((bph_query(3), dict(timetable=False)),
+                           (0.14922793229009762, 0.023141110897876068, 32, 210350.98162184245,
+                            "violated")),
+    "evwt-6-timetabled": ((evwt_query(6), {}),
+                          (0.0030303030303030303, 0.006180343776958813, 32, 210360.0,
+                           "satisfied")),
+}
+
+
+@pytest.mark.parametrize("case", ESTIMATE_PINS)
+def test_airlink_estimate_matches_the_recorded_one(case):
+    (text, overrides), want = ESTIMATE_PINS[case]
+    model = airlink_model(seed=5, **overrides)
+    prop = parse_quatex(text)
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions,
+                                EstimatorConfig(max_sim_time=40 * model.r, chunk_time=10 * model.r,
+                                                wall_budget=60.0), seed=5)
+    assert (res.estimate, res.halfwidth, res.batches, res.sim_time, res.verdict) == want
+    assert not res.truncated
+
 @pytest.mark.parametrize("batches", [1, 0, -3])
 def test_estimator_config_needs_two_batches(batches):
     with pytest.raises(PropertyError, match="at least 2 batches"):

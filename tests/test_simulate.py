@@ -511,3 +511,44 @@ def test_phased_stream_matches_the_recorded_one(case):
         ev = sim.advance()
         h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
     assert (h.hexdigest(), sim.slow_draws, sim.pending) == (digest, slow_draws, pending)
+
+
+# at seed 5: a digest of the first 20,000 events' (t, bus, patch, lap), then
+# pending, recorded from the aggregated simulator that stepped through
+# _next_event and _apply_departure and scanned the fleet for H_j
+AGGREGATED_PINS = {
+    "airlink-timetable-hour-ticks": (
+        lambda: airlink_model(), True,
+        "ae946c779c9c59f76b5c7d4c25679a87b15c9dd172cba8cc4b0485c9f712b614",
+        [480348.7407810994, 479970.01639662235, 480204.4084157531, 480003.2727272727,
+         480481.36363636365, 480040.7853303869, 480051.08209600975, 480347.9634896044,
+         480254.9125665325, 480353.82751851185, 479970.40929664165]),
+    "airlink-holding-hour-ticks": (
+        lambda: airlink_model(timetable=False, holding_threshold=120.0), True,
+        "8b5043b05c22b3b977d3a2882323782038183d33270330e2321e54ac5ef928f5",
+        [489225.06103644485, 489141.5976802493, 489294.71680806123, 489178.4429631148,
+         489509.0414140926, 488959.55770678783, 489718.62501725054, 489253.17771559773,
+         489267.61298580584, 489168.71768772753, 489272.7131876538]),
+    # hyper-Erlang patches draw their branch before each sojourn
+    "hyper-erlang": (
+        lambda: build_model(
+            PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)),
+                        ErlangParams(8, 0.05), HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)),
+                        ErlangParams(15, 0.1)]),
+            SimConfig(n_buses=4, timetable=False, seed=2)), False,
+        "da330b0aee655c08bf3c4b52df08d024a768a68e11e5a8710e01afa9f0088700",
+        [708067.3192322637, 708000.7715404506, 708244.2044734394, 708100.7199764038]),
+}
+
+
+@pytest.mark.parametrize("case", AGGREGATED_PINS)
+def test_aggregated_stream_matches_the_recorded_one(case):
+    make, ticks, digest, pending = AGGREGATED_PINS[case]
+    m = make()
+    assert not m.phased
+    sim = Simulator(m, seed=5, hour_ticks=ticks)
+    h = hashlib.sha256()
+    for _ in range(20_000):
+        ev = sim.advance()
+        h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
+    assert (h.hexdigest(), sim.pending) == (digest, pending)
