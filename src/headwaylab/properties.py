@@ -429,6 +429,11 @@ class EstimatorConfig:
         if self.batches < 2:
             raise PropertyError(f"need at least 2 batches for a confidence interval, "
                                 f"got {self.batches}")
+        # a chunk that never ends before its own start processes no event,
+        # and the wall budget is checked only between events
+        if self.chunk_time is not None and not (math.isfinite(self.chunk_time)
+                                                and self.chunk_time > 0):
+            raise PropertyError(f"chunk_time must be positive and finite, got {self.chunk_time}")
 
 
 @dataclass

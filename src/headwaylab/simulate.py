@@ -35,17 +35,23 @@ phases, equal in distribution.
 All per-patch metrics are keyed on departures from the patch: c_j counts
 departures from j, z_ij is the time since bus i last departed j, y_j the time
 since the last departure from j by any bus, and H_j the number of buses that
-departed j within the trailing hour.  A departure at b counts in H_j while
-t < b + HOUR; with hour ticks on, an expiry event fires at b + HOUR, so H_j
-changes only at events.
+departed j within the trailing hour.  H_j is kept as a count and needs hour
+ticks: each departure at b schedules an expiry event at b + HOUR.  A
+departure adds the bus to H_j unless its previous departure from j is still
+inside the hour; an expiry takes it out only if it belongs to the bus's
+latest departure from j.  So H_j changes only at events, and a read gives
+the count after the last processed event.
 
-One next-event selection and one event step serve both ways of driving the
-simulator: `advance()` processes and returns one event, and `run()` repeats
-the step until a stop condition, handing each event to an observer before
-the state update.  `run(until_time=T)` processes every event at or before T
-and none after it, so it leaves the clock at the last event, at most T; the
-phases and holds it settles past T draw what the next run would, so a run
-cut into pieces gives the same events as one run.
+`run()` is the one event loop.  It binds the simulator's lists, generator
+and heap functions once per call, picks each next event itself (the
+earliest departure, or an expiry due no later), hands it to the observer
+before the state update, and applies it: counters, hour window, and the
+entry into the next patch, whose timetable slot and sojourn draw are the one
+patch entry that construction also uses.  `advance()` is `run()` with an
+observer that takes one event and stops.  `run(until_time=T)` processes
+every event at or before T and none after it, so it leaves the clock at the
+last event, at most T; the phases and holds it settles past T draw what the
+next run would, so a run cut into pieces gives the same events as one run.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .artifacts import write_lines
-from .fitting import Distribution, ErlangParams, PatchModel
+from .fitting import Distribution, ErlangParams, HyperErlangParams, PatchModel
 
 HOUR = 3600.0
 
@@ -198,8 +204,10 @@ class Simulator:
         self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
         self.last_dep = [None] * (self.n + 1)  # y_j base
         self.last_dep_bus = [[None] * self.beta for _ in range(self.n + 1)]  # z_ij base
+        self.hour_count = [0.0] * (self.n + 1)  # H_j, kept only with hour ticks on
         self._expiries: list[tuple[float, int, int]] = []  # (t+3600, patch, bus)
 
+        self._enter_patch = self._entry()
         self._init_buses()
 
     # -- initialisation ----------------------------------------------------
@@ -250,7 +258,7 @@ class Simulator:
         self.ring = sorted(self.pos)
         for i, (j, prog, slot_lap) in enumerate(places):
             self.lap[i] = 0 if j == 1 else slot_lap
-            self._enter_patch(i, j, 0.0, progress=prog, init_slot_lap=slot_lap)
+            self._enter_patch(i, j, 0.0, prog, slot_lap)
 
     # -- sojourn draws -------------------------------------------------------
 
@@ -273,9 +281,7 @@ class Simulator:
             return rate * cfg.slowdown
         return rate
 
-    def _pick_branch(self, dist: Distribution) -> tuple[int, float]:
-        if isinstance(dist, ErlangParams):
-            return dist.k, dist.rate
+    def _pick_branch(self, dist: HyperErlangParams) -> tuple[int, float]:
         u = self.rng.random()
         acc = 0.0
         for k, r, a in zip(dist.shapes, dist.rates, dist.weights):
@@ -284,31 +290,44 @@ class Simulator:
                 return k, r
         return dist.shapes[-1], dist.rates[-1]
 
-    def _enter_patch(self, i: int, j: int, now: float,
-                     progress: float = 0.0, init_slot_lap: int | None = None):
+    def _entry(self) -> Callable[[int, int, float, float, int], None]:
+        """The one patch entry, with the state it writes bound once:
+        enter(i, j, now, progress, slot_lap) puts bus i into patch j at
+        `now`, `progress` of the way through it.  At a timetabled terminus
+        the bus leaves at the later of now and its slot in lap `slot_lap`;
+        elsewhere it draws the rest of its sojourn, or in phased runs its
+        first phase.  `_init_buses` and `run` both call it."""
         m = self.model
-        self.patch[i] = j
-        self.progress_base[i] = progress
-        if m.phased:
-            gap = self._move(i, self._route_progress(i))
-        if m.cfg.timetable and j in m.termini:
-            lap = init_slot_lap if init_slot_lap is not None else self.lap[i]
-            slot = m.r * lap + m.offsets[i] + m.anchors[j - 1]
-            self.pending[i] = max(now, slot)
-            self.phases_left[i] = 0
-            self.progress_per_phase[i] = 0.0
-            return
-        k, rate = self._pick_branch(m.dists[j - 1])
-        k_left = max(1, k - int(progress * k))
-        if m.phased:
-            self.phases_left[i] = k_left
-            self.phase_rate[i] = rate
-            self.progress_per_phase[i] = 1.0 / k
-            self.pending[i] = now + self.rng.exponential(1.0 / self._slowed_rate(rate, gap))
-        else:
-            self.phases_left[i] = 1
-            self.progress_per_phase[i] = 1.0 - progress
-            self.pending[i] = now + float(self.rng.gamma(k_left, 1.0 / rate))
+        patch, progress_base, pending = self.patch, self.progress_base, self.pending
+        phases_left, phase_rate, per_phase = self.phases_left, self.phase_rate, self.progress_per_phase
+        termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
+        # (k, rate) of each Erlang patch; None where a branch is drawn first
+        erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
+        phased, pick_branch = m.phased, self._pick_branch
+        gamma, exponential = self.rng.gamma, self.rng.exponential
+
+        def enter(i: int, j: int, now: float, progress: float, slot_lap: int):
+            patch[i] = j
+            progress_base[i] = progress
+            if phased:
+                gap = self._move(i, self._route_progress(i))
+            if j in termini:
+                pending[i] = max(now, r * slot_lap + offsets[i] + anchors[j - 1])
+                phases_left[i] = 0
+                per_phase[i] = 0.0
+                return
+            k, rate = erlang[j - 1] or pick_branch(dists[j - 1])
+            k_left = max(1, k - int(progress * k)) if progress else k
+            if phased:
+                phases_left[i] = k_left
+                phase_rate[i] = rate
+                per_phase[i] = 1.0 / k
+                pending[i] = now + exponential(1.0 / self._slowed_rate(rate, gap))
+            else:
+                phases_left[i] = 1
+                per_phase[i] = 1.0 - progress
+                pending[i] = now + gamma(k_left, 1.0 / rate)
+        return enter
 
     # -- metrics view ---------------------------------------------------------
 
@@ -316,8 +335,10 @@ class Simulator:
         """Resolve a state name once into a function of the time t that reads
         this simulator's live state: time, mu_tot, y_j, z_i_j, H_j or c_j,
         with j in 1..n and i in 1..beta.  y_j and z_i_j read infinity until
-        the departure they measure from has happened.  An unknown or
-        out-of-range name raises SimError here, not when it is read."""
+        the departure they measure from has happened.  H_j is the count after
+        the last processed event, whatever t, and needs hour ticks.  An
+        unknown or out-of-range name, or H_j without hour ticks, raises
+        SimError here, not when it is read."""
         if name == "time":
             return lambda t: t
         if name == "mu_tot":
@@ -345,15 +366,10 @@ class Simulator:
                 return math.inf if base is None else t - base
             return z
         if kind == "H":
-            bases = self.last_dep_bus[j]
-
-            def h(t: float) -> float:
-                count = 0
-                for b in bases:
-                    if b is not None and t < b + HOUR:
-                        count += 1
-                return float(count)
-            return h
+            if not self.hour_ticks:
+                raise SimError(f"{name!r} is kept only with hour ticks on")
+            hour_count = self.hour_count
+            return lambda t: hour_count[j]
         dep_count = self.dep_count
         return lambda t: float(dep_count[j])
 
@@ -362,33 +378,6 @@ class Simulator:
         return self.reader(name)(self.t if at is None else at)
 
     # -- event loop -------------------------------------------------------------
-
-    def _next_event(self) -> Event:
-        """The next event, not yet applied: settle the phase completions and
-        holding gates that come before it, then return the earliest departure,
-        or the earliest hour-window expiry when it is due no later.  Ties
-        between buses go to the lowest index.  Settling draws no more than the
-        event needs, so a second call returns the same event."""
-        pending, expiries = self.pending, self._expiries
-        theta_h = self.model.cfg.holding_threshold
-        while True:
-            t = min(pending)
-            if expiries and expiries[0][0] <= t:
-                t, j, _ = expiries[0]
-                return Event(t, "expiry", 0, j)
-            i = pending.index(t)
-            if not math.isfinite(t):
-                raise SimError("simulation stalled: no pending events")
-            if self.phases_left[i] > 1:
-                self._settle_phases()
-                continue
-            j = self.patch[i]
-            if theta_h is not None:
-                base = self.last_dep[j]
-                if base is not None and t < base + theta_h:
-                    pending[i] = base + theta_h
-                    continue
-            return Event(t, "dep", i + 1, j, self.lap[i])
 
     def _settle_phases(self):
         """Complete phases, earliest first, until the earliest pending item
@@ -418,53 +407,88 @@ class Simulator:
             pos[i] = p
             pending[i] = t + exponential(1.0 / slowed_rate(phase_rate[i], gap))
 
-    def _step(self, ev: Event,
-              observer: Callable[[float, Event, "Simulator"], None] | None) -> Event:
-        """Apply the event _next_event returned.  The observer, if any, sees
-        the state before the event's update."""
-        if observer is not None:
-            observer(self.t, ev, self)
-        self.t = ev.t
-        if ev.kind == "expiry":
-            heapq.heappop(self._expiries)
-        else:
-            self._apply_departure(ev.bus - 1, ev.patch, ev.t)
-        self.events_processed += 1
-        return ev
-
     def advance(self) -> Event:
-        """Process and return the next state-changing event."""
-        return self._step(self._next_event(), None)
+        """Process and return the next event."""
+        taken = []
 
-    def _apply_departure(self, bus: int, j: int, t: float):
-        self.dep_count[j] += 1
-        self.last_dep[j] = t
-        self.last_dep_bus[j][bus] = t
-        if self.hour_ticks:
-            heapq.heappush(self._expiries, (t + HOUR, j, bus))
-        nxt = j + 1 if j < self.n else 1
-        if nxt == 1:
-            self.lap[bus] += 1
-        self._enter_patch(bus, nxt, t)
+        def take(t_prev: float, ev: Event, sim: "Simulator") -> bool:
+            taken.append(ev)
+            return True
+        self.run(take)
+        return taken[0]
 
-    def run(self, observer: Callable[[float, Event, "Simulator"], None] | None = None,
+    def run(self, observer: Callable[[float, Event, "Simulator"], bool | None] | None = None,
             until_time: float | None = None, wall_deadline: float | None = None) -> bool:
-        """Drive events forward, invoking the observer with the pre-update state.
+        """Process events in time order: the simulator's one event loop.
 
-        With until_time T, every event at or before T is processed and none
-        after it, so afterwards self.t <= T.  Returns False when stopped by
-        the wall-clock deadline (truncated), else True.  The observer is
+        The next event is the earliest pending departure, or the earliest
+        hour-window expiry when it is due no later; ties between buses go to
+        the lowest index.  Phase completions that come before it are settled
+        first, and a bus that would leave sooner than theta_h after the last
+        departure from its patch is moved to that gate.  The observer is
         called as observer(t_prev, event, sim) before the event's state
         change is applied (the simulator applies it right after), so rval()
-        at event time reflects the state x_{i-1}."""
+        at event time reflects the state x_{i-1}.
+
+        With until_time T, every event at or before T is processed and none
+        after it, so afterwards self.t <= T.  The run also stops after an
+        event for which the observer returns True.  Returns False when
+        stopped by the wall-clock deadline (truncated), else True."""
         stop = math.inf if until_time is None else until_time
+        n, ticks, theta_h = self.n, self.hour_ticks, self.model.cfg.holding_threshold
+        pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
+        last_dep, last_dep_bus, dep_count = self.last_dep, self.last_dep_bus, self.dep_count
+        expiries, hour_count = self._expiries, self.hour_count
+        enter, settle = self._enter_patch, self._settle_phases
+        heappush, heappop = heapq.heappush, heapq.heappop
+        monotonic, isfinite = _time.monotonic, math.isfinite
         while True:
-            ev = self._next_event()
-            if ev.t > stop:
+            t = min(pending)
+            if expiries and expiries[0][0] <= t:
+                t, j, i = expiries[0]
+                ev = Event(t, "expiry", 0, j)
+            else:
+                i = pending.index(t)
+                if not isfinite(t):
+                    raise SimError("simulation stalled: no pending events")
+                if phases_left[i] > 1:
+                    settle()
+                    continue
+                j = patch[i]
+                if theta_h is not None:
+                    base = last_dep[j]
+                    if base is not None and t < base + theta_h:
+                        pending[i] = base + theta_h
+                        continue
+                ev = Event(t, "dep", i + 1, j, lap[i])
+            if t > stop:
                 return True
-            if wall_deadline is not None and _time.monotonic() > wall_deadline:
+            if wall_deadline is not None and monotonic() > wall_deadline:
                 return False
-            self._step(ev, observer)
+            done = observer is not None and observer(self.t, ev, self)
+            self.t = t
+            bases = last_dep_bus[j]
+            if ev.bus == 0:
+                heappop(expiries)
+                # a later departure of the bus from j keeps it in H_j
+                if bases[i] + HOUR == t:
+                    hour_count[j] -= 1.0
+            else:
+                dep_count[j] += 1
+                last_dep[j] = t
+                if ticks:
+                    prev = bases[i]
+                    if prev is None or prev + HOUR <= t:
+                        hour_count[j] += 1.0
+                    heappush(expiries, (t + HOUR, j, i))
+                bases[i] = t
+                if j == n:
+                    j = 0
+                    lap[i] += 1
+                enter(i, j + 1, t, 0.0, lap[i])
+            self.events_processed += 1
+            if done:
+                return True
 
 
 def write_event_log(events: Iterable[Event], path: str) -> None:

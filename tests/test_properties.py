@@ -153,8 +153,9 @@ def tree_eval(expr, rval, constants=None, functions=None) -> float:
 
 def snapshot_rval(state, name: str) -> float:
     """Reference state reader over a recorded simulator state: parses the
-    name on every read."""
-    t, last_dep, last_dep_bus, dep_count = state
+    name on every read.  H_j counts the departures within the hour before
+    the state's own time, the last processed event, whatever t."""
+    t, now, last_dep, last_dep_bus, dep_count = state
     if name == "time":
         return t
     if name.startswith("y_"):
@@ -166,7 +167,7 @@ def snapshot_rval(state, name: str) -> float:
         return math.inf if base is None else t - base
     if name.startswith("H_"):
         return float(sum(1 for b in last_dep_bus[int(name[2:])]
-                         if b is not None and t < b + HOUR))
+                         if b is not None and now < b + HOUR))
     if name.startswith("c_"):
         return float(dep_count[int(name[2:])])
     raise KeyError(name)
@@ -204,7 +205,7 @@ def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
 
     def observer(t_prev, ev, s):
         for t in (t_prev, ev.t):
-            states.append((t, list(s.last_dep), [list(row) for row in s.last_dep_bus],
+            states.append((t, s.t, list(s.last_dep), [list(row) for row in s.last_dep_bus],
                            list(s.dep_count)))
             got.append({name: outcome(lambda: f(t)) for name, f in compiled.items()})
 
@@ -380,6 +381,14 @@ def test_airlink_estimate_matches_the_recorded_one(case):
 def test_estimator_config_needs_two_batches(batches):
     with pytest.raises(PropertyError, match="at least 2 batches"):
         EstimatorConfig(batches=batches)
+
+
+@pytest.mark.parametrize("chunk_time", [0.0, -5.0, math.inf, math.nan])
+def test_estimator_config_needs_a_positive_finite_chunk(chunk_time):
+    # a zero chunk used to spin forever: run(until_time=0) processes no
+    # event, so it never reached the wall-budget check
+    with pytest.raises(PropertyError, match="chunk_time"):
+        EstimatorConfig(chunk_time=chunk_time, wall_budget=1.0)
 
 
 def test_estimate_repeats_bit_for_bit():

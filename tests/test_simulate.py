@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -40,64 +41,86 @@ class HourRecount:
             assert fast == slow, f"H_{j} mismatch at t={sim.t}: indicator={fast} ring={slow}"
 
 
-class FleetScanSimulator(Simulator):
-    """Reference for the ring of route positions: every gap read recomputes
-    each bus's position from patch and progress_base and scans the fleet for
-    the nearest bus behind, and the next event is selected with a key on
-    (pending, bus), so ties go to the lowest bus index.  `wraps` counts gap
-    reads whose nearest bus behind sits across the 1.0 -> 0.0 wrap, ahead of
-    the moving bus in route fraction."""
+class ReferenceStepper:
+    """Reference for Simulator.run that shares none of its stepping code: it
+    takes over a freshly built simulator's state and generator and steps
+    them one event at a time.  The next event is selected with a key on
+    (pending, bus), so ties go to the lowest bus index, and expiries come
+    from a plain list.  Every gap read recomputes each bus's route fraction
+    from patch and progress_base and scans the fleet for the nearest bus
+    behind.  `wraps` counts gap reads whose nearest bus behind sits across
+    the 1.0 -> 0.0 wrap, ahead of the moving bus in route fraction."""
 
-    wraps = 0
-    picks = 0  # events this class selected, so a renamed hook cannot go unused
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.expiries = []
+        self.wraps = 0
 
     def _position(self, b: int) -> float:
-        lo, hi = self.model.spans[self.patch[b] - 1]
-        return lo + (hi - lo) * min(self.progress_base[b], 1.0)
+        s = self.sim
+        lo, hi = s.model.spans[s.patch[b] - 1]
+        return lo + (hi - lo) * min(s.progress_base[b], 1.0)
 
-    def _move(self, i: int, p: float | None) -> float:
-        if self.beta < 2:
-            return 0.0
-        prog_i = self._position(i)
-        gap = behind = None
-        for b in range(self.beta):
-            if b == i:
-                continue
-            g = (prog_i - self._position(b)) % 1.0
-            if gap is None or g < gap:
-                gap, behind = g, b
-        self.wraps += prog_i < self._position(behind)
-        return gap
+    def _rate(self, i: int, rate: float) -> float:
+        s, cfg = self.sim, self.sim.model.cfg
+        if s.beta < 2:
+            return rate
+        gap, behind = min(((self._position(i) - self._position(b)) % 1.0, b)
+                          for b in range(s.beta) if b != i)
+        self.wraps += self._position(i) < self._position(behind)
+        if gap > cfg.speedmod_threshold:
+            s.slow_draws += 1
+            return rate * cfg.slowdown
+        return rate
 
-    def _speed_factor(self, i: int) -> float:
-        theta = self.model.cfg.speedmod_threshold
-        if theta is None:
-            return 1.0
-        if self._move(i, None) > theta:
-            self.slow_draws += 1
-            return self.model.cfg.slowdown
-        return 1.0
+    def _enter(self, i: int, j: int, now: float):
+        s, m = self.sim, self.sim.model
+        s.patch[i], s.progress_base[i] = j, 0.0
+        if j in m.termini:
+            s.pending[i] = max(now, m.r * s.lap[i] + m.offsets[i] + m.anchors[j - 1])
+            s.phases_left[i] = 0
+            return
+        d = m.dists[j - 1]
+        if isinstance(d, ErlangParams):
+            k, rate = d.k, d.rate
+        else:
+            u = s.rng.random()
+            k, rate = next(((k, r) for k, r, c in zip(d.shapes, d.rates, accumulate(d.weights))
+                            if u <= c), (d.shapes[-1], d.rates[-1]))
+        if m.phased:
+            s.phases_left[i], s.phase_rate[i], s.progress_per_phase[i] = k, rate, 1.0 / k
+            s.pending[i] = now + s.rng.exponential(1.0 / self._rate(i, rate))
+        else:
+            s.phases_left[i] = 1
+            s.pending[i] = now + float(s.rng.gamma(k, 1.0 / rate))
 
-    def _next_event(self) -> Event:
-        self.picks += 1
-        theta_h = self.model.cfg.holding_threshold
+    def advance(self) -> Event:
+        s, m = self.sim, self.sim.model
         while True:
-            i = min(range(self.beta), key=lambda b: (self.pending[b], b))
-            t = self.pending[i]
-            if self._expiries and self._expiries[0][0] <= t:
-                return Event(self._expiries[0][0], "expiry", 0, self._expiries[0][1])
-            if self.phases_left[i] > 1:
-                self.phases_left[i] -= 1
-                self.progress_base[i] += self.progress_per_phase[i]
-                factor = self._speed_factor(i)
-                self.pending[i] = t + self.rng.exponential(1.0 / (self.phase_rate[i] * factor))
+            i = min(range(s.beta), key=lambda b: (s.pending[b], b))
+            t = s.pending[i]
+            if self.expiries and min(self.expiries)[0] <= t:
+                s.t, j, _ = x = min(self.expiries)
+                self.expiries.remove(x)
+                return Event(s.t, "expiry", 0, j)
+            if s.phases_left[i] > 1:
+                s.phases_left[i] -= 1
+                s.progress_base[i] += s.progress_per_phase[i]
+                s.pending[i] = t + s.rng.exponential(1.0 / self._rate(i, s.phase_rate[i]))
                 continue
-            if theta_h is not None:
-                base = self.last_dep[self.patch[i]]
-                if base is not None and t < base + theta_h:
-                    self.pending[i] = base + theta_h
-                    continue
-            return Event(t, "dep", i + 1, self.patch[i], self.lap[i])
+            j = s.patch[i]
+            theta_h = m.cfg.holding_threshold
+            if theta_h is not None and s.last_dep[j] is not None and t < s.last_dep[j] + theta_h:
+                s.pending[i] = s.last_dep[j] + theta_h
+                continue
+            ev = Event(t, "dep", i + 1, j, s.lap[i])
+            s.t = s.last_dep[j] = t
+            if s.hour_ticks:
+                self.expiries.append((t + HOUR, j, i))
+            if j == m.n:
+                s.lap[i] += 1
+            self._enter(i, j % m.n + 1, t)
+            return ev
 
 
 def two_patch_model(mu1=100.0, mu2=300.0, **overrides):
@@ -237,6 +260,19 @@ def test_reader_rejects_unknown_names_when_resolved(name):
     sim = Simulator(airlink_model(), seed=21)
     with pytest.raises(SimError, match="unknown state quantity"):
         sim.reader(name)
+
+
+def test_h_needs_hour_ticks_when_resolved():
+    # H_j is a count kept from departures and expiries, so without hour
+    # ticks there is nothing to read
+    with pytest.raises(SimError, match="hour ticks"):
+        Simulator(airlink_model(), seed=21).reader("H_3")
+    sim = Simulator(airlink_model(), seed=21, hour_ticks=True)
+    h = sim.reader("H_3")
+    assert h(0.0) == 0.0
+    while sim.rval("c_3") == 0:
+        sim.advance()
+    assert h(sim.t) == h(sim.t + 10 * HOUR) == 1.0  # the count, whatever t
 
 
 def test_readers_resolved_before_any_event_follow_the_state():
@@ -469,15 +505,14 @@ def test_cached_positions_match_fleet_scan(case):
     make, ticks, n_events = ORACLE_CASES[case]
     m = make()
     fast = Simulator(m, seed=17, hour_ticks=ticks)
-    ref = FleetScanSimulator(m, seed=17, hour_ticks=ticks)
+    ref = ReferenceStepper(Simulator(m, seed=17, hour_ticks=ticks))
     for _ in range(n_events):
         a, b = fast.advance(), ref.advance()
         assert (a.t, a.kind, a.bus, a.patch, a.lap) == (b.t, b.kind, b.bus, b.patch, b.lap)
-    assert ref.picks == n_events
-    assert fast.slow_draws == ref.slow_draws
-    assert fast.pending == ref.pending
+    assert fast.slow_draws == ref.sim.slow_draws
+    assert fast.pending == ref.sim.pending
     if m.cfg.speedmod_threshold is not None:
-        assert ref.slow_draws > 0
+        assert ref.sim.slow_draws > 0
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
         # follower is still short of 1.0
         assert ref.wraps > 0 or m.cfg.timetable
