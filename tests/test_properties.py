@@ -353,7 +353,6 @@ def test_alternating_renewal_estimate():
     assert abs(res.estimate - expect) <= max(2.5 * res.halfwidth, 0.02)
 
 
-
 # (query, Airlink overrides) -> (estimate, halfwidth, batches, sim_time, verdict)
 # at seed 5 over 40 r, recorded from the simulator that scanned the fleet for H_j
 ESTIMATE_PINS = {
@@ -376,6 +375,7 @@ def test_airlink_estimate_matches_the_recorded_one(case):
                                                 wall_budget=60.0), seed=5)
     assert (res.estimate, res.halfwidth, res.batches, res.sim_time, res.verdict) == want
     assert not res.truncated
+
 
 @pytest.mark.parametrize("batches", [1, 0, -3])
 def test_estimator_config_needs_two_batches(batches):

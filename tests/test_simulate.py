@@ -100,9 +100,10 @@ class ReferenceStepper:
             i = min(range(s.beta), key=lambda b: (s.pending[b], b))
             t = s.pending[i]
             if self.expiries and min(self.expiries)[0] <= t:
-                s.t, j, _ = x = min(self.expiries)
+                x = min(self.expiries)
                 self.expiries.remove(x)
-                return Event(s.t, "expiry", 0, j)
+                s.t = x[0]
+                return Event(x[0], "expiry", 0, x[1])
             if s.phases_left[i] > 1:
                 s.phases_left[i] -= 1
                 s.progress_base[i] += s.progress_per_phase[i]
