@@ -42,13 +42,14 @@ inside the hour; an expiry takes it out only if it belongs to the bus's
 latest departure from j.  So H_j changes only at events, and a read gives
 the count after the last processed event.
 
-`run()` is the one event loop.  It binds the simulator's lists, generator
-and heap functions once per call, picks each next event itself (the
-earliest departure, or an expiry due no later), hands it to the observer
-before the state update, and applies it: counters, hour window, and the
-entry into the next patch, whose timetable slot and sojourn draw are the one
-patch entry that construction also uses.  `advance()` is `run()` with an
-observer that takes one event and stops.  `run(until_time=T)` processes
+`run()` is the one event loop.  It binds the simulator's lists and heap
+functions once per call, picks each next event itself (the earliest
+departure, or an expiry due no later), hands it to the observer before the
+state update, and applies it: counters, hour window, and the entry into the
+next patch.  The patch entry, with the timetable slot and the sojourn draw,
+is one function with the generator bound once per simulator; construction
+places the buses through it too.  `advance()` is `run()` with an observer
+that takes one event and stops.  `run(until_time=T)` processes
 every event at or before T and none after it, so it leaves the clock at the
 last event, at most T; the phases and holds it settles past T draw what the
 next run would, so a run cut into pieces gives the same events as one run.
