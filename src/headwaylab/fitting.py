@@ -289,12 +289,6 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
     return best[1]
 
 
-def hyper_erlang_loglik(obs, params: HyperErlangParams) -> float:
-    x = np.asarray(list(obs), dtype=np.float64)
-    _, lse = _log_densities(x, np.log(x), params.shapes, params.rates, params.weights)
-    return float(lse.sum())
-
-
 # --- goodness of fit ------------------------------------------------------
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_lines, write_lines
-from .route import CompletionTable, EdgeIndex, best_candidate
+from .route import CompletionTable, EdgeIndex, best_candidate, snap_index
 from .route import route_completion  # noqa: F401  (kept public here; perfbench counts its calls)
 
 
@@ -104,7 +104,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     turnaround node, the earlier part keeping the inbound direction and the
     rest flipping to the outbound one.  Returns (per-vehicle list of
     (t, fraction, x, y), unmatched count)."""
-    index = index or EdgeIndex(rm.graph, sample_step=max(rm.rejection_radius / 2, 1e-9))
+    index = index or snap_index(rm.graph, rm.rejection_radius)
     term_a, term_b = rm.termini
     far_nodes = _terminus_far_nodes(rm)
     tables = [CompletionTable(rm, d) for d in (0, 1)]

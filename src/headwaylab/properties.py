@@ -6,12 +6,12 @@ plus assertions  S [ f(), "C" ] < p;  asserting that the long-run average of
 f against the clock C stays below p.  The estimate accumulates, over the
 event stream, (C(t_i) - C(t_{i-1})) * F(x_{i-1}) normalized by the total
 clock increment, evaluated with non-overlapping batch means on one long
-trajectory after a warmup; the run stops when the relative 95% confidence
-half-width reaches the target, the simulated time reaches its cap, or the
-wall-clock budget runs out.  Batches carry equal clock weight, so the mean
-of the batch means equals sum(w*F)/sum(w); on long runs the stored units of
-clock weight merge pairwise when full (batch doubling, as in LBATCH and
-dynamic batch means), which bounds memory.
+trajectory after a warmup; at each chunk end the run stops when the relative
+95% confidence half-width has reached the target, the simulated time its cap,
+or the wall-clock time the budget (see EstimatorConfig).  Batches carry equal
+clock weight, so the mean of the batch means equals sum(w*F)/sum(w); on long
+runs the stored units of clock weight merge pairwise when full (batch
+doubling, as in LBATCH and dynamic batch means), which bounds memory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_lines
-from .simulate import Event, SimModel, Simulator
+from .simulate import Event, SimError, SimModel, Simulator, parse_state_name
 
 
 class PropertyError(ValueError):
@@ -329,7 +329,7 @@ def expand_per_patch(text: str, patches: list[int]) -> dict[int, str]:
     H_j, z_i_j) for each requested patch index."""
     out = {}
     for j in patches:
-        out[j] = re.sub(r"\b(y|c|H)_j\b", lambda m: f"{m.group(1)}_{j}", text)
+        out[j] = re.sub(r"\b(y|c|H|z_[0-9]+)_j\b", lambda m: f"{m.group(1)}_{j}", text)
     return out
 
 
@@ -411,17 +411,24 @@ def evaluate_expr(expr, rval, constants: dict[str, float] | None = None,
 
 # --- steady-state estimation ---------------------------------------------------
 
+MIN_SAMPLES = 64  # samples a run needs before the half-width target may stop it
+
+
 @dataclass
 class EstimatorConfig:
+    """Stopping rule of `estimate_steady_state`, checked at each chunk end:
+    the half-width target first, then max_sim_time, then wall_budget.  The
+    budget is read only there, so a run can overshoot it by at most one
+    chunk of simulated time."""
+
     warmup_time: float | None = None  # defaults to 10 * r
     batches: int = 32
     rel_halfwidth_target: float = 0.10
-    wall_budget: float = 300.0
-    min_samples: int = 64
+    wall_budget: float = 300.0  # wall-clock seconds
     # cap on simulated seconds: no event after it is processed, and the run
     # stops there even when the half-width target is not met
     max_sim_time: float | None = None
-    # seconds between convergence checks, which fall at whole multiples of
+    # seconds between the stopping checks, which fall at whole multiples of
     # it (and at max_sim_time); defaults to 20 * r
     chunk_time: float | None = None
 
@@ -429,8 +436,7 @@ class EstimatorConfig:
         if self.batches < 2:
             raise PropertyError(f"need at least 2 batches for a confidence interval, "
                                 f"got {self.batches}")
-        # a chunk that never ends before its own start processes no event,
-        # and the wall budget is checked only between events
+        # chunk ends must move forward through simulated time
         if self.chunk_time is not None and not (math.isfinite(self.chunk_time)
                                                 and self.chunk_time > 0):
             raise PropertyError(f"chunk_time must be positive and finite, got {self.chunk_time}")
@@ -447,8 +453,9 @@ class EstimateResult:
     verdict: str  # satisfied | violated | undecided
     event_observed: bool
     skipped_samples: int = 0
-    truncated: bool = False
+    truncated: bool = False  # the wall budget ran out before the target or the cap
     query: SteadyStateQuery | None = None
+    patch: int | None = None  # the one patch the clock and function read, if one
 
 
 class _Accumulator:
@@ -554,34 +561,34 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     cfg = cfg or EstimatorConfig()
     expr = functions[query.function]
     clock = query.clock
-    counter = re.fullmatch(r"c_([0-9]+)", clock)
-    if clock != "time" and counter is None:
-        raise PropertyError(f"clock must be 'time' or a departure counter, got {clock!r}")
-    clock_patch = int(counter.group(1)) if counter else 0
-    if counter and not 1 <= clock_patch <= model.n:
-        raise PropertyError(f"clock {clock!r} names no patch of a {model.n}-patch model")
-    needs_ticks = _mentions_hour_counter(expr, functions)
-    sim = Simulator(model, seed=seed, replication=replication, hour_ticks=needs_ticks)
+    n, beta = model.n, model.cfg.n_buses
+    try:
+        clock_kind, clock_patch, _ = parse_state_name(clock, n, beta)
+    except SimError:
+        clock_kind = None
+    if clock_kind not in ("time", "c"):
+        raise PropertyError(f"clock must be 'time' or a departure counter c_j of the "
+                            f"{n}-patch model, got {clock!r}")
+    states = [parse_state_name(name, n, beta) for name in _state_names(expr, functions)]
+    patches = {j for _, j, _ in states if j} | ({clock_patch} if clock_patch else set())
+    sim = Simulator(model, seed=seed, replication=replication,
+                    hour_ticks=any(kind == "H" for kind, _, _ in states))
     f = compile_expr(expr, sim.reader, {"mu_tot": model.mu_tot}, functions)
     warmup = cfg.warmup_time if cfg.warmup_time is not None else 10.0 * model.r
     chunk = cfg.chunk_time if cfg.chunk_time is not None else 20.0 * model.r
     acc = _Accumulator()
     add = acc.add
-    warm = False
-    last = 0.0  # time of the previous event once warm (time clock)
+    last = max(0.0, warmup)  # time of the previous event past the warm-up (time clock)
     skipped = 0
     deadline = _time.monotonic() + cfg.wall_budget
 
     if clock == "time":
         # the state x_{i-1} holds over (t_{i-1}, t_i]: weight t_i - t_{i-1}
-        def observer(t_prev: float, ev: Event, s: Simulator):
-            nonlocal warm, last, skipped
+        def observer(ev: Event):
+            nonlocal last, skipped
             t = ev.t
-            if not warm:
-                if t <= warmup:
-                    return
-                warm = True
-                last = max(t_prev, warmup)
+            if t <= warmup:
+                return
             w = t - last
             if w > 0:
                 try:
@@ -591,13 +598,11 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
             last = t
     else:
         # the counter steps by one at each departure from its patch
-        def observer(t_prev: float, ev: Event, s: Simulator):
-            nonlocal warm, skipped
+        def observer(ev: Event):
+            nonlocal skipped
             t = ev.t
-            if not warm:
-                if t <= warmup:
-                    return
-                warm = True
+            if t <= warmup:
+                return
             if ev.patch == clock_patch and ev.kind == "dep":
                 try:
                     add(1.0, f(t))
@@ -614,7 +619,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
     for chunks in itertools.count(1):
         end = min(chunks * chunk, cap)  # absolute, so the cap is exact
-        finished = sim.run(observer, until_time=end, wall_deadline=deadline)
+        sim.run(observer, until_time=end)
         bm = acc.batch_means(cfg.batches)
         if bm is not None:
             means, total_clock = bm
@@ -626,12 +631,12 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                 0.0 if halfwidth == 0.0 else math.inf)
             # an all-zero F stream is "event not yet observed": keep simulating
             # until the time or wall budget runs out, as the tables do
-            if acc.nonzero_f and acc.n >= cfg.min_samples and rel <= cfg.rel_halfwidth_target:
+            if acc.nonzero_f and acc.n >= MIN_SAMPLES and rel <= cfg.rel_halfwidth_target:
                 break
-        if not finished:
-            truncated = True
-            break
         if end >= cap:
+            break
+        if _time.monotonic() > deadline:
+            truncated = True
             break
         if clock != "time" and end > warmup + 100 * chunk and acc.n == 0:
             raise PropertyError(f"clock {clock!r} never advances")
@@ -639,14 +644,17 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     event_observed = acc.nonzero_f and acc.n > 0
     verdict = _verdict(estimate, halfwidth, query.threshold, event_observed)
     return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, sim.t, verdict,
-                          event_observed, skipped, truncated, query)
+                          event_observed, skipped, truncated, query,
+                          patches.pop() if len(patches) == 1 else None)
 
 
-def _mentions_hour_counter(expr, functions) -> bool:
-    """Whether expr reads an H_j counter, itself or through a called function."""
-    return any(isinstance(e, Rval) and e.name.startswith("H_")
-               or isinstance(e, Call) and _mentions_hour_counter(functions[e.name], functions)
-               for e in _subterms(expr))
+def _state_names(expr, functions):
+    """The names expr reads, itself or through the functions it calls."""
+    for e in _subterms(expr):
+        if isinstance(e, Rval):
+            yield e.name
+        elif isinstance(e, Call):
+            yield from _state_names(functions[e.name], functions)
 
 
 def _verdict(estimate, halfwidth, threshold, event_observed) -> str:
@@ -699,8 +707,7 @@ def write_results_tsv(results: list[EstimateResult], path: str,
     rows = [("assertion", "patch", "estimate", "halfwidth", "verdict", "batches", "sim_time")]
     for i, r in enumerate(results):
         label = labels[i] if labels else (r.query.function if r.query else str(i))
-        patch = r.query.clock[2:] if r.query and r.query.clock.startswith("c_") else ""
         shown = ((f"{r.estimate:.6g}", f"{r.halfwidth:.3g}", r.verdict)
                  if r.event_observed and r.estimate is not None else ("-", "-", "-"))
-        rows.append((label, patch, *shown, r.batches, f"{r.sim_time:.0f}"))
+        rows.append((label, r.patch or "", *shown, r.batches, f"{r.sim_time:.0f}"))
     write_lines(path, rows, "\t")

@@ -135,6 +135,11 @@ class EdgeIndex:
         return int(edge[0]), float(along[0]), float(dist[0])
 
 
+def snap_index(graph: RouteGraph, rejection_radius: float) -> EdgeIndex:
+    """The EdgeIndex the route stages snap with: a sample every half radius."""
+    return EdgeIndex(graph, sample_step=max(rejection_radius / 2, 1e-9))
+
+
 def _edge_ids(graph: RouteGraph) -> np.ndarray:
     return np.array(sorted(graph.edges), dtype=np.int64)
 
@@ -237,29 +242,27 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
     """
     if len(graph.edges) < 2:
         raise RouteError("graph needs at least 2 edges")
-    index = EdgeIndex(graph, sample_step=max(rejection_radius / 2, 1e-9))
+    index = snap_index(graph, rejection_radius)
     adj = graph.adjacency()
 
     # snap all records, in batches per vehicle; accumulate dwell time per edge
     dwell = defaultdict(float)
-    snapped: dict[str, list[tuple[int, int, float]]] = {}  # vid -> [(t, edge, along)]
+    snapped: dict[str, list[int]] = {}  # vid -> edge of each record within the radius
     for vid in ts.vehicles():
         recs = ts.traces[vid]
-        edges, alongs, dists = [], [], []
+        edges, dists = [], []
         for cands in index.batches([(r.x, r.y) for r in recs]):
-            edge, along, dist = best_candidate(*cands)
+            edge, _, dist = best_candidate(*cands)
             edges += edge.tolist()
-            alongs += along.tolist()
             dists += dist.tolist()
-        rows = []
-        for i, (rec, eid, along, dist) in enumerate(zip(recs, edges, alongs, dists)):
+        kept = []
+        for i, (rec, eid, dist) in enumerate(zip(recs, edges, dists)):
             if dist > rejection_radius:
                 continue
             if i + 1 < len(recs):
-                dt = min(recs[i + 1].t - rec.t, GAP_SECONDS)
-                dwell[eid] += dt
-            rows.append((rec.t, eid, along))
-        snapped[vid] = rows
+                dwell[eid] += min(recs[i + 1].t - rec.t, GAP_SECONDS)
+            kept.append(eid)
+        snapped[vid] = kept
 
     if terminus_mode == "extremes":
         degree = Counter()
@@ -291,10 +294,10 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
 
     # cut each vehicle's edge stream into terminus-to-terminus passages
     passages: dict[tuple[int, int], Counter] = {(term_a, term_b): Counter(), (term_b, term_a): Counter()}
-    for vid, rows in snapped.items():
+    for kept in snapped.values():
         cur_from = None
         seq: list[int] = []
-        for _, eid, _ in rows:
+        for eid in kept:
             if eid in (term_a, term_b):
                 if cur_from is not None and eid != cur_from and seq:
                     passages[(cur_from, eid)][tuple(seq)] += 1
@@ -385,7 +388,7 @@ def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: 
     """Fraction in [0, 1) of the full loop at the given point, travelling in
     the direction that starts at last_terminus."""
     d = 0 if last_terminus == rm.termini[0] else 1
-    index = index or EdgeIndex(rm.graph, sample_step=max(rm.rejection_radius / 2, 1e-9))
+    index = index or snap_index(rm.graph, rm.rejection_radius)
     frac, matched = CompletionTable(rm, d).fractions(*index.candidates([point]))
     if not matched[0]:
         raise UnmatchedMeasurement(f"point beyond rejection radius {rm.rejection_radius}")

@@ -42,17 +42,19 @@ inside the hour; an expiry takes it out only if it belongs to the bus's
 latest departure from j.  So H_j changes only at events, and a read gives
 the count after the last processed event.
 
-`run()` is the one event loop.  It binds the simulator's lists and heap
-functions once per call, picks each next event itself (the earliest
-departure, or an expiry due no later), hands it to the observer before the
-state update, and applies it: counters, hour window, and the entry into the
-next patch.  The patch entry, with the timetable slot and the sojourn draw,
-is one function with the generator bound once per simulator; construction
-places the buses through it too.  `advance()` is `run()` with an observer
-that takes one event and stops.  `run(until_time=T)` processes
-every event at or before T and none after it, so it leaves the clock at the
-last event, at most T; the phases and holds it settles past T draw what the
-next run would, so a run cut into pieces gives the same events as one run.
+`run(observer, until_time)` is the one event loop and the whole stopping
+contract.  It binds the simulator's lists and heap functions once per call,
+picks each next event itself (the earliest departure, or an expiry due no
+later), hands it to `observer(event)` before the state update, while
+`self.t` is still the previous event's time, and applies it: counters, hour
+window, and the entry into the next patch.  An observer that returns True
+stops the run after that event.  The patch entry, with the timetable slot
+and the sojourn draw, is one function with the generator bound once per
+simulator; construction places the buses through it too.  `run(observer,
+until_time=T)` processes every event at or before T and none after it, so it
+leaves the clock at the last event, at most T; the phases and holds it
+settles past T draw what the next run would, so a run cut into pieces gives
+the same events as one run.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-import time as _time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -78,6 +79,21 @@ _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
 
 class SimError(ValueError):
     pass
+
+
+def parse_state_name(name: str, n: int, beta: int) -> tuple[str, int, int]:
+    """(kind, patch j, bus i) of a state name of a model with n patches and
+    beta buses: time and mu_tot have j = i = 0; y_j, H_j and c_j have i = 0.
+    An unknown or out-of-range name raises SimError."""
+    if name in ("time", "mu_tot"):
+        return name, 0, 0
+    m = _STATE_NAME.fullmatch(name)
+    if m is not None:
+        kind, first, second = m.groups()
+        j, bus = (int(second), int(first)) if second else (int(first), 0)
+        if (kind == "z") == bool(second) and 1 <= j <= n and (not second or 1 <= bus <= beta):
+            return kind, j, bus
+    raise SimError(f"unknown state quantity {name!r}")
 
 
 def _ring_move(ring: list[float], old: float, new: float) -> float:
@@ -340,18 +356,12 @@ class Simulator:
         the last processed event, whatever t, and needs hour ticks.  An
         unknown or out-of-range name, or H_j without hour ticks, raises
         SimError here, not when it is read."""
-        if name == "time":
+        kind, j, bus = parse_state_name(name, self.n, self.beta)
+        if kind == "time":
             return lambda t: t
-        if name == "mu_tot":
+        if kind == "mu_tot":
             mu_tot = self.model.mu_tot
             return lambda t: mu_tot
-        m = _STATE_NAME.fullmatch(name)
-        if m is None:
-            raise SimError(f"unknown state quantity {name!r}")
-        kind, first, second = m.groups()
-        bus, j = (int(first), int(second)) if second else (1, int(first))
-        if (kind == "z") != bool(second) or not (1 <= j <= self.n and 1 <= bus <= self.beta):
-            raise SimError(f"unknown state quantity {name!r}")
         if kind == "y":
             last_dep = self.last_dep
 
@@ -373,10 +383,6 @@ class Simulator:
             return lambda t: hour_count[j]
         dep_count = self.dep_count
         return lambda t: float(dep_count[j])
-
-    def rval(self, name: str, at: float | None = None) -> float:
-        """The value of a state name at time `at` (default: now)."""
-        return self.reader(name)(self.t if at is None else at)
 
     # -- event loop -------------------------------------------------------------
 
@@ -408,18 +414,8 @@ class Simulator:
             pos[i] = p
             pending[i] = t + exponential(1.0 / slowed_rate(phase_rate[i], gap))
 
-    def advance(self) -> Event:
-        """Process and return the next event."""
-        taken = []
-
-        def take(t_prev: float, ev: Event, sim: "Simulator") -> bool:
-            taken.append(ev)
-            return True
-        self.run(take)
-        return taken[0]
-
-    def run(self, observer: Callable[[float, Event, "Simulator"], bool | None] | None = None,
-            until_time: float | None = None, wall_deadline: float | None = None) -> bool:
+    def run(self, observer: Callable[[Event], bool | None],
+            until_time: float | None = None) -> None:
         """Process events in time order: the simulator's one event loop.
 
         The next event is the earliest pending departure, or the earliest
@@ -427,14 +423,13 @@ class Simulator:
         the lowest index.  Phase completions that come before it are settled
         first, and a bus that would leave sooner than theta_h after the last
         departure from its patch is moved to that gate.  The observer is
-        called as observer(t_prev, event, sim) before the event's state
-        change is applied (the simulator applies it right after), so rval()
-        at event time reflects the state x_{i-1}.
+        called as observer(event) before the event's state change is
+        applied (the simulator applies it right after), so a reader sees the
+        state x_{i-1} and self.t is still the previous event's time.
 
         With until_time T, every event at or before T is processed and none
         after it, so afterwards self.t <= T.  The run also stops after an
-        event for which the observer returns True.  Returns False when
-        stopped by the wall-clock deadline (truncated), else True."""
+        event for which the observer returns True."""
         stop = math.inf if until_time is None else until_time
         n, ticks, theta_h = self.n, self.hour_ticks, self.model.cfg.holding_threshold
         pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
@@ -442,7 +437,7 @@ class Simulator:
         expiries, hour_count = self._expiries, self.hour_count
         enter, settle = self._enter_patch, self._settle_phases
         heappush, heappop = heapq.heappush, heapq.heappop
-        monotonic, isfinite = _time.monotonic, math.isfinite
+        isfinite = math.isfinite
         while True:
             t = min(pending)
             if expiries and expiries[0][0] <= t:
@@ -463,10 +458,8 @@ class Simulator:
                         continue
                 ev = Event(t, "dep", i + 1, j, lap[i])
             if t > stop:
-                return True
-            if wall_deadline is not None and monotonic() > wall_deadline:
-                return False
-            done = observer is not None and observer(self.t, ev, self)
+                return
+            done = observer(ev)
             self.t = t
             bases = last_dep_bus[j]
             if ev.bus == 0:
@@ -489,7 +482,7 @@ class Simulator:
                 enter(i, j + 1, t, 0.0, lap[i])
             self.events_processed += 1
             if done:
-                return True
+                return
 
 
 def write_event_log(events: Iterable[Event], path: str) -> None:

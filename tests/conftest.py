@@ -7,7 +7,7 @@ from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.graphs import RouteGraph
 from headwaylab.ingest import AvlRecord, TraceSet
 from headwaylab.route import DirectedEdge, RouteModel, _orient_chain
-from headwaylab.simulate import SimConfig, build_model
+from headwaylab.simulate import Event, SimConfig, Simulator, build_model
 
 AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
 AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
@@ -22,6 +22,19 @@ def airlink_model(**overrides):
               terminus_patches=(1, 7), seed=1)
     kw.update(overrides)
     return build_model(pm, SimConfig(**kw))
+
+
+def advance(sim: Simulator) -> Event:
+    """Process and return the next event: one run with an observer that
+    takes the event and stops."""
+    taken = []
+    sim.run(lambda ev: taken.append(ev) or True)
+    return taken[0]
+
+
+def rval(sim: Simulator, name: str, at: float | None = None) -> float:
+    """The value of a state name at time `at` (default: the simulator's clock)."""
+    return sim.reader(name)(sim.t if at is None else at)
 
 
 def straight_route_model(n_edges: int = 10, edge_len: float = 100.0,

@@ -143,6 +143,21 @@ def test_check_phased_with_holding_and_speedmod(tmp_path):
     assert len(rows) == 1 + 2
 
 
+def test_check_results_name_the_patch_of_every_row(tmp_path):
+    # the CI check command; BPH reads H_j against the time clock, so its
+    # patch comes from the state it reads, not from the clock
+    model = tmp_path / "model.txt"
+    model.write_text("patch 1 erlang 10 0.1 mu 100.0\npatch 2 erlang 20 0.1 mu 200.0\n"
+                     "patch 3 erlang 10 0.05 mu 200.0\npatch 4 erlang 30 0.3 mu 100.0\n")
+    out = tmp_path / "check-out"
+    rc = main(["check", str(model), "--out", str(out), "--no-timetable", "--holding", "120",
+               "--beta", "3", "--seed", "1", "--patches-list", "1,2", "--max-sim-time", "2e5",
+               "--budget", "20"])
+    assert rc in (0, 1)
+    rows = [row.split("\t")[:2] for row in (out / "results.tsv").read_text().splitlines()[1:]]
+    assert rows == [[f"{q}_{j}:{q}", str(j)] for j in (1, 2) for q in ("ewt", "evwt", "bph")]
+
+
 @pytest.mark.parametrize("batches", ["1", "0", "-3"])
 def test_check_with_fewer_than_two_batches_is_a_usage_error(tmp_path, capsys, batches):
     model = tmp_path / "model.txt"
@@ -162,7 +177,7 @@ from headwaylab import properties, simulate
 model = airlink_model()
 prop = properties.parse_quatex(properties.ewt_query(2))
 events = []
-simulate.Simulator(model, seed=1).run(lambda t, ev, sim: events.append(ev), until_time=20_000)
+simulate.Simulator(model, seed=1).run(events.append, until_time=20_000)
 assert prop.assertions and events
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

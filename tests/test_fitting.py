@@ -11,8 +11,7 @@ from headwaylab import fitting
 from headwaylab.fitting import (ErlangParams, FitError, HyperErlangParams, PatchModel,
                                 anderson_darling, anderson_darling_statistic,
                                 dist_cdf, extract_crossing_times, fit_erlang,
-                                fit_hyper_erlang, hyper_erlang_loglik,
-                                read_patch_model, write_patch_model)
+                                fit_hyper_erlang, read_patch_model, write_patch_model)
 from headwaylab.patches import PatchStructure
 from headwaylab.simulate import SimConfig, build_model
 
@@ -29,6 +28,13 @@ def density(d, t):
         d = HyperErlangParams((d.k,), (d.rate,), (1.0,))
     x = np.asarray(t, dtype=np.float64)
     return np.exp(fitting._log_densities(x, np.log(x), d.shapes, d.rates, d.weights)[1])
+
+
+def hyper_erlang_loglik(obs, params: HyperErlangParams) -> float:
+    """Log-likelihood of the observations under the EM's per-branch log densities."""
+    x = np.asarray(list(obs), dtype=np.float64)
+    _, lse = fitting._log_densities(x, np.log(x), params.shapes, params.rates, params.weights)
+    return float(lse.sum())
 
 
 def test_exponential_special_case():

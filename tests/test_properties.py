@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import airlink_model
+from conftest import advance, airlink_model
 from headwaylab import properties
 from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.properties import (Binary, Call, EstimatorConfig, EvalError, IfThenElse,
@@ -62,10 +63,20 @@ def test_call_check_errors_name_the_function():
     ('2 * g()', True),  # g reads H_1 in the branch of an if
     ('2 * h()', False),
 ])
-def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks):
+def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks, monkeypatch):
     prop = parse_quatex('g() = if {s.rval("c_1") > 0} then s.rval("H_1") else 0 fi;\n'
                         f'h() = s.rval("z_1_1");\nf() = {body};\nS [ f(), "time" ] < 1;')
-    assert properties._mentions_hour_counter(prop.functions["f"], prop.functions) is ticks
+    made = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(properties, "Simulator", Recorded)
+    estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
+                          EstimatorConfig(warmup_time=0.0, max_sim_time=1000.0), seed=1)
+    assert [sim.hour_ticks for sim in made] == [ticks]
 
 
 def test_eval_constants_arithmetic():
@@ -203,10 +214,11 @@ def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
                 for name, expr in prop.functions.items()}
     states, got = [], []
 
-    def observer(t_prev, ev, s):
-        for t in (t_prev, ev.t):
-            states.append((t, s.t, list(s.last_dep), [list(row) for row in s.last_dep_bus],
-                           list(s.dep_count)))
+    def observer(ev):
+        # sim.t is still the previous event's time
+        for t in (sim.t, ev.t):
+            states.append((t, sim.t, list(sim.last_dep), [list(row) for row in sim.last_dep_bus],
+                           list(sim.dep_count)))
             got.append({name: outcome(lambda: f(t)) for name, f in compiled.items()})
 
     sim.run(observer, until_time=48_000.0)
@@ -270,6 +282,7 @@ def test_expand_per_patch():
     out = expand_per_patch('e() = s.rval("y_j") + 0;\nS [ e(), "c_j" ] < 5;', [2, 7])
     assert 'y_2' in out[2] and 'c_2' in out[2]
     assert 'y_7' in out[7]
+    assert expand_per_patch('f() = s.rval("z_2_j");', [3]) == {3: 'f() = s.rval("z_2_3");'}
 
 
 def two_patch_model(mu1=120.0, mu2=360.0, seed=5):
@@ -324,6 +337,42 @@ def test_max_sim_time_caps_the_simulated_time(clock):
                                 seed=4)
     assert 30_000.0 < res.sim_time <= cfg.max_sim_time
     assert not res.truncated
+
+
+def test_wall_budget_is_checked_at_chunk_ends(monkeypatch):
+    # each clock reading is 10 s after the last, so the 5 s budget has run
+    # out by the first chunk end; the cap is checked before the budget, so
+    # a run capped at that chunk end is not truncated
+    ticks = itertools.count(0.0, 10.0)
+    monkeypatch.setattr(properties._time, "monotonic", lambda: next(ticks))
+    prop = parse_quatex(in_patch1_text())
+
+    def run(cap):
+        cfg = EstimatorConfig(warmup_time=500.0, chunk_time=50_000.0, max_sim_time=cap,
+                              wall_budget=5.0, rel_halfwidth_target=0.0)
+        return estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
+                                     cfg, seed=3)
+
+    cut, capped = run(500_000.0), run(50_000.0)
+    assert cut.truncated and not capped.truncated
+    assert (cut.estimate, cut.halfwidth, cut.batches, cut.sim_time) == (
+        capped.estimate, capped.halfwidth, capped.batches, capped.sim_time)
+    assert 45_000.0 < cut.sim_time <= 50_000.0
+    assert cut.verdict == _verdict(cut.estimate, cut.halfwidth, 0.5, True) == "satisfied"
+
+
+@pytest.mark.parametrize("body, clock, patch", [
+    ('s.rval("y_2")', "c_2", 2),
+    ('s.rval("z_1_2") - s.rval("H_2")', "time", 2),
+    ('s.rval("y_1")', "c_2", None),
+    ('mu_tot + s.rval("time")', "time", None),
+])
+def test_result_patch_is_the_one_patch_read(body, clock, patch):
+    # through a called function, as the state names are collected
+    prop = parse_quatex(f'g() = {body};\nf() = g();\nS [ f(), "{clock}" ] < 1;')
+    res = estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
+                                EstimatorConfig(warmup_time=0.0, max_sim_time=2000.0), seed=1)
+    assert res.patch == patch
 
 
 def test_estimator_linearity_same_trajectory():
@@ -535,7 +584,7 @@ def test_counter_clock_counts_departures_not_expiries():
     sim = Simulator(model, seed=8)
     deps = 0
     while sim.t < res.sim_time:
-        ev = sim.advance()
+        ev = advance(sim)
         deps += ev.patch == 1 and warmup < ev.t <= res.sim_time
     assert res.total_clock == deps > 0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AIRLINK_K, AIRLINK_LAM, airlink_model
+from conftest import AIRLINK_K, AIRLINK_LAM, advance, airlink_model, rval
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
 from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, _ring_move,
                                  build_model)
@@ -16,28 +16,30 @@ from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, _r
 def events_until(model, seed: int, until_time: float) -> list[Event]:
     """The events Simulator.run processes up to until_time."""
     events = []
-    Simulator(model, seed=seed).run(lambda t_prev, ev, sim: events.append(ev), until_time=until_time)
+    Simulator(model, seed=seed).run(events.append, until_time=until_time)
     return events
 
 
 class HourRecount:
-    """Observer oracle for H_j: a ring of (expiry time, bus) per patch, fed
-    from departures.  Called before each event, it checks the state the
-    previous event left, expiries included; check() covers the last one.
-    A bus that departs j twice within the hour counts once."""
+    """Observer oracle for H_j of `sim`: a ring of (expiry time, bus) per
+    patch, fed from departures.  Called before each event, it checks the
+    state the previous event left, expiries included; check() covers the
+    last one.  A bus that departs j twice within the hour counts once."""
 
-    def __init__(self, n: int):
-        self.rings = {j: [] for j in range(1, n + 1)}
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.rings = {j: [] for j in range(1, sim.n + 1)}
 
-    def __call__(self, t_prev: float, ev: Event, sim: Simulator):
-        self.check(sim)
+    def __call__(self, ev: Event):
+        self.check()
         if ev.kind == "dep":
             self.rings[ev.patch].append((ev.t + HOUR, ev.bus))
 
-    def check(self, sim: Simulator):
+    def check(self):
+        sim = self.sim
         for j, ring in self.rings.items():
             ring[:] = [(x, b) for x, b in ring if x > sim.t]
-            fast, slow = sim.rval(f"H_{j}"), len({b for _, b in ring})
+            fast, slow = rval(sim, f"H_{j}"), len({b for _, b in ring})
             assert fast == slow, f"H_{j} mismatch at t={sim.t}: indicator={fast} ring={slow}"
 
 
@@ -166,7 +168,7 @@ def test_bus_count_conserved():
     m = airlink_model()
     sim = Simulator(m, seed=5)
     for _ in range(2000):
-        sim.advance()
+        advance(sim)
         assert len(sim.patch) == m.cfg.n_buses
         assert all(1 <= p <= m.n for p in sim.patch)
 
@@ -177,7 +179,7 @@ def test_holding_gap_invariant_exact():
     sim = Simulator(m, seed=11)
     last = {}
     for _ in range(20_000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.patch in last:
             assert ev.t - last[ev.patch] >= theta - 1e-9
         last[ev.patch] = ev.t
@@ -187,7 +189,7 @@ def test_timetable_no_early_terminus_departure():
     m = airlink_model()
     sim = Simulator(m, seed=13)
     for _ in range(20_000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.patch in m.termini:
             slot = m.r * ev.lap + m.offsets[ev.bus - 1] + m.anchors[ev.patch - 1]
             assert ev.t >= slot - 1e-6
@@ -202,7 +204,7 @@ def test_near_deterministic_timetable_departures_on_slots():
     sim = Simulator(m, seed=2)
     warm = []
     for _ in range(30_000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.t > 10 * m.r and ev.patch in m.termini:
             slot = m.r * ev.lap + m.offsets[ev.bus - 1] + m.anchors[ev.patch - 1]
             warm.append(abs(ev.t - slot))
@@ -218,7 +220,7 @@ def test_exponential_phase_mean(rng):
     prev = 0.0
     gaps = []
     for _ in range(100_000):
-        ev = sim.advance()
+        ev = advance(sim)
         gaps.append(ev.t - prev)
         prev = ev.t
     assert abs(np.mean(gaps) - 50.0) / 50.0 < 0.01
@@ -231,7 +233,7 @@ def test_alternating_renewal_time_fraction():
     t_in_1 = 0.0
     t_prev = 0.0
     for _ in range(40_000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.patch == 1:  # departure from patch 1 ends a patch-1 sojourn
             t_in_1 += ev.t - t_prev
         t_prev = ev.t
@@ -243,16 +245,16 @@ def test_alternating_renewal_time_fraction():
 def test_rval_semantics():
     m = airlink_model()
     sim = Simulator(m, seed=21)
-    ev = sim.advance()
-    assert sim.rval("time") == ev.t
-    assert sim.rval("mu_tot") == pytest.approx(478.0909, abs=1e-3)
-    assert sim.rval(f"y_{ev.patch}") == 0.0  # just departed
-    assert sim.rval(f"z_{ev.bus}_{ev.patch}") == 0.0
+    ev = advance(sim)
+    assert rval(sim, "time") == ev.t
+    assert rval(sim, "mu_tot") == pytest.approx(478.0909, abs=1e-3)
+    assert rval(sim, f"y_{ev.patch}") == 0.0  # just departed
+    assert rval(sim, f"z_{ev.bus}_{ev.patch}") == 0.0
     with pytest.raises(SimError):
-        sim.rval("Q")
+        rval(sim, "Q")
     # a patch no bus has departed yet returns the undefined sentinel
     fresh = Simulator(m, seed=22)
-    assert math.isinf(fresh.rval("y_3"))
+    assert math.isinf(rval(fresh, "y_3"))
 
 
 @pytest.mark.parametrize("name", ["Q", "y_0", "y_11", "y_1_2", "y_-1", "y_ 1", "z_1",
@@ -271,8 +273,8 @@ def test_h_needs_hour_ticks_when_resolved():
     sim = Simulator(airlink_model(), seed=21, hour_ticks=True)
     h = sim.reader("H_3")
     assert h(0.0) == 0.0
-    while sim.rval("c_3") == 0:
-        sim.advance()
+    while rval(sim, "c_3") == 0:
+        advance(sim)
     assert h(sim.t) == h(sim.t + 10 * HOUR) == 1.0  # the count, whatever t
 
 
@@ -284,7 +286,7 @@ def test_readers_resolved_before_any_event_follow_the_state():
     deps = {j: 0 for j in range(1, 11)}
     last_z = None
     for _ in range(3000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.kind != "dep":
             continue
         deps[ev.patch] += 1
@@ -299,14 +301,14 @@ def test_readers_resolved_before_any_event_follow_the_state():
 def test_h_counter_counts_recent_departures():
     m = airlink_model()
     sim = Simulator(m, seed=23, hour_ticks=True)
-    oracle = HourRecount(m.n)
+    oracle = HourRecount(sim)
     sim.run(oracle, until_time=2 * 3600)
-    oracle.check(sim)
+    oracle.check()
     for j in range(1, 11):
-        h = sim.rval(f"H_{j}")
+        h = rval(sim, f"H_{j}")
         assert 0 <= h <= 11
     # every bus departs each patch roughly every 5259 s > 3600 s, so H < beta
-    assert sim.rval("H_1") <= 9
+    assert rval(sim, "H_1") <= 9
 
 
 def test_h_counter_when_buses_depart_twice_within_the_hour():
@@ -314,19 +316,19 @@ def test_h_counter_when_buses_depart_twice_within_the_hour():
     # most expiries belong to a departure the same bus has since superseded
     m = two_patch_model(n_buses=3)
     sim = Simulator(m, seed=31, hour_ticks=True)
-    oracle = HourRecount(m.n)
+    oracle = HourRecount(sim)
     sim.run(oracle, until_time=30_000.0)
-    oracle.check(sim)
+    oracle.check()
     assert sim.events_processed > 300
 
 
 def test_debug_hour_recount_consistency():
     m = airlink_model()
     sim = Simulator(m, seed=29, hour_ticks=True)
-    oracle = HourRecount(m.n)
+    oracle = HourRecount(sim)
     sim.run(oracle, until_time=120_000.0)
     assert sim.events_processed > 4_000
-    oracle.check(sim)
+    oracle.check()
 
 
 # speed modification with no slowdown: the phased simulator at the fitted rates
@@ -342,7 +344,7 @@ def test_every_hour_expiry_is_an_event(overrides):
     sim = Simulator(m, seed=3, hour_ticks=True)
     deps, expiries = [], 0
     for _ in range(4_000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.kind == "dep":
             deps.append(ev.t)
         else:
@@ -362,21 +364,21 @@ def test_run_processes_no_event_after_until_time(overrides):
     seen = []
     for k in range(1, 11):
         end = 2000.0 * k
-        sim.run(lambda t_prev, ev, s: seen.append(ev), until_time=end)
+        sim.run(seen.append, until_time=end)
         assert sim.t <= end
         assert seen and all(ev.t <= end for ev in seen)
         assert sim.events_processed == len(seen)
     # stopping between chunks leaves the event stream as one run gives it
     whole = Simulator(m, seed=11, hour_ticks=True)
-    assert seen == [whole.advance() for _ in seen]
+    assert seen == [advance(whole) for _ in seen]
     assert {ev.kind for ev in seen} == {"dep", "expiry"}
 
 
 def test_empty_stop_immediately():
-    # a run that ends before the first event processes none and is not truncated
+    # a run that ends before the first event processes none
     sim = Simulator(airlink_model(), seed=3)
     seen = []
-    assert sim.run(lambda t_prev, ev, s: seen.append(ev), until_time=-1.0)
+    sim.run(seen.append, until_time=-1.0)
     assert seen == [] and sim.t == 0.0 and sim.events_processed == 0
 
 
@@ -388,13 +390,13 @@ def test_speed_modification_slows_leader():
     assert m.phased
     sim = Simulator(m, seed=6)
     for _ in range(30_000):
-        sim.advance()
+        advance(sim)
     assert sim.slow_draws > 0
     # with slowdown the loop takes longer than the raw mean when gaps are wide
     base_cfg = SimConfig(n_buses=2, timetable=False, seed=6, init="terminus", **PHASED_ONLY)
     base = Simulator(build_model(pm, base_cfg), seed=6)
     for _ in range(30_000):
-        base.advance()
+        advance(base)
     assert sim.t > base.t  # same event count takes longer with slowed phases
 
 
@@ -419,7 +421,7 @@ def test_lone_phased_bus_is_never_slowed():
                                   slowdown=0.5))
     sim = Simulator(m, seed=4)
     for _ in range(2000):
-        sim.advance()
+        advance(sim)
     assert sim.slow_draws == 0
 
 
@@ -453,7 +455,7 @@ def test_hyper_erlang_branch_draws():
     durations = []
     prev = 0.0
     for _ in range(4000):
-        ev = sim.advance()
+        ev = advance(sim)
         if ev.patch == 1:
             durations.append(ev.t - prev)
         prev = ev.t
@@ -508,7 +510,7 @@ def test_cached_positions_match_fleet_scan(case):
     fast = Simulator(m, seed=17, hour_ticks=ticks)
     ref = ReferenceStepper(Simulator(m, seed=17, hour_ticks=ticks))
     for _ in range(n_events):
-        a, b = fast.advance(), ref.advance()
+        a, b = advance(fast), ref.advance()
         assert (a.t, a.kind, a.bus, a.patch, a.lap) == (b.t, b.kind, b.bus, b.patch, b.lap)
     assert fast.slow_draws == ref.sim.slow_draws
     assert fast.pending == ref.sim.pending
@@ -544,7 +546,7 @@ def test_phased_stream_matches_the_recorded_one(case):
     sim = Simulator(make(), seed=5)
     h = hashlib.sha256()
     for _ in range(20_000):
-        ev = sim.advance()
+        ev = advance(sim)
         h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
     assert (h.hexdigest(), sim.slow_draws, sim.pending) == (digest, slow_draws, pending)
 
@@ -585,6 +587,6 @@ def test_aggregated_stream_matches_the_recorded_one(case):
     sim = Simulator(m, seed=5, hour_ticks=ticks)
     h = hashlib.sha256()
     for _ in range(20_000):
-        ev = sim.advance()
+        ev = advance(sim)
         h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
     assert (h.hexdigest(), sim.pending) == (digest, pending)
