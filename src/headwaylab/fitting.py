@@ -6,6 +6,10 @@ emits a duration at every forward patch boundary crossing; the timer is
 poisoned (suppressing the next observation) by backward crossings and by
 trace gaps (`ingest.is_gap`: more than 5 minutes or a straight-line jump of
 more than 5 km between records), and recovers at the next forward crossing.
+The pass works on each vehicle's `compute_fractions` rows as arrays: every
+record pair against every boundary at once, and the timer as a running count
+of poisoning pairs, so a crossing observes the time since the previous one
+when no pair between them poisoned it.
 
 Erlang fitting follows the moment-matched likelihood scan: lambda = k / mean,
 k increased from 1 until the log-likelihood first drops, previous k returned.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_lines, write_lines
-from .ingest import is_gap
+from .ingest import distances, is_gap
 from .patches import PatchStructure, compute_fractions
 
 
@@ -105,50 +109,44 @@ def extract_crossing_times(ts, rm, ps: PatchStructure):
     Equivalent to walking interpolated fractions second by second: boundary
     crossing times are computed analytically per record pair and snapped up to
     the whole-second grid, which a unit test checks against a literal 1-second
-    walker.  Returns {patch index: [durations]}."""
+    walker.  Each vehicle's record pairs are handled as arrays
+    (`_observations`).  Returns {patch index: [durations]}, each list in
+    vehicle order and, within a vehicle, in time order."""
     fractions, _ = compute_fractions(ts, rm)
-    bounds = ps.breakpoints[1:]  # b_1 .. b_{n-1}, 1.0
-    n = ps.n
-    obs: dict[int, list[float]] = {j: [] for j in range(1, n + 1)}
+    bounds = np.asarray(ps.breakpoints[1:])  # b_1 .. b_{n-1}, 1.0
+    found = [_observations(rows, bounds) for rows in fractions.values()]
+    patch = np.concatenate([np.empty(0, dtype=np.int64), *(j for j, _ in found)])
+    duration = np.concatenate([np.empty(0), *(d for _, d in found)])
+    return {j: duration[patch == j].tolist() for j in range(1, ps.n + 1)}
 
-    for vid, rows in fractions.items():
-        entry_time: float | None = None  # poisoned when None after a flag
-        poisoned = True  # nothing observed yet
-        for (t1, f1, x1, y1), (t2, f2, x2, y2) in zip(rows, rows[1:]):
-            dt = t2 - t1
-            if is_gap(dt, math.hypot(x2 - x1, y2 - y1)):
-                poisoned = True
-                continue
-            df = f2 - f1
-            wrapped = False
-            if df < -0.5:  # forward crossing of the loop origin
-                df += 1.0
-                wrapped = True
-            elif df > 0.5:  # backward jitter across the loop origin
-                poisoned = True
-                continue
-            elif df < 0:
-                poisoned = True
-                continue
-            if df == 0:
-                continue
-            # boundaries crossed in (f1, f1+df]
-            crossed = []
-            for j, b in enumerate(bounds, start=1):
-                rel = b - f1 if not wrapped or b > f1 else b - f1 + 1.0
-                if 0.0 < rel <= df:
-                    tau = t1 + dt * rel / df
-                    crossed.append((rel, j, math.ceil(tau - 1e-9)))
-            crossed.sort()
-            for _, j, sec in crossed:
-                if poisoned or entry_time is None:
-                    poisoned = False
-                else:
-                    duration = sec - entry_time
-                    if duration > 0:
-                        obs[j].append(float(duration))
-                entry_time = sec
-    return obs
+
+def _observations(rows: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (patch, duration) observations of one vehicle's (n, 4) rows of t,
+    fraction, x and y, in time order.
+
+    A pair of consecutive records poisons the timer when it is a gap, steps
+    backward, or jumps forward by more than half the loop (backward jitter
+    across the loop origin); a drop of more than half the loop is a forward
+    crossing of the origin.  The pair crosses boundary b at rel = b - f1
+    (plus 1 past the origin) when 0 < rel <= df, at time t1 + dt * rel / df
+    rounded up to the whole second.  Each crossing observes the time since
+    the vehicle's previous crossing, unless a pair between the two poisoned
+    the timer or the duration is not positive."""
+    t, f, x, y = rows.T
+    dt, df = np.diff(t), np.diff(f)
+    wrapped = df < -0.5
+    poisoned = is_gap(dt, distances(np.diff(x), np.diff(y))) | (df > 0.5) | (~wrapped & (df < 0))
+    df[wrapped] += 1.0
+    rel = bounds - f[:-1, None]
+    rel = np.where(wrapped[:, None] & (bounds <= f[:-1, None]), rel + 1.0, rel)
+    pair, k = np.nonzero(~poisoned[:, None] & (rel > 0.0) & (rel <= df[:, None]))
+    rel = rel[pair, k]
+    order = np.lexsort((k, rel, pair))
+    pair, k, rel = pair[order], k[order], rel[order]
+    sec = np.ceil(t[pair] + dt[pair] * rel / df[pair] - 1e-9)
+    duration = np.diff(sec)
+    observed = (np.diff(np.cumsum(poisoned)[pair]) == 0) & (duration > 0)
+    return k[1:][observed] + 1, duration[observed]
 
 
 # --- Erlang / hyper-Erlang fitting ---------------------------------------

@@ -8,9 +8,9 @@ is shift- and uniform-scale-invariant, so no datum conversion happens here.
 
 One trace-gap rule serves every later stage: two consecutive records of a
 vehicle are a gap when they lie more than GAP_SECONDS apart in time or more
-than GAP_DISTANCE apart in a straight line.  The heat map draws no segment
-across a gap, crossing extraction poisons its timer at one, and route
-derivation caps a record's dwell at GAP_SECONDS.
+than GAP_DISTANCE apart in a straight line (`distances`).  The heat map draws
+no segment across a gap, crossing extraction poisons its timer at one, and
+route derivation caps a record's dwell at GAP_SECONDS.
 """
 
 from __future__ import annotations
@@ -18,16 +18,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import Callable, Iterable
 
+import numpy as np
 
 GAP_SECONDS = 300.0
 GAP_DISTANCE = 5000.0  # in input coordinate units
 
 
-def is_gap(dt: float, dist: float) -> bool:
-    """Whether consecutive records dt seconds and dist units apart are a gap."""
-    return dt > GAP_SECONDS or dist > GAP_DISTANCE
+def is_gap(dt, dist):
+    """Whether consecutive records dt seconds and dist units apart are a gap;
+    elementwise when given arrays."""
+    return (dt > GAP_SECONDS) | (dist > GAP_DISTANCE)
+
+
+def distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise `math.hypot`, the straight-line distance of the scalar
+    callers: np.hypot differs from it in the last bit on some inputs."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
 
 
 class IngestError(ValueError):
@@ -57,6 +66,13 @@ class TraceSet:
 
     def vehicles(self) -> list[str]:
         return sorted(self.traces)
+
+    def columns(self, vid: str) -> np.ndarray:
+        """The vehicle's records as a float64 array of shape (n, 3) with
+        columns t, x and y."""
+        recs = self.traces[vid]
+        return np.column_stack([np.fromiter(map(attrgetter(col), recs), np.float64, len(recs))
+                                for col in ("t", "x", "y")])
 
     def all_records(self) -> Iterable[AvlRecord]:
         for vid in self.vehicles():

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_lines, write_lines
-from .route import CompletionTable, EdgeIndex, best_candidate, snap_index
+from .ingest import distances
+from .route import CompletionTable, EdgeIndex, run_starts, snap_columns, snap_index
 from .route import route_completion  # noqa: F401  (kept public here; perfbench counts its calls)
 
 
@@ -93,104 +94,82 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     """Route-completion fraction for every raw measurement.
 
     Each vehicle trace is snapped with batched KD-tree queries
-    (`EdgeIndex.batches`, one query per record per call); the plain snap
-    and both directions' restricted snaps and fractions are picks among those
-    candidates, so the loop below only walks precomputed arrays.
+    (`snap_columns`, one query per record per call); the plain snap and
+    both directions' restricted snaps and fractions are picks among those
+    candidates, so what follows works on the vehicle's arrays.
 
     Direction state starts undefined and records before a vehicle's first
-    terminus-edge visit are skipped.  Where the two directions share geometry,
-    samples on a terminus edge are ambiguous (approach vs departure); each
-    maximal run of such samples is split at its closest approach to the
+    terminus-edge visit are skipped.  A terminus run is a maximal run of
+    records snapped to one terminus edge; it is an arrival when its edge
+    differs from the previous terminus run's, and every record takes the
+    direction of the last arrival at or before it.  Where the two directions
+    share geometry, samples on a terminus edge are ambiguous (approach vs
+    departure), so each arriving run is split at its closest approach to the
     turnaround node, the earlier part keeping the inbound direction and the
-    rest flipping to the outbound one.  Returns (per-vehicle list of
-    (t, fraction, x, y), unmatched count)."""
+    rest flipping to the outbound one.  Returns (per vehicle with matched
+    records, a float64 array of shape (n, 4) with columns t, fraction, x and
+    y, one row per matched record in time order; unmatched count)."""
     index = index or snap_index(rm.graph, rm.rejection_radius)
-    term_a, term_b = rm.termini
     far_nodes = _terminus_far_nodes(rm)
     tables = [CompletionTable(rm, d) for d in (0, 1)]
-    out: dict[str, list[tuple[int, float, float, float]]] = {}
+    out: dict[str, np.ndarray] = {}
     unmatched = 0
 
     for vid in ts.vehicles():
-        recs = ts.traces[vid]
-        edges, snap_dists = [], []
-        fracs, oks = ([], []), ([], [])  # per direction: fraction and matched flag of every record
-        for cands in index.batches([(r.x, r.y) for r in recs]):
-            edge, _, dist = best_candidate(*cands)
-            edges += edge.tolist()
-            snap_dists += dist.tolist()
-            for tbl, frac_d, ok_d in zip(tables, fracs, oks):
-                frac, ok = tbl.fractions(*cands)
-                frac_d += frac.tolist()
-                ok_d += ok.tolist()
-        # (record index, snapped edge) of the records within the rejection radius
-        snaps = [(r, eid) for r, (eid, dist) in enumerate(zip(edges, snap_dists))
-                 if dist <= rm.rejection_radius]
-        unmatched += len(recs) - len(snaps)
-        rows = []
-
-        def emit(r, term):
-            nonlocal unmatched
-            d = 0 if term == term_a else 1
-            if oks[d][r]:
-                rows.append((recs[r].t, fracs[d][r], recs[r].x, recs[r].y))
-            else:
-                unmatched += 1
-
-        last_term = None
-        i = 0
-        while i < len(snaps):
-            r, eid = snaps[i]
-            arriving_at = eid if (eid in (term_a, term_b) and eid != last_term) else None
-            if arriving_at is not None:
-                j = i
-                run = []
-                while j < len(snaps) and snaps[j][1] == arriving_at:
-                    run.append(snaps[j][0])
-                    j += 1
-                node = far_nodes.get(arriving_at)
-                dists = [math.hypot(recs[r].x - node[0], recs[r].y - node[1]) for r in run]
-                split = dists.index(min(dists))
-                # at equal speed on both sides, the turnaround lies between
-                # the closest sample and its nearer neighbour, so the closest
-                # sample belongs to the side of its farther neighbour
-                if 0 < split < len(run) - 1 and \
-                        dists[split + 1] - dists[split] > dists[split - 1] - dists[split]:
-                    split -= 1
-                for k, r in enumerate(run):
-                    if k <= split:
-                        if last_term is None:
-                            continue  # inbound leg of the very first visit
-                        emit(r, last_term)
-                    else:
-                        emit(r, arriving_at)
-                last_term = arriving_at
-                i = j
-                continue
-            if last_term is None:
-                i += 1
-                continue
-            emit(r, last_term)
-            i += 1
-        if rows:
-            out[vid] = rows
+        txy = ts.columns(vid)
+        edge, dist, frac0, ok0, frac1, ok1 = snap_columns(index, txy[:, 1:], tables)
+        snapped = np.flatnonzero(dist <= rm.rejection_radius)
+        d = _directions(edge[snapped], txy[snapped, 1:], rm.termini, far_nodes)
+        rec, first = snapped[d >= 0], d[d >= 0] == 0
+        ok = np.where(first, ok0[rec], ok1[rec])
+        unmatched += len(txy) - len(snapped) + len(ok) - np.count_nonzero(ok)
+        if ok.any():
+            rows = np.column_stack((txy[rec, 0], np.where(first, frac0[rec], frac1[rec]), txy[rec, 1:]))
+            out[vid] = rows[ok]
     return out, unmatched
 
 
-def bin_counts(ts, rm, gamma: int, index: EdgeIndex | None = None) -> BinCounts:
+def _directions(edge, xy, termini, far_nodes) -> np.ndarray:
+    """Direction of travel (0 from termini[0], 1 from termini[1], -1 not yet
+    known) of each snapped record, given its snapped edge and position."""
+    term_a = termini[0]
+    starts = run_starts(edge)
+    ends = np.append(starts[1:], len(edge))
+    at_terminus = np.isin(edge[starts], termini)
+    starts, ends, run_edge = starts[at_terminus], ends[at_terminus], edge[starts[at_terminus]]
+    arrivals = run_starts(run_edge)
+    starts, ends, run_edge = starts[arrivals], ends[arrivals], run_edge[arrivals]
+    run_dir = np.where(run_edge == term_a, 0, 1)
+    # 1 + the index of the last arrival at or before each record, 0 before the first
+    last = np.zeros(len(edge), dtype=np.int64)
+    last[starts] = np.arange(1, len(starts) + 1)
+    dirs = np.append(-1, run_dir)[np.maximum.accumulate(last)]
+    inbound = -1
+    for s, e, eid, outbound in zip(starts.tolist(), ends.tolist(), run_edge.tolist(), run_dir.tolist()):
+        node = far_nodes[eid]
+        dists = distances(xy[s:e, 0] - node[0], xy[s:e, 1] - node[1]).tolist()
+        split = dists.index(min(dists))
+        # at equal speed on both sides, the turnaround lies between
+        # the closest sample and its nearer neighbour, so the closest
+        # sample belongs to the side of its farther neighbour
+        if 0 < split < len(dists) - 1 and \
+                dists[split + 1] - dists[split] > dists[split - 1] - dists[split]:
+            split -= 1
+        dirs[s:s + split + 1] = inbound
+        inbound = outbound
+    return dirs
+
+
+def bin_counts(ts, rm, gamma: int) -> BinCounts:
     """Count raw (uninterpolated) measurements per route-completion bin."""
     if gamma < 2:
         raise PatchError("gamma must be >= 2")
-    fractions, _ = compute_fractions(ts, rm, index)
-    counts = [0] * gamma
-    total = 0
-    for rows in fractions.values():
-        for _, frac, _, _ in rows:
-            counts[min(int(frac * gamma), gamma - 1)] += 1
-            total += 1
-    if total == 0:
+    fractions, _ = compute_fractions(ts, rm)
+    if not fractions:
         raise PatchError("no matched measurements")
-    return BinCounts(gamma, counts)
+    f = np.concatenate([rows[:, 1] for rows in fractions.values()])
+    counts = np.bincount(np.minimum((f * gamma).astype(np.int64), gamma - 1), minlength=gamma)
+    return BinCounts(gamma, counts.tolist())
 
 
 def _segment_dp(values: list[float], n: int) -> list[int]:

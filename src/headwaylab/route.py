@@ -12,14 +12,17 @@ batch of points (a vehicle trace, in chunks of at most `EdgeIndex.batch`)
 and projects every point onto the edges owning its k nearest samples in
 numpy.  Each pass over the records (route derivation, each
 `compute_fractions` call) snaps a record with that one query; the plain and
-the direction-restricted snaps are picks among the same candidates.
+the direction-restricted snaps are picks among the same candidates
+(`snap_columns`).  The passes then work on each vehicle's arrays: route
+derivation sums the dwell of all records with one `np.bincount` and walks
+only the vehicle's edge stream with consecutive repeats dropped.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +235,71 @@ def _stitch(graph: RouteGraph, adj, edge_seq: list[int], start_node: int) -> lis
     return result
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Positions in the 1-D array `a` where a run of equal values begins."""
+    change = np.ones(len(a), dtype=bool)
+    change[1:] = a[1:] != a[:-1]
+    return np.flatnonzero(change)
+
+
+def snap_columns(index: EdgeIndex, points, tables=()) -> list[np.ndarray]:
+    """Snap a trace's points in `EdgeIndex.batches` chunks.  Returns arrays
+    of shape (N,): the plain snap's edge id and distance, then the fraction
+    and matched flag of each `CompletionTable` in `tables`."""
+    chunks = []
+    for cands in index.batches(points):
+        edge, _, dist = best_candidate(*cands)
+        picks = [edge, dist]
+        for tbl in tables:
+            picks += tbl.fractions(*cands)
+        chunks.append(picks)
+    if not chunks:
+        return [np.empty(0)] * (2 + 2 * len(tables))
+    return [np.concatenate(col) for col in zip(*chunks)]
+
+
+def _snap_dwell(index: EdgeIndex, ts, rejection_radius: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Snap every record once.  Returns the dwell per edge, by the edge's
+    position among the sorted edge ids: over the records within the
+    rejection radius, the sum of the time to the vehicle's next record,
+    capped at GAP_SECONDS (a vehicle's last record adds none), added in
+    vehicle and record order.  And for each vehicle, the edge ids of those
+    records with consecutive repeats dropped."""
+    ids = _edge_ids(index.graph)
+    positions, steps, streams = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
+    for vid in ts.vehicles():
+        txy = ts.columns(vid)
+        edge, dist = snap_columns(index, txy[:, 1:])
+        within = dist <= rejection_radius
+        dwelt = np.flatnonzero(within[:-1])
+        positions.append(np.searchsorted(ids, edge[dwelt]))
+        steps.append(np.minimum(np.diff(txy[:, 0]), GAP_SECONDS)[dwelt])
+        kept = edge[within]
+        streams.append(kept[run_starts(kept)])
+    dwell = np.bincount(np.concatenate(positions), np.concatenate(steps), minlength=len(ids))
+    return dwell, streams
+
+
+def _passages(streams, term_a: int, term_b: int) -> dict[tuple[int, int], Counter]:
+    """Count the edge sequences between consecutive visits to different
+    termini, per (from, to) terminus pair, in edge streams without
+    consecutive repeats.  A visit that follows a visit to the same terminus
+    restarts the sequence."""
+    passages: dict[tuple[int, int], Counter] = {(term_a, term_b): Counter(), (term_b, term_a): Counter()}
+    for stream in streams:
+        cur_from = None
+        seq: list[int] = []
+        for eid in stream.tolist():
+            if eid in (term_a, term_b):
+                if cur_from is not None and eid != cur_from and seq:
+                    passages[(cur_from, eid)][tuple(seq)] += 1
+                cur_from = eid
+                seq = []
+            elif cur_from is not None:
+                seq.append(eid)
+    return passages
+
+
 def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
                        terminus_mode: str = "dwell") -> RouteModel:
     """Identify termini and the two direction segments from snapped traces.
@@ -242,27 +310,8 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
     """
     if len(graph.edges) < 2:
         raise RouteError("graph needs at least 2 edges")
-    index = snap_index(graph, rejection_radius)
     adj = graph.adjacency()
-
-    # snap all records, in batches per vehicle; accumulate dwell time per edge
-    dwell = defaultdict(float)
-    snapped: dict[str, list[int]] = {}  # vid -> edge of each record within the radius
-    for vid in ts.vehicles():
-        recs = ts.traces[vid]
-        edges, dists = [], []
-        for cands in index.batches([(r.x, r.y) for r in recs]):
-            edge, _, dist = best_candidate(*cands)
-            edges += edge.tolist()
-            dists += dist.tolist()
-        kept = []
-        for i, (rec, eid, dist) in enumerate(zip(recs, edges, dists)):
-            if dist > rejection_radius:
-                continue
-            if i + 1 < len(recs):
-                dwell[eid] += min(recs[i + 1].t - rec.t, GAP_SECONDS)
-            kept.append(eid)
-        snapped[vid] = kept
+    dwell, streams = _snap_dwell(snap_index(graph, rejection_radius), ts, rejection_radius)
 
     if terminus_mode == "extremes":
         degree = Counter()
@@ -274,7 +323,8 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
             raise RouteError("extremes mode requires a path graph with exactly two ends")
         term_a, term_b = sorted(ends)
     else:
-        scores = {eid: dwell.get(eid, 0.0) / graph.edges[eid][2] for eid in graph.edges}
+        dwell_of = dict(zip(_edge_ids(graph).tolist(), dwell.tolist()))
+        scores = {eid: dwell_of[eid] / graph.edges[eid][2] for eid in graph.edges}
         ranked = sorted(scores, key=lambda e: (-scores[e], e))
         first = ranked[0]
         # a terminus dwell can spread over several short edges, so the runner-up
@@ -292,20 +342,7 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
             second = ranked[1]
         term_a, term_b = sorted((first, second))
 
-    # cut each vehicle's edge stream into terminus-to-terminus passages
-    passages: dict[tuple[int, int], Counter] = {(term_a, term_b): Counter(), (term_b, term_a): Counter()}
-    for kept in snapped.values():
-        cur_from = None
-        seq: list[int] = []
-        for eid in kept:
-            if eid in (term_a, term_b):
-                if cur_from is not None and eid != cur_from and seq:
-                    passages[(cur_from, eid)][tuple(seq)] += 1
-                cur_from = eid
-                seq = []
-            elif cur_from is not None:
-                if not seq or seq[-1] != eid:
-                    seq.append(eid)
+    passages = _passages(streams, term_a, term_b)
     if not passages[(term_a, term_b)] or not passages[(term_b, term_a)]:
         raise InsufficientCoverageError("need at least one complete passage in each direction")
 

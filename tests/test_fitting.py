@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from headwaylab.fitting import (ErlangParams, FitError, HyperErlangParams, Patch
                                 anderson_darling, anderson_darling_statistic,
                                 dist_cdf, extract_crossing_times, fit_erlang,
                                 fit_hyper_erlang, read_patch_model, write_patch_model)
+from headwaylab.ingest import TraceSet, is_gap
 from headwaylab.patches import PatchStructure
 from headwaylab.simulate import SimConfig, build_model
 
@@ -345,10 +347,123 @@ def test_analytic_extraction_matches_one_second_walk(rng):
     # feed the oracle the same fractions the pipeline computes
     from headwaylab.patches import compute_fractions
     frs, _ = compute_fractions(ts, rm)
-    oracle_rows = [(r[0], r[1]) for r in frs["v1"]]
+    oracle_rows = [(int(t), f) for t, f, _, _ in frs["v1"].tolist()]
     want = one_second_walker(oracle_rows, ps.breakpoints)
     for j in want:
         assert got[j] == pytest.approx(want[j])
+
+
+def reference_crossings(fractions, ps):
+    """extract_crossing_times as a per-pair loop over the compute_fractions
+    rows, with one timer per vehicle."""
+    bounds = ps.breakpoints[1:]
+    obs = {j: [] for j in range(1, ps.n + 1)}
+    for rows in fractions.values():
+        rows = rows.tolist()
+        entry_time = None  # poisoned when None after a flag
+        poisoned = True  # nothing observed yet
+        for (t1, f1, x1, y1), (t2, f2, x2, y2) in zip(rows, rows[1:]):
+            dt = t2 - t1
+            if is_gap(dt, math.hypot(x2 - x1, y2 - y1)):
+                poisoned = True
+                continue
+            df = f2 - f1
+            wrapped = False
+            if df < -0.5:  # forward crossing of the loop origin
+                df += 1.0
+                wrapped = True
+            elif df > 0.5:  # backward jitter across the loop origin
+                poisoned = True
+                continue
+            elif df < 0:
+                poisoned = True
+                continue
+            if df == 0:
+                continue
+            # boundaries crossed in (f1, f1+df]
+            crossed = []
+            for j, b in enumerate(bounds, start=1):
+                rel = b - f1 if not wrapped or b > f1 else b - f1 + 1.0
+                if 0.0 < rel <= df:
+                    tau = t1 + dt * rel / df
+                    crossed.append((rel, j, math.ceil(tau - 1e-9)))
+            crossed.sort()
+            for _, j, sec in crossed:
+                if poisoned or entry_time is None:
+                    poisoned = False
+                else:
+                    duration = sec - entry_time
+                    if duration > 0:
+                        obs[j].append(float(duration))
+                entry_time = sec
+    return obs
+
+
+def random_walk(rng, n, start_t=0):
+    """(t, fraction) samples of a forward walk round the loop with backward
+    jitter, zero steps, several-boundary strides and time gaps mixed in."""
+    t, f = start_t, float(rng.uniform(0, 1))
+    out = [(t, f)]
+    for _ in range(n):
+        u = rng.uniform()
+        t += 300 if u < 0.03 else int(rng.integers(301, 900)) if u < 0.07 else int(rng.integers(15, 60))
+        v = rng.uniform()
+        step = (0.0 if v < 0.06 else float(rng.uniform(-0.03, -0.001)) if v < 0.14
+                else float(rng.uniform(0.15, 0.45)) if v < 0.22 else float(rng.uniform(0.001, 0.04)))
+        f = (f + step) % 1.0
+        out.append((t, f))
+    return out
+
+
+def pair_kinds(fractions, bounds):
+    """How many record pairs of each kind the rows hold."""
+    kinds = Counter()
+    for rows in fractions.values():
+        for (t1, f1, x1, y1), (t2, f2, x2, y2) in zip(rows.tolist(), rows[1:].tolist()):
+            df = f2 - f1
+            kinds["gap"] += t2 - t1 > 300
+            kinds["jump"] += t2 - t1 <= 300 and math.hypot(x2 - x1, y2 - y1) > 5000
+            kinds["5000"] += math.hypot(x2 - x1, y2 - y1) == 5000
+            kinds["wrap"] += df < -0.5
+            kinds["wrap back"] += df > 0.5
+            kinds["back"] += -0.5 <= df < 0
+            kinds["zero"] += df == 0
+            kinds["several"] += 0 < df <= 0.5 and sum(f1 < b <= f2 for b in bounds) >= 2
+    return kinds
+
+
+def test_crossing_extraction_matches_per_pair_reference_on_random_rows(rng, monkeypatch):
+    ps = PatchStructure(40, [3, 7, 10, 14, 20, 25, 31, 36])
+    fractions = {}
+    for v in range(4):
+        tf = np.array(random_walk(rng, 400, start_t=1000 * v))
+        x, y = 4000.0 * tf[:, 1], np.zeros(len(tf))
+        y[rng.choice(len(tf), 12, replace=False)] = 6000.0  # distance jumps in and out
+        rows = np.column_stack((tf, x, y))
+        rows[50:52, 2:] = [[0.0, 0.0], [3000.0, 4000.0]]  # a jump of exactly 5000, no gap
+        rows[100:104, 1] = [0.95, 0.02, 0.03, 0.97]  # across the origin forward, then back
+        fractions[f"v{v}"] = rows
+    kinds = pair_kinds(fractions, ps.breakpoints[1:])
+    assert min(kinds.values()) > 0, kinds
+    monkeypatch.setattr(fitting, "compute_fractions", lambda ts, rm: (fractions, 0))
+    got = extract_crossing_times(None, None, ps)
+    want = reference_crossings(fractions, ps)
+    assert got == want
+    assert all(want.values()) and all(type(d) is float for d in got[1])
+
+
+def test_crossing_extraction_matches_per_pair_reference_on_snapped_traces(rng):
+    from headwaylab.patches import compute_fractions
+
+    rm = straight_route_model(n_edges=10, edge_len=2000.0, radius=100.0)
+    ps = PatchStructure(40, [3, 7, 10, 14, 20, 25, 31, 36])
+    ts = TraceSet({})
+    for v in range(3):
+        ts.traces.update(traces_from_fractions(rm, random_walk(rng, 300), f"v{v}").traces)
+    fractions, _ = compute_fractions(ts, rm)
+    kinds = pair_kinds(fractions, ps.breakpoints[1:])
+    assert all(kinds[k] > 0 for k in ("gap", "jump", "wrap", "back", "zero", "several")), kinds
+    assert extract_crossing_times(ts, rm, ps) == reference_crossings(fractions, ps)
 
 
 # --- timetable ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from headwaylab import ingest
@@ -107,3 +110,22 @@ def test_filter_window_submultiset():
     out = ingest.filter_window(ts, TimeWindow(3600, 7200))
     all_in = set((r.vehicle_id, r.t) for r in ts.all_records())
     assert all((r.vehicle_id, r.t) in all_in for r in out.all_records())
+
+
+def test_gap_bounds_for_scalars_and_arrays():
+    dist = math.hypot(3000.0, 4000.0)
+    assert dist == ingest.GAP_DISTANCE == 5000.0
+    dts = [300.0, math.nextafter(300.0, math.inf), 0.0, 0.0]
+    dists = [0.0, 0.0, dist, math.nextafter(dist, math.inf)]
+    want = [False, True, False, True]
+    assert [ingest.is_gap(dt, d) for dt, d in zip(dts, dists)] == want
+    assert ingest.is_gap(300, 5000) is False
+    got = ingest.is_gap(np.array(dts), np.array(dists))
+    assert got.dtype == bool and got.tolist() == want
+    assert ingest.distances(np.array([3000.0, -3.0]), np.array([-4000.0, 4.0])).tolist() == [5000.0, 5.0]
+
+
+def test_columns_hold_t_x_y_per_record():
+    ts = TraceSet({"a": [AvlRecord("a", 1.5, -2.0, 10), AvlRecord("a", 3.0, 4.25, 45)], "b": []})
+    assert ts.columns("a").tolist() == [[10.0, 1.5, -2.0], [45.0, 3.0, 4.25]]
+    assert ts.columns("a").dtype == np.float64 and ts.columns("b").shape == (0, 3)

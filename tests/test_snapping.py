@@ -8,6 +8,7 @@ same edge with the same along-distance for every record.
 """
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from headwaylab import graphs, patches, raster, route, synthetic
 from headwaylab.graphs import RouteGraph
-from headwaylab.ingest import AvlRecord, TraceSet
+from headwaylab.ingest import GAP_SECONDS, AvlRecord, TraceSet
 from headwaylab.route import (DirectedEdge, EdgeIndex, RouteModel, UnmatchedMeasurement,
                               best_candidate, route_completion)
 
@@ -106,6 +107,57 @@ def ref_fractions(ts, rm, index):
     return out, unmatched
 
 
+def ref_snap_dwell(index, ts, rejection_radius):
+    """route._snap_dwell as a per-record loop: the dwell summed per edge id
+    in a dict, and each vehicle's edges within the radius, repeats kept."""
+    dwell = defaultdict(float)
+    streams = []
+    for vid in ts.vehicles():
+        recs = ts.traces[vid]
+        edges, dists = [], []
+        for cands in index.batches([(r.x, r.y) for r in recs]):
+            edge, _, dist = best_candidate(*cands)
+            edges += edge.tolist()
+            dists += dist.tolist()
+        kept = []
+        for i, (rec, eid, dist) in enumerate(zip(recs, edges, dists)):
+            if dist > rejection_radius:
+                continue
+            if i + 1 < len(recs):
+                dwell[eid] += min(recs[i + 1].t - rec.t, GAP_SECONDS)
+            kept.append(eid)
+        streams.append(kept)
+    return np.array([dwell.get(e, 0.0) for e in sorted(index.graph.edges)]), streams
+
+
+def ref_passages(streams, term_a, term_b):
+    """route._passages over edge streams that may repeat an edge: a repeat
+    adds nothing to the sequence."""
+    passages = {(term_a, term_b): Counter(), (term_b, term_a): Counter()}
+    for kept in streams:
+        cur_from = None
+        seq = []
+        for eid in kept:
+            if eid in (term_a, term_b):
+                if cur_from is not None and eid != cur_from and seq:
+                    passages[(cur_from, eid)][tuple(seq)] += 1
+                cur_from = eid
+                seq = []
+            elif cur_from is not None:
+                if not seq or seq[-1] != eid:
+                    seq.append(eid)
+    return passages
+
+
+def fractions(ts, rm, index):
+    """compute_fractions with each vehicle's rows as (t, fraction, x, y)
+    tuples, the form ref_fractions returns."""
+    rows, unmatched = patches.compute_fractions(ts, rm, index)
+    for a in rows.values():
+        assert a.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 4
+    return {vid: [tuple(r) for r in a.tolist()] for vid, a in rows.items()}, unmatched
+
+
 # --- fixtures ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -148,11 +200,10 @@ def test_batched_completion_matches_reference_per_record(small_map):
 
 def test_compute_fractions_matches_reference(small_map):
     ts, rm, index = small_map
-    got, unmatched = patches.compute_fractions(ts, rm, index)
+    got, unmatched = fractions(ts, rm, index)
     want, want_unmatched = ref_fractions(ts, rm, index)
     assert unmatched == want_unmatched > 0
     assert got == want
-    assert all(type(f) is float for rows in got.values() for _, f, _, _ in rows)
 
 
 def test_derive_route_model_snaps_like_reference(small_map, monkeypatch):
@@ -204,7 +255,7 @@ def test_restricted_snap_without_direction_candidate_stays_unmatched():
         route_completion(rm, (50.0, 8.0), rm.termini[0], index)
     ts = TraceSet({"v": [AvlRecord("v", 5.0, 0.0, 0), AvlRecord("v", 30.0, 0.0, 10),
                          AvlRecord("v", 50.0, 8.0, 20), AvlRecord("v", 70.0, 0.0, 30)]})
-    rows, unmatched = patches.compute_fractions(ts, rm, index)
+    rows, unmatched = fractions(ts, rm, index)
     assert (rows, unmatched) == ref_fractions(ts, rm, index)
     assert unmatched == 1 and [t for t, *_ in rows["v"]] == [10, 30]
 
@@ -234,9 +285,9 @@ def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
     odd = relabelled(rm, {0: -7, 1: 10**12, 2: -1})
     ts = TraceSet({"v": [AvlRecord("v", x, y, t) for t, (x, y) in
                          enumerate([(5, 1), (30, -2), (50, 8), (50, 25), (70, 0), (95, 1), (60, 2), (20, 0)])]})
-    want = patches.compute_fractions(ts, rm, EdgeIndex(rm.graph, sample_step=1.0))
+    want = fractions(ts, rm, EdgeIndex(rm.graph, sample_step=1.0))
     index = EdgeIndex(odd.graph, sample_step=1.0)
-    assert patches.compute_fractions(ts, odd, index) == want == ref_fractions(ts, odd, index)
+    assert fractions(ts, odd, index) == want == ref_fractions(ts, odd, index)
     assert want[0]["v"] and want[1] > 0
     assert index.snap(50.0, 25.0) == (-1, 25.0, 0.0)
     assert index.snap(80.0, 3.0) == ref_snap(index, 80.0, 3.0) and index.snap(80.0, 3.0)[0] == 10**12
@@ -246,7 +297,7 @@ def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
 
 def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
     ts, rm, index = small_map
-    whole = patches.compute_fractions(ts, rm, index)
+    whole = fractions(ts, rm, index)
     sizes = []
     real = EdgeIndex.candidates
 
@@ -256,7 +307,26 @@ def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
 
     monkeypatch.setattr(EdgeIndex, "batch", 100)
     monkeypatch.setattr(EdgeIndex, "candidates", recording)
-    assert patches.compute_fractions(ts, rm, index) == whole
+    assert fractions(ts, rm, index) == whole
     again = route.derive_route_model(rm.graph, ts, rm.rejection_radius)
     assert (again.termini, again.directions) == (rm.termini, rm.directions)
     assert max(sizes) == 100 and sum(sizes) == 2 * len(list(ts.all_records()))
+
+
+@pytest.mark.parametrize("ids", ["dense", "sparse"])
+def test_route_derivation_matches_per_record_reference(small_map, monkeypatch, ids):
+    ts, rm, _ = small_map
+    if ids == "sparse":  # negative, far apart, and out of order against the dense ids
+        rm = relabelled(rm, {e: (-1) ** e * (e * 10**9 + 7) for e in rm.graph.edges})
+    index = route.snap_index(rm.graph, rm.rejection_radius)
+    dwell, streams = route._snap_dwell(index, ts, rm.rejection_radius)
+    want_dwell, want_streams = ref_snap_dwell(index, ts, rm.rejection_radius)
+    assert dwell.tolist() == want_dwell.tolist()
+    assert sum(map(len, streams)) < sum(map(len, want_streams))  # repeats were dropped
+    assert route._passages(streams, *rm.termini) == ref_passages(want_streams, *rm.termini)
+    got = route.derive_route_model(rm.graph, ts, rm.rejection_radius)
+    monkeypatch.setattr(route, "_snap_dwell", ref_snap_dwell)
+    monkeypatch.setattr(route, "_passages", ref_passages)
+    want = route.derive_route_model(rm.graph, ts, rm.rejection_radius)
+    assert (got.termini, got.directions) == (want.termini, want.directions)
+    assert set(got.termini) == set(rm.termini)
