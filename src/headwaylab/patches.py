@@ -126,7 +126,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
         if ok.any():
             rows = np.column_stack((txy[rec, 0], np.where(first, frac0[rec], frac1[rec]), txy[rec, 1:]))
             out[vid] = rows[ok]
-    return out, unmatched
+    return out, int(unmatched)
 
 
 def _directions(edge, xy, termini, far_nodes) -> np.ndarray:
@@ -134,7 +134,7 @@ def _directions(edge, xy, termini, far_nodes) -> np.ndarray:
     known) of each snapped record, given its snapped edge and position."""
     term_a = termini[0]
     starts = run_starts(edge)
-    ends = np.append(starts[1:], len(edge))
+    ends = np.append(starts, len(edge))[1:]
     at_terminus = np.isin(edge[starts], termini)
     starts, ends, run_edge = starts[at_terminus], ends[at_terminus], edge[starts[at_terminus]]
     arrivals = run_starts(run_edge)

@@ -443,6 +443,7 @@ def test_crossing_extraction_matches_per_pair_reference_on_random_rows(rng, monk
         rows[50:52, 2:] = [[0.0, 0.0], [3000.0, 4000.0]]  # a jump of exactly 5000, no gap
         rows[100:104, 1] = [0.95, 0.02, 0.03, 0.97]  # across the origin forward, then back
         fractions[f"v{v}"] = rows
+    fractions["single"] = np.array([[50.0, 0.5, 2000.0, 0.0]])  # no pairs
     kinds = pair_kinds(fractions, ps.breakpoints[1:])
     assert min(kinds.values()) > 0, kinds
     monkeypatch.setattr(fitting, "compute_fractions", lambda ts, rm: (fractions, 0))

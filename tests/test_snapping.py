@@ -260,6 +260,26 @@ def test_restricted_snap_without_direction_candidate_stays_unmatched():
     assert unmatched == 1 and [t for t, *_ in rows["v"]] == [10, 30]
 
 
+def test_vehicles_without_snapped_records_add_only_unmatched():
+    # "far" never comes within the radius, "none" has no records and "one"
+    # has a single record on a terminus edge, before any direction is known
+    rm = two_way_path(radius=10.0)
+    index = EdgeIndex(rm.graph, sample_step=1.0)
+    ts = TraceSet({"far": [AvlRecord("far", 500.0, 500.0, 0), AvlRecord("far", 510.0, 500.0, 10)],
+                   "none": [],
+                   "one": [AvlRecord("one", 5.0, 0.0, 3)],
+                   "v": [AvlRecord("v", x, 0.0, t) for t, x in
+                         enumerate([5.0, 30.0, 70.0, 95.0, 60.0, 20.0, 3.0])]})
+    rows, unmatched = fractions(ts, rm, index)
+    assert (rows, unmatched) == ref_fractions(ts, rm, index)
+    assert list(rows) == ["v"] and unmatched == 2 and type(unmatched) is int
+    assert sum(patches.bin_counts(ts, rm, 4).counts) == len(rows["v"])
+    dwell, streams = route._snap_dwell(index, ts, rm.rejection_radius)
+    want_dwell, want_streams = ref_snap_dwell(index, ts, rm.rejection_radius)
+    assert dwell.tolist() == want_dwell.tolist()
+    assert [s.tolist() for s in streams[:3]] == [[], [], [0]]
+
+
 def test_index_with_fewer_samples_than_k():
     g = RouteGraph()
     g.nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
