@@ -368,10 +368,9 @@ def cmd_fit(args, out: Path, rm, ps, ts) -> fitting.PatchModel:
 
 
 def cmd_simulate(args, out: Path, model) -> None:
-    events = []
-    simulate.Simulator(model, seed=args.seed).run(events.append, until_time=args.horizon)
-    simulate.write_event_log(events, str(out / "events.tsv"))
-    print(f"simulate: {len(events)} departures to t={args.horizon:.0f}")
+    deps = simulate.Simulator(model, seed=args.seed).run(until_time=args.horizon)
+    simulate.write_event_log(deps, str(out / "events.tsv"))
+    print(f"simulate: {len(deps)} departures to t={args.horizon:.0f}")
 
 
 def cmd_check(args, out: Path, model) -> int:

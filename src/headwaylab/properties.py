@@ -3,15 +3,38 @@
 The language is the steady-state fragment: zero-argument function definitions
 over arithmetic, comparisons, if-then-else and s.rval("NAME") state queries,
 plus assertions  S [ f(), "C" ] < p;  asserting that the long-run average of
-f against the clock C stays below p.  The estimate accumulates, over the
-event stream, (C(t_i) - C(t_{i-1})) * F(x_{i-1}) normalized by the total
-clock increment, evaluated with non-overlapping batch means on one long
-trajectory after a warmup; at each chunk end the run stops when the relative
-95% confidence half-width has reached the target, the simulated time its cap,
-or the wall-clock time the budget (see EstimatorConfig).  Batches carry equal
-clock weight, so the mean of the batch means equals sum(w*F)/sum(w); on long
-runs the stored units of clock weight merge pairwise when full (batch
-doubling, as in LBATCH and dynamic batch means), which bounds memory.
+f against the clock C stays below p.  The estimate accumulates
+(C(t_i) - C(t_{i-1})) * F(x_{i-1}) over the sample points of one long
+trajectory after a warmup, normalized by the total clock increment, and
+evaluates it with non-overlapping batch means; at each chunk end the run
+stops when the relative 95% confidence half-width has reached the target,
+the simulated time its cap, or the wall-clock time the budget (see
+EstimatorConfig).  Batches carry equal clock weight, so the mean of the
+batch means equals sum(w*F)/sum(w); on long runs the stored units of clock
+weight merge pairwise when full (batch doubling, as in LBATCH and dynamic
+batch means), which bounds memory.
+
+The estimator works a chunk at a time, as MultiVeStA evaluates a query over
+a whole run: `Simulator.run` hands it the chunk's departures as columns, and
+F is evaluated at all of the chunk's sample points at once, with numpy.
+The state a query reads is derived from the departures before a point,
+together with what `_History` carries from earlier chunks: the last
+departure per patch and per (patch, bus), the departure counts and, for
+H_j, the departures of the last hour.  H_j at time t counts the buses whose
+latest departure b from j has b + HOUR > t.  The sample points are:
+
+* clock c_j: each departure from j, read at its time in the state it finds
+  (the departures before it);
+* clock time: the boundaries, where the state changes: the departures and,
+  when the query reads H_j, each hour expiry b + HOUR once it falls due (at
+  or before the chunk end).  The state after a boundary a holds until the
+  next boundary b and is one sample of weight b - a, read at a.  An expiry
+  at a departure's time takes effect before the departure.
+
+Evaluation is strict per sample, as if each were evaluated alone: only the
+taken branch of an if-then-else counts, an infinite read on a sample's path
+skips that sample, and a zero divisor raises EvalError only on a sample
+whose path reaches it with every earlier operand defined.
 """
 
 from __future__ import annotations
@@ -26,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_lines
-from .simulate import Event, SimError, SimModel, Simulator, parse_state_name
+from .simulate import Departures, SimError, SimModel, Simulator, parse_state_name
 
 
 class PropertyError(ValueError):
@@ -45,7 +68,8 @@ class EvalError(PropertyError):
 
 
 class UndefinedSample(Exception):
-    """An rval returned the undefined sentinel; the sample is skipped."""
+    """evaluate_expr read an infinite value on the taken path: the sample
+    is undefined, and the estimator would skip it."""
 
 
 # --- AST -------------------------------------------------------------------
@@ -335,83 +359,131 @@ def expand_per_patch(text: str, patches: list[int]) -> dict[int, str]:
 
 # --- evaluation ---------------------------------------------------------------
 
-def compile_expr(expr, read: Callable[[str], Callable[[float], float]],
-                 constants: dict[str, float] | None = None,
-                 functions: dict[str, object] | None = None) -> Callable[[float], float]:
-    """Turn an expression into a function of the time t, once.
+def compile_expr(expr, constants: dict[str, float] | None = None,
+                 functions: dict[str, object] | None = None,
+                 ) -> Callable[[Callable[[str], np.ndarray], int], tuple[np.ndarray, np.ndarray]]:
+    """Turn an expression into a function over the sample points of a chunk,
+    once: f(read, size) -> (values, defined).
 
-    `read(name)` resolves a state name into a function of t (as
-    Simulator.reader does) and is called here, for every name in the
-    expression, taken branch or not; a name in `constants` is a constant.
-    The compiled function evaluates strictly, left operand first, with
-    comparisons yielding 1.0/0.0 and only the taken branch of an
-    if-then-else.  An infinite read raises UndefinedSample so the estimator
-    can skip the sample; a zero divisor raises EvalError."""
+    `read(name)` gives the value of a state name at each of the `size`
+    sample points, as a float array; f calls it once for every name in the
+    expression, taken branch or not.  A name in `constants` is a constant.
+    Each sample is evaluated as the scalar path would, with numpy: left
+    operand first, comparisons yielding 1.0/0.0, and only the taken branch
+    of an if-then-else.  An infinite read on a sample's path marks the
+    sample undefined (defined is False there) and ends its evaluation; a
+    zero divisor on a sample's path, with every operand before it defined,
+    raises EvalError."""
     constants = constants or {}
     functions = functions or {}
-    isinf = math.isinf
+    names: list[str] = []
 
-    def comp(e) -> Callable[[float], float]:
+    # each term compiles to node(ctx, live), its value at every sample
+    # point, though only the samples in `live` (a mask; None for all) take
+    # the branches that reach it.  A sample marked undefined stays so: the
+    # terms after it still compute a value there, which is discarded.
+    def comp(e):
         if isinstance(e, Num) or (isinstance(e, Rval) and e.name in constants):
             c = e.value if isinstance(e, Num) else constants[e.name]
-            return lambda t: c
+            return lambda ctx, live: c
         if isinstance(e, Rval):
-            get, name = read(e.name), e.name
+            name = e.name
+            if name not in names:
+                names.append(name)
 
-            def rval(t):
-                v = get(t)
-                if isinf(v):
-                    raise UndefinedSample(name)
+            def rval(ctx, live):
+                v = ctx.values[name]
+                bad = np.isinf(v)
+                ctx.undefined |= bad if live is None else bad & live
                 return v
             return rval
         if isinstance(e, Call):
             return comp(functions[e.name])
         if isinstance(e, Unary):
             f = comp(e.operand)
-            return lambda t: -f(t)
+            return lambda ctx, live: -f(ctx, live)
         if isinstance(e, IfThenElse):
-            cond, then, other = comp(e.cond), comp(e.then), comp(e.other)
-            return lambda t: then(t) if cond(t) != 0.0 else other(t)
+            return _if(comp(e.cond), comp(e.then), comp(e.other))
+        if isinstance(e, Binary) and e.op == "/":
+            return _divide(comp(e.left), comp(e.right))
         if isinstance(e, Binary) and e.op in _BINARY:
-            return _BINARY[e.op](comp(e.left), comp(e.right))
+            op, a, b = _BINARY[e.op], comp(e.left), comp(e.right)
+            return lambda ctx, live: op(a(ctx, live), b(ctx, live))
         raise EvalError(f"cannot evaluate node {e!r}")
 
-    return comp(expr)
+    root = comp(expr)
+
+    def evaluate(read: Callable[[str], np.ndarray], size: int):
+        ctx = _Samples({name: read(name) for name in names}, np.zeros(size, dtype=bool))
+        with np.errstate(all="ignore"):  # values off a sample's path are discarded
+            v = root(ctx, None)
+        return np.broadcast_to(np.asarray(v, dtype=float), (size,)), ~ctx.undefined
+
+    return evaluate
+
+
+@dataclass
+class _Samples:
+    values: dict[str, np.ndarray]  # each state name read, at every sample point
+    undefined: np.ndarray  # samples whose path met an infinite read
 
 
 def _divide(a, b):
-    def div(t):
-        x = a(t)
-        y = b(t)
-        if y == 0:
+    def div(ctx, live):
+        x = a(ctx, live)
+        y = b(ctx, live)
+        # the samples that reach the divisor with every operand so far
+        # defined: terms are evaluated in the scalar path's order
+        zero = np.equal(y, 0.0) & ~ctx.undefined
+        if np.any(zero if live is None else zero & live):
             raise EvalError("division by zero")
-        return x / y
+        return np.divide(x, y)
     return div
 
 
-# each entry closes an operator over its compiled operands, left one first
+def _if(cond, then, other):
+    def choose(ctx, live):
+        take = np.not_equal(cond(ctx, live), 0.0)
+        if take.ndim == 0:  # a constant condition: one branch for every sample
+            return then(ctx, live) if take else other(ctx, live)
+        return np.where(take, then(ctx, take if live is None else take & live),
+                        other(ctx, ~take if live is None else ~take & live))
+    return choose
+
+
+def _compare(op):
+    return lambda x, y: np.where(op(x, y), 1.0, 0.0)
+
+
+# each entry applies an operator to its evaluated operands
 _BINARY = {
-    "+": lambda a, b: lambda t: a(t) + b(t),
-    "-": lambda a, b: lambda t: a(t) - b(t),
-    "*": lambda a, b: lambda t: a(t) * b(t),
-    "/": _divide,
-    "<": lambda a, b: lambda t: 1.0 if a(t) < b(t) else 0.0,
-    ">": lambda a, b: lambda t: 1.0 if a(t) > b(t) else 0.0,
-    "<=": lambda a, b: lambda t: 1.0 if a(t) <= b(t) else 0.0,
-    ">=": lambda a, b: lambda t: 1.0 if a(t) >= b(t) else 0.0,
-    "==": lambda a, b: lambda t: 1.0 if a(t) == b(t) else 0.0,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "<": _compare(np.less),
+    ">": _compare(np.greater),
+    "<=": _compare(np.less_equal),
+    ">=": _compare(np.greater_equal),
+    "==": _compare(np.equal),
 }
 
 
 def evaluate_expr(expr, rval, constants: dict[str, float] | None = None,
                   functions: dict[str, object] | None = None) -> float:
-    """One evaluation of expr, reading state names through rval(name)."""
-    return compile_expr(expr, lambda name: lambda t: rval(name), constants, functions)(0.0)
+    """One evaluation of expr, reading state names through rval(name): the
+    compiled function at a single sample point.  An infinite read on the
+    taken path raises UndefinedSample."""
+    values, defined = compile_expr(expr, constants, functions)(
+        lambda name: np.array([rval(name)], dtype=float), 1)
+    if not defined[0]:
+        raise UndefinedSample("an infinite read on the taken path")
+    return float(values[0])
 
 
 # --- steady-state estimation ---------------------------------------------------
 
 MIN_SAMPLES = 64  # samples a run needs before the half-width target may stop it
+HOUR = 3600.0  # the trailing window of H_j
 
 
 @dataclass
@@ -462,39 +534,46 @@ class _Accumulator:
     """Weighted samples (C increment w, F value f) kept as units of clock
     weight, each holding the weighted mean of F over its weight.
 
-    Until `limit` (>= 2) samples arrive, each sample is its own unit.  Then
-    the stream is re-cut into limit/2 units of equal weight, and from there
-    on new samples fill the open unit, a sample straddling a unit edge being
-    split at the edge (exact, as F is constant over the sample).  When the
-    list reaches `limit` full units they merge pairwise, doubling the unit
-    weight, so memory stays bounded on long runs.  Unit means are updated
-    incrementally, m += (w/W)(f - m), so a constant F stays exact."""
+    Samples arrive a chunk at a time.  Until `limit` (>= 2) samples have
+    arrived, each sample is its own unit, and the units are float arrays.
+    Then the stream is re-cut into limit/2 units of equal weight, kept in
+    lists, and from there on new samples fill the open unit, a sample
+    straddling a unit edge being split at the edge (exact, as F is constant
+    over the sample).  When the list reaches `limit` full units they merge
+    pairwise, doubling the unit weight, so memory stays bounded on long
+    runs.  Unit means are updated incrementally, m += (w/W)(f - m), so a
+    constant F stays exact."""
 
     def __init__(self, limit: int = 1 << 20):
-        self.w: list[float] = []
-        self.m: list[float] = []
+        self.w: np.ndarray | list[float] = np.empty(0)
+        self.m: np.ndarray | list[float] = np.empty(0)
         self.n = 0  # samples added, however they are stored
         self.unit: float | None = None  # unit weight once re-cut
         self.nonzero_f = False
         self.limit = limit
 
-    def add(self, w: float, f: float):
-        if w <= 0.0:
+    def add_chunk(self, w: np.ndarray, f: np.ndarray):
+        """Add the samples (w[k], f[k]) in order, every w[k] > 0: the same
+        units, bit for bit, as adding them one at a time."""
+        if len(w) == 0:
             return
-        self.n += 1
-        if f != 0.0:
+        self.n += len(w)
+        if not self.nonzero_f and np.any(f != 0.0):
             self.nonzero_f = True
-        if self.unit is not None:
-            self._fill(w, f)
-            return
-        self.w.append(w)
-        self.m.append(f)
-        if len(self.w) >= self.limit:
+        if self.unit is None:
+            room = self.limit - len(self.w)
+            self.w = np.concatenate((self.w, w[:room]))
+            self.m = np.concatenate((self.m, f[:room]))
+            if len(self.w) < self.limit:
+                return
             k = self.limit // 2
             means, total = self._cut(k)
             self.unit = total / k
             self.w = [self.unit] * k
             self.m = means.tolist()
+            w, f = w[room:], f[room:]
+        for wk, fk in zip(w.tolist(), f.tolist()):
+            self._fill(wk, fk)
 
     def _fill(self, w: float, f: float):
         while True:
@@ -553,6 +632,88 @@ class _Accumulator:
         return self._cut(batches)
 
 
+class _History:
+    """What the estimator keeps of the departure stream between chunks:
+    the last departure from each patch and by each bus from each patch
+    (-inf before the first), the departure counts, the time of the last
+    boundary processed, and, when the query reads H_j, the hour expiries
+    b + HOUR of the departures whose expiry is not yet due."""
+
+    def __init__(self, n: int, beta: int, expiries: bool):
+        self.last = np.full(n + 1, -np.inf)
+        self.last_bus = np.full((n + 1, beta), -np.inf)
+        self.count = np.zeros(n + 1, dtype=np.int64)
+        self.expiries = np.empty(0) if expiries else None
+        self.time = 0.0
+
+    def next(self, deps: Departures, end: float) -> _Chunk:
+        """The chunk of `deps`, the departures up to `end`, read on top of
+        the state carried in; the history moves on past it."""
+        t, patch, bus = deps.t, deps.patch, deps.bus
+        bounds = t
+        if self.expiries is not None:
+            x = np.concatenate((self.expiries, t + HOUR))
+            due = x <= end
+            bounds = np.concatenate((t, x[due]))
+            self.expiries = x[~due]
+        bounds = np.unique(bounds)
+        chunk = _Chunk(deps, bounds, self.last.copy(), self.last_bus.copy(), self.count.copy())
+        if len(bounds):
+            self.time = max(self.time, float(bounds[-1]))
+        if len(t):
+            by_bus = patch * self.last_bus.shape[1] + bus - 1
+            for key, last in ((patch, self.last), (by_bus, self.last_bus.reshape(-1))):
+                keys, first = np.unique(key[::-1], return_index=True)  # each key's last row
+                last[keys] = t[::-1][first]
+            self.count += np.bincount(patch, minlength=len(self.count))
+        return chunk
+
+
+@dataclass
+class _Chunk:
+    """One chunk of departures and the state carried in before it.
+    `boundaries` are the distinct times, ascending, at which the state
+    changes in the chunk: each departure and, when H_j is read, each hour
+    expiry b + HOUR that falls due in it (at or before its end)."""
+
+    deps: Departures
+    boundaries: np.ndarray
+    last: np.ndarray
+    last_bus: np.ndarray
+    count: np.ndarray
+
+    def reader(self, at: np.ndarray, before: np.ndarray) -> Callable[[str], np.ndarray]:
+        """read(name): the value of a state name at each sample point k: at
+        time at[k], in the state the carried one plus the chunk's first
+        before[k] departures make.  y_j and z_i_j read infinity before the
+        departure they measure from."""
+        t, patch, bus = self.deps.t, self.deps.patch, self.deps.bus
+        n, beta = len(self.last) - 1, self.last_bus.shape[1]
+
+        def latest(rows, carried):
+            # the latest departure among `rows` before each sample, else the carried one
+            return np.concatenate(([carried], t[rows]))[np.searchsorted(rows, before)]
+
+        def read(name: str) -> np.ndarray:
+            kind, j, i = parse_state_name(name, n, beta)
+            if kind == "time":
+                return at
+            rows = np.flatnonzero(patch == j)
+            if kind == "y":
+                return at - latest(rows, self.last[j])
+            if kind == "c":
+                return (self.count[j] + np.searchsorted(rows, before)).astype(float)
+            if kind == "z":
+                return at - latest(rows[bus[rows] == i], self.last_bus[j, i - 1])
+            if kind == "H":
+                h = np.zeros(len(at))
+                for b in range(beta):
+                    h += latest(rows[bus[rows] == b + 1], self.last_bus[j, b]) + HOUR > at
+                return h
+            raise SimError(f"{name!r} is not read from the departures")
+        return read
+
+
 def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                           functions: dict[str, object], cfg: EstimatorConfig | None = None,
                           seed: int | None = None, replication: int = 0) -> EstimateResult:
@@ -571,43 +732,15 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                             f"{n}-patch model, got {clock!r}")
     states = [parse_state_name(name, n, beta) for name in _state_names(expr, functions)]
     patches = {j for _, j, _ in states if j} | ({clock_patch} if clock_patch else set())
-    sim = Simulator(model, seed=seed, replication=replication,
-                    hour_ticks=any(kind == "H" for kind, _, _ in states))
-    f = compile_expr(expr, sim.reader, {"mu_tot": model.mu_tot}, functions)
+    sim = Simulator(model, seed=seed, replication=replication)
+    history = _History(n, beta, expiries=any(kind == "H" for kind, _, _ in states))
+    f = compile_expr(expr, {"mu_tot": model.mu_tot}, functions)
     warmup = cfg.warmup_time if cfg.warmup_time is not None else 10.0 * model.r
-    chunk = cfg.chunk_time if cfg.chunk_time is not None else 20.0 * model.r
+    chunk_time = cfg.chunk_time if cfg.chunk_time is not None else 20.0 * model.r
     acc = _Accumulator()
-    add = acc.add
-    last = max(0.0, warmup)  # time of the previous event past the warm-up (time clock)
+    last = max(0.0, warmup)  # the last boundary past the warm-up (time clock)
     skipped = 0
     deadline = _time.monotonic() + cfg.wall_budget
-
-    if clock == "time":
-        # the state x_{i-1} holds over (t_{i-1}, t_i]: weight t_i - t_{i-1}
-        def observer(ev: Event):
-            nonlocal last, skipped
-            t = ev.t
-            if t <= warmup:
-                return
-            w = t - last
-            if w > 0:
-                try:
-                    add(w, f(last))
-                except UndefinedSample:
-                    skipped += 1
-            last = t
-    else:
-        # the counter steps by one at each departure from its patch
-        def observer(ev: Event):
-            nonlocal skipped
-            t = ev.t
-            if t <= warmup:
-                return
-            if ev.patch == clock_patch and ev.kind == "dep":
-                try:
-                    add(1.0, f(t))
-                except UndefinedSample:
-                    skipped += 1
 
     from scipy.special import stdtrit  # the t quantile, without loading scipy.stats
 
@@ -618,8 +751,28 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     total_clock = 0.0
     cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
     for chunks in itertools.count(1):
-        end = min(chunks * chunk, cap)  # absolute, so the cap is exact
-        sim.run(observer, until_time=end)
+        end = min(chunks * chunk_time, cap)  # absolute, so the cap is exact
+        chunk = history.next(sim.run(until_time=end), end)
+        t = chunk.deps.t
+        if clock == "time":
+            # the state after the boundary a holds until the next boundary b:
+            # one sample of weight b - a, read at a
+            b = chunk.boundaries[chunk.boundaries > warmup]
+            at = np.concatenate(([last], b[:-1]))
+            w = b - at
+            if len(b):
+                last = float(b[-1])
+            at, w = at[w > 0], w[w > 0]
+            before = np.searchsorted(t, at, side="right")
+        else:
+            # the counter steps by one at each departure from its patch,
+            # read in the state the departure finds
+            before = np.flatnonzero((chunk.deps.patch == clock_patch) & (t > warmup))
+            at, w = t[before], np.ones(len(before))
+        if len(at):
+            values, defined = f(chunk.reader(at, before), len(at))
+            skipped += len(at) - int(np.count_nonzero(defined))
+            acc.add_chunk(w[defined], values[defined])
         bm = acc.batch_means(cfg.batches)
         if bm is not None:
             means, total_clock = bm
@@ -638,13 +791,13 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
         if _time.monotonic() > deadline:
             truncated = True
             break
-        if clock != "time" and end > warmup + 100 * chunk and acc.n == 0:
+        if clock != "time" and end > warmup + 100 * chunk_time and acc.n == 0:
             raise PropertyError(f"clock {clock!r} never advances")
 
     event_observed = acc.nonzero_f and acc.n > 0
     verdict = _verdict(estimate, halfwidth, query.threshold, event_observed)
-    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, sim.t, verdict,
-                          event_observed, skipped, truncated, query,
+    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, history.time,
+                          verdict, event_observed, skipped, truncated, query,
                           patches.pop() if len(patches) == 1 else None)
 
 

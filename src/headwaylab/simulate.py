@@ -27,51 +27,45 @@ The simulator is phased exactly when speed modification is on: it then
 draws each exponential phase of a sojourn in turn, so a phase drawn after
 the gap to the follower widens runs slowed.  A phase completion is not an
 event: one settling loop completes phases, earliest first, until the
-earliest pending item is a departure, a holding gate or an expiry.  Each
-completion moves the bus along its patch and in the ring and draws its next
-phase.  Otherwise each patch sojourn is one Gamma draw, the sum of its
-phases, equal in distribution.
+earliest pending item is a departure or a holding gate.  Each completion
+moves the bus along its patch and in the ring and draws its next phase.
+Otherwise each patch sojourn is one Gamma draw, the sum of its phases, equal
+in distribution.
 
-All per-patch metrics are keyed on departures from the patch: c_j counts
-departures from j, z_ij is the time since bus i last departed j, y_j the time
-since the last departure from j by any bus, and H_j the number of buses that
-departed j within the trailing hour.  H_j is kept as a count and needs hour
-ticks: each departure at b schedules an expiry event at b + HOUR.  A
-departure adds the bus to H_j unless its previous departure from j is still
-inside the hour; an expiry takes it out only if it belongs to the bus's
-latest departure from j.  So H_j changes only at events, and a read gives
-the count after the last processed event.
+The departures are the only events.  `run(until_time)` is the one event
+loop: it binds the simulator's lists once per call, picks each next
+departure itself, applies it (the holding base and the entry into the next
+patch) and returns the chunk's departures as numpy columns t, bus, patch
+and lap (`Departures`), in the order they happened.  It processes every
+departure at or before until_time and none after it, and it draws nothing
+past until_time, so a run cut into pieces gives the same departures, and
+the same draws, as one run.  The patch entry, with the timetable slot and
+the sojourn draw, is one function with the generator bound once per
+simulator; construction places the buses through it too.
 
-`run(observer, until_time)` is the one event loop and the whole stopping
-contract.  It binds the simulator's lists and heap functions once per call,
-picks each next event itself (the earliest departure, or an expiry due no
-later), hands it to `observer(event)` before the state update, while
-`self.t` is still the previous event's time, and applies it: counters, hour
-window, and the entry into the next patch.  An observer that returns True
-stops the run after that event.  The patch entry, with the timetable slot
-and the sojourn draw, is one function with the generator bound once per
-simulator; construction places the buses through it too.  `run(observer,
-until_time=T)` processes every event at or before T and none after it, so it
-leaves the clock at the last event, at most T; the phases and holds it
-settles past T draw what the next run would, so a run cut into pieces gives
-the same events as one run.
+The simulator keeps only the state its own rules read, such as the last
+departure from each patch for holding.  The per-patch quantities a query
+reads (properties) are functions of the departure stream before a point in
+time: c_j counts departures from j, z_i_j is the time since bus i last
+departed j, y_j the time since the last departure from j by any bus, and H_j
+the number of buses whose latest departure b from j lies within the trailing
+hour, b + 3600 > t, so a bus that departs j twice within the hour counts
+once.  No expiry is an event.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .artifacts import write_lines
 from .fitting import Distribution, ErlangParams, HyperErlangParams, PatchModel
-
-HOUR = 3600.0
 
 # y_j, H_j, c_j (one index) and z_i_j (two)
 _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
@@ -180,29 +174,32 @@ def build_model(pm: PatchModel, cfg: SimConfig) -> SimModel:
                     anchors, offsets, termini, spans, cfg.speedmod_threshold is not None)
 
 
-@dataclass
-class Event:
-    t: float
-    kind: str  # "dep" or "expiry"
-    bus: int  # 1-based; 0 for expiry events
-    patch: int  # 1-based
-    lap: int = 0
+@dataclass(frozen=True)
+class Departures:
+    """The departures of one run, in the order they happened: time t, bus
+    (1-based), the patch departed (1-based) and the bus's lap counter."""
+
+    t: np.ndarray  # float64
+    bus: np.ndarray  # int64
+    patch: np.ndarray  # int64
+    lap: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 class Simulator:
     """Single-threaded simulator instance; replications with distinct
     (seed, replication) pairs use independent generator streams."""
 
-    def __init__(self, model: SimModel, seed: int | None = None, replication: int = 0,
-                 hour_ticks: bool = False):
+    def __init__(self, model: SimModel, seed: int | None = None, replication: int = 0):
         self.model = model
         cfg = model.cfg
         self.rng = np.random.default_rng([seed if seed is not None else cfg.seed, replication])
         self.n = model.n
         self.beta = cfg.n_buses
         self.t = 0.0
-        self.events_processed = 0
-        self.hour_ticks = hour_ticks
+        self.events_processed = 0  # departures, over every run
         self.slow_draws = 0
 
         self.patch = [1] * self.beta
@@ -218,11 +215,7 @@ class Simulator:
         self.pos = [0.0] * self.beta
         self.ring: list[float] = []
 
-        self.dep_count = [0] * (self.n + 1)  # c_j, index by patch
-        self.last_dep = [None] * (self.n + 1)  # y_j base
-        self.last_dep_bus = [[None] * self.beta for _ in range(self.n + 1)]  # z_ij base
-        self.hour_count = [0.0] * (self.n + 1)  # H_j, kept only with hour ticks on
-        self._expiries: list[tuple[float, int, int]] = []  # (t+3600, patch, bus)
+        self.last_dep = [None] * (self.n + 1)  # the holding base, by patch
 
         self._enter_patch = self._entry()
         self._init_buses()
@@ -346,60 +339,21 @@ class Simulator:
                 pending[i] = now + gamma(k_left, 1.0 / rate)
         return enter
 
-    # -- metrics view ---------------------------------------------------------
-
-    def reader(self, name: str) -> Callable[[float], float]:
-        """Resolve a state name once into a function of the time t that reads
-        this simulator's live state: time, mu_tot, y_j, z_i_j, H_j or c_j,
-        with j in 1..n and i in 1..beta.  y_j and z_i_j read infinity until
-        the departure they measure from has happened.  H_j is the count after
-        the last processed event, whatever t, and needs hour ticks.  An
-        unknown or out-of-range name, or H_j without hour ticks, raises
-        SimError here, not when it is read."""
-        kind, j, bus = parse_state_name(name, self.n, self.beta)
-        if kind == "time":
-            return lambda t: t
-        if kind == "mu_tot":
-            mu_tot = self.model.mu_tot
-            return lambda t: mu_tot
-        if kind == "y":
-            last_dep = self.last_dep
-
-            def y(t: float) -> float:
-                base = last_dep[j]
-                return math.inf if base is None else t - base
-            return y
-        if kind == "z":
-            bases, i = self.last_dep_bus[j], bus - 1
-
-            def z(t: float) -> float:
-                base = bases[i]
-                return math.inf if base is None else t - base
-            return z
-        if kind == "H":
-            if not self.hour_ticks:
-                raise SimError(f"{name!r} is kept only with hour ticks on")
-            hour_count = self.hour_count
-            return lambda t: hour_count[j]
-        dep_count = self.dep_count
-        return lambda t: float(dep_count[j])
-
     # -- event loop -------------------------------------------------------------
 
-    def _settle_phases(self):
+    def _settle_phases(self, until_time: float):
         """Complete phases, earliest first, until the earliest pending item
-        is a departure, a holding gate or an expiry.  A phase completion is
-        not an event: the clock stays.  It moves the bus along its patch and
-        in the ring, and draws its next phase, slowed when the gap back to
-        its follower exceeds theta_s."""
+        is a departure or a holding gate, or lies past until_time.  A phase
+        completion is not an event: the clock stays.  It moves the bus along its patch and in the
+        ring, and draws its next phase, slowed when the gap back to its
+        follower exceeds theta_s."""
         pending, phases_left, patch = self.pending, self.phases_left, self.patch
         progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
         pos, ring, spans = self.pos, self.ring, self.model.spans
         slowed_rate, exponential = self._slowed_rate, self.rng.exponential
-        stop = self._expiries[0][0] if self._expiries else math.inf
         while True:
             t = min(pending)
-            if t >= stop:
+            if t > until_time:
                 break
             i = pending.index(t)
             left = phases_left[i]
@@ -414,77 +368,56 @@ class Simulator:
             pos[i] = p
             pending[i] = t + exponential(1.0 / slowed_rate(phase_rate[i], gap))
 
-    def run(self, observer: Callable[[Event], bool | None],
-            until_time: float | None = None) -> None:
-        """Process events in time order: the simulator's one event loop.
+    def run(self, until_time: float) -> Departures:
+        """Process the departures at or before until_time, in time order,
+        and return them: the simulator's one event loop.
 
-        The next event is the earliest pending departure, or the earliest
-        hour-window expiry when it is due no later; ties between buses go to
-        the lowest index.  Phase completions that come before it are settled
-        first, and a bus that would leave sooner than theta_h after the last
-        departure from its patch is moved to that gate.  The observer is
-        called as observer(event) before the event's state change is
-        applied (the simulator applies it right after), so a reader sees the
-        state x_{i-1} and self.t is still the previous event's time.
-
-        With until_time T, every event at or before T is processed and none
-        after it, so afterwards self.t <= T.  The run also stops after an
-        event for which the observer returns True."""
-        stop = math.inf if until_time is None else until_time
-        n, ticks, theta_h = self.n, self.hour_ticks, self.model.cfg.holding_threshold
+        The next item is the earliest pending one; ties between buses go to
+        the lowest index.  Once it lies past until_time the run stops, so it
+        draws nothing past until_time and afterwards self.t <= until_time.
+        Before that, phase completions are settled first, and a bus that would
+        leave sooner than theta_h after the last departure from its patch is
+        moved to that gate.  A departure sets the holding base of its patch
+        and enters the bus into the next patch."""
+        n, theta_h = self.n, self.model.cfg.holding_threshold
         pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
-        last_dep, last_dep_bus, dep_count = self.last_dep, self.last_dep_bus, self.dep_count
-        expiries, hour_count = self._expiries, self.hour_count
+        last_dep = self.last_dep
         enter, settle = self._enter_patch, self._settle_phases
-        heappush, heappop = heapq.heappush, heapq.heappop
-        isfinite = math.isfinite
+        stop = min(until_time, sys.float_info.max)  # so an infinite pending time stops too
+        out = []
+        record = out.append
         while True:
             t = min(pending)
-            if expiries and expiries[0][0] <= t:
-                t, j, i = expiries[0]
-                ev = Event(t, "expiry", 0, j)
-            else:
-                i = pending.index(t)
-                if not isfinite(t):
-                    raise SimError("simulation stalled: no pending events")
-                if phases_left[i] > 1:
-                    settle()
-                    continue
-                j = patch[i]
-                if theta_h is not None:
-                    base = last_dep[j]
-                    if base is not None and t < base + theta_h:
-                        pending[i] = base + theta_h
-                        continue
-                ev = Event(t, "dep", i + 1, j, lap[i])
             if t > stop:
-                return
-            done = observer(ev)
-            self.t = t
-            bases = last_dep_bus[j]
-            if ev.bus == 0:
-                heappop(expiries)
-                # a later departure of the bus from j keeps it in H_j
-                if bases[i] + HOUR == t:
-                    hour_count[j] -= 1.0
-            else:
-                dep_count[j] += 1
-                last_dep[j] = t
-                if ticks:
-                    prev = bases[i]
-                    if prev is None or prev + HOUR <= t:
-                        hour_count[j] += 1.0
-                    heappush(expiries, (t + HOUR, j, i))
-                bases[i] = t
-                if j == n:
-                    j = 0
-                    lap[i] += 1
-                enter(i, j + 1, t, 0.0, lap[i])
-            self.events_processed += 1
-            if done:
-                return
+                if not math.isfinite(t):
+                    raise SimError("simulation stalled: no pending events")
+                break
+            i = pending.index(t)
+            if phases_left[i] > 1:
+                settle(until_time)
+                continue
+            j = patch[i]
+            if theta_h is not None:
+                base = last_dep[j]
+                if base is not None and t < base + theta_h:
+                    pending[i] = base + theta_h
+                    continue
+            last_dep[j] = t
+            record((t, i, j, lap[i]))
+            if j == n:
+                j = 0
+                lap[i] += 1
+            enter(i, j + 1, t, 0.0, lap[i])
+        if out:
+            self.t = out[-1][0]
+            self.events_processed += len(out)
+        t, i, j, k = zip(*out) if out else ((), (), (), ())
+        return Departures(np.array(t, dtype=float), np.array(i, dtype=np.int64) + 1,
+                          np.array(j, dtype=np.int64), np.array(k, dtype=np.int64))
 
 
-def write_event_log(events: Iterable[Event], path: str) -> None:
+def write_event_log(deps: Departures, path: str) -> None:
     write_lines(path, [("t", "bus", "kind", "patch", "lap"),
-                       *((f"{ev.t:.3f}", ev.bus, ev.kind, ev.patch, ev.lap) for ev in events)], "\t")
+                       *((f"{t:.3f}", bus, "dep", patch, lap) for t, bus, patch, lap
+                         in zip(deps.t.tolist(), deps.bus.tolist(), deps.patch.tolist(),
+                                deps.lap.tolist()))], "\t")

@@ -7,7 +7,7 @@ from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.graphs import RouteGraph
 from headwaylab.ingest import AvlRecord, TraceSet
 from headwaylab.route import DirectedEdge, RouteModel, _orient_chain
-from headwaylab.simulate import Event, SimConfig, Simulator, build_model
+from headwaylab.simulate import Departures, SimConfig, Simulator, build_model
 
 AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
 AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
@@ -24,17 +24,28 @@ def airlink_model(**overrides):
     return build_model(pm, SimConfig(**kw))
 
 
-def advance(sim: Simulator) -> Event:
-    """Process and return the next event: one run with an observer that
-    takes the event and stops."""
-    taken = []
-    sim.run(lambda ev: taken.append(ev) or True)
-    return taken[0]
+def rows(deps: Departures) -> list[tuple[float, int, int, int]]:
+    """Departure columns as (t, bus, patch, lap) rows."""
+    return list(zip(deps.t.tolist(), deps.bus.tolist(), deps.patch.tolist(), deps.lap.tolist()))
 
 
-def rval(sim: Simulator, name: str, at: float | None = None) -> float:
-    """The value of a state name at time `at` (default: the simulator's clock)."""
-    return sim.reader(name)(sim.t if at is None else at)
+def as_departures(table) -> Departures:
+    """Departure columns from (t, bus, patch[, lap]) rows; lap defaults to 0."""
+    table = [tuple(r) + (0,) * (4 - len(r)) for r in table]
+    t, bus, patch, lap = zip(*table) if table else ((), (), (), ())
+    return Departures(np.array(t, dtype=float), np.array(bus, dtype=np.int64),
+                      np.array(patch, dtype=np.int64), np.array(lap, dtype=np.int64))
+
+
+def first_departures(sim: Simulator, count: int, step: float = 50_000.0) -> list[tuple]:
+    """The first `count` departures of a fresh simulator as rows; it runs
+    in chunks of `step` simulated seconds, so it may run past them."""
+    got: list[tuple] = []
+    end = 0.0
+    while len(got) < count:
+        end += step
+        got += rows(sim.run(until_time=end))
+    return got[:count]
 
 
 def straight_route_model(n_edges: int = 10, edge_len: float = 100.0,

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -176,9 +177,8 @@ from conftest import airlink_model
 from headwaylab import properties, simulate
 model = airlink_model()
 prop = properties.parse_quatex(properties.ewt_query(2))
-events = []
-simulate.Simulator(model, seed=1).run(events.append, until_time=20_000)
-assert prop.assertions and events
+deps = simulate.Simulator(model, seed=1).run(until_time=20_000)
+assert prop.assertions and len(deps)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -234,6 +234,20 @@ def test_patch_count_mismatch_is_a_usage_error(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert f"stage '{command}' failed" in err and "has 2 patches" in err
+
+
+def test_simulate_events_tsv_is_pinned(tmp_path):
+    # the 4-patch speed-modification model of the CI `simulate` step: the
+    # bytes the per-event simulator wrote, now written from the columns
+    (tmp_path / "model.txt").write_text(
+        "patch 1 erlang 10 0.1 mu 100.0\npatch 2 erlang 20 0.1 mu 200.0\n"
+        "patch 3 erlang 10 0.05 mu 200.0\npatch 4 erlang 30 0.3 mu 100.0\n")
+    rc = main(["simulate", str(tmp_path / "model.txt"), "--out", str(tmp_path), "--beta", "3",
+               "--seed", "1", "--no-timetable", "--holding", "120", "--speedmod", "0.15"])
+    assert rc == 0
+    data = (tmp_path / "events.tsv").read_bytes()
+    assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (
+        873, "9a81786ab3fd5f26d54c9ad817ff52993f0b15b4830209cf470019f7ccb7fbea")
 
 
 def test_simulate_events_end_at_the_horizon(tmp_path):

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import advance, airlink_model
+from conftest import airlink_model
 from headwaylab import properties
 from headwaylab.fitting import ErlangParams, PatchModel
-from headwaylab.properties import (Binary, Call, EstimatorConfig, EvalError, IfThenElse,
-                                   Num, ParseError, PropertyError, Rval, SteadyStateQuery,
-                                   Unary, UndefinedSample, _Accumulator, _verdict, bph_query,
+from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalError, IfThenElse,
+                                   Num, ParseError, PropertyError, Rval, Unary, UndefinedSample,
+                                   _Accumulator, _History, _state_names, _verdict, bph_query,
                                    check_assertions, compile_expr, estimate_steady_state,
                                    evaluate_expr, evwt_query, ewt_query, expand_per_patch,
                                    headway_query, parse_quatex, write_results_tsv)
-from headwaylab.simulate import HOUR, SimConfig, SimError, Simulator, build_model
+from headwaylab.simulate import SimConfig, SimError, Simulator, build_model
+from per_event import EventReplay, PerSampleAccumulator, estimate_per_event
 
 EWT_TEXT = ('ewt() = 0.5 * (s.rval("y_6") - mu_tot) * (s.rval("y_6") - mu_tot) / mu_tot;\n'
             'S [ ewt(), "c_6" ] < 75;\n')
@@ -63,20 +64,18 @@ def test_call_check_errors_name_the_function():
     ('2 * g()', True),  # g reads H_1 in the branch of an if
     ('2 * h()', False),
 ])
-def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks, monkeypatch):
+def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks):
+    # the run ends on the first departure's expiry: it is the last boundary
+    # processed only when the hour expiries are boundaries
     prop = parse_quatex('g() = if {s.rval("c_1") > 0} then s.rval("H_1") else 0 fi;\n'
                         f'h() = s.rval("z_1_1");\nf() = {body};\nS [ f(), "time" ] < 1;')
-    made = []
-
-    class Recorded(Simulator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(properties, "Simulator", Recorded)
-    estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
-                          EstimatorConfig(warmup_time=0.0, max_sim_time=1000.0), seed=1)
-    assert [sim.hour_ticks for sim in made] == [ticks]
+    model = two_patch_model()
+    end = Simulator(model, seed=1).run(until_time=HOUR).t[0] + HOUR
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions,
+                                EstimatorConfig(warmup_time=0.0, max_sim_time=end), seed=1)
+    last_departure = Simulator(model, seed=1).run(until_time=end).t[-1]
+    assert last_departure < end
+    assert res.sim_time == (end if ticks else last_departure)
 
 
 def test_eval_constants_arithmetic():
@@ -162,28 +161,6 @@ def tree_eval(expr, rval, constants=None, functions=None) -> float:
     return ev(expr)
 
 
-def snapshot_rval(state, name: str) -> float:
-    """Reference state reader over a recorded simulator state: parses the
-    name on every read.  H_j counts the departures within the hour before
-    the state's own time, the last processed event, whatever t."""
-    t, now, last_dep, last_dep_bus, dep_count = state
-    if name == "time":
-        return t
-    if name.startswith("y_"):
-        base = last_dep[int(name[2:])]
-        return math.inf if base is None else t - base
-    if name.startswith("z_"):
-        si, sj = name[2:].split("_")
-        base = last_dep_bus[int(sj)][int(si) - 1]
-        return math.inf if base is None else t - base
-    if name.startswith("H_"):
-        return float(sum(1 for b in last_dep_bus[int(name[2:])]
-                         if b is not None and now < b + HOUR))
-    if name.startswith("c_"):
-        return float(dep_count[int(name[2:])])
-    raise KeyError(name)
-
-
 ORACLE_TEXT = (
     ewt_query(1) + evwt_query(5) + bph_query(7) + headway_query(10)
     + 'gap() = s.rval("z_3_2") - s.rval("z_11_2");\n'
@@ -193,6 +170,7 @@ ORACLE_TEXT = (
     + 'untaken() = if {s.rval("c_9") == 0} then 5 else s.rval("z_2_9") fi;\n'
     + 'zero() = 1 / (s.rval("c_2") - s.rval("c_2"));\n'
     + 'order() = s.rval("y_3") + zero();\n'
+    + 'late() = s.rval("y_3") * 2 + (if {1 > 0} then 1 / (2 - 2) else 0 fi);\n'
     + 'mix() = -share() * (s.rval("H_2") <= 3) + (s.rval("y_5") >= 60) - (gap() < 0);\n')
 
 
@@ -203,66 +181,108 @@ def outcome(fn):
         return type(err).__name__
 
 
+def replay_points(replay: EventReplay, deps, end: float, names) -> tuple[list, list]:
+    """The points where a clock samples one chunk, as (at, before) with
+    `before` the chunk's departures in the state, and the per-event state
+    there as {name: value}: after each boundary, and at each departure in
+    the state it finds."""
+    readers = {name: replay.reader(name) for name in names}
+    points, states, last, taken = [], [], None, 0
+
+    def sample(at, before):
+        points.append((at, before))
+        states.append({name: read(at) for name, read in readers.items()})
+
+    for ev in replay.events(deps, end):
+        if last is not None and ev.t > last:
+            sample(last, taken)
+        if ev.kind == "dep":
+            sample(ev.t, taken)
+            taken += 1
+        last = ev.t
+    if last is not None:
+        sample(last, taken)
+    return points, states
+
+
 def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
-    # timetabled Airlink with hour ticks: departures and expiries, evaluated
-    # on the state before each event at the event time and at the previous one
+    # timetabled Airlink, its hour expiries among the boundaries: the
+    # column path against a tree walk over the per-event state, sample by
+    # sample and chunk by chunk
     prop = parse_quatex(ORACLE_TEXT)
     model = airlink_model()
     constants = {"mu_tot": model.mu_tot}
-    sim = Simulator(model, seed=41, hour_ticks=True)
-    compiled = {name: compile_expr(expr, sim.reader, constants, prop.functions)
+    names = {nm for expr in prop.functions.values() for nm in _state_names(expr, prop.functions)
+             if nm not in constants}
+    compiled = {name: compile_expr(expr, constants, prop.functions)
                 for name, expr in prop.functions.items()}
-    states, got = [], []
+    sim = Simulator(model, seed=41)
+    history = _History(model.n, model.cfg.n_buses, expiries=True)
+    replay = EventReplay(model.n, model.cfg.n_buses, hour_ticks=True)
+    seen = {name: set() for name in compiled}
+    sampled, untaken_inf = 0, 0
+    for end in (16_000.0, 32_000.0, 48_000.0):
+        deps = sim.run(until_time=end)
+        chunk = history.next(deps, end)
+        points, states = replay_points(replay, deps, end, names)
+        at, before = (np.array(col) for col in zip(*points))
+        sampled += len(at)
+        for name, f in compiled.items():
+            expr = prop.functions[name]
+            want = [outcome(lambda: tree_eval(expr, state.__getitem__, constants, prop.functions))
+                    for state in states]
 
-    def observer(ev):
-        # sim.t is still the previous event's time
-        for t in (sim.t, ev.t):
-            states.append((t, sim.t, list(sim.last_dep), [list(row) for row in sim.last_dep_bus],
-                           list(sim.dep_count)))
-            got.append({name: outcome(lambda: f(t)) for name, f in compiled.items()})
+            def one(k):
+                values, defined = f(chunk.reader(at[k:k + 1], before[k:k + 1]), 1)
+                return float(values[0]) if defined[0] else "UndefinedSample"
 
-    sim.run(observer, until_time=48_000.0)
-    assert sim.events_processed > 1500
-    for state, row in zip(states, got):
-        want = {name: outcome(lambda: tree_eval(expr, lambda nm: snapshot_rval(state, nm),
-                                                constants, prop.functions))
-                for name, expr in prop.functions.items()}
-        assert row == want, state[0]
-    seen = {name: {v if isinstance(v, str) else "value" for v in (r[name] for r in got)}
-            for name in prop.functions}
-    for name in ("ewt", "evwt", "headway", "gap", "untaken", "mix"):
+            assert [outcome(lambda: one(k)) for k in range(len(at))] == want, name
+            try:
+                values, defined = f(chunk.reader(at, before), len(at))
+            except EvalError:
+                assert "EvalError" in want, name
+            else:
+                assert [v if d else "UndefinedSample"
+                        for v, d in zip(values.tolist(), defined.tolist())] == want, name
+            seen[name] |= {v if isinstance(v, str) else "value" for v in want}
+            if name in ("evwt", "bph"):
+                seen[name] |= {v for v in want if not isinstance(v, str)}
+            if name == "untaken":
+                untaken_inf += sum(v == 5.0 and math.isinf(state["z_2_9"])
+                                   for v, state in zip(want, states))
+    assert sampled > 2500
+    for name in ("ewt", "headway", "gap", "untaken", "mix"):
         assert seen[name] == {"value", "UndefinedSample"}, name
     assert seen["zero"] == {"EvalError"}
     assert seen["order"] == {"UndefinedSample", "EvalError"}  # left operand first
-    assert seen["tot"] == {"value"} and seen["bph"] == {"value"}
-    assert {r["evwt"] for r in got} >= {0.0, 1.0}
-    assert {r["bph"] for r in got} == {0.0, 1.0}
-    # the infinite read in the untaken else-branch never raised
-    assert any(r["untaken"] == 5.0 and math.isinf(snapshot_rval(s, "z_2_9"))
-               for r, s in zip(got, states))
+    assert seen["late"] == {"UndefinedSample", "EvalError"}
+    assert seen["tot"] == {"value"}
+    assert seen["evwt"] == {"value", "UndefinedSample", 0.0, 1.0}
+    assert seen["bph"] == {"value", 0.0, 1.0}
+    # the infinite read in the untaken else-branch never skipped a sample
+    assert untaken_inf > 0
 
 
 def test_compile_resolves_each_name_once_branches_included():
-    expr = parse_quatex('f() = if {s.rval("A") > 0} then s.rval("B") else -s.rval("C") fi;'
-                        ).functions["f"]
+    expr = parse_quatex('f() = if {s.rval("A") > 0} then s.rval("B") + s.rval("A") * 0 '
+                        'else -s.rval("C") fi;').functions["f"]
     reads = []
 
     def read(name):
         reads.append(name)
-        return lambda t: t
+        return np.array([2.0, -3.0])
 
-    f = compile_expr(expr, read)
+    f = compile_expr(expr)
+    values, defined = f(read, 2)
     assert sorted(reads) == ["A", "B", "C"]
-    assert (f(2.0), f(-3.0)) == (2.0, 3.0)
-    assert len(reads) == 3
+    assert values.tolist() == [2.0, 3.0] and defined.tolist() == [True, True]
 
 
 def test_compiled_if_skips_infinite_read_in_untaken_branch():
     expr = parse_quatex('f() = if {s.rval("K") > 0} then 2 else s.rval("Y") fi;').functions["f"]
-    f = compile_expr(expr, lambda name: (lambda t: t) if name == "K" else (lambda t: math.inf))
-    assert f(1.0) == 2.0
-    with pytest.raises(UndefinedSample):
-        f(-1.0)
+    f = compile_expr(expr)
+    values, defined = f(lambda name: np.array([1.0, -1.0] if name == "K" else [math.inf] * 2), 2)
+    assert values[0] == 2.0 and defined.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("name", ["Q", "y_99", "z_1"])
@@ -456,8 +476,7 @@ def test_batch_means_match_direct_t_interval():
     rng = np.random.default_rng(42)
     xs = rng.normal(5.0, 2.0, size=32)
     acc = _Accumulator()
-    for x in xs:
-        acc.add(1.0, float(x))
+    acc.add_chunk(np.ones(32), xs)
     means, total = acc.batch_means(32)
     assert total == 32.0
     assert np.allclose(np.sort(means), np.sort(xs))
@@ -473,30 +492,28 @@ def test_accumulator_consolidation_preserves_totals():
     rng = np.random.default_rng(0)
     ws = rng.uniform(0.5, 2.0, size=1000)
     fs = rng.normal(3.0, 1.0, size=1000)
-    for w, f in zip(ws, fs):
-        acc.add(float(w), float(f))
+    for k in range(0, 1000, 70):
+        acc.add_chunk(ws[k:k + 70], fs[k:k + 70])
     means, total = acc.batch_means(8)
     assert total == pytest.approx(ws.sum())
     assert means.mean() == pytest.approx((ws * fs).sum() / ws.sum(), rel=1e-6)
     # no batch is dominated by one heavy merged entry: the spread of the
     # batch means matches that of an accumulator that never consolidates
     plain = _Accumulator()
-    for w, f in zip(ws, fs):
-        plain.add(float(w), float(f))
+    plain.add_chunk(ws, fs)
     plain_sd = plain.batch_means(8)[0].std(ddof=1)
     assert means.std(ddof=1) == pytest.approx(plain_sd, rel=0.25)
 
 
 def test_accumulator_counts_samples_not_units():
     acc = _Accumulator(limit=16)
-    for _ in range(1000):
-        acc.add(1.0, 2.0)
+    for _ in range(100):
+        acc.add_chunk(np.ones(10), np.full(10, 2.0))
     assert acc.n == 1000
     assert len(acc.w) <= 16
     assert acc.batch_means(8) is not None
     short = _Accumulator()
-    for _ in range(7):
-        short.add(1.0, 2.0)
+    short.add_chunk(np.ones(7), np.full(7, 2.0))
     assert short.batch_means(8) is None
 
 
@@ -504,8 +521,7 @@ def test_accumulator_heavy_sample_spans_batch_edges():
     acc = _Accumulator()
     ws = [1.0] * 48 + [500.0]
     fs = [float(i % 3) for i in range(48)] + [7.0]
-    for w, f in zip(ws, fs):
-        acc.add(w, f)
+    acc.add_chunk(np.array(ws), np.array(fs))
     means, total = acc.batch_means(32)
     assert len(means) == 32
     assert total == pytest.approx(548.0)
@@ -517,10 +533,41 @@ def test_accumulator_heavy_sample_spans_batch_edges():
 def test_accumulator_constant_exact_after_doubling():
     acc = _Accumulator(limit=64)
     rng = np.random.default_rng(3)
-    for w in rng.uniform(0.1, 30.0, size=2000):
-        acc.add(float(w), 0.1)
+    for w in rng.uniform(0.1, 30.0, size=(40, 50)):
+        acc.add_chunk(w, np.full(50, 0.1))
     means, _ = acc.batch_means(32)
     assert np.all(means == 0.1)
+
+def units(acc) -> tuple:
+    """Everything an accumulator keeps, exactly: unit weights and means as
+    bit patterns, then n, unit and nonzero_f."""
+    return (np.asarray(acc.w, dtype=float).tobytes(), np.asarray(acc.m, dtype=float).tobytes(),
+            acc.n, acc.unit, acc.nonzero_f)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunk_intake_matches_per_sample_intake(seed):
+    # limit 8: the list regime, the re-cut at the 8th sample, and the
+    # filling and pairwise doubling after it, with chunks of random length
+    # that cross each transition
+    rng = np.random.default_rng(seed)
+    size = [0, 5, 8, 9, 40, 600][seed]
+    w = rng.choice([0.5, 1.0, 3.0, 40.0], size=size) * rng.uniform(0.5, 2.0, size=size)
+    f = np.where(rng.random(size) < 0.3, 0.0, rng.normal(2.0, 1.0, size=size))
+    if seed == 2:
+        f[:] = 0.0  # an all-zero stream stays "not observed"
+    chunked, single = _Accumulator(limit=8), PerSampleAccumulator(limit=8)
+    cuts = np.sort(rng.integers(0, size + 1, size=4))
+    for lo, hi in zip([0, *cuts], [*cuts, size]):
+        chunked.add_chunk(w[lo:hi], f[lo:hi])
+        for wk, fk in zip(w[lo:hi].tolist(), f[lo:hi].tolist()):
+            single.add(wk, fk)
+        assert units(chunked) == units(single)
+    assert (chunked.unit is None) == (size < 8)
+    assert (chunked.batch_means(4) is None) == (size < 4)
+    if size >= 4:
+        a, b = chunked.batch_means(4), single.batch_means(4)
+        assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
 
 
 def test_verdict_rules_and_monotonicity():
@@ -573,7 +620,8 @@ def test_bad_clock_rejected():
 
 
 def test_counter_clock_counts_departures_not_expiries():
-    # H_1 turns hour ticks on, so expiry events of patch 1 reach the observer
+    # H_1 makes the hour expiries boundaries; the c_1 clock steps only at
+    # departures from patch 1
     prop = parse_quatex('h() = s.rval("H_1");\nS [ h(), "c_1" ] < 99;')
     model = airlink_model()
     warmup = 20_000.0
@@ -581,12 +629,8 @@ def test_counter_clock_counts_departures_not_expiries():
                                 EstimatorConfig(warmup_time=warmup, wall_budget=30.0,
                                                 max_sim_time=300_000.0,
                                                 rel_halfwidth_target=0.0), seed=8)
-    sim = Simulator(model, seed=8)
-    deps = 0
-    while sim.t < res.sim_time:
-        ev = advance(sim)
-        deps += ev.patch == 1 and warmup < ev.t <= res.sim_time
-    assert res.total_clock == deps > 0
+    deps = Simulator(model, seed=8).run(until_time=res.sim_time)
+    assert res.total_clock == np.count_nonzero((deps.patch == 1) & (deps.t > warmup)) > 0
 
 
 @pytest.mark.parametrize("clock", ["c_0", "c_3"])
@@ -605,3 +649,100 @@ def test_query_template_helpers_parse():
     for text in (ewt_query(3), evwt_query(3), bph_query(3), headway_query(3)):
         prop = parse_quatex(text)
         assert len(prop.assertions) == 1
+
+
+# model -> the Airlink overrides of each case below
+ORACLE_MODELS = {
+    "timetable": {},
+    "untimetabled": dict(timetable=False),
+    "holding": dict(timetable=False, holding_threshold=120.0),
+    "phased-speedmod": dict(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
+                            slowdown=0.9),
+    "terminus-init": dict(timetable=False, holding_threshold=120.0, init="terminus"),
+}
+MIXED_TEXT = (
+    'f() = if {s.rval("c_4") > 2 * s.rval("c_3")} '
+    'then -s.rval("z_2_4") / (s.rval("c_4") - s.rval("c_3")) '
+    'else if {s.rval("y_4") < 100} then 1 else -(s.rval("H_4") / 4) fi fi;\n')
+# (model, query text, estimator settings in units of r)
+ORACLE_CASES = {
+    "ewt-timetable": ("timetable", ewt_query(3), dict(chunk=2.0)),
+    "evwt-untimetabled": ("untimetabled", evwt_query(5), dict(chunk=2.0)),
+    "bph-holding": ("holding", bph_query(2), dict(chunk=2.0)),
+    "headway-phased-speedmod": ("phased-speedmod", headway_query(4), dict(chunk=2.0)),
+    # chunks far shorter than any sojourn, so most are empty
+    "bph-short-chunks": ("timetable", bph_query(6), dict(chunk=0.02, cap=3.0)),
+    # the warm-up ends inside a chunk, on both clocks
+    "ewt-warmup-mid-chunk": ("holding", ewt_query(7), dict(warmup=1.37, chunk=1.0)),
+    "mixed-time-warmup-mid-chunk": ("terminus-init", MIXED_TEXT + 'S [ f(), "time" ] < 1;',
+                                    dict(warmup=1.37, chunk=1.0)),
+    "mixed-counter-terminus-init": ("terminus-init", MIXED_TEXT + 'S [ f(), "c_2" ] < 1;',
+                                    dict(warmup=0.0, chunk=1.5)),
+    "mixed-time-phased": ("phased-speedmod", MIXED_TEXT + 'S [ f(), "time" ] < 1;',
+                          dict(warmup=0.0, chunk=3.0)),
+    # stops at the half-width target, not at the cap
+    "headway-to-the-target": ("timetable", headway_query(9),
+                              dict(chunk=1.0, cap=60.0, target=0.05)),
+}
+
+
+def result_fields(res) -> tuple:
+    return (res.estimate, res.halfwidth, res.rel_halfwidth, res.batches, res.total_clock,
+            res.sim_time, res.verdict, res.event_observed, res.skipped_samples, res.truncated,
+            res.patch)
+
+
+def oracle_config(model, warmup=0.5, chunk=2.0, cap=12.0, target=0.0) -> EstimatorConfig:
+    r = model.r
+    return EstimatorConfig(warmup_time=warmup * r, chunk_time=chunk * r, max_sim_time=cap * r,
+                           rel_halfwidth_target=target, wall_budget=1e9)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_column_estimator_matches_the_per_event_one(case):
+    model_name, text, settings = ORACLE_CASES[case]
+    model = airlink_model(seed=5, **ORACLE_MODELS[model_name])
+    prop = parse_quatex(text)
+    cfg = oracle_config(model, **settings)
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    ref = estimate_per_event(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    assert result_fields(res) == result_fields(ref)
+    assert res.batches == 32 and res.event_observed
+    if "target" in settings:
+        assert res.sim_time < cfg.max_sim_time
+    if settings.get("warmup") == 0.0:
+        assert res.skipped_samples > 0
+
+
+UNTAKEN_TEXT = ('f() = if {s.rval("c_1") == 0} then 7 else 1 / s.rval("c_1") + s.rval("y_1") '
+                '+ 1 / (s.rval("c_5") - s.rval("c_5")) * 0 fi;\n')
+
+
+@pytest.mark.parametrize("clock", ["time", "c_4"])
+def test_untaken_zero_divisor_and_infinite_read_neither_raise_nor_skip(clock):
+    # before the first departure from patch 1 the else branch would divide
+    # by zero and read y_1 as infinite (without its last term, which
+    # divides by zero whenever the branch is taken)
+    text = UNTAKEN_TEXT.replace(' + 1 / (s.rval("c_5") - s.rval("c_5")) * 0', '')
+    prop = parse_quatex(text + f'S [ f(), "{clock}" ] < 1;')
+    model = airlink_model(seed=5)
+    cfg = oracle_config(model, warmup=0.0, cap=4.0)
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    ref = estimate_per_event(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    assert result_fields(res) == result_fields(ref)
+    assert res.skipped_samples == 0 and res.event_observed
+    # c_1 == 0 was sampled: patch 4, the c_4 clock's, is departed first
+    first = Simulator(model, seed=5).run(until_time=cfg.max_sim_time)
+    assert first.t[first.patch == 1][0] > first.t[first.patch == 4][0] > 0.0
+
+
+@pytest.mark.parametrize("clock", ["time", "c_4"])
+def test_taken_zero_divisor_raises(clock):
+    for text in (UNTAKEN_TEXT, 'f() = if {s.rval("c_1") == 0} then 1 / s.rval("c_1") else 0 fi;\n'):
+        prop = parse_quatex(text + f'S [ f(), "{clock}" ] < 1;')
+        model = airlink_model(seed=5)
+        cfg = oracle_config(model, warmup=0.0, cap=4.0)
+        for estimate in (estimate_steady_state, estimate_per_event):
+            with pytest.raises(EvalError, match="division by zero"):
+                estimate(model, prop.assertions[0], prop.functions, cfg, seed=5)
+

@@ -7,55 +7,79 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AIRLINK_K, AIRLINK_LAM, advance, airlink_model, rval
+from conftest import (AIRLINK_K, AIRLINK_LAM, airlink_model, as_departures, first_departures,
+                      rows)
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
-from headwaylab.simulate import (HOUR, Event, SimConfig, SimError, Simulator, _ring_move,
-                                 build_model)
+from headwaylab.properties import HOUR, _History
+from headwaylab.simulate import (SimConfig, SimError, Simulator, _ring_move, build_model,
+                                 parse_state_name)
+from per_event import EventReplay
 
 
-def events_until(model, seed: int, until_time: float) -> list[Event]:
-    """The events Simulator.run processes up to until_time."""
-    events = []
-    Simulator(model, seed=seed).run(events.append, until_time=until_time)
-    return events
+def events_until(model, seed: int, until_time: float) -> list[tuple]:
+    """The departures Simulator.run processes up to until_time, as rows."""
+    return rows(Simulator(model, seed=seed).run(until_time=until_time))
 
 
-class HourRecount:
-    """Observer oracle for H_j of `sim`: a ring of (expiry time, bus) per
-    patch, fed from departures.  Called before each event, it checks the
-    state the previous event left, expiries included; check() covers the
-    last one.  A bus that departs j twice within the hour counts once."""
+def recount_hours(table, points, n: int) -> list[list[float]]:
+    """Reference H_j for j = 1..n at each point (at, upto): the number of
+    distinct buses with a departure from j among the first `upto` rows of
+    `table` whose expiry b + HOUR lies after `at`.  A ring per patch holds
+    the departures still inside the hour; points must come with `at` and
+    `upto` both non-decreasing."""
+    rings = {j: [] for j in range(1, n + 1)}
+    taken = 0
+    out = []
+    for at, upto in points:
+        for t, bus, patch, _ in table[taken:upto]:
+            rings[patch].append((t + HOUR, bus))
+        taken = max(taken, upto)
+        row = []
+        for j, ring in rings.items():
+            ring[:] = [(x, bus) for x, bus in ring if x > at]
+            row.append(float(len({bus for _, bus in ring})))
+        out.append(row)
+    return out
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.rings = {j: [] for j in range(1, sim.n + 1)}
 
-    def __call__(self, ev: Event):
-        self.check()
-        if ev.kind == "dep":
-            self.rings[ev.patch].append((ev.t + HOUR, ev.bus))
-
-    def check(self):
-        sim = self.sim
-        for j, ring in self.rings.items():
-            ring[:] = [(x, b) for x, b in ring if x > sim.t]
-            fast, slow = rval(sim, f"H_{j}"), len({b for _, b in ring})
-            assert fast == slow, f"H_{j} mismatch at t={sim.t}: indicator={fast} ring={slow}"
+def check_hour_counts(model, seed: int, ends) -> int:
+    """Run `model` to each end in turn and read H_j of every patch from the
+    columns at every point a clock samples: each boundary, in the state
+    after it, and each departure, in the state before it.  Compare with
+    recount_hours and return the number of points checked."""
+    sim = Simulator(model, seed=seed)
+    history = _History(model.n, model.cfg.n_buses, expiries=True)
+    table, checked = [], 0
+    for end in ends:
+        deps = sim.run(until_time=end)
+        chunk = history.next(deps, end)
+        b = chunk.boundaries
+        at = np.concatenate((b, deps.t))
+        before = np.concatenate((np.searchsorted(deps.t, b, side="right"), np.arange(len(deps))))
+        order = np.lexsort((before, at))
+        at, before = at[order], before[order]
+        read = chunk.reader(at, before)
+        got = np.column_stack([read(f"H_{j}") for j in range(1, model.n + 1)])
+        table += rows(deps)
+        want = recount_hours(table, zip(at.tolist(), (before + len(table) - len(deps)).tolist()),
+                             model.n)
+        assert got.tolist() == want
+        checked += len(at)
+    return checked
 
 
 class ReferenceStepper:
     """Reference for Simulator.run that shares none of its stepping code: it
     takes over a freshly built simulator's state and generator and steps
-    them one event at a time.  The next event is selected with a key on
-    (pending, bus), so ties go to the lowest bus index, and expiries come
-    from a plain list.  Every gap read recomputes each bus's route fraction
-    from patch and progress_base and scans the fleet for the nearest bus
-    behind.  `wraps` counts gap reads whose nearest bus behind sits across
-    the 1.0 -> 0.0 wrap, ahead of the moving bus in route fraction."""
+    them one departure at a time.  The next departure is selected with a key
+    on (pending, bus), so ties go to the lowest bus index.  Every gap read
+    recomputes each bus's route fraction from patch and progress_base and
+    scans the fleet for the nearest bus behind.  `wraps` counts gap reads
+    whose nearest bus behind sits across the 1.0 -> 0.0 wrap, ahead of the
+    moving bus in route fraction."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.expiries = []
         self.wraps = 0
 
     def _position(self, b: int) -> float:
@@ -96,16 +120,15 @@ class ReferenceStepper:
             s.phases_left[i] = 1
             s.pending[i] = now + float(s.rng.gamma(k, 1.0 / rate))
 
-    def advance(self) -> Event:
+    def advance(self, until: float = math.inf) -> tuple[float, int, int, int] | None:
+        """The next departure as a (t, bus, patch, lap) row, or None, with
+        nothing drawn, once the next pending item lies past `until`."""
         s, m = self.sim, self.sim.model
         while True:
             i = min(range(s.beta), key=lambda b: (s.pending[b], b))
             t = s.pending[i]
-            if self.expiries and min(self.expiries)[0] <= t:
-                x = min(self.expiries)
-                self.expiries.remove(x)
-                s.t = x[0]
-                return Event(x[0], "expiry", 0, x[1])
+            if t > until:
+                return None
             if s.phases_left[i] > 1:
                 s.phases_left[i] -= 1
                 s.progress_base[i] += s.progress_per_phase[i]
@@ -116,14 +139,12 @@ class ReferenceStepper:
             if theta_h is not None and s.last_dep[j] is not None and t < s.last_dep[j] + theta_h:
                 s.pending[i] = s.last_dep[j] + theta_h
                 continue
-            ev = Event(t, "dep", i + 1, j, s.lap[i])
+            row = (t, i + 1, j, s.lap[i])
             s.t = s.last_dep[j] = t
-            if s.hour_ticks:
-                self.expiries.append((t + HOUR, j, i))
             if j == m.n:
                 s.lap[i] += 1
             self._enter(i, j % m.n + 1, t)
-            return ev
+            return row
 
 
 def two_patch_model(mu1=100.0, mu2=300.0, **overrides):
@@ -151,48 +172,45 @@ def test_single_bus_uniform_init_at_start():
 def test_seed_determinism_bitwise():
     events_a = events_until(airlink_model(), 99, 40_000)
     events_b = events_until(airlink_model(), 99, 40_000)
-    assert [(e.t, e.bus, e.patch) for e in events_a] == \
-           [(e.t, e.bus, e.patch) for e in events_b]
+    assert [(t, bus, patch) for t, bus, patch, _ in events_a] == \
+           [(t, bus, patch) for t, bus, patch, _ in events_b]
     events_c = events_until(airlink_model(), 100, 40_000)
-    assert [(e.t, e.bus, e.patch) for e in events_a] != \
-           [(e.t, e.bus, e.patch) for e in events_c]
+    assert [(t, bus, patch) for t, bus, patch, _ in events_a] != \
+           [(t, bus, patch) for t, bus, patch, _ in events_c]
 
 
 def test_clock_monotone_and_tiebreak_by_bus():
     events = events_until(airlink_model(), 7, 100_000)
-    for a, b in zip(events, events[1:]):
-        assert b.t > a.t or (b.t == a.t and b.bus > a.bus)
+    for (ta, bus_a, _, _), (tb, bus_b, _, _) in zip(events, events[1:]):
+        assert tb > ta or (tb == ta and bus_b > bus_a)
 
 
 def test_bus_count_conserved():
     m = airlink_model()
     sim = Simulator(m, seed=5)
-    for _ in range(2000):
-        advance(sim)
+    for k in range(1, 251):
+        sim.run(until_time=400.0 * k)
         assert len(sim.patch) == m.cfg.n_buses
         assert all(1 <= p <= m.n for p in sim.patch)
+    assert sim.events_processed > 2000
 
 
 def test_holding_gap_invariant_exact():
     theta = 240.0
     m = airlink_model(timetable=False, holding_threshold=theta)
-    sim = Simulator(m, seed=11)
     last = {}
-    for _ in range(20_000):
-        ev = advance(sim)
-        if ev.patch in last:
-            assert ev.t - last[ev.patch] >= theta - 1e-9
-        last[ev.patch] = ev.t
+    for t, _, patch, _ in first_departures(Simulator(m, seed=11), 20_000):
+        if patch in last:
+            assert t - last[patch] >= theta - 1e-9
+        last[patch] = t
 
 
 def test_timetable_no_early_terminus_departure():
     m = airlink_model()
-    sim = Simulator(m, seed=13)
-    for _ in range(20_000):
-        ev = advance(sim)
-        if ev.patch in m.termini:
-            slot = m.r * ev.lap + m.offsets[ev.bus - 1] + m.anchors[ev.patch - 1]
-            assert ev.t >= slot - 1e-6
+    for t, bus, patch, lap in first_departures(Simulator(m, seed=13), 20_000):
+        if patch in m.termini:
+            slot = m.r * lap + m.offsets[bus - 1] + m.anchors[patch - 1]
+            assert t >= slot - 1e-6
 
 
 def test_near_deterministic_timetable_departures_on_slots():
@@ -201,13 +219,11 @@ def test_near_deterministic_timetable_departures_on_slots():
                      for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
     m = build_model(pm, SimConfig(n_buses=11, timetable=True, route_duration=5259.0,
                                   terminus_patches=(1, 7), seed=2))
-    sim = Simulator(m, seed=2)
     warm = []
-    for _ in range(30_000):
-        ev = advance(sim)
-        if ev.t > 10 * m.r and ev.patch in m.termini:
-            slot = m.r * ev.lap + m.offsets[ev.bus - 1] + m.anchors[ev.patch - 1]
-            warm.append(abs(ev.t - slot))
+    for t, bus, patch, lap in first_departures(Simulator(m, seed=2), 30_000):
+        if t > 10 * m.r and patch in m.termini:
+            slot = m.r * lap + m.offsets[bus - 1] + m.anchors[patch - 1]
+            warm.append(abs(t - slot))
     assert warm and max(warm) < 1.0
 
 
@@ -216,119 +232,132 @@ def test_exponential_phase_mean(rng):
     m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=4, speedmod_threshold=0.5,
                                   slowdown=1.0))
     assert m.phased
-    sim = Simulator(m, seed=4)
-    prev = 0.0
-    gaps = []
-    for _ in range(100_000):
-        ev = advance(sim)
-        gaps.append(ev.t - prev)
-        prev = ev.t
+    times = [t for t, _, _, _ in first_departures(Simulator(m, seed=4), 100_000,
+                                                  step=1_000_000.0)]
+    gaps = np.diff([0.0] + times)
     assert abs(np.mean(gaps) - 50.0) / 50.0 < 0.01
 
 
 def test_alternating_renewal_time_fraction():
     mu1, mu2 = 120.0, 360.0
     m = two_patch_model(mu1, mu2)
-    sim = Simulator(m, seed=8)
     t_in_1 = 0.0
     t_prev = 0.0
-    for _ in range(40_000):
-        ev = advance(sim)
-        if ev.patch == 1:  # departure from patch 1 ends a patch-1 sojourn
-            t_in_1 += ev.t - t_prev
-        t_prev = ev.t
+    for t, _, patch, _ in first_departures(Simulator(m, seed=8), 40_000, step=1_000_000.0):
+        if patch == 1:  # departure from patch 1 ends a patch-1 sojourn
+            t_in_1 += t - t_prev
+        t_prev = t
     frac = t_in_1 / t_prev
     expect = mu1 / (mu1 + mu2)
     assert abs(frac - expect) < 0.02
 
 
 def test_rval_semantics():
+    # read from the columns: after the first departure, at its time
     m = airlink_model()
     sim = Simulator(m, seed=21)
-    ev = advance(sim)
-    assert rval(sim, "time") == ev.t
-    assert rval(sim, "mu_tot") == pytest.approx(478.0909, abs=1e-3)
-    assert rval(sim, f"y_{ev.patch}") == 0.0  # just departed
-    assert rval(sim, f"z_{ev.bus}_{ev.patch}") == 0.0
+    deps = sim.run(until_time=1_000.0)
+    chunk = _History(m.n, m.cfg.n_buses, expiries=True).next(deps, 1_000.0)
+    t, bus, patch, _ = rows(deps)[0]
+    read = chunk.reader(np.array([t]), np.array([1]))
+    assert read("time").tolist() == [t]
+    assert read(f"y_{patch}").tolist() == [0.0]  # just departed
+    assert read(f"z_{bus}_{patch}").tolist() == [0.0]
+    assert read(f"c_{patch}").tolist() == [1.0]
+    assert read(f"H_{patch}").tolist() == [1.0]
     with pytest.raises(SimError):
-        rval(sim, "Q")
-    # a patch no bus has departed yet returns the undefined sentinel
-    fresh = Simulator(m, seed=22)
-    assert math.isinf(rval(fresh, "y_3"))
+        read("Q")
+    # a patch no bus has departed yet reads infinity
+    fresh = chunk.reader(np.array([0.0]), np.array([0]))
+    assert math.isinf(fresh("y_3")[0]) and fresh("c_3").tolist() == [0.0]
 
 
 @pytest.mark.parametrize("name", ["Q", "y_0", "y_11", "y_1_2", "y_-1", "y_ 1", "z_1",
                                   "z_0_1", "z_12_1", "z_1_11", "H_0", "c_11", "time_1"])
 def test_reader_rejects_unknown_names_when_resolved(name):
-    sim = Simulator(airlink_model(), seed=21)
+    # every reader of state names resolves them here
     with pytest.raises(SimError, match="unknown state quantity"):
-        sim.reader(name)
-
-
-def test_h_needs_hour_ticks_when_resolved():
-    # H_j is a count kept from departures and expiries, so without hour
-    # ticks there is nothing to read
-    with pytest.raises(SimError, match="hour ticks"):
-        Simulator(airlink_model(), seed=21).reader("H_3")
-    sim = Simulator(airlink_model(), seed=21, hour_ticks=True)
-    h = sim.reader("H_3")
-    assert h(0.0) == 0.0
-    while rval(sim, "c_3") == 0:
-        advance(sim)
-    assert h(sim.t) == h(sim.t + 10 * HOUR) == 1.0  # the count, whatever t
+        parse_state_name(name, 10, 11)
 
 
 def test_readers_resolved_before_any_event_follow_the_state():
-    sim = Simulator(airlink_model(), seed=21, hour_ticks=True)
-    y = {j: sim.reader(f"y_{j}") for j in range(1, 11)}
-    c = {j: sim.reader(f"c_{j}") for j in range(1, 11)}
-    z = sim.reader("z_4_7")
-    deps = {j: 0 for j in range(1, 11)}
-    last_z = None
-    for _ in range(3000):
-        ev = advance(sim)
-        if ev.kind != "dep":
-            continue
-        deps[ev.patch] += 1
-        if (ev.bus, ev.patch) == (4, 7):
-            last_z = ev.t
-        assert y[ev.patch](ev.t + 1.5) == (ev.t + 1.5) - ev.t
-        assert c[ev.patch](0.0) == float(deps[ev.patch])
-        assert z(ev.t) == (math.inf if last_z is None else ev.t - last_z)
-    assert last_z is not None
+    # one reader over a run's departures, read just after each of them,
+    # against the per-event state
+    m = airlink_model()
+    deps = Simulator(m, seed=21).run(until_time=60_000.0)
+    chunk = _History(m.n, m.cfg.n_buses, expiries=False).next(deps, 60_000.0)
+    at = deps.t + 1.5
+    read = chunk.reader(at, np.arange(1, len(deps) + 1))
+    replay = EventReplay(m.n, m.cfg.n_buses, hour_ticks=False)
+    y = {j: replay.reader(f"y_{j}") for j in range(1, 11)}
+    c = {j: replay.reader(f"c_{j}") for j in range(1, 11)}
+    z = replay.reader("z_4_7")
+    seen = []
+    for ev in replay.events(deps, 60_000.0):
+        seen.append(ev)
+        if len(seen) > 1:
+            k, prev = len(seen) - 2, seen[-2]
+            assert read(f"y_{prev.patch}")[k] == y[prev.patch](at[k]) == 1.5
+            assert [read(f"c_{j}")[k] for j in c] == [c[j](0.0) for j in c]
+            assert read("z_4_7")[k] == z(at[k])
+    assert len(seen) == len(deps) > 1000
+    assert math.isinf(read("z_4_7")[0]) and not math.isinf(read("z_4_7")[-1])
 
 
 def test_h_counter_counts_recent_departures():
     m = airlink_model()
-    sim = Simulator(m, seed=23, hour_ticks=True)
-    oracle = HourRecount(sim)
-    sim.run(oracle, until_time=2 * 3600)
-    oracle.check()
+    assert check_hour_counts(m, 23, [HOUR, 2 * HOUR]) > 100
+    deps = Simulator(m, seed=23).run(until_time=2 * HOUR)
+    chunk = _History(m.n, m.cfg.n_buses, expiries=True).next(deps, 2 * HOUR)
+    read = chunk.reader(np.array([2 * HOUR]), np.array([len(deps)]))
     for j in range(1, 11):
-        h = rval(sim, f"H_{j}")
-        assert 0 <= h <= 11
+        assert 0 <= read(f"H_{j}")[0] <= 11
     # every bus departs each patch roughly every 5259 s > 3600 s, so H < beta
-    assert rval(sim, "H_1") <= 9
+    assert read("H_1")[0] <= 9
 
 
 def test_h_counter_when_buses_depart_twice_within_the_hour():
     # a 400 s loop: each bus departs each patch about nine times an hour, so
-    # most expiries belong to a departure the same bus has since superseded
+    # most departures in the window are superseded by the same bus's next one
     m = two_patch_model(n_buses=3)
-    sim = Simulator(m, seed=31, hour_ticks=True)
-    oracle = HourRecount(sim)
-    sim.run(oracle, until_time=30_000.0)
-    oracle.check()
-    assert sim.events_processed > 300
+    assert check_hour_counts(m, 31, [7_000.0 * k for k in range(1, 5)]) > 300
+
+
+def test_h_counts_each_bus_once_when_an_expiry_falls_on_a_departure():
+    # bus 1 departs patch 1 twice within the hour, at 100 and 200; the
+    # expiry of the first falls on bus 2's departure at 3700, that of the
+    # second on the departures of buses 2 and 3 at 3800
+    deps = as_departures([(100.0, 1, 1), (200.0, 1, 1), (300.0, 2, 2), (3700.0, 2, 1),
+                          (3800.0, 2, 1), (3800.0, 3, 1)])
+    history = _History(2, 3, expiries=True)
+    chunk = history.next(deps, 4_000.0)
+    assert chunk.boundaries.tolist() == [100.0, 200.0, 300.0, 3700.0, 3800.0, 3900.0]
+    assert (history.time, history.expiries.tolist()) == (3900.0, [7300.0, 7400.0, 7400.0])
+    # the state each departure finds at its time: an expiry due then came first
+    before = chunk.reader(deps.t, np.arange(6))("H_1").tolist()
+    assert before == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    # the state after each boundary
+    after = chunk.reader(chunk.boundaries, np.searchsorted(deps.t, chunk.boundaries, "right"))
+    assert after("H_1").tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    # the per-event count reads the same where a clock samples it
+    replay = EventReplay(2, 3, hour_ticks=True)
+    h = replay.reader("H_1")
+    found, left, last = [], {}, None
+    for ev in replay.events(deps, 4_000.0):
+        if last is not None and ev.t > last:
+            left[last] = h(last)
+        if ev.kind == "dep":
+            found.append(h(ev.t))
+        last = ev.t
+    left[last] = h(last)
+    assert found == before
+    assert list(left.values()) == after("H_1").tolist()
 
 
 def test_debug_hour_recount_consistency():
-    m = airlink_model()
-    sim = Simulator(m, seed=29, hour_ticks=True)
-    oracle = HourRecount(sim)
-    sim.run(oracle, until_time=120_000.0)
-    assert sim.events_processed > 4_000
-    oracle.check()
+    # chunks of uneven length, some shorter than a sojourn
+    ends = [500.0, 510.0, 4_000.0, 4_100.0, 30_000.0, 60_000.0]
+    assert check_hour_counts(airlink_model(), 29, ends) > 2_000
 
 
 # speed modification with no slowdown: the phased simulator at the fitted rates
@@ -336,20 +365,22 @@ PHASED_ONLY = dict(speedmod_threshold=0.15, slowdown=1.0)
 
 
 @pytest.mark.parametrize("overrides", [{}, PHASED_ONLY], ids=["aggregated", "phased"])
-def test_every_hour_expiry_is_an_event(overrides):
-    # phase completions inside a patch must not move the clock past an
-    # expiry, or the expiry is dropped and H_j changes between events
+def test_every_due_hour_expiry_is_a_boundary(overrides):
+    # a query reading H_j changes state at each departure and each expiry
+    # b + HOUR at or before the chunk end, and at nothing else
     m = airlink_model(**overrides)
     assert m.phased == bool(overrides)
-    sim = Simulator(m, seed=3, hour_ticks=True)
-    deps, expiries = [], 0
-    for _ in range(4_000):
-        ev = advance(sim)
-        if ev.kind == "dep":
-            deps.append(ev.t)
-        else:
-            expiries += 1
-    assert expiries == sum(1 for b in deps if b + HOUR <= sim.t)
+    sim = Simulator(m, seed=3)
+    history = _History(m.n, m.cfg.n_buses, expiries=True)
+    deps_so_far, prev = [], 0.0
+    for end in (3_000.0, 9_000.0, 9_500.0, 40_000.0):
+        deps = sim.run(until_time=end)
+        deps_so_far += deps.t.tolist()
+        due = [b + HOUR for b in deps_so_far if prev < b + HOUR <= end]
+        assert history.next(deps, end).boundaries.tolist() == sorted(set(deps.t.tolist() + due))
+        assert history.time == max(deps_so_far + [b + HOUR for b in deps_so_far
+                                                  if b + HOUR <= end])
+        prev = end
 
 
 @pytest.mark.parametrize("overrides", [
@@ -360,26 +391,28 @@ def test_run_processes_no_event_after_until_time(overrides):
     # a held bus, or a bus with phases left, can sit in pending before T
     # while its departure comes after T
     m = airlink_model(**overrides)
-    sim = Simulator(m, seed=11, hour_ticks=True)
+    sim = Simulator(m, seed=11)
     seen = []
     for k in range(1, 11):
         end = 2000.0 * k
-        sim.run(seen.append, until_time=end)
+        deps = sim.run(until_time=end)
         assert sim.t <= end
-        assert seen and all(ev.t <= end for ev in seen)
+        assert len(deps) and all(end - 2000.0 < t <= end for t in deps.t.tolist())
+        seen += rows(deps)
         assert sim.events_processed == len(seen)
-    # stopping between chunks leaves the event stream as one run gives it
-    whole = Simulator(m, seed=11, hour_ticks=True)
-    assert seen == [advance(whole) for _ in seen]
-    assert {ev.kind for ev in seen} == {"dep", "expiry"}
+    # stopping between chunks leaves the departures, and the draws, as one
+    # run gives them
+    whole = Simulator(m, seed=11)
+    assert rows(whole.run(until_time=20_000.0)) == seen
+    assert (whole.pending, whole.slow_draws) == (sim.pending, sim.slow_draws)
 
 
 def test_empty_stop_immediately():
-    # a run that ends before the first event processes none
+    # a run that ends before the first departure processes none
     sim = Simulator(airlink_model(), seed=3)
-    seen = []
-    sim.run(seen.append, until_time=-1.0)
-    assert seen == [] and sim.t == 0.0 and sim.events_processed == 0
+    deps = sim.run(until_time=-1.0)
+    assert len(deps) == 0 and deps.t.dtype == float and deps.bus.dtype == np.int64
+    assert sim.t == 0.0 and sim.events_processed == 0
 
 
 def test_speed_modification_slows_leader():
@@ -389,15 +422,13 @@ def test_speed_modification_slows_leader():
     m = build_model(pm, cfg)
     assert m.phased
     sim = Simulator(m, seed=6)
-    for _ in range(30_000):
-        advance(sim)
+    slowed = first_departures(sim, 30_000, step=1_000_000.0)
     assert sim.slow_draws > 0
     # with slowdown the loop takes longer than the raw mean when gaps are wide
     base_cfg = SimConfig(n_buses=2, timetable=False, seed=6, init="terminus", **PHASED_ONLY)
-    base = Simulator(build_model(pm, base_cfg), seed=6)
-    for _ in range(30_000):
-        advance(base)
-    assert sim.t > base.t  # same event count takes longer with slowed phases
+    base = first_departures(Simulator(build_model(pm, base_cfg), seed=6), 30_000,
+                            step=1_000_000.0)
+    assert slowed[-1][0] > base[-1][0]  # the same departures take longer with slowed phases
 
 
 @pytest.mark.parametrize("breakpoints", [None, (0.0, 0.02, 0.1, 0.15, 0.3, 0.31, 0.5, 0.52,
@@ -420,8 +451,7 @@ def test_lone_phased_bus_is_never_slowed():
     m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=4, speedmod_threshold=0.1,
                                   slowdown=0.5))
     sim = Simulator(m, seed=4)
-    for _ in range(2000):
-        advance(sim)
+    first_departures(sim, 2000)
     assert sim.slow_draws == 0
 
 
@@ -451,14 +481,12 @@ def test_hyper_erlang_branch_draws():
     pm = PatchModel([HyperErlangParams((2, 40), (0.01, 0.4), (0.5, 0.5)),
                      ErlangParams(5, 0.05)])
     m = build_model(pm, SimConfig(n_buses=1, timetable=False, seed=9))
-    sim = Simulator(m, seed=9)
     durations = []
     prev = 0.0
-    for _ in range(4000):
-        ev = advance(sim)
-        if ev.patch == 1:
-            durations.append(ev.t - prev)
-        prev = ev.t
+    for t, _, patch, _ in first_departures(Simulator(m, seed=9), 4000):
+        if patch == 1:
+            durations.append(t - prev)
+        prev = t
     mean = np.mean(durations)
     assert abs(mean - pm.dists[0].mean) / pm.dists[0].mean < 0.1
 
@@ -471,49 +499,59 @@ def test_timetable_requires_termini():
 
 def test_event_log_roundtrip(tmp_path):
     from headwaylab.simulate import write_event_log
-    events = events_until(airlink_model(), 3, 20_000)
+    deps = Simulator(airlink_model(), seed=3).run(until_time=20_000)
     path = tmp_path / "events.tsv"
-    write_event_log(events, str(path))
+    write_event_log(deps, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "t\tbus\tkind\tpatch\tlap"
-    assert len(lines) == len(events) + 1
+    assert [line.split("\t") for line in lines[1:]] == [
+        [f"{t:.3f}", str(bus), "dep", str(patch), str(lap)] for t, bus, patch, lap in rows(deps)]
 
 
-# (model, hour ticks, events compared)
+# (model, departures compared)
 ORACLE_CASES = {
     "airlink-speedmod-holding": (
-        lambda: airlink_model(holding_threshold=120.0, speedmod_threshold=0.15), False, 600),
+        lambda: airlink_model(holding_threshold=120.0, speedmod_threshold=0.15), 600),
     # every bus starts in patch 1 and is held there: equal pending times
     "terminus-init": (
         lambda: airlink_model(timetable=False, holding_threshold=120.0,
-                              speedmod_threshold=0.15, init="terminus"), False, 600),
+                              speedmod_threshold=0.15, init="terminus"), 600),
     "hyper-erlang-phased-speedmod": (
         lambda: build_model(
             PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)),
                         ErlangParams(8, 0.05), HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)),
                         ErlangParams(15, 0.1)]),
             SimConfig(n_buses=4, timetable=False, speedmod_threshold=0.3, slowdown=0.5, seed=2)),
-        False, 3000),
+        3000),
     "unequal-breakpoints": (
         lambda: airlink_model(timetable=False, speedmod_threshold=0.15,
                               breakpoints=(0.0, 0.02, 0.1, 0.15, 0.3, 0.31, 0.5, 0.52,
-                                           0.7, 0.9, 1.0)), False, 600),
-    "timetabled-phased-hour-ticks": (lambda: airlink_model(**PHASED_ONLY), True, 600),
-    "aggregated-timetable": (lambda: airlink_model(), True, 5000),
+                                           0.7, 0.9, 1.0)), 600),
+    "timetabled-phased": (lambda: airlink_model(**PHASED_ONLY), 600),
+    "aggregated-timetable": (lambda: airlink_model(), 5000),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_cached_positions_match_fleet_scan(case):
-    make, ticks, n_events = ORACLE_CASES[case]
+    make, n_events = ORACLE_CASES[case]
     m = make()
-    fast = Simulator(m, seed=17, hour_ticks=ticks)
-    ref = ReferenceStepper(Simulator(m, seed=17, hour_ticks=ticks))
-    for _ in range(n_events):
-        a, b = advance(fast), ref.advance()
-        assert (a.t, a.kind, a.bus, a.patch, a.lap) == (b.t, b.kind, b.bus, b.patch, b.lap)
+    ref = ReferenceStepper(Simulator(m, seed=17))
+    want = [ref.advance() for _ in range(n_events)]
+    # the run to the last reference departure stops right after it
+    fast = Simulator(m, seed=17)
+    assert rows(fast.run(until_time=want[-1][0])) == want
     assert fast.slow_draws == ref.sim.slow_draws
     assert fast.pending == ref.sim.pending
+    # runs that end between departures complete the phases due by then and
+    # draw nothing past them
+    for end in want[-1][0] + np.array([37.5, 80.0, 400.0, 1000.0]):
+        more = []
+        while (row := ref.advance(until=end)) is not None:
+            more.append(row)
+        assert rows(fast.run(until_time=end)) == more
+        assert (fast.pending, fast.phases_left, fast.progress_base, fast.slow_draws) == (
+            ref.sim.pending, ref.sim.phases_left, ref.sim.progress_base, ref.sim.slow_draws)
     if m.cfg.speedmod_threshold is not None:
         assert ref.sim.slow_draws > 0
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
@@ -521,48 +559,56 @@ def test_cached_positions_match_fleet_scan(case):
         assert ref.wraps > 0 or m.cfg.timetable
 
 
-# at seed 5: a digest of the first 20,000 events' (t, bus, patch, lap), then
-# slow_draws and pending, recorded from the phased simulator that scanned the
-# whole fleet at each phase completion; the ring and the settling loop must
-# draw the same
+# at seed 5: the time of the 20,000th departure, a digest of the departures'
+# (t, bus, patch, lap) up to it, then slow_draws and pending right after
+# it, recorded from the phased simulator that scanned the whole fleet at
+# each phase completion; the ring and the settling loop must draw the same
 PHASED_PINS = {
     "airlink-holding-speedmod": (
         lambda: airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
-                              slowdown=0.9),
+                              slowdown=0.9), 984863.8612809,
         "42ea50feaabdbe8d7123a9306892fc31023265ba476dd91cb26f5b837d784047", 213029,
         [984949.3825090125, 984884.5355616347, 984869.8783199112, 984865.6950381784,
          984870.7275105139, 984899.0157352838, 984906.0921148598, 984909.2317181445,
          984891.8221352546, 984876.4522499931, 984891.9739389473]),
     "hyper-erlang-phased-speedmod": (
-        ORACLE_CASES["hyper-erlang-phased-speedmod"][0],
+        ORACLE_CASES["hyper-erlang-phased-speedmod"][0], 926130.0108331693,
         "ef42907b3625de3d436ccfc0262f39dada47fc687ee2e96a1e84db145e2c46b5", 60470,
         [926143.5676253269, 926153.6776534611, 926133.8873314622, 926161.7200317034]),
 }
 
 
+def digest(table) -> str:
+    h = hashlib.sha256()
+    for t, bus, patch, lap in table:
+        h.update(f"{t.hex()} {bus} {patch} {lap}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("case", PHASED_PINS)
 def test_phased_stream_matches_the_recorded_one(case):
-    make, digest, slow_draws, pending = PHASED_PINS[case]
+    make, end, want, slow_draws, pending = PHASED_PINS[case]
     sim = Simulator(make(), seed=5)
-    h = hashlib.sha256()
-    for _ in range(20_000):
-        ev = advance(sim)
-        h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
-    assert (h.hexdigest(), sim.slow_draws, sim.pending) == (digest, slow_draws, pending)
+    table = rows(sim.run(until_time=end))
+    assert len(table) == 20_000
+    assert (digest(table), sim.slow_draws, sim.pending) == (want, slow_draws, pending)
 
 
-# at seed 5: a digest of the first 20,000 events' (t, bus, patch, lap), then
-# pending, recorded from the aggregated simulator that stepped through
-# _next_event and _apply_departure and scanned the fleet for H_j
+# at seed 5: the time of the 20,000th event, a digest of the events'
+# (t, bus, patch, lap) up to it and pending right after it, recorded from the aggregated
+# simulator that stepped through _next_event and _apply_departure and
+# scanned the fleet for H_j.  With hour ticks on, its events took in the
+# expiries (bus and lap 0), which the departures replay here; expiries
+# never changed a departure or a draw
 AGGREGATED_PINS = {
     "airlink-timetable-hour-ticks": (
-        lambda: airlink_model(), True,
+        lambda: airlink_model(), True, 479897.69142145955,
         "ae946c779c9c59f76b5c7d4c25679a87b15c9dd172cba8cc4b0485c9f712b614",
         [480348.7407810994, 479970.01639662235, 480204.4084157531, 480003.2727272727,
          480481.36363636365, 480040.7853303869, 480051.08209600975, 480347.9634896044,
          480254.9125665325, 480353.82751851185, 479970.40929664165]),
     "airlink-holding-hour-ticks": (
-        lambda: airlink_model(timetable=False, holding_threshold=120.0), True,
+        lambda: airlink_model(timetable=False, holding_threshold=120.0), True, 488933.7517330176,
         "8b5043b05c22b3b977d3a2882323782038183d33270330e2321e54ac5ef928f5",
         [489225.06103644485, 489141.5976802493, 489294.71680806123, 489178.4429631148,
          489509.0414140926, 488959.55770678783, 489718.62501725054, 489253.17771559773,
@@ -573,7 +619,7 @@ AGGREGATED_PINS = {
             PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)),
                         ErlangParams(8, 0.05), HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)),
                         ErlangParams(15, 0.1)]),
-            SimConfig(n_buses=4, timetable=False, seed=2)), False,
+            SimConfig(n_buses=4, timetable=False, seed=2)), False, 707968.9332071883,
         "da330b0aee655c08bf3c4b52df08d024a768a68e11e5a8710e01afa9f0088700",
         [708067.3192322637, 708000.7715404506, 708244.2044734394, 708100.7199764038]),
 }
@@ -581,12 +627,11 @@ AGGREGATED_PINS = {
 
 @pytest.mark.parametrize("case", AGGREGATED_PINS)
 def test_aggregated_stream_matches_the_recorded_one(case):
-    make, ticks, digest, pending = AGGREGATED_PINS[case]
+    make, ticks, end, want, pending = AGGREGATED_PINS[case]
     m = make()
     assert not m.phased
-    sim = Simulator(m, seed=5, hour_ticks=ticks)
-    h = hashlib.sha256()
-    for _ in range(20_000):
-        ev = advance(sim)
-        h.update(f"{ev.t.hex()} {ev.bus} {ev.patch} {ev.lap}\n".encode())
-    assert (h.hexdigest(), sim.pending) == (digest, pending)
+    sim = Simulator(m, seed=5)
+    events = list(EventReplay(m.n, m.cfg.n_buses, ticks).events(sim.run(until_time=end), end))
+    assert len(events) == 20_000
+    assert (digest((ev.t, ev.bus, ev.patch, ev.lap) for ev in events), sim.pending) == (
+        want, pending)
