@@ -28,20 +28,33 @@ draws each exponential phase of a sojourn in turn, so a phase drawn after
 the gap to the follower widens runs slowed.  A phase completion is not an
 event: one settling loop completes phases, earliest first, until the
 earliest pending item is a departure or a holding gate.  Each completion
-moves the bus along its patch and in the ring and draws its next phase.
-Otherwise each patch sojourn is one Gamma draw, the sum of its phases, equal
-in distribution.
+moves the bus along its patch and in the ring, in place when it passes no
+other bus, and draws its next phase.  Otherwise each patch sojourn is one
+Gamma draw, the sum of its phases, equal in distribution.
+
+Phased runs read their phases ahead: one buffer per simulator holds a block
+of standard exponentials, and a phase of rate `rate` is the next value times
+1.0 / rate, bit for bit the scalar `exponential(1.0 / rate)` at that position
+of the stream.  The only other draw of a phased run, the branch uniform at
+the entry into a hyper-Erlang patch, rewinds: it restores the generator to
+its state before the block, redraws the values already read and draws the
+uniform, so every draw sits where scalar draws would put it.  The aggregated
+stream is not read ahead: its Gamma shapes depend on the patch entered and
+the order of the entries on the draws, so no block of it can be drawn
+before the draws that decide it.
 
 The departures are the only events.  `run(until_time)` is the one event
 loop: it binds the simulator's lists once per call, picks each next
 departure itself, applies it (the holding base and the entry into the next
 patch) and returns the chunk's departures as numpy columns t, bus, patch
 and lap (`Departures`), in the order they happened.  It processes every
-departure at or before until_time and none after it, and it draws nothing
-past until_time, so a run cut into pieces gives the same departures, and
-the same draws, as one run.  The patch entry, with the timetable slot and
-the sojourn draw, is one function with the generator bound once per
-simulator; construction places the buses through it too.
+departure at or before until_time and none after it, and it consumes no
+draw past until_time (a phased run may have read past it, but the next run
+takes up those values where this one left off), so a run cut into pieces
+gives the same departures, and the same draws, as one run.  The patch
+entry, with the timetable slot and the sojourn draw, is one function with
+the generator bound once per simulator; construction places the buses
+through it too.
 
 The simulator keeps only the state its own rules read, such as the last
 departure from each patch for holding.  The per-patch quantities a query
@@ -69,6 +82,15 @@ from .fitting import Distribution, ErlangParams, HyperErlangParams, PatchModel
 
 # y_j, H_j, c_j (one index) and z_i_j (two)
 _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
+
+# Phased runs read their phases from blocks of standard exponentials.  The
+# first block, and the first after each branch pick (which rewinds the
+# generator), holds _BLOCK_START draws; each next one twice as many, up to
+# _BLOCK_CAP.  A short block after a pick keeps the rewinds of hyper-Erlang
+# models cheap.  The cap bounds the buffer a simulator holds; past a few
+# hundred draws a longer block saves no measurable time.
+_BLOCK_START = 32
+_BLOCK_CAP = 512
 
 
 class SimError(ValueError):
@@ -101,6 +123,20 @@ def _ring_move(ring: list[float], old: float, new: float) -> float:
     gap = (new - ring[k - 1]) % 1.0 if ring else 0.0
     ring.insert(k, new)
     return gap
+
+
+def _ring_step(ring: list[float], old: float, new: float) -> float:
+    """_ring_move for a bus moving forward, old <= new: the same ring and the
+    same gap.  When the bus passes no other bus, its entry k is overwritten in
+    place: the entries before k lie below old, so at or below new, and the
+    ones after it above new, so its follower is ring[k - 1], or with k = 0
+    ring[-1], the largest other fraction across the wrap.  A bus alone reads
+    its own entry, a gap of 0.0."""
+    k = bisect_left(ring, old)
+    if k + 1 == len(ring) or ring[k + 1] > new:
+        ring[k] = new
+        return (new - ring[k - 1]) % 1.0
+    return _ring_move(ring, old, new)
 
 
 @dataclass
@@ -195,6 +231,8 @@ class Simulator:
     def __init__(self, model: SimModel, seed: int | None = None, replication: int = 0):
         self.model = model
         cfg = model.cfg
+        # phased runs read this generator ahead (_phases), so nothing outside
+        # the simulator may draw from it
         self.rng = np.random.default_rng([seed if seed is not None else cfg.seed, replication])
         self.n = model.n
         self.beta = cfg.n_buses
@@ -217,6 +255,7 @@ class Simulator:
 
         self.last_dep = [None] * (self.n + 1)  # the holding base, by patch
 
+        self._settle_phases, self._pick_branch = self._phases()
         self._enter_patch = self._entry()
         self._init_buses()
 
@@ -282,23 +321,86 @@ class Simulator:
         self.pos[i] = p
         return gap
 
-    def _slowed_rate(self, rate: float, gap: float) -> float:
-        """The rate of a phase drawn `gap` ahead of the follower: scaled by
-        the slowdown, and counted in slow_draws, when the gap exceeds theta_s."""
-        cfg = self.model.cfg
-        if gap > cfg.speedmod_threshold:
-            self.slow_draws += 1
-            return rate * cfg.slowdown
-        return rate
+    def _phases(self) -> tuple[Callable[..., None],
+                               Callable[[HyperErlangParams], tuple[int, float]]]:
+        """(settle, pick_branch): the settling loop, the one phase draw of
+        phased runs, and the branch draw, with the block buffer they share.
 
-    def _pick_branch(self, dist: HyperErlangParams) -> tuple[int, float]:
-        u = self.rng.random()
-        acc = 0.0
-        for k, r, a in zip(dist.shapes, dist.rates, dist.weights):
-            acc += a
-            if u <= acc:
-                return k, r
-        return dist.shapes[-1], dist.rates[-1]
+        settle(until_time) completes phases, earliest first, until the
+        earliest pending item is a departure or a holding gate, or lies past
+        until_time.  A phase completion is not an event: the clock stays.  It
+        moves the bus along its patch and in the ring, in place when it
+        passes no other bus (_ring_step), and draws its next phase.  The
+        patch entry draws a bus's first phase through the same step:
+        settle(-inf, i, now, gap) draws the phase of bus i, `gap` ahead of
+        its follower, and settles nothing.  A phase drawn more than theta_s
+        ahead has its rate scaled by the slowdown and counts in slow_draws.
+        Its duration is the next value of a block of standard exponentials
+        times 1.0 / rate: bit for bit the scalar rng.exponential(1.0 / rate)
+        at the same position of the stream.
+
+        pick_branch(dist) draws a hyper-Erlang branch from one uniform.  That
+        uniform must come from the consumed position, so when the block has
+        values left it restores the generator to its state before the block
+        and redraws the values already read; the next block starts after the
+        uniform."""
+        rng = self.rng
+        bitgen = rng.bit_generator
+        cfg = self.model.cfg
+        theta_s, slowdown = cfg.speedmod_threshold, cfg.slowdown
+        pending, phases_left, patch = self.pending, self.phases_left, self.patch
+        progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
+        pos, spans = self.pos, self.model.spans
+        buf: list[float] = []
+        at, block, before = 0, _BLOCK_START, None
+
+        def settle(until_time: float, i: int = -1, t: float = 0.0, gap: float = 0.0):
+            nonlocal buf, at, block, before
+            ring, slow = self.ring, 0
+            while True:
+                if i < 0:
+                    t = min(pending)
+                    if t > until_time:
+                        break
+                    i = pending.index(t)
+                    left = phases_left[i]
+                    if left < 2:
+                        break
+                    phases_left[i] = left - 1
+                    b = progress[i] + per_phase[i]
+                    progress[i] = b
+                    lo, hi = spans[patch[i] - 1]
+                    p = lo + (hi - lo) * (b if b < 1.0 else 1.0)
+                    gap = _ring_step(ring, pos[i], p)
+                    pos[i] = p
+                rate = phase_rate[i]
+                if gap > theta_s:
+                    slow += 1
+                    rate *= slowdown
+                if at == len(buf):
+                    before = bitgen.state
+                    buf = rng.standard_exponential(block).tolist()
+                    at, block = 0, min(2 * block, _BLOCK_CAP)
+                pending[i] = t + buf[at] * (1.0 / rate)
+                at += 1
+                i = -1
+            self.slow_draws += slow
+
+        def pick_branch(dist: HyperErlangParams) -> tuple[int, float]:
+            nonlocal buf, at, block
+            if at < len(buf):
+                bitgen.state = before
+                rng.standard_exponential(at)
+            buf, at, block = [], 0, _BLOCK_START
+            u = rng.random()
+            acc = 0.0
+            for k, r, a in zip(dist.shapes, dist.rates, dist.weights):
+                acc += a
+                if u <= acc:
+                    return k, r
+            return dist.shapes[-1], dist.rates[-1]
+
+        return settle, pick_branch
 
     def _entry(self) -> Callable[[int, int, float, float, int], None]:
         """The one patch entry, with the state it writes bound once:
@@ -313,8 +415,8 @@ class Simulator:
         termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
         # (k, rate) of each Erlang patch; None where a branch is drawn first
         erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
-        phased, pick_branch = m.phased, self._pick_branch
-        gamma, exponential = self.rng.gamma, self.rng.exponential
+        phased, pick_branch, settle = m.phased, self._pick_branch, self._settle_phases
+        gamma = self.rng.gamma
 
         def enter(i: int, j: int, now: float, progress: float, slot_lap: int):
             patch[i] = j
@@ -332,7 +434,7 @@ class Simulator:
                 phases_left[i] = k_left
                 phase_rate[i] = rate
                 per_phase[i] = 1.0 / k
-                pending[i] = now + exponential(1.0 / self._slowed_rate(rate, gap))
+                settle(-math.inf, i, now, gap)
             else:
                 phases_left[i] = 1
                 per_phase[i] = 1.0 - progress
@@ -341,40 +443,15 @@ class Simulator:
 
     # -- event loop -------------------------------------------------------------
 
-    def _settle_phases(self, until_time: float):
-        """Complete phases, earliest first, until the earliest pending item
-        is a departure or a holding gate, or lies past until_time.  A phase
-        completion is not an event: the clock stays.  It moves the bus along its patch and in the
-        ring, and draws its next phase, slowed when the gap back to its
-        follower exceeds theta_s."""
-        pending, phases_left, patch = self.pending, self.phases_left, self.patch
-        progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
-        pos, ring, spans = self.pos, self.ring, self.model.spans
-        slowed_rate, exponential = self._slowed_rate, self.rng.exponential
-        while True:
-            t = min(pending)
-            if t > until_time:
-                break
-            i = pending.index(t)
-            left = phases_left[i]
-            if left < 2:
-                break
-            phases_left[i] = left - 1
-            b = progress[i] + per_phase[i]
-            progress[i] = b
-            lo, hi = spans[patch[i] - 1]
-            p = lo + (hi - lo) * (b if b < 1.0 else 1.0)
-            gap = _ring_move(ring, pos[i], p)
-            pos[i] = p
-            pending[i] = t + exponential(1.0 / slowed_rate(phase_rate[i], gap))
-
     def run(self, until_time: float) -> Departures:
         """Process the departures at or before until_time, in time order,
         and return them: the simulator's one event loop.
 
         The next item is the earliest pending one; ties between buses go to
         the lowest index.  Once it lies past until_time the run stops, so it
-        draws nothing past until_time and afterwards self.t <= until_time.
+        consumes no draw past until_time and afterwards self.t <= until_time;
+        the phase values a phased run has read ahead wait in its buffer for
+        the next run.
         Before that, phase completions are settled first, and a bus that would
         leave sooner than theta_h after the last departure from its patch is
         moved to that gate.  A departure sets the holding base of its patch
@@ -417,7 +494,7 @@ class Simulator:
 
 
 def write_event_log(deps: Departures, path: str) -> None:
-    write_lines(path, [("t", "bus", "kind", "patch", "lap"),
-                       *((f"{t:.3f}", bus, "dep", patch, lap) for t, bus, patch, lap
+    write_lines(path, [("t", "bus", "patch", "lap"),
+                       *((f"{t:.3f}", bus, patch, lap) for t, bus, patch, lap
                          in zip(deps.t.tolist(), deps.bus.tolist(), deps.patch.tolist(),
                                 deps.lap.tolist()))], "\t")

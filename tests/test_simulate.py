@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (AIRLINK_K, AIRLINK_LAM, airlink_model, as_departures, first_departures,
                       rows)
+from headwaylab import simulate
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
 from headwaylab.properties import HOUR, _History
-from headwaylab.simulate import (SimConfig, SimError, Simulator, _ring_move, build_model,
-                                 parse_state_name)
+from headwaylab.simulate import (SimConfig, SimError, Simulator, _ring_move, _ring_step,
+                                 build_model, parse_state_name)
 from per_event import EventReplay
 
 
@@ -70,17 +71,42 @@ def check_hour_counts(model, seed: int, ends) -> int:
 
 class ReferenceStepper:
     """Reference for Simulator.run that shares none of its stepping code: it
-    takes over a freshly built simulator's state and generator and steps
-    them one departure at a time.  The next departure is selected with a key
-    on (pending, bus), so ties go to the lowest bus index.  Every gap read
-    recomputes each bus's route fraction from patch and progress_base and
-    scans the fleet for the nearest bus behind.  `wraps` counts gap reads
-    whose nearest bus behind sits across the 1.0 -> 0.0 wrap, ahead of the
-    moving bus in route fraction."""
+    takes over a freshly built simulator's state and steps it one departure
+    at a time.  It draws scalars from its own generator: the simulator's
+    reads ahead in phased runs, so this one is built from the same
+    (seed, replication) and replays the construction draws, each checked
+    against the pending time it gave.  The next departure is selected with
+    a key on (pending, bus), so ties go to the lowest bus index.  Every gap
+    read recomputes each bus's route fraction from patch and progress_base
+    and scans the fleet for the nearest bus behind.  `wraps` counts gap
+    reads whose nearest bus behind sits across the 1.0 -> 0.0 wrap, ahead of
+    the moving bus in route fraction."""
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, seed: int, replication: int = 0):
         self.sim = sim
         self.wraps = 0
+        self.rng = np.random.default_rng([seed, replication])
+        s, m = sim, sim.model
+        slow_draws, s.slow_draws = s.slow_draws, 0
+        for i, j in enumerate(s.patch):
+            if j in m.termini:
+                continue
+            k, rate = self._branch(m.dists[j - 1])
+            if m.phased:
+                assert s.pending[i] == self.rng.exponential(1.0 / self._rate(i, rate))
+            else:
+                prog = s.progress_base[i]
+                k_left = max(1, k - int(prog * k)) if prog else k
+                assert s.pending[i] == float(self.rng.gamma(k_left, 1.0 / rate))
+        assert s.slow_draws == slow_draws
+        self.wraps = 0  # count the wraps of the run only
+
+    def _branch(self, d) -> tuple[int, float]:
+        if isinstance(d, ErlangParams):
+            return d.k, d.rate
+        u = self.rng.random()
+        return next(((k, r) for k, r, c in zip(d.shapes, d.rates, accumulate(d.weights))
+                     if u <= c), (d.shapes[-1], d.rates[-1]))
 
     def _position(self, b: int) -> float:
         s = self.sim
@@ -106,19 +132,13 @@ class ReferenceStepper:
             s.pending[i] = max(now, m.r * s.lap[i] + m.offsets[i] + m.anchors[j - 1])
             s.phases_left[i] = 0
             return
-        d = m.dists[j - 1]
-        if isinstance(d, ErlangParams):
-            k, rate = d.k, d.rate
-        else:
-            u = s.rng.random()
-            k, rate = next(((k, r) for k, r, c in zip(d.shapes, d.rates, accumulate(d.weights))
-                            if u <= c), (d.shapes[-1], d.rates[-1]))
+        k, rate = self._branch(m.dists[j - 1])
         if m.phased:
             s.phases_left[i], s.phase_rate[i], s.progress_per_phase[i] = k, rate, 1.0 / k
-            s.pending[i] = now + s.rng.exponential(1.0 / self._rate(i, rate))
+            s.pending[i] = now + self.rng.exponential(1.0 / self._rate(i, rate))
         else:
             s.phases_left[i] = 1
-            s.pending[i] = now + float(s.rng.gamma(k, 1.0 / rate))
+            s.pending[i] = now + float(self.rng.gamma(k, 1.0 / rate))
 
     def advance(self, until: float = math.inf) -> tuple[float, int, int, int] | None:
         """The next departure as a (t, bus, patch, lap) row, or None, with
@@ -132,7 +152,7 @@ class ReferenceStepper:
             if s.phases_left[i] > 1:
                 s.phases_left[i] -= 1
                 s.progress_base[i] += s.progress_per_phase[i]
-                s.pending[i] = t + s.rng.exponential(1.0 / self._rate(i, s.phase_rate[i]))
+                s.pending[i] = t + self.rng.exponential(1.0 / self._rate(i, s.phase_rate[i]))
                 continue
             j = s.patch[i]
             theta_h = m.cfg.holding_threshold
@@ -477,6 +497,30 @@ def test_ring_gap_is_the_fleet_minimum(fleet, mover, new, tie):
     assert ring == sorted(fleet)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FRACTION, min_size=1, max_size=15), st.integers(0, 14), FRACTION,
+       st.none() | st.integers(0, 14))
+@example([0.3], 0, 0.5, None)  # a lone bus
+@example([0.3], 0, 0.3, None)
+@example([0.2, 0.6], 0, 0.4, None)  # two buses, no pass
+@example([0.2, 0.6], 0, 0.7, None)  # two buses, a pass
+@example([0.2, 0.6], 1, 0.9, None)  # the bus at the largest fraction, follower below
+@example([0.0, BELOW_ONE], 1, BELOW_ONE, None)
+@example([0.25, 0.25, 0.25, 0.7], 1, 0.25, None)  # duplicates, standing still
+@example([0.25, 0.25, 0.25, 0.7], 0, 0.5, None)  # duplicates, leaving the others
+@example([0.1, 0.4, 0.4, 0.9], 0, 0.4, 1)  # catching up with a duplicate pair
+def test_ring_step_matches_ring_move(fleet, mover, new, tie):
+    # a bus moving forward, old <= new: the in-place step gives the gap
+    # _ring_move gives and leaves the same ring
+    i = mover % len(fleet)
+    if tie is not None:
+        new = fleet[tie % len(fleet)]
+    new = max(new, fleet[i])
+    ring, want = sorted(fleet), sorted(fleet)
+    assert _ring_step(ring, fleet[i], new) == _ring_move(want, fleet[i], new)
+    assert ring == want
+
+
 def test_hyper_erlang_branch_draws():
     pm = PatchModel([HyperErlangParams((2, 40), (0.01, 0.4), (0.5, 0.5)),
                      ErlangParams(5, 0.05)])
@@ -503,9 +547,9 @@ def test_event_log_roundtrip(tmp_path):
     path = tmp_path / "events.tsv"
     write_event_log(deps, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "t\tbus\tkind\tpatch\tlap"
+    assert lines[0] == "t\tbus\tpatch\tlap"
     assert [line.split("\t") for line in lines[1:]] == [
-        [f"{t:.3f}", str(bus), "dep", str(patch), str(lap)] for t, bus, patch, lap in rows(deps)]
+        [f"{t:.3f}", str(bus), str(patch), str(lap)] for t, bus, patch, lap in rows(deps)]
 
 
 # (model, departures compared)
@@ -536,7 +580,7 @@ ORACLE_CASES = {
 def test_cached_positions_match_fleet_scan(case):
     make, n_events = ORACLE_CASES[case]
     m = make()
-    ref = ReferenceStepper(Simulator(m, seed=17))
+    ref = ReferenceStepper(Simulator(m, seed=17), seed=17)
     want = [ref.advance() for _ in range(n_events)]
     # the run to the last reference departure stops right after it
     fast = Simulator(m, seed=17)
@@ -544,7 +588,7 @@ def test_cached_positions_match_fleet_scan(case):
     assert fast.slow_draws == ref.sim.slow_draws
     assert fast.pending == ref.sim.pending
     # runs that end between departures complete the phases due by then and
-    # draw nothing past them
+    # consume no draw past them
     for end in want[-1][0] + np.array([37.5, 80.0, 400.0, 1000.0]):
         more = []
         while (row := ref.advance(until=end)) is not None:
@@ -557,6 +601,29 @@ def test_cached_positions_match_fleet_scan(case):
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
         # follower is still short of 1.0
         assert ref.wraps > 0 or m.cfg.timetable
+
+
+@pytest.mark.parametrize("block", [(1, 1), (3, 7), None], ids=["1-1", "3-7", "default"])
+@pytest.mark.parametrize("case", ["airlink-speedmod-holding", "hyper-erlang-phased-speedmod"])
+def test_block_schedule_changes_no_draw(monkeypatch, case, block):
+    # the block sizes only set how far phased runs read ahead: under any
+    # schedule, a run cut into pieces, one cut right after a departure into
+    # a hyper-Erlang patch has drawn its branch, consumes the draws of one
+    # run at the defaults
+    m = ORACLE_CASES[case][0]()
+    whole = Simulator(m, seed=8)
+    want = rows(whole.run(until_time=40_000.0))
+    picks = [t for t, _, j, _ in want if not isinstance(m.dists[j % m.n], ErlangParams)]
+    assert bool(picks) == (case == "hyper-erlang-phased-speedmod")
+    ends = sorted([1234.5, 9000.0, 25_000.0, 40_000.0] + picks[len(picks) // 3:][:1])
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK_START", block[0])
+        monkeypatch.setattr(simulate, "_BLOCK_CAP", block[1])
+    sim = Simulator(m, seed=8)
+    got = [row for end in ends for row in rows(sim.run(until_time=end))]
+    assert got == want
+    assert (sim.slow_draws, sim.pending, sim.phases_left, sim.progress_base) == (
+        whole.slow_draws, whole.pending, whole.phases_left, whole.progress_base)
 
 
 # at seed 5: the time of the 20,000th departure, a digest of the departures'
