@@ -161,9 +161,9 @@ def _erlang_objective(total_w: float, sum_wx: float, sum_wlogx: float,
             + (k - 1) * sum_wlogx - rate * sum_wx)
 
 
-def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP):
-    """Scan k = 1, 2, ... with rate = k / weighted mean; stop at the first
-    log-likelihood decrease and return (k, rate, loglik) of the previous step.
+def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float):
+    """Scan k = 1, 2, ..., K_CAP with rate = k / weighted mean; stop at the
+    first log-likelihood decrease and return (k, rate, loglik) of the previous step.
     The profile likelihood is unimodal in k, so this is the global optimum."""
     from scipy.special import gammaln
 
@@ -176,7 +176,7 @@ def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP)
 
     prev = loglik(1)
     k = 1
-    while k < k_cap:
+    while k < K_CAP:
         cur = loglik(k + 1)
         if cur < prev:
             break
@@ -185,13 +185,13 @@ def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float, k_cap: int = K_CAP)
     return k, k / mean, prev
 
 
-def fit_erlang(obs, k_cap: int = K_CAP) -> ErlangParams:
+def fit_erlang(obs) -> ErlangParams:
     x = np.asarray(list(obs), dtype=np.float64)
     if x.size < 2:
         raise FitError("need at least 2 observations")
     if np.any(x <= 0):
         raise FitError("all durations must be positive")
-    k, rate, _ = _scan_k(float(x.size), float(x.sum()), float(np.log(x).sum()), k_cap)
+    k, rate, _ = _scan_k(float(x.size), float(x.sum()), float(np.log(x).sum()))
     return ErlangParams(k, rate)
 
 

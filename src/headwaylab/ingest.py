@@ -2,7 +2,10 @@
 
 Input is delimiter-separated text with one vehicle report per row (vehicle id,
 planar x, planar y, timestamp).  Rows are grouped per vehicle and sorted by
-time; everything downstream works on these per-vehicle chronological traces.
+time; everything downstream works on these per-vehicle chronological traces,
+each one read-only float64 array of shape (n, 3) with columns t, x and y
+(`TraceSet`).  t is exact: parsed timestamps are whole seconds in
+[0, 2**53), every one of which a float64 holds exactly.
 Coordinates are treated as an arbitrary consistent planar frame: the pipeline
 is shift- and uniform-scale-invariant, so no datum conversion happens here.
 
@@ -16,10 +19,9 @@ route derivation caps a record's dwell at GAP_SECONDS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,46 +45,30 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AvlRecord:
-    vehicle_id: str
-    x: float
-    y: float
-    t: int
-
-
-@dataclass
 class TraceSet:
-    """Per-vehicle, time-sorted AVL records.
+    """Per-vehicle, time-sorted AVL traces.
 
-    Each sequence is strictly increasing in t; duplicate timestamps for a
+    traces[vid] is one read-only float64 array of shape (n, 3) with columns
+    t, x and y, strictly increasing in t.  The constructor takes any
+    sequence of (t, x, y) rows per vehicle and raises IngestError for a
+    trace whose t does not strictly increase; duplicate timestamps for a
     vehicle are resolved at parse time (later row wins).
     """
 
-    traces: dict[str, list[AvlRecord]] = field(default_factory=dict)
+    def __init__(self, traces: Mapping[str, Sequence] | None = None):
+        self.traces: dict[str, np.ndarray] = {}
+        for vid, rows in (traces or {}).items():
+            txy = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+            if (np.diff(txy[:, 0]) <= 0).any():
+                raise IngestError(f"trace {vid} not strictly increasing in t")
+            txy.flags.writeable = False
+            self.traces[vid] = txy
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.traces.values())
 
     def vehicles(self) -> list[str]:
         return sorted(self.traces)
-
-    def columns(self, vid: str) -> np.ndarray:
-        """The vehicle's records as a float64 array of shape (n, 3) with
-        columns t, x and y."""
-        recs = self.traces[vid]
-        return np.column_stack([np.fromiter(map(attrgetter(col), recs), np.float64, len(recs))
-                                for col in ("t", "x", "y")])
-
-    def all_records(self) -> Iterable[AvlRecord]:
-        for vid in self.vehicles():
-            yield from self.traces[vid]
-
-    def validate(self) -> None:
-        for vid, recs in self.traces.items():
-            for a, b in zip(recs, recs[1:]):
-                if b.t <= a.t:
-                    raise IngestError(f"trace {vid} not strictly increasing at t={b.t}")
 
 
 @dataclass(frozen=True)
@@ -145,16 +131,16 @@ class ParseReport:
 def parse_records(stream: Iterable[str], schema: ColumnSchema | None = None) -> tuple[TraceSet, ParseReport]:
     """Parse rows into per-vehicle chronological traces.
 
-    Malformed rows (missing fields, non-numeric coordinates or time, negative
-    time) are rejected and counted, never silently zeroed.  For duplicate
-    (vehicle, t) pairs the later row in the stream wins.
+    Malformed rows (missing fields, non-numeric coordinates or time, a time
+    outside [0, 2**53)) are rejected and counted, never silently zeroed.
+    For duplicate (vehicle, t) pairs the later row in the stream wins.
     """
     schema = schema or ColumnSchema()
     parse_time = schema.time_parser()
     needed = max(schema.vehicle_col, schema.x_col, schema.y_col, schema.t_col,
                  schema.route_col if schema.route_col is not None else 0)
     report = ParseReport()
-    by_vehicle: dict[str, dict[int, AvlRecord]] = {}
+    by_vehicle: dict[str, dict[int, tuple[int, float, float]]] = {}
     for line in stream:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -176,16 +162,16 @@ def parse_records(stream: Iterable[str], schema: ColumnSchema | None = None) -> 
         except (ValueError, OverflowError):
             report.rows_rejected += 1
             continue
-        if not vid or not math.isfinite(x) or not math.isfinite(y) or t < 0:
+        if not vid or not math.isfinite(x) or not math.isfinite(y) or not 0 <= t < 2**53:
             report.rows_rejected += 1
             continue
         slot = by_vehicle.setdefault(vid, {})
         if t in slot:
             report.duplicates_dropped += 1
-        slot[t] = AvlRecord(vid, x, y, t)
-    traces = {vid: [recs[t] for t in sorted(recs)] for vid, recs in by_vehicle.items()}
-    report.rows_kept = sum(len(v) for v in traces.values())
-    return TraceSet(traces), report
+        slot[t] = (t, x, y)
+    ts = TraceSet({vid: [rows[t] for t in sorted(rows)] for vid, rows in by_vehicle.items()})
+    report.rows_kept = len(ts)
+    return ts, report
 
 
 def serialize(ts: TraceSet, schema: ColumnSchema | None = None) -> str:
@@ -196,26 +182,25 @@ def serialize(ts: TraceSet, schema: ColumnSchema | None = None) -> str:
     if (schema.vehicle_col, schema.x_col, schema.y_col, schema.t_col) != (0, 1, 2, 3):
         raise IngestError("serialize supports the default column order only")
     lines = []
-    for rec in ts.all_records():
-        if schema.delimiter in rec.vehicle_id or rec.vehicle_id.startswith("#"):
-            raise IngestError(f"vehicle {rec.vehicle_id!r} cannot be written: its id contains "
+    for vid in ts.vehicles():
+        rows = ts.traces[vid].tolist()
+        if rows and (schema.delimiter in vid or vid.startswith("#")):
+            raise IngestError(f"vehicle {vid!r} cannot be written: its id contains "
                               f"the delimiter {schema.delimiter!r} or starts with '#'")
-        lines.append(schema.delimiter.join([rec.vehicle_id, repr(rec.x), repr(rec.y), str(rec.t)]))
+        lines.extend(schema.delimiter.join([vid, repr(x), repr(y), str(int(t))]) for t, x, y in rows)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def filter_window(ts: TraceSet, window: TimeWindow, tz_offset: int = 0) -> TraceSet:
     """Keep records whose local second-of-day lies in [daily_start, daily_end)
     and whose local weekday is selected.  Per-vehicle order is preserved."""
-    out: dict[str, list[AvlRecord]] = {}
-    for vid, recs in ts.traces.items():
-        kept = []
-        for r in recs:
-            local = r.t + tz_offset
-            sod = local % 86400
-            weekday = (local // 86400 + 3) % 7  # epoch day 0 was a Thursday
-            if window.daily_start <= sod < window.daily_end and weekday in window.weekdays:
-                kept.append(r)
-        if kept:
-            out[vid] = kept
+    weekdays = sorted(window.weekdays)
+    out = {}
+    for vid, txy in ts.traces.items():
+        local = txy[:, 0].astype(np.int64) + tz_offset
+        sod = local % 86400
+        weekday = (local // 86400 + 3) % 7  # epoch day 0 was a Thursday
+        keep = (window.daily_start <= sod) & (sod < window.daily_end) & np.isin(weekday, weekdays)
+        if keep.any():
+            out[vid] = txy[keep]
     return TraceSet(out)

@@ -116,7 +116,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     unmatched = 0
 
     for vid in ts.vehicles():
-        txy = ts.columns(vid)
+        txy = ts.traces[vid]
         edge, dist, frac0, ok0, frac1, ok1 = snap_columns(index, txy[:, 1:], tables)
         snapped = np.flatnonzero(dist <= rm.rejection_radius)
         d = _directions(edge[snapped], txy[snapped, 1:], rm.termini, far_nodes)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_lines, write_lines
-from .ingest import is_gap
+from .ingest import distances, is_gap
 
 DEFAULT_RESOLUTION = 1024
 
@@ -113,11 +113,10 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
     """
     if delta < 0 or boost < 0:
         raise RasterError("delta and boost must be non-negative")
-    recs = list(ts.all_records())
-    if not recs:
+    if not len(ts):
         raise RasterError("empty trace set")
-    xs = np.array([r.x for r in recs])
-    ys = np.array([r.y for r in recs])
+    vids = ts.vehicles()
+    t, xs, ys = np.concatenate([ts.traces[vid] for vid in vids]).T
     min_x, max_x, min_y, max_y = (float(v) for v in (xs.min(), xs.max(), ys.min(), ys.max()))
     extent = max(max_x - min_x, max_y - min_y)
     if cell_size is None:
@@ -137,19 +136,16 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
     np.add.at(grid, (rows, cols), 1.0)
 
     if delta > 0:
+        # consecutive records that are a gap, or of different vehicles, add none
+        owner = np.repeat(np.arange(len(vids)), [len(ts.traces[vid]) for vid in vids])
+        skip = is_gap(np.diff(t), distances(np.diff(xs), np.diff(ys))) | (np.diff(owner) != 0)
         cells = list(zip(rows.tolist(), cols.tolist()))
+        x, y = xs.tolist(), ys.tolist()
         crossings = np.zeros_like(grid)
-        first = 0
-        for vid in ts.vehicles():
-            last = first + len(ts.traces[vid]) - 1
-            for k in range(first, last):
-                a, b = recs[k], recs[k + 1]
-                if is_gap(b.t - a.t, math.hypot(b.x - a.x, b.y - a.y)):
-                    continue
-                for cell in _supercover_cells(a.x, a.y, b.x, b.y, origin, cell_size, width, height):
-                    if cell != cells[k] and cell != cells[k + 1]:
-                        crossings[cell] += 1.0
-            first = last + 1
+        for k in np.flatnonzero(~skip).tolist():
+            for cell in _supercover_cells(x[k], y[k], x[k + 1], y[k + 1], origin, cell_size, width, height):
+                if cell != cells[k] and cell != cells[k + 1]:
+                    crossings[cell] += 1.0
         grid += delta * crossings
 
     if boost > 0:

@@ -268,7 +268,7 @@ def _snap_dwell(index: EdgeIndex, ts, rejection_radius: float) -> tuple[np.ndarr
     ids = _edge_ids(index.graph)
     positions, steps, streams = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
     for vid in ts.vehicles():
-        txy = ts.columns(vid)
+        txy = ts.traces[vid]
         edge, dist = snap_columns(index, txy[:, 1:])
         within = dist <= rejection_radius
         dwelt = np.flatnonzero(within[:-1])

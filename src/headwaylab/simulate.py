@@ -238,7 +238,7 @@ class Simulator:
         self.beta = cfg.n_buses
         self.t = 0.0
         self.events_processed = 0  # departures, over every run
-        self.slow_draws = 0
+        self.slow_draws = 0  # phases drawn slowed, over construction and every run
 
         self.patch = [1] * self.beta
         self.lap = [0] * self.beta
@@ -304,10 +304,10 @@ class Simulator:
         for i, (j, prog, _) in enumerate(places):
             self.patch[i], self.progress_base[i] = j, prog
             self.pos[i] = self._route_progress(i)
-        self.ring = sorted(self.pos)
+        self.ring[:] = sorted(self.pos)
         for i, (j, prog, slot_lap) in enumerate(places):
             self.lap[i] = 0 if j == 1 else slot_lap
-            self._enter_patch(i, j, 0.0, prog, slot_lap)
+            self.slow_draws += self._enter_patch(i, j, 0.0, prog, slot_lap)
 
     # -- sojourn draws -------------------------------------------------------
 
@@ -315,13 +315,7 @@ class Simulator:
         lo, hi = self.model.spans[self.patch[i] - 1]
         return lo + (hi - lo) * min(self.progress_base[i], 1.0)
 
-    def _move(self, i: int, p: float) -> float:
-        """Put bus i at route fraction p; return the gap back to its follower."""
-        gap = _ring_move(self.ring, self.pos[i], p)
-        self.pos[i] = p
-        return gap
-
-    def _phases(self) -> tuple[Callable[..., None],
+    def _phases(self) -> tuple[Callable[..., int],
                                Callable[[HyperErlangParams], tuple[int, float]]]:
         """(settle, pick_branch): the settling loop, the one phase draw of
         phased runs, and the branch draw, with the block buffer they share.
@@ -334,7 +328,8 @@ class Simulator:
         patch entry draws a bus's first phase through the same step:
         settle(-inf, i, now, gap) draws the phase of bus i, `gap` ahead of
         its follower, and settles nothing.  A phase drawn more than theta_s
-        ahead has its rate scaled by the slowdown and counts in slow_draws.
+        ahead has its rate scaled by the slowdown; settle returns the number
+        of such slowed draws, and the caller adds it to slow_draws.
         Its duration is the next value of a block of standard exponentials
         times 1.0 / rate: bit for bit the scalar rng.exponential(1.0 / rate)
         at the same position of the stream.
@@ -350,13 +345,13 @@ class Simulator:
         theta_s, slowdown = cfg.speedmod_threshold, cfg.slowdown
         pending, phases_left, patch = self.pending, self.phases_left, self.patch
         progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
-        pos, spans = self.pos, self.model.spans
+        pos, ring, spans = self.pos, self.ring, self.model.spans
         buf: list[float] = []
         at, block, before = 0, _BLOCK_START, None
 
-        def settle(until_time: float, i: int = -1, t: float = 0.0, gap: float = 0.0):
+        def settle(until_time: float, i: int = -1, t: float = 0.0, gap: float = 0.0) -> int:
             nonlocal buf, at, block, before
-            ring, slow = self.ring, 0
+            slow = 0
             while True:
                 if i < 0:
                     t = min(pending)
@@ -384,7 +379,7 @@ class Simulator:
                 pending[i] = t + buf[at] * (1.0 / rate)
                 at += 1
                 i = -1
-            self.slow_draws += slow
+            return slow
 
         def pick_branch(dist: HyperErlangParams) -> tuple[int, float]:
             nonlocal buf, at, block
@@ -402,43 +397,50 @@ class Simulator:
 
         return settle, pick_branch
 
-    def _entry(self) -> Callable[[int, int, float, float, int], None]:
+    def _entry(self) -> Callable[[int, int, float, float, int], int]:
         """The one patch entry, with the state it writes bound once:
         enter(i, j, now, progress, slot_lap) puts bus i into patch j at
         `now`, `progress` of the way through it.  At a timetabled terminus
         the bus leaves at the later of now and its slot in lap `slot_lap`;
         elsewhere it draws the rest of its sojourn, or in phased runs its
-        first phase.  `_init_buses` and `run` both call it."""
+        first phase, and returns the slowed draws it made.  `_init_buses`
+        and `run` both call it.  Like the settling loop, it binds the
+        simulator's lists, not the simulator, so no reference cycle outlives
+        the simulator's last use."""
         m = self.model
         patch, progress_base, pending = self.patch, self.progress_base, self.pending
         phases_left, phase_rate, per_phase = self.phases_left, self.phase_rate, self.progress_per_phase
+        pos, ring, spans = self.pos, self.ring, m.spans
         termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
         # (k, rate) of each Erlang patch; None where a branch is drawn first
         erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
         phased, pick_branch, settle = m.phased, self._pick_branch, self._settle_phases
         gamma = self.rng.gamma
 
-        def enter(i: int, j: int, now: float, progress: float, slot_lap: int):
+        def enter(i: int, j: int, now: float, progress: float, slot_lap: int) -> int:
             patch[i] = j
             progress_base[i] = progress
             if phased:
-                gap = self._move(i, self._route_progress(i))
+                lo, hi = spans[j - 1]
+                p = lo + (hi - lo) * min(progress, 1.0)
+                gap = _ring_move(ring, pos[i], p)
+                pos[i] = p
             if j in termini:
                 pending[i] = max(now, r * slot_lap + offsets[i] + anchors[j - 1])
                 phases_left[i] = 0
                 per_phase[i] = 0.0
-                return
+                return 0
             k, rate = erlang[j - 1] or pick_branch(dists[j - 1])
             k_left = max(1, k - int(progress * k)) if progress else k
             if phased:
                 phases_left[i] = k_left
                 phase_rate[i] = rate
                 per_phase[i] = 1.0 / k
-                settle(-math.inf, i, now, gap)
-            else:
-                phases_left[i] = 1
-                per_phase[i] = 1.0 - progress
-                pending[i] = now + gamma(k_left, 1.0 / rate)
+                return settle(-math.inf, i, now, gap)
+            phases_left[i] = 1
+            per_phase[i] = 1.0 - progress
+            pending[i] = now + gamma(k_left, 1.0 / rate)
+            return 0
         return enter
 
     # -- event loop -------------------------------------------------------------
@@ -461,6 +463,7 @@ class Simulator:
         last_dep = self.last_dep
         enter, settle = self._enter_patch, self._settle_phases
         stop = min(until_time, sys.float_info.max)  # so an infinite pending time stops too
+        slow = 0
         out = []
         record = out.append
         while True:
@@ -471,7 +474,7 @@ class Simulator:
                 break
             i = pending.index(t)
             if phases_left[i] > 1:
-                settle(until_time)
+                slow += settle(until_time)
                 continue
             j = patch[i]
             if theta_h is not None:
@@ -484,7 +487,8 @@ class Simulator:
             if j == n:
                 j = 0
                 lap[i] += 1
-            enter(i, j + 1, t, 0.0, lap[i])
+            slow += enter(i, j + 1, t, 0.0, lap[i])
+        self.slow_draws += slow
         if out:
             self.t = out[-1][0]
             self.events_processed += len(out)

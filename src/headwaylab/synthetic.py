@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import AvlRecord, TraceSet
+from .ingest import TraceSet
 from .fitting import ErlangParams
 
 
@@ -115,10 +115,10 @@ def generate_traces(model: SyntheticModel, n_buses: int, days: int,
     default so a Mon-Fri window filter keeps everything).
     """
     rng = np.random.default_rng(seed)
-    traces: dict[str, list[AvlRecord]] = {}
+    traces: dict[str, list[tuple[int, float, float]]] = {}
     for b in range(n_buses):
         vid = f"bus{b + 1:02d}"
-        recs: list[AvlRecord] = []
+        rows: list[tuple[int, float, float]] = []
         for day in range(days):
             t0 = (base_day + day) * 86400 + day_start
             t_end = (base_day + day) * 86400 + day_end
@@ -141,14 +141,12 @@ def generate_traces(model: SyntheticModel, n_buses: int, days: int,
                     lo, hi = model.patch_span(j)
                     f = lo + (hi - lo) * (next_sample - t_entry) / sojourn
                     x, y = model.route.point_at_fraction(f)
-                    recs.append(AvlRecord(vid, x, y, int(next_sample)))
+                    rows.append((int(next_sample), x, y))
                     next_sample += sample_interval
                 t = t_exit
                 t_entry = t_exit
                 j = j % model.n + 1
                 p = model.params[j - 1]
                 sojourn = float(rng.gamma(p.k, 1.0 / p.rate))
-        traces[vid] = recs
-    ts = TraceSet(traces)
-    ts.validate()
-    return ts
+        traces[vid] = rows
+    return TraceSet(traces)

@@ -5,7 +5,7 @@ import pytest
 
 from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.graphs import RouteGraph
-from headwaylab.ingest import AvlRecord, TraceSet
+from headwaylab.ingest import TraceSet
 from headwaylab.route import DirectedEdge, RouteModel, _orient_chain
 from headwaylab.simulate import Departures, SimConfig, Simulator, build_model
 
@@ -75,13 +75,13 @@ def traces_from_fractions(rm: RouteModel, samples, vehicle="v1") -> TraceSet:
     """Build a trace set whose records sit exactly on the route at the given
     (t, fraction) samples."""
     path_len = rm.direction_length(0)
-    recs = []
+    rows = []
     for t, f in samples:
         arc = (f % 1.0) * rm.loop_length
         if arc > path_len:
             arc = rm.loop_length - arc
-        recs.append(AvlRecord(vehicle, arc, 0.0, int(t)))
-    return TraceSet({vehicle: recs})
+        rows.append((int(t), arc, 0.0))
+    return TraceSet({vehicle: rows})
 
 
 @pytest.fixture

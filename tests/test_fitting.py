@@ -131,8 +131,9 @@ def test_fit_erlang_errors():
         fit_erlang([5.0, -1.0])
 
 
-def test_fit_erlang_near_constant_capped():
-    fit = fit_erlang([100.0, 100.0001, 99.9999, 100.0], k_cap=500)
+def test_fit_erlang_near_constant_capped(monkeypatch):
+    monkeypatch.setattr(fitting, "K_CAP", 500)
+    fit = fit_erlang([100.0, 100.0001, 99.9999, 100.0])
     assert fit.k == 500
 
 

@@ -77,14 +77,14 @@ def reference_heatmap(ts, cell_size, origin, shape, delta):
         return i, j
 
     for vid in ts.vehicles():
-        recs = ts.traces[vid]
-        for rec in recs:
-            grid[cell(rec.x, rec.y)] += 1.0
-        for a, b in zip(recs, recs[1:]):
-            if delta == 0 or b.t - a.t > 300 or math.hypot(b.x - a.x, b.y - a.y) > 5000:
+        rows = ts.traces[vid].tolist()
+        for _, x, y in rows:
+            grid[cell(x, y)] += 1.0
+        for (ta, xa, ya), (tb, xb, yb) in zip(rows, rows[1:]):
+            if delta == 0 or tb - ta > 300 or math.hypot(xb - xa, yb - ya) > 5000:
                 continue
-            ends = {cell(a.x, a.y), cell(b.x, b.y)}
-            for c in raster._supercover_cells(a.x, a.y, b.x, b.y, origin, cell_size,
+            ends = {cell(xa, ya), cell(xb, yb)}
+            for c in raster._supercover_cells(xa, ya, xb, yb, origin, cell_size,
                                               shape[1], shape[0]):
                 if c not in ends:
                     grid[c] += delta

@@ -106,8 +106,8 @@ def test_bin_counts_uniform_loop_chi_square():
 
 def test_bin_counts_requires_matches():
     rm = straight_route_model(radius=1.0)
-    from headwaylab.ingest import AvlRecord, TraceSet
-    ts = TraceSet({"v": [AvlRecord("v", 0.0, 500.0, 0)]})
+    from headwaylab.ingest import TraceSet
+    ts = TraceSet({"v": [(0, 0.0, 500.0)]})
     with pytest.raises(PatchError):
         bin_counts(ts, rm, gamma=10)
 

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from headwaylab import raster
-from headwaylab.ingest import AvlRecord, TraceSet
+from headwaylab.ingest import TraceSet
 from headwaylab.raster import (Raster, RasterError, SkeletonMask, gaussian_blur,
                                rasterize_heatmap, read_pgm, skeletonize,
                                write_pgm)
 
 
 def traces(points, vehicle="v", t0=0, dt=35):
-    return TraceSet({vehicle: [AvlRecord(vehicle, x, y, t0 + i * dt)
-                               for i, (x, y) in enumerate(points)]})
+    return TraceSet({vehicle: [(t0 + i * dt, x, y) for i, (x, y) in enumerate(points)]})
 
 
 def test_counting_same_cell():
@@ -32,9 +31,9 @@ def test_no_interpolation_when_delta_zero():
 
 def test_interpolation_weight_on_intermediate_cells():
     ts = TraceSet({
-        "v": [AvlRecord("v", 1.5, 0.5, 0), AvlRecord("v", 6.5, 0.5, 35)],
+        "v": [(0, 1.5, 0.5), (35, 6.5, 0.5)],
         # second vehicle only widens the extent; its own gap is not interpolated
-        "w": [AvlRecord("w", 0.0, 0.0, 0), AvlRecord("w", 10.0, 3.0, 400)],
+        "w": [(0, 0.0, 0.0), (400, 10.0, 3.0)],
     })
     r = rasterize_heatmap(ts, cell_size=1.0, delta=0.5)
     row = r.intensity[0]
@@ -43,9 +42,19 @@ def test_interpolation_weight_on_intermediate_cells():
 
 
 def test_interpolation_skips_flagged_gaps():
-    ts = TraceSet({"v": [AvlRecord("v", 0.5, 0.5, 0), AvlRecord("v", 5.5, 0.5, 400)]})
+    ts = TraceSet({"v": [(0, 0.5, 0.5), (400, 5.5, 0.5)]})
     r = rasterize_heatmap(ts, cell_size=1.0, delta=0.5)
     assert (r.intensity > 0).sum() == 2  # 400 s > 5 min: no interpolation
+
+
+def test_interpolation_stops_at_vehicle_seams():
+    # the last record of one vehicle and the first of the next are no
+    # segment, also with empty traces before, between and after them
+    ts = TraceSet({"a": [], "b": [(0, 0.5, 0.5), (35, 2.5, 0.5)], "c": [],
+                   "d": [(40, 6.5, 0.5), (75, 9.5, 0.5)], "e": []})
+    r = rasterize_heatmap(ts, cell_size=1.0, delta=0.5)
+    # 9 columns from x = 0.5: the record at x = 9.5 is clamped into the last
+    assert r.intensity[0].tolist() == [1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 1.0]
 
 
 def test_contrast_boost_identity_and_monotone():

@@ -5,7 +5,7 @@ import pytest
 from conftest import straight_route_model, traces_from_fractions
 from headwaylab import route
 from headwaylab.graphs import RouteGraph
-from headwaylab.ingest import AvlRecord, TraceSet
+from headwaylab.ingest import TraceSet
 from headwaylab.route import (DirectedEdge, InsufficientCoverageError, RouteModel,
                               UnmatchedMeasurement, derive_route_model,
                               read_route_model, route_completion, write_route_model)
@@ -28,17 +28,17 @@ def dwell_traces(n_edges=8, edge_len=100.0, dwell=300, hop=10, loops=3):
     top = n_edges * edge_len - 5.0
     for _ in range(loops):
         for _ in range(dwell // hop):
-            recs.append(AvlRecord("v", 2.0, 0.0, t))
+            recs.append((t, 2.0, 0.0))
             t += hop
         # travel out: one record per edge midpoint
         for k in range(n_edges):
-            recs.append(AvlRecord("v", k * edge_len + edge_len / 2, 0.0, t))
+            recs.append((t, k * edge_len + edge_len / 2, 0.0))
             t += hop
         for _ in range(dwell // hop):
-            recs.append(AvlRecord("v", top, 0.0, t))
+            recs.append((t, top, 0.0))
             t += hop
         for k in reversed(range(n_edges)):
-            recs.append(AvlRecord("v", k * edge_len + edge_len / 2, 0.0, t))
+            recs.append((t, k * edge_len + edge_len / 2, 0.0))
             t += hop
     return TraceSet({"v": recs})
 
@@ -61,7 +61,7 @@ def test_termini_extremes_fallback():
 def test_insufficient_coverage():
     g = path_graph()
     # vehicle never completes a passage
-    ts = TraceSet({"v": [AvlRecord("v", 5.0, 0.0, t) for t in range(0, 100, 10)]})
+    ts = TraceSet({"v": [(t, 5.0, 0.0) for t in range(0, 100, 10)]})
     with pytest.raises(InsufficientCoverageError):
         derive_route_model(g, ts, rejection_radius=30.0)
 

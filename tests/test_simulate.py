@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -702,3 +704,30 @@ def test_aggregated_stream_matches_the_recorded_one(case):
     assert len(events) == 20_000
     assert (digest((ev.t, ev.bus, ev.patch, ev.lap) for ev in events), sim.pending) == (
         want, pending)
+
+
+def _hyper_model(speedmod_threshold):
+    pm = PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)), ErlangParams(8, 0.05),
+                     HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)), ErlangParams(15, 0.1)])
+    return build_model(pm, SimConfig(n_buses=4, timetable=False, seed=2,
+                                     speedmod_threshold=speedmod_threshold))
+
+
+@pytest.mark.parametrize("speedmod", [None, 0.15], ids=["aggregated", "phased"])
+@pytest.mark.parametrize("make", [lambda s: airlink_model(timetable=False, speedmod_threshold=s),
+                                  _hyper_model], ids=["erlang", "hyper-erlang"])
+def test_simulator_is_freed_without_the_cyclic_collector(make, speedmod):
+    # the patch entry and the settling loop bind the simulator's lists, not
+    # the simulator, so dropping the last reference frees it at once
+    sim = Simulator(make(speedmod), seed=3)
+    assert len(sim.run(until_time=20_000.0)) > 0
+    assert (sim.slow_draws > 0) == (speedmod is not None)
+    gone = weakref.ref(sim)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sim
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -16,7 +16,7 @@ import pytest
 
 from headwaylab import graphs, patches, raster, route, synthetic
 from headwaylab.graphs import RouteGraph
-from headwaylab.ingest import GAP_SECONDS, AvlRecord, TraceSet
+from headwaylab.ingest import GAP_SECONDS, TraceSet
 from headwaylab.route import (DirectedEdge, EdgeIndex, RouteModel, UnmatchedMeasurement,
                               best_candidate, route_completion)
 
@@ -62,20 +62,20 @@ def ref_fractions(ts, rm, index):
     far_nodes = patches._terminus_far_nodes(rm)
     out, unmatched = {}, 0
 
-    def completion(rec, term):
+    def completion(x, y, term):
         nonlocal unmatched
-        frac = ref_completion(rm, index, rec.x, rec.y, term)
+        frac = ref_completion(rm, index, x, y, term)
         unmatched += frac is None
         return frac
 
     for vid in ts.vehicles():
         snaps = []
-        for rec in ts.traces[vid]:
-            hit = ref_snap(index, rec.x, rec.y)
+        for t, x, y in ts.traces[vid].tolist():
+            hit = ref_snap(index, x, y)
             if hit is None or hit[2] > rm.rejection_radius:
                 unmatched += 1
                 continue
-            snaps.append((rec, hit[0]))
+            snaps.append(((t, x, y), hit[0]))
         rows, last_term, i = [], None, 0
         while i < len(snaps):
             rec, eid = snaps[i]
@@ -85,22 +85,23 @@ def ref_fractions(ts, rm, index):
                     j += 1
                 run = [r for r, _ in snaps[i:j]]
                 node = far_nodes[eid]
-                dists = [math.hypot(r.x - node[0], r.y - node[1]) for r in run]
+                dists = [math.hypot(x - node[0], y - node[1]) for _, x, y in run]
                 split = dists.index(min(dists))
                 if 0 < split < len(run) - 1 and \
                         dists[split + 1] - dists[split] > dists[split - 1] - dists[split]:
                     split -= 1
-                for k, r in enumerate(run):
+                for k, (t, x, y) in enumerate(run):
                     if k > split or last_term is not None:
-                        frac = completion(r, eid if k > split else last_term)
+                        frac = completion(x, y, eid if k > split else last_term)
                         if frac is not None:
-                            rows.append((r.t, frac, r.x, r.y))
+                            rows.append((t, frac, x, y))
                 last_term, i = eid, j
                 continue
             if last_term is not None:
-                frac = completion(rec, last_term)
+                t, x, y = rec
+                frac = completion(x, y, last_term)
                 if frac is not None:
-                    rows.append((rec.t, frac, rec.x, rec.y))
+                    rows.append((t, frac, x, y))
             i += 1
         if rows:
             out[vid] = rows
@@ -113,9 +114,9 @@ def ref_snap_dwell(index, ts, rejection_radius):
     dwell = defaultdict(float)
     streams = []
     for vid in ts.vehicles():
-        recs = ts.traces[vid]
+        recs = ts.traces[vid].tolist()
         edges, dists = [], []
-        for cands in index.batches([(r.x, r.y) for r in recs]):
+        for cands in index.batches([(x, y) for _, x, y in recs]):
             edge, _, dist = best_candidate(*cands)
             edges += edge.tolist()
             dists += dist.tolist()
@@ -124,7 +125,7 @@ def ref_snap_dwell(index, ts, rejection_radius):
             if dist > rejection_radius:
                 continue
             if i + 1 < len(recs):
-                dwell[eid] += min(recs[i + 1].t - rec.t, GAP_SECONDS)
+                dwell[eid] += min(recs[i + 1][0] - rec[0], GAP_SECONDS)
             kept.append(eid)
         streams.append(kept)
     return np.array([dwell.get(e, 0.0) for e in sorted(index.graph.edges)]), streams
@@ -165,8 +166,8 @@ def small_map():
     """4 buses x 3 days of the 8-patch fixture, every 37th record pushed off
     the route, through heat map, skeleton, graph and route derivation."""
     ts = synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=3, seed=3)
-    ts = TraceSet({vid: [replace(r, x=r.x + 25.0 * (i % 3), y=r.y - 40.0) if i % 37 == 0 else r
-                         for i, r in enumerate(recs)] for vid, recs in ts.traces.items()})
+    ts = TraceSet({vid: [(t, x + 25.0 * (i % 3), y - 40.0) if i % 37 == 0 else (t, x, y)
+                         for i, (t, x, y) in enumerate(txy.tolist())] for vid, txy in ts.traces.items()})
     heat = raster.rasterize_heatmap(ts, resolution=300, delta=0.0)
     blur = raster.gaussian_blur(heat, 1.0)
     eta = float(np.percentile(blur.intensity[blur.intensity > 0], 90)) / 40
@@ -190,11 +191,11 @@ def two_way_path(radius=10.0):
 
 def test_batched_completion_matches_reference_per_record(small_map):
     ts, rm, index = small_map
-    recs = list(ts.all_records())
-    cands = index.candidates([(r.x, r.y) for r in recs])
+    points = [(x, y) for vid in ts.vehicles() for _, x, y in ts.traces[vid].tolist()]
+    cands = index.candidates(points)
     for d, term in enumerate(rm.termini):
         frac, matched = route.CompletionTable(rm, d).fractions(*cands)
-        ref = [ref_completion(rm, index, r.x, r.y, term) for r in recs]
+        ref = [ref_completion(rm, index, x, y, term) for x, y in points]
         assert [f if ok else None for f, ok in zip(frac.tolist(), matched.tolist())] == ref
 
 
@@ -220,7 +221,7 @@ def test_derive_route_model_snaps_like_reference(small_map, monkeypatch):
     assert len(picks) == len(ts.vehicles())  # one batch per vehicle trace
     rejected = 0
     for vid, (edge, along, dist) in zip(ts.vehicles(), picks):
-        ref = [ref_snap(index, r.x, r.y) for r in ts.traces[vid]]
+        ref = [ref_snap(index, x, y) for _, x, y in ts.traces[vid].tolist()]
         assert edge.tolist() == [h[0] for h in ref]
         assert along.tolist() == [h[1] for h in ref]
         far = [d > rm.rejection_radius for d in dist.tolist()]
@@ -253,8 +254,7 @@ def test_restricted_snap_without_direction_candidate_stays_unmatched():
     assert ref_snap(index, 50.0, 8.0, restrict={0, 1}) is None
     with pytest.raises(UnmatchedMeasurement):
         route_completion(rm, (50.0, 8.0), rm.termini[0], index)
-    ts = TraceSet({"v": [AvlRecord("v", 5.0, 0.0, 0), AvlRecord("v", 30.0, 0.0, 10),
-                         AvlRecord("v", 50.0, 8.0, 20), AvlRecord("v", 70.0, 0.0, 30)]})
+    ts = TraceSet({"v": [(0, 5.0, 0.0), (10, 30.0, 0.0), (20, 50.0, 8.0), (30, 70.0, 0.0)]})
     rows, unmatched = fractions(ts, rm, index)
     assert (rows, unmatched) == ref_fractions(ts, rm, index)
     assert unmatched == 1 and [t for t, *_ in rows["v"]] == [10, 30]
@@ -265,11 +265,10 @@ def test_vehicles_without_snapped_records_add_only_unmatched():
     # has a single record on a terminus edge, before any direction is known
     rm = two_way_path(radius=10.0)
     index = EdgeIndex(rm.graph, sample_step=1.0)
-    ts = TraceSet({"far": [AvlRecord("far", 500.0, 500.0, 0), AvlRecord("far", 510.0, 500.0, 10)],
+    ts = TraceSet({"far": [(0, 500.0, 500.0), (10, 510.0, 500.0)],
                    "none": [],
-                   "one": [AvlRecord("one", 5.0, 0.0, 3)],
-                   "v": [AvlRecord("v", x, 0.0, t) for t, x in
-                         enumerate([5.0, 30.0, 70.0, 95.0, 60.0, 20.0, 3.0])]})
+                   "one": [(3, 5.0, 0.0)],
+                   "v": [(t, x, 0.0) for t, x in enumerate([5.0, 30.0, 70.0, 95.0, 60.0, 20.0, 3.0])]})
     rows, unmatched = fractions(ts, rm, index)
     assert (rows, unmatched) == ref_fractions(ts, rm, index)
     assert list(rows) == ["v"] and unmatched == 2 and type(unmatched) is int
@@ -303,7 +302,7 @@ def relabelled(rm, new_id):
 def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
     rm = two_way_path(radius=10.0)
     odd = relabelled(rm, {0: -7, 1: 10**12, 2: -1})
-    ts = TraceSet({"v": [AvlRecord("v", x, y, t) for t, (x, y) in
+    ts = TraceSet({"v": [(t, x, y) for t, (x, y) in
                          enumerate([(5, 1), (30, -2), (50, 8), (50, 25), (70, 0), (95, 1), (60, 2), (20, 0)])]})
     want = fractions(ts, rm, EdgeIndex(rm.graph, sample_step=1.0))
     index = EdgeIndex(odd.graph, sample_step=1.0)
@@ -330,7 +329,7 @@ def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
     assert fractions(ts, rm, index) == whole
     again = route.derive_route_model(rm.graph, ts, rm.rejection_radius)
     assert (again.termini, again.directions) == (rm.termini, rm.directions)
-    assert max(sizes) == 100 and sum(sizes) == 2 * len(list(ts.all_records()))
+    assert max(sizes) == 100 and sum(sizes) == 2 * len(ts)
 
 
 @pytest.mark.parametrize("ids", ["dense", "sparse"])
