@@ -822,11 +822,13 @@ def _verdict(estimate, halfwidth, threshold, event_observed) -> str:
 
 def check_assertions(model: SimModel, prop: PropertyFile, cfg: EstimatorConfig | None = None,
                      seed: int | None = None) -> list[EstimateResult]:
-    """Evaluate every assertion, each on its own trajectory.  The generator
-    stream is (seed, replication) with replication the assertion's index in
-    `prop`, so the assertions of one file see independent trajectories, but
-    a caller that passes one assertion per file, as the CLI's `check` does,
-    replays the same (seed, 0) trajectory for every assertion."""
+    """Evaluate every assertion, each on its own trajectory.  Its streams
+    are (seed, replication) with replication the assertion's index in
+    `prop`: one generator per bus, [seed, replication, bus], in aggregated
+    runs and one generator, [seed, replication], in phased runs (see
+    simulate).  So the assertions of one file see independent trajectories,
+    but a caller that passes one assertion per file, as the CLI's `check`
+    does, replays the same (seed, 0) trajectory for every assertion."""
     results = []
     for idx, q in enumerate(prop.assertions):
         results.append(estimate_steady_state(model, q, prop.functions, cfg,

@@ -32,29 +32,47 @@ moves the bus along its patch and in the ring, in place when it passes no
 other bus, and draws its next phase.  Otherwise each patch sojourn is one
 Gamma draw, the sum of its phases, equal in distribution.
 
-Phased runs read their phases ahead: one buffer per simulator holds a block
-of standard exponentials, and a phase of rate `rate` is the next value times
-1.0 / rate, bit for bit the scalar `exponential(1.0 / rate)` at that position
-of the stream.  The only other draw of a phased run, the branch uniform at
-the entry into a hyper-Erlang patch, rewinds: it restores the generator to
-its state before the block, redraws the values already read and draws the
-uniform, so every draw sits where scalar draws would put it.  The aggregated
-stream is not read ahead: its Gamma shapes depend on the patch entered and
-the order of the entries on the draws, so no block of it can be drawn
-before the draws that decide it.
+Streams.  An aggregated run draws each bus's sojourns from a generator of
+its own, default_rng([seed, replication, bus]) with bus = 1..beta, and the
+branch uniform of a hyper-Erlang patch from the same generator, just before
+the sojourn it picks.  So the k-th draw of a bus is the same whatever the
+other buses do and wherever a run is cut.  A phased run couples the buses
+through the follower gap and draws everything from one generator,
+default_rng([seed, replication]), in event order.  It reads its phases
+ahead: one buffer per simulator holds a block of standard exponentials, and
+a phase of rate `rate` is the next value times 1.0 / rate, bit for bit the
+scalar `exponential(1.0 / rate)` at that position of the stream.  The only
+other draw of a phased run, the branch uniform at the entry into a
+hyper-Erlang patch, rewinds: it restores the generator to its state before
+the block, redraws the values already read and draws the uniform, so every
+draw sits where scalar draws would put it.
 
-The departures are the only events.  `run(until_time)` is the one event
-loop: it binds the simulator's lists once per call, picks each next
-departure itself, applies it (the holding base and the entry into the next
-patch) and returns the chunk's departures as numpy columns t, bus, patch
-and lap (`Departures`), in the order they happened.  It processes every
-departure at or before until_time and none after it, and it consumes no
-draw past until_time (a phased run may have read past it, but the next run
-takes up those values where this one left off), so a run cut into pieces
-gives the same departures, and the same draws, as one run.  The patch
-entry, with the timetable slot and the sojourn draw, is one function with
-the generator bound once per simulator; construction places the buses
-through it too.
+The departures are the only events.  `run(until_time)` processes every
+departure at or before until_time and none after it, and returns them as
+numpy columns t, bus, patch and lap (`Departures`), in the order they
+happened: by time, ties to the lowest bus.  It takes one of two paths.
+
+* Bus by bus, for an aggregated run of Erlang patches without holding: no
+  rule then couples two buses (a timetable slot reads only the bus's own
+  lap and offset), so each bus's departures follow from its own stream.
+  Each bus draws the sojourns of its coming patches in one array `gamma`
+  call, bit for bit the scalar calls in order, and its departure times
+  follow with exactly the event loop's float operations: t += sojourn, or
+  at a timetabled terminus t = max(t, slot).  The buses are then merged by
+  (t, bus).  A bus reads its stream ahead, past until_time; the times it
+  has drawn wait for the next run.
+* The event loop, for every other run: it binds the simulator's lists once
+  per call, picks each next departure itself and applies it (the holding
+  base and the entry into the next patch).  It consumes no draw past
+  until_time (a phased run may have read past it, but the next run takes
+  up those values where this one left off).
+
+Neither path's read-ahead shows: a run cut into pieces gives the same
+departures, and leaves the same pending, patch, lap, t and
+events_processed, as one run, and the bus-by-bus path gives what the event
+loop gives on the same streams.  The patch entry, with the timetable slot
+and the sojourn draw, is one function with the generators bound once per
+simulator; construction places the buses through it too.
 
 The simulator keeps only the state its own rules read, such as the last
 departure from each patch for holding.  The per-patch quantities a query
@@ -92,6 +110,11 @@ _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
 _BLOCK_START = 32
 _BLOCK_CAP = 512
 
+# The bus-by-bus path draws a bus's coming laps in blocks: enough laps to
+# pass the run's end at the mean lap time, at most _AHEAD_LAPS, so a run to
+# a far end draws block after block.
+_AHEAD_LAPS = 64
+
 
 class SimError(ValueError):
     pass
@@ -110,6 +133,17 @@ def parse_state_name(name: str, n: int, beta: int) -> tuple[str, int, int]:
         if (kind == "z") == bool(second) and 1 <= j <= n and (not second or 1 <= bus <= beta):
             return kind, j, bus
     raise SimError(f"unknown state quantity {name!r}")
+
+
+def _branch(dist: HyperErlangParams, u: float) -> tuple[int, float]:
+    """(k, rate) of the hyper-Erlang branch that the uniform u picks: the
+    first whose cumulative weight reaches u, else the last."""
+    acc = 0.0
+    for k, r, a in zip(dist.shapes, dist.rates, dist.weights):
+        acc += a
+        if u <= acc:
+            return k, r
+    return dist.shapes[-1], dist.rates[-1]
 
 
 def _ring_move(ring: list[float], old: float, new: float) -> float:
@@ -225,17 +259,31 @@ class Departures:
 
 
 class Simulator:
-    """Single-threaded simulator instance; replications with distinct
-    (seed, replication) pairs use independent generator streams."""
+    """Single-threaded simulator instance.  Aggregated runs draw from one
+    generator per bus, default_rng([seed, replication, bus]); phased runs
+    from one generator, default_rng([seed, replication]).  Replications
+    with distinct (seed, replication) pairs are independent.  `run` takes
+    the bus-by-bus path when `by_bus` is set (an aggregated run of Erlang
+    patches without holding) and the event loop otherwise; both give the
+    same departures on the same streams."""
 
     def __init__(self, model: SimModel, seed: int | None = None, replication: int = 0):
         self.model = model
         cfg = model.cfg
-        # phased runs read this generator ahead (_phases), so nothing outside
-        # the simulator may draw from it
-        self.rng = np.random.default_rng([seed if seed is not None else cfg.seed, replication])
         self.n = model.n
         self.beta = cfg.n_buses
+        seed = seed if seed is not None else cfg.seed
+        # nothing outside the simulator may draw from these: the bus-by-bus
+        # path and phased runs read them ahead.  Buses count from 1: a seed
+        # sequence pads its entropy with zeros, so [seed, replication, 0]
+        # would give the stream of [seed, replication]
+        if model.phased:
+            self.rng = np.random.default_rng([seed, replication])
+        else:
+            self.rngs = [np.random.default_rng([seed, replication, bus])
+                         for bus in range(1, self.beta + 1)]
+        self.by_bus = (not model.phased and cfg.holding_threshold is None
+                       and all(isinstance(d, ErlangParams) for d in model.dists))
         self.t = 0.0
         self.events_processed = 0  # departures, over every run
         self.slow_draws = 0  # phases drawn slowed, over construction and every run
@@ -253,11 +301,14 @@ class Simulator:
         self.pos = [0.0] * self.beta
         self.ring: list[float] = []
 
-        self.last_dep = [None] * (self.n + 1)  # the holding base, by patch
+        self.last_dep = [None] * (self.n + 1)  # the holding base, by patch (event loop)
 
-        self._settle_phases, self._pick_branch = self._phases()
+        self._settle_phases, self._branch_uniform = self._phases() if model.phased else (None, None)
         self._enter_patch = self._entry()
         self._init_buses()
+        # bus by bus: each bus's departure times from its pending one on,
+        # drawn ahead of the runs that return them
+        self.ahead = [[t] for t in self.pending] if self.by_bus else None
 
     # -- initialisation ----------------------------------------------------
 
@@ -315,10 +366,10 @@ class Simulator:
         lo, hi = self.model.spans[self.patch[i] - 1]
         return lo + (hi - lo) * min(self.progress_base[i], 1.0)
 
-    def _phases(self) -> tuple[Callable[..., int],
-                               Callable[[HyperErlangParams], tuple[int, float]]]:
-        """(settle, pick_branch): the settling loop, the one phase draw of
-        phased runs, and the branch draw, with the block buffer they share.
+    def _phases(self) -> tuple[Callable[..., int], Callable[[], float]]:
+        """(settle, branch_uniform): the settling loop, the one phase draw
+        of phased runs, and the branch uniform, with the block buffer they
+        share.
 
         settle(until_time) completes phases, earliest first, until the
         earliest pending item is a departure or a holding gate, or lies past
@@ -334,8 +385,8 @@ class Simulator:
         times 1.0 / rate: bit for bit the scalar rng.exponential(1.0 / rate)
         at the same position of the stream.
 
-        pick_branch(dist) draws a hyper-Erlang branch from one uniform.  That
-        uniform must come from the consumed position, so when the block has
+        branch_uniform() draws the uniform of a hyper-Erlang branch pick.
+        It must come from the consumed position, so when the block has
         values left it restores the generator to its state before the block
         and redraws the values already read; the next block starts after the
         uniform."""
@@ -381,21 +432,15 @@ class Simulator:
                 i = -1
             return slow
 
-        def pick_branch(dist: HyperErlangParams) -> tuple[int, float]:
+        def branch_uniform() -> float:
             nonlocal buf, at, block
             if at < len(buf):
                 bitgen.state = before
                 rng.standard_exponential(at)
             buf, at, block = [], 0, _BLOCK_START
-            u = rng.random()
-            acc = 0.0
-            for k, r, a in zip(dist.shapes, dist.rates, dist.weights):
-                acc += a
-                if u <= acc:
-                    return k, r
-            return dist.shapes[-1], dist.rates[-1]
+            return rng.random()
 
-        return settle, pick_branch
+        return settle, branch_uniform
 
     def _entry(self) -> Callable[[int, int, float, float, int], int]:
         """The one patch entry, with the state it writes bound once:
@@ -405,8 +450,8 @@ class Simulator:
         elsewhere it draws the rest of its sojourn, or in phased runs its
         first phase, and returns the slowed draws it made.  `_init_buses`
         and `run` both call it.  Like the settling loop, it binds the
-        simulator's lists, not the simulator, so no reference cycle outlives
-        the simulator's last use."""
+        simulator's lists and generators, not the simulator, so no reference
+        cycle outlives the simulator's last use."""
         m = self.model
         patch, progress_base, pending = self.patch, self.progress_base, self.pending
         phases_left, phase_rate, per_phase = self.phases_left, self.phase_rate, self.progress_per_phase
@@ -414,8 +459,12 @@ class Simulator:
         termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
         # (k, rate) of each Erlang patch; None where a branch is drawn first
         erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
-        phased, pick_branch, settle = m.phased, self._pick_branch, self._settle_phases
-        gamma = self.rng.gamma
+        phased = m.phased
+        if phased:
+            settle, branch_uniform = self._settle_phases, self._branch_uniform
+        else:
+            gammas = [g.gamma for g in self.rngs]
+            uniforms = [g.random for g in self.rngs]
 
         def enter(i: int, j: int, now: float, progress: float, slot_lap: int) -> int:
             patch[i] = j
@@ -430,7 +479,8 @@ class Simulator:
                 phases_left[i] = 0
                 per_phase[i] = 0.0
                 return 0
-            k, rate = erlang[j - 1] or pick_branch(dists[j - 1])
+            k, rate = erlang[j - 1] or _branch(
+                dists[j - 1], branch_uniform() if phased else uniforms[i]())
             k_left = max(1, k - int(progress * k)) if progress else k
             if phased:
                 phases_left[i] = k_left
@@ -439,30 +489,33 @@ class Simulator:
                 return settle(-math.inf, i, now, gap)
             phases_left[i] = 1
             per_phase[i] = 1.0 - progress
-            pending[i] = now + gamma(k_left, 1.0 / rate)
+            pending[i] = now + gammas[i](k_left, 1.0 / rate)
             return 0
         return enter
 
     # -- event loop -------------------------------------------------------------
 
     def run(self, until_time: float) -> Departures:
-        """Process the departures at or before until_time, in time order,
-        and return them: the simulator's one event loop.
+        """Process the departures at or before until_time, in time order
+        (ties to the lowest bus index), and return them.  Afterwards
+        self.t <= until_time.  A `by_bus` simulator takes the bus-by-bus
+        path (_run_by_bus); every other one runs the event loop below.
 
-        The next item is the earliest pending one; ties between buses go to
-        the lowest index.  Once it lies past until_time the run stops, so it
-        consumes no draw past until_time and afterwards self.t <= until_time;
-        the phase values a phased run has read ahead wait in its buffer for
-        the next run.
+        The event loop's next item is the earliest pending one.  Once it
+        lies past until_time the run stops, so it consumes no draw past
+        until_time; the phase values a phased run has read ahead wait in its
+        buffer for the next run.
         Before that, phase completions are settled first, and a bus that would
         leave sooner than theta_h after the last departure from its patch is
         moved to that gate.  A departure sets the holding base of its patch
         and enters the bus into the next patch."""
+        stop = min(until_time, sys.float_info.max)  # so an infinite pending time stops too
+        if self.by_bus:
+            return self._run_by_bus(stop)
         n, theta_h = self.n, self.model.cfg.holding_threshold
         pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
         last_dep = self.last_dep
         enter, settle = self._enter_patch, self._settle_phases
-        stop = min(until_time, sys.float_info.max)  # so an infinite pending time stops too
         slow = 0
         out = []
         record = out.append
@@ -495,6 +548,70 @@ class Simulator:
         t, i, j, k = zip(*out) if out else ((), (), (), ())
         return Departures(np.array(t, dtype=float), np.array(i, dtype=np.int64) + 1,
                           np.array(j, dtype=np.int64), np.array(k, dtype=np.int64))
+
+
+    def _run_by_bus(self, stop: float) -> Departures:
+        """run's bus-by-bus path.  ahead[i] holds bus i's departure times
+        from its pending one on.  While its last time is at or before stop,
+        the bus draws whole laps more: the sojourns of their non-terminus
+        entries in one array gamma call from its generator, bit for bit the
+        scalar draws of the patch entry in order, and then each entry's
+        departure time with the patch entry's float operations.  The times
+        at or before stop are the bus's departures in this run; the rest
+        wait for the next run.  The buses' departures are merged by
+        (t, bus), so ties go to the lowest bus and a bus's own departures at
+        one time keep their order.  Departure number g of a bus, counted
+        over its laps, is from patch g % n + 1 in lap g // n."""
+        m, n, beta = self.model, self.n, self.beta
+        pending, patch, lap, ahead = self.pending, self.patch, self.lap, self.ahead
+        terminus = [j in m.termini for j in range(1, n + 1)]
+        drawn = ~np.array(terminus)
+        shape = np.array([d.k for d in m.dists])
+        scale = np.array([1.0 / d.rate for d in m.dists])
+        r, offsets, anchors = m.r, m.offsets, m.anchors
+        lap_time = max(sum(m.means), r if m.termini else 0.0)
+        times: list[float] = []
+        counts = [0] * beta
+        first = [0] * beta  # the number of each bus's first departure in this run
+        for i, due in enumerate(ahead):
+            while (t := due[-1]) <= stop:
+                start = lap[i] * n + patch[i] - 1 + len(due)
+                entries = np.arange(start, start + n * min(_AHEAD_LAPS, 1 + int((stop - t) / lap_time)))
+                j = entries % n
+                j = j[drawn[j]]
+                draws = iter(self.rngs[i].gamma(shape[j], scale[j]).tolist())
+                offset = offsets[i]
+                for g in range(start, int(entries[-1]) + 1):
+                    slot_lap, q = divmod(g, n)
+                    if terminus[q]:
+                        t = max(t, r * slot_lap + offset + anchors[q])
+                    else:
+                        t += next(draws)
+                    due.append(t)
+            c = bisect_right(due, stop)
+            if not c:
+                continue
+            times += due[:c]
+            del due[:c]
+            counts[i], first[i] = c, lap[i] * n + patch[i] - 1
+            lap[i], q = divmod(first[i] + c, n)
+            patch[i] = q + 1
+            pending[i] = due[0]
+            # the state the patch entry leaves
+            self.progress_base[i] = 0.0
+            self.phases_left[i] = 0 if terminus[q] else 1
+            self.progress_per_phase[i] = 0.0 if terminus[q] else 1.0
+        if not math.isfinite(min(pending)):
+            raise SimError("simulation stalled: no pending events")
+        t = np.array(times, dtype=float)
+        bus = np.repeat(np.arange(1, beta + 1), counts)
+        g = np.arange(len(t)) + np.repeat(np.array(first) - (np.cumsum(counts) - counts), counts)
+        order = np.lexsort((bus, t))
+        t, bus, g = t[order], bus[order], g[order]
+        if len(t):
+            self.t = float(t[-1])
+            self.events_processed += len(t)
+        return Departures(t, bus, g % n + 1, g // n)
 
 
 def write_event_log(deps: Departures, path: str) -> None:

@@ -216,7 +216,9 @@ def test_compiled_functions_match_tree_walk_on_recorded_airlink_states():
              if nm not in constants}
     compiled = {name: compile_expr(expr, constants, prop.functions)
                 for name, expr in prop.functions.items()}
-    sim = Simulator(model, seed=41)
+    # at this seed patch 5 sees a gap over 900 s inside the window (from
+    # 9,222 s on), so EVWT reads 1.0 too
+    sim = Simulator(model, seed=26)
     history = _History(model.n, model.cfg.n_buses, expiries=True)
     replay = EventReplay(model.n, model.cfg.n_buses, hour_ticks=True)
     seen = {name: set() for name in compiled}
@@ -423,13 +425,14 @@ def test_alternating_renewal_estimate():
 
 
 # (query, Airlink overrides) -> (estimate, halfwidth, batches, sim_time, verdict)
-# at seed 5 over 40 r, recorded from the simulator that scanned the fleet for H_j
+# at seed 5 over 40 r, recorded from the per-bus streams on the bus-by-bus
+# path; the event loop (theta_h = 0) gave the same
 ESTIMATE_PINS = {
     "bph-3-untimetabled": ((bph_query(3), dict(timetable=False)),
-                           (0.14922793229009762, 0.023141110897876068, 32, 210350.98162184245,
+                           (0.12948218344180842, 0.03149120982027655, 32, 210324.63163030133,
                             "violated")),
     "evwt-6-timetabled": ((evwt_query(6), {}),
-                          (0.0030303030303030303, 0.006180343776958813, 32, 210360.0,
+                          (0.0030395136778115506, 0.0047319348669991055, 32, 210360.0,
                            "satisfied")),
 }
 
@@ -461,14 +464,15 @@ def test_estimator_config_needs_a_positive_finite_chunk(chunk_time):
 
 
 def test_estimate_repeats_bit_for_bit():
-    # stops at the half-width target, so the t quantile sets where it stops
+    # stops at the half-width target, so the t quantile sets where it stops;
+    # recorded from the bus's own stream on the bus-by-bus path
     prop = parse_quatex(in_patch1_text())
     res = estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
                                 EstimatorConfig(warmup_time=5000.0, wall_budget=60.0,
                                                 rel_halfwidth_target=0.05,
                                                 max_sim_time=2e6), seed=3)
     assert (res.estimate, res.halfwidth, res.batches, res.sim_time) == (
-        0.25281803907994466, 0.011718738786538101, 32, 671762.9807100861)
+        0.24584920300979848, 0.010711049090219608, 32, 537507.6604188492)
     assert not res.truncated
 
 

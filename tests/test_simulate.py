@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -74,9 +75,10 @@ def check_hour_counts(model, seed: int, ends) -> int:
 class ReferenceStepper:
     """Reference for Simulator.run that shares none of its stepping code: it
     takes over a freshly built simulator's state and steps it one departure
-    at a time.  It draws scalars from its own generator: the simulator's
-    reads ahead in phased runs, so this one is built from the same
-    (seed, replication) and replays the construction draws, each checked
+    at a time.  It draws scalars from generators of its own, built from the
+    same streams as the simulator's (which reads them ahead): one per bus,
+    (seed, replication, bus), for aggregated runs, and (seed, replication)
+    for phased ones.  It replays the construction draws, each checked
     against the pending time it gave.  The next departure is selected with
     a key on (pending, bus), so ties go to the lowest bus index.  Every gap
     read recomputes each bus's route fraction from patch and progress_base
@@ -87,26 +89,28 @@ class ReferenceStepper:
     def __init__(self, sim: Simulator, seed: int, replication: int = 0):
         self.sim = sim
         self.wraps = 0
-        self.rng = np.random.default_rng([seed, replication])
         s, m = sim, sim.model
+        shared = np.random.default_rng([seed, replication])
+        self.rngs = [shared if m.phased else np.random.default_rng([seed, replication, bus])
+                     for bus in range(1, s.beta + 1)]
         slow_draws, s.slow_draws = s.slow_draws, 0
         for i, j in enumerate(s.patch):
             if j in m.termini:
                 continue
-            k, rate = self._branch(m.dists[j - 1])
+            k, rate = self._branch(i, m.dists[j - 1])
             if m.phased:
-                assert s.pending[i] == self.rng.exponential(1.0 / self._rate(i, rate))
+                assert s.pending[i] == self.rngs[i].exponential(1.0 / self._rate(i, rate))
             else:
                 prog = s.progress_base[i]
                 k_left = max(1, k - int(prog * k)) if prog else k
-                assert s.pending[i] == float(self.rng.gamma(k_left, 1.0 / rate))
+                assert s.pending[i] == float(self.rngs[i].gamma(k_left, 1.0 / rate))
         assert s.slow_draws == slow_draws
         self.wraps = 0  # count the wraps of the run only
 
-    def _branch(self, d) -> tuple[int, float]:
+    def _branch(self, i: int, d) -> tuple[int, float]:
         if isinstance(d, ErlangParams):
             return d.k, d.rate
-        u = self.rng.random()
+        u = self.rngs[i].random()
         return next(((k, r) for k, r, c in zip(d.shapes, d.rates, accumulate(d.weights))
                      if u <= c), (d.shapes[-1], d.rates[-1]))
 
@@ -134,13 +138,13 @@ class ReferenceStepper:
             s.pending[i] = max(now, m.r * s.lap[i] + m.offsets[i] + m.anchors[j - 1])
             s.phases_left[i] = 0
             return
-        k, rate = self._branch(m.dists[j - 1])
+        k, rate = self._branch(i, m.dists[j - 1])
         if m.phased:
             s.phases_left[i], s.phase_rate[i], s.progress_per_phase[i] = k, rate, 1.0 / k
-            s.pending[i] = now + self.rng.exponential(1.0 / self._rate(i, rate))
+            s.pending[i] = now + self.rngs[i].exponential(1.0 / self._rate(i, rate))
         else:
             s.phases_left[i] = 1
-            s.pending[i] = now + float(self.rng.gamma(k, 1.0 / rate))
+            s.pending[i] = now + float(self.rngs[i].gamma(k, 1.0 / rate))
 
     def advance(self, until: float = math.inf) -> tuple[float, int, int, int] | None:
         """The next departure as a (t, bus, patch, lap) row, or None, with
@@ -154,7 +158,7 @@ class ReferenceStepper:
             if s.phases_left[i] > 1:
                 s.phases_left[i] -= 1
                 s.progress_base[i] += s.progress_per_phase[i]
-                s.pending[i] = t + self.rng.exponential(1.0 / self._rate(i, s.phase_rate[i]))
+                s.pending[i] = t + self.rngs[i].exponential(1.0 / self._rate(i, s.phase_rate[i]))
                 continue
             j = s.patch[i]
             theta_h = m.cfg.holding_threshold
@@ -319,7 +323,8 @@ def test_readers_resolved_before_any_event_follow_the_state():
         seen.append(ev)
         if len(seen) > 1:
             k, prev = len(seen) - 2, seen[-2]
-            assert read(f"y_{prev.patch}")[k] == y[prev.patch](at[k]) == 1.5
+            # at[k] - prev.t is 1.5 up to the rounding of at[k] = prev.t + 1.5
+            assert read(f"y_{prev.patch}")[k] == y[prev.patch](at[k]) == at[k] - prev.t
             assert [read(f"c_{j}")[k] for j in c] == [c[j](0.0) for j in c]
             assert read("z_4_7")[k] == z(at[k])
     assert len(seen) == len(deps) > 1000
@@ -575,6 +580,10 @@ ORACLE_CASES = {
                                            0.7, 0.9, 1.0)), 600),
     "timetabled-phased": (lambda: airlink_model(**PHASED_ONLY), 600),
     "aggregated-timetable": (lambda: airlink_model(), 5000),
+    # r below the 3,405 s of non-terminus means: buses reach the termini
+    # after their slots, so most terminus departures take the arrival time
+    "late-bus-timetable": (lambda: airlink_model(route_duration=3000.0), 5000),
+    "one-bus": (lambda: airlink_model(n_buses=1), 2000),
 }
 
 
@@ -584,6 +593,10 @@ def test_cached_positions_match_fleet_scan(case):
     m = make()
     ref = ReferenceStepper(Simulator(m, seed=17), seed=17)
     want = [ref.advance() for _ in range(n_events)]
+    # with the departures at the time of the last one: a late bus leaves a
+    # terminus as it reaches it
+    while (row := ref.advance(until=want[-1][0])) is not None:
+        want.append(row)
     # the run to the last reference departure stops right after it
     fast = Simulator(m, seed=17)
     assert rows(fast.run(until_time=want[-1][0])) == want
@@ -603,6 +616,50 @@ def test_cached_positions_match_fleet_scan(case):
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
         # follower is still short of 1.0
         assert ref.wraps > 0 or m.cfg.timetable
+
+
+def terminus_lateness(m, table) -> tuple[int, int]:
+    """(late, on time): the terminus departures after their slot and at it."""
+    slots = [(t, m.r * lap + m.offsets[bus - 1] + m.anchors[patch - 1])
+             for t, bus, patch, lap in table if patch in m.termini]
+    return sum(t > slot for t, slot in slots), sum(t == slot for t, slot in slots)
+
+
+# the models a simulator runs bus by bus
+BY_BUS_CASES = {
+    **{case: ORACLE_CASES[case][0]
+       for case in ("aggregated-timetable", "late-bus-timetable", "one-bus")},
+    "untimetabled": lambda: airlink_model(timetable=False),
+    "terminus-init": lambda: airlink_model(init="terminus"),
+    "untimetabled-terminus-init": lambda: airlink_model(timetable=False, init="terminus"),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 11, 21])
+@pytest.mark.parametrize("case", BY_BUS_CASES)
+def test_bus_by_bus_equals_the_event_loop(case, seed):
+    # holding at 0 s never binds, since no departure comes before the last
+    # one from its patch, but it puts the simulator on the event loop; both
+    # draw from the same per-bus streams, so each cut of the bus-by-bus run
+    # gives the departures and the state of the event loop cut elsewhere
+    m = BY_BUS_CASES[case]()
+    held = dataclasses.replace(m, cfg=dataclasses.replace(m.cfg, holding_threshold=0.0))
+    loop, fast = Simulator(held, seed=seed), Simulator(m, seed=seed)
+    assert fast.by_bus and not loop.by_bus
+    end = 190 * m.r
+    want = [row for cut in (2e5, end) for row in rows(loop.run(until_time=cut))]
+    got = [row for cut in (1e5, 3e5, 3e5, end) for row in rows(fast.run(until_time=cut))]
+    assert got == want
+    assert len(got) > 1500 * m.cfg.n_buses
+    for sim in (loop, fast):  # the state the patch entry leaves
+        assert sim.progress_base == [0.0] * sim.beta
+        assert sim.phases_left == [int(j not in m.termini) for j in sim.patch]
+    assert (fast.pending, fast.patch, fast.lap, fast.t, fast.events_processed,
+            fast.phases_left, fast.progress_per_phase) == (
+        loop.pending, loop.patch, loop.lap, loop.t, loop.events_processed,
+        loop.phases_left, loop.progress_per_phase)
+    late, on_time = terminus_lateness(m, got)
+    assert (late > 0, on_time > 0) == (case == "late-bus-timetable", m.cfg.timetable)
 
 
 @pytest.mark.parametrize("block", [(1, 1), (3, 7), None], ids=["1-1", "3-7", "default"])
@@ -664,33 +721,35 @@ def test_phased_stream_matches_the_recorded_one(case):
 
 
 # at seed 5: the time of the 20,000th event, a digest of the events'
-# (t, bus, patch, lap) up to it and pending right after it, recorded from the aggregated
-# simulator that stepped through _next_event and _apply_departure and
-# scanned the fleet for H_j.  With hour ticks on, its events took in the
-# expiries (bus and lap 0), which the departures replay here; expiries
-# never changed a departure or a draw
+# (t, bus, patch, lap) up to it and pending right after it, recorded from
+# the per-bus streams: the bus-by-bus path for the timetabled fleet (the
+# event loop with theta_h = 0 gave the same) and the event loop for holding
+# and hyper-Erlang.  With hour ticks on, the events take in the expiries
+# (bus and lap 0), which the departures replay here; expiries never change a
+# departure or a draw
 AGGREGATED_PINS = {
     "airlink-timetable-hour-ticks": (
-        lambda: airlink_model(), True, 479897.69142145955,
-        "ae946c779c9c59f76b5c7d4c25679a87b15c9dd172cba8cc4b0485c9f712b614",
-        [480348.7407810994, 479970.01639662235, 480204.4084157531, 480003.2727272727,
-         480481.36363636365, 480040.7853303869, 480051.08209600975, 480347.9634896044,
-         480254.9125665325, 480353.82751851185, 479970.40929664165]),
+        lambda: airlink_model(), True, 479907.49224807,
+        "c0a4f61b856a2e90f100a8659e5ef6ab4d1e82ff2c96119fdeaaf2082ef59fd1",
+        [479988.5007075526, 479911.18169770495, 480105.6714425357, 480003.2727272727,
+         480481.36363636365, 480013.9406312383, 480445.5787001509, 480317.83485180594,
+         480256.41797017376, 480353.82751851185, 480831.9184276028]),
     "airlink-holding-hour-ticks": (
-        lambda: airlink_model(timetable=False, holding_threshold=120.0), True, 488933.7517330176,
-        "8b5043b05c22b3b977d3a2882323782038183d33270330e2321e54ac5ef928f5",
-        [489225.06103644485, 489141.5976802493, 489294.71680806123, 489178.4429631148,
-         489509.0414140926, 488959.55770678783, 489718.62501725054, 489253.17771559773,
-         489267.61298580584, 489168.71768772753, 489272.7131876538]),
-    # hyper-Erlang patches draw their branch before each sojourn
+        lambda: airlink_model(timetable=False, holding_threshold=120.0), True, 490163.7686608646,
+        "64c5c596585de838b26b0d84c7994524d87cb4c81e38a3a27b5024cc5840eaee",
+        [490495.2701227989, 490361.04536831036, 490434.9483495057, 490499.4241062503,
+         490326.8451283261, 490391.2579163122, 490356.4526588756, 490284.93452121073,
+         490288.6907474939, 490275.5099413517, 490363.1032670549]),
+    # hyper-Erlang patches draw their branch uniform before each sojourn,
+    # from the same per-bus stream
     "hyper-erlang": (
         lambda: build_model(
             PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)),
                         ErlangParams(8, 0.05), HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)),
                         ErlangParams(15, 0.1)]),
-            SimConfig(n_buses=4, timetable=False, seed=2)), False, 707968.9332071883,
-        "da330b0aee655c08bf3c4b52df08d024a768a68e11e5a8710e01afa9f0088700",
-        [708067.3192322637, 708000.7715404506, 708244.2044734394, 708100.7199764038]),
+            SimConfig(n_buses=4, timetable=False, seed=2)), False, 708962.405068454,
+        "af62564fedad22792e1acd8ac25ca0f22d610b94bed1239af81101e1e8e36086",
+        [709122.9102326786, 709102.6038561523, 708980.3714946136, 709018.1755082174]),
 }
 
 
@@ -700,6 +759,7 @@ def test_aggregated_stream_matches_the_recorded_one(case):
     m = make()
     assert not m.phased
     sim = Simulator(m, seed=5)
+    assert sim.by_bus == (case == "airlink-timetable-hour-ticks")
     events = list(EventReplay(m.n, m.cfg.n_buses, ticks).events(sim.run(until_time=end), end))
     assert len(events) == 20_000
     assert (digest((ev.t, ev.bus, ev.patch, ev.lap) for ev in events), sim.pending) == (
@@ -715,13 +775,17 @@ def _hyper_model(speedmod_threshold):
 
 @pytest.mark.parametrize("speedmod", [None, 0.15], ids=["aggregated", "phased"])
 @pytest.mark.parametrize("make", [lambda s: airlink_model(timetable=False, speedmod_threshold=s),
-                                  _hyper_model], ids=["erlang", "hyper-erlang"])
+                                  lambda s: airlink_model(speedmod_threshold=s),
+                                  _hyper_model], ids=["erlang", "erlang-timetabled", "hyper-erlang"])
 def test_simulator_is_freed_without_the_cyclic_collector(make, speedmod):
-    # the patch entry and the settling loop bind the simulator's lists, not
-    # the simulator, so dropping the last reference frees it at once
+    # the patch entry and the settling loop bind the simulator's lists and
+    # generators, not the simulator, and the bus-by-bus path keeps its
+    # drawn-ahead times in plain lists, so dropping the last reference frees
+    # the simulator at once
     sim = Simulator(make(speedmod), seed=3)
     assert len(sim.run(until_time=20_000.0)) > 0
     assert (sim.slow_draws > 0) == (speedmod is not None)
+    assert sim.by_bus == (speedmod is None and make is not _hyper_model)
     gone = weakref.ref(sim)
     was_enabled = gc.isenabled()
     gc.disable()
