@@ -11,6 +11,7 @@ run one after another."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -111,8 +112,15 @@ def _sim_flags(p):
     p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
 
 
+def _horizon(text: str) -> float:
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds >= 0):  # a run to infinity never returns
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return seconds
+
+
 def _simulate_flags(p):
-    p.add_argument("--horizon", type=float, default=50000.0, help="simulated seconds")
+    p.add_argument("--horizon", type=_horizon, default=50000.0, help="simulated seconds")
 
 
 def _check_flags(p):

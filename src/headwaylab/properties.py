@@ -512,6 +512,10 @@ class EstimatorConfig:
         if self.chunk_time is not None and not (math.isfinite(self.chunk_time)
                                                 and self.chunk_time > 0):
             raise PropertyError(f"chunk_time must be positive and finite, got {self.chunk_time}")
+        for name in ("warmup_time", "max_sim_time"):
+            seconds = getattr(self, name)
+            if seconds is not None and not seconds >= 0:  # NaN too
+                raise PropertyError(f"{name} must be >= 0, got {seconds}")
 
 
 @dataclass
@@ -535,18 +539,25 @@ class _Accumulator:
     weight, each holding the weighted mean of F over its weight.
 
     Samples arrive a chunk at a time.  Until `limit` (>= 2) samples have
-    arrived, each sample is its own unit, and the units are float arrays.
-    Then the stream is re-cut into limit/2 units of equal weight, kept in
-    lists, and from there on new samples fill the open unit, a sample
-    straddling a unit edge being split at the edge (exact, as F is constant
-    over the sample).  When the list reaches `limit` full units they merge
-    pairwise, doubling the unit weight, so memory stays bounded on long
-    runs.  Unit means are updated incrementally, m += (w/W)(f - m), so a
-    constant F stays exact."""
+    arrived, each sample is its own unit, and the units are float arrays,
+    with the running prefix sums cw of w and cg of w * (f - m[0]) that a cut
+    reads.  A chunk extends them with one cumulative sum continued from the
+    last prefix value, the very additions of a sum over all the samples, and
+    the arrays grow by doubling their capacity, so a chunk costs its own
+    length and a cut O(batches log N).  Then the stream is re-cut into
+    limit/2 units of equal weight, kept in lists, and from there on new
+    samples fill the open unit, a sample straddling a unit edge being split
+    at the edge (exact, as F is constant over the sample).  When the list
+    reaches `limit` full units they merge pairwise, doubling the unit
+    weight, so memory stays bounded on long runs.  Unit means are updated
+    incrementally, m += (w/W)(f - m), so a constant F stays exact."""
 
     def __init__(self, limit: int = 1 << 20):
-        self.w: np.ndarray | list[float] = np.empty(0)
-        self.m: np.ndarray | list[float] = np.empty(0)
+        # w, m, cw and cg of the array mode, each with room to grow; w and m
+        # are views of the first two
+        self._rows: list[np.ndarray] | None = [np.zeros(1) for _ in range(4)]
+        self.w: np.ndarray | list[float] = self._rows[0][:0]
+        self.m: np.ndarray | list[float] = self._rows[1][:0]
         self.n = 0  # samples added, however they are stored
         self.unit: float | None = None  # unit weight once re-cut
         self.nonzero_f = False
@@ -562,8 +573,7 @@ class _Accumulator:
             self.nonzero_f = True
         if self.unit is None:
             room = self.limit - len(self.w)
-            self.w = np.concatenate((self.w, w[:room]))
-            self.m = np.concatenate((self.m, f[:room]))
+            self._extend(w[:room], f[:room])
             if len(self.w) < self.limit:
                 return
             k = self.limit // 2
@@ -571,9 +581,28 @@ class _Accumulator:
             self.unit = total / k
             self.w = [self.unit] * k
             self.m = means.tolist()
+            self._rows = None
             w, f = w[room:], f[room:]
         for wk, fk in zip(w.tolist(), f.tolist()):
             self._fill(wk, fk)
+
+    def _extend(self, w: np.ndarray, f: np.ndarray):
+        size, end = len(self.w), len(self.w) + len(w)
+        rows = self._rows
+        if end >= len(rows[0]):
+            cap = min(max(2 * len(rows[0]), end + 1), self.limit + 1)
+            self.w = self.m = None  # views that would keep the old arrays alive
+            for k, row in enumerate(rows):  # one at a time, so one old array is kept
+                rows[k] = np.empty(cap)
+                rows[k][:size + 1] = row[:size + 1]
+        wr, mr, cw, cg = rows
+        wr[size:end] = w
+        mr[size:end] = f
+        cw[size + 1:end + 1] = w
+        np.multiply(w, f - mr[0], out=cg[size + 1:end + 1])
+        for prefix in (cw[size:end + 1], cg[size:end + 1]):
+            np.add.accumulate(prefix, out=prefix)  # on from the last prefix value
+        self.w, self.m = wr[:end], mr[:end]
 
     def _fill(self, w: float, f: float):
         while True:
@@ -610,18 +639,22 @@ class _Accumulator:
     def _cut(self, k: int):
         """Means of F over k batches of equal clock weight, cut at exact
         multiples of total/k; a unit cut by an edge lends its mean to both
-        sides in proportion to its weight on each."""
-        w = np.asarray(self.w)
+        sides in proportion to its weight on each.  The array mode reads its
+        running prefix sums; the list mode, at most `limit` units, sums its
+        own."""
         m = np.asarray(self.m)
         ref = m[0]
-        d = m - ref
-        cw = np.concatenate([[0.0], np.cumsum(w)])
-        cg = np.concatenate([[0.0], np.cumsum(w * d)])
+        if self.unit is None:
+            cw, cg = self._rows[2][:m.size + 1], self._rows[3][:m.size + 1]
+        else:
+            w = np.asarray(self.w)
+            cw = np.concatenate([[0.0], np.cumsum(w)])
+            cg = np.concatenate([[0.0], np.cumsum(w * (m - ref))])
         total = float(cw[-1])
         edges = total * np.arange(k + 1) / k
         edges[-1] = total
-        i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, w.size - 1)
-        g = cg[i] + (edges - cw[i]) * d[i]  # integral of (F - ref) up to each edge
+        i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, m.size - 1)
+        g = cg[i] + (edges - cw[i]) * (m[i] - ref)  # integral of (F - ref) up to each edge
         return ref + np.diff(g) / np.diff(edges), total
 
     def batch_means(self, batches: int):
@@ -637,7 +670,9 @@ class _History:
     the last departure from each patch and by each bus from each patch
     (-inf before the first), the departure counts, the time of the last
     boundary processed, and, when the query reads H_j, the hour expiries
-    b + HOUR of the departures whose expiry is not yet due."""
+    b + HOUR of the departures whose expiry is not yet due.  The departures
+    come in time order, so the last departure from a patch, or by a bus
+    from a patch, is the latest: a chunk moves them on with np.maximum.at."""
 
     def __init__(self, n: int, beta: int, expiries: bool):
         self.last = np.full(n + 1, -np.inf)
@@ -648,23 +683,23 @@ class _History:
 
     def next(self, deps: Departures, end: float) -> _Chunk:
         """The chunk of `deps`, the departures up to `end`, read on top of
-        the state carried in; the history moves on past it."""
+        the state carried in; the history moves on past it.  Without hour
+        expiries the boundaries are the departure times with repeats
+        dropped; with them, the two are merged and sorted."""
         t, patch, bus = deps.t, deps.patch, deps.bus
-        bounds = t
         if self.expiries is not None:
             x = np.concatenate((self.expiries, t + HOUR))
             due = x <= end
-            bounds = np.concatenate((t, x[due]))
+            bounds = np.unique(np.concatenate((t, x[due])))
             self.expiries = x[~due]
-        bounds = np.unique(bounds)
+        else:
+            bounds = t[np.concatenate(([True], t[1:] != t[:-1]))] if len(t) else t
         chunk = _Chunk(deps, bounds, self.last.copy(), self.last_bus.copy(), self.count.copy())
         if len(bounds):
             self.time = max(self.time, float(bounds[-1]))
         if len(t):
-            by_bus = patch * self.last_bus.shape[1] + bus - 1
-            for key, last in ((patch, self.last), (by_bus, self.last_bus.reshape(-1))):
-                keys, first = np.unique(key[::-1], return_index=True)  # each key's last row
-                last[keys] = t[::-1][first]
+            np.maximum.at(self.last, patch, t)
+            np.maximum.at(self.last_bus.reshape(-1), patch * self.last_bus.shape[1] + bus - 1, t)
             self.count += np.bincount(patch, minlength=len(self.count))
         return chunk
 
@@ -685,7 +720,8 @@ class _Chunk:
     def reader(self, at: np.ndarray, before: np.ndarray) -> Callable[[str], np.ndarray]:
         """read(name): the value of a state name at each sample point k: at
         time at[k], in the state the carried one plus the chunk's first
-        before[k] departures make.  y_j and z_i_j read infinity before the
+        before[k] departures make.  The points come in order: neither at
+        nor before ever decreases.  y_j and z_i_j read infinity before the
         departure they measure from."""
         t, patch, bus = self.deps.t, self.deps.patch, self.deps.bus
         n, beta = len(self.last) - 1, self.last_bus.shape[1]
@@ -706,10 +742,22 @@ class _Chunk:
             if kind == "z":
                 return at - latest(rows[bus[rows] == i], self.last_bus[j, i - 1])
             if kind == "H":
-                h = np.zeros(len(at))
-                for b in range(beta):
-                    h += latest(rows[bus[rows] == b + 1], self.last_bus[j, b]) + HOUR > at
-                return h
+                # a bus counts from the first sample that reads its latest
+                # departure from j, the carried one or one in the chunk,
+                # until the first sample at or past its expiry b + HOUR, or
+                # until the sample that reads its next departure from j
+                who = np.concatenate((np.arange(beta), bus[rows] - 1))
+                start = np.concatenate((np.zeros(beta, dtype=np.int64),
+                                        np.searchsorted(before, rows, side="right")))
+                stop = np.searchsorted(at, np.concatenate((self.last_bus[j], t[rows])) + HOUR)
+                order = np.argsort(who, kind="stable")  # by bus, each bus's in time order
+                same = who[order[1:]] == who[order[:-1]]
+                prev, nxt = order[:-1][same], order[1:][same]
+                stop[prev] = np.minimum(stop[prev], start[nxt])
+                live = start < stop
+                steps = (np.bincount(start[live], minlength=len(at) + 1)
+                         - np.bincount(stop[live], minlength=len(at) + 1))
+                return np.cumsum(steps[:-1]).astype(float)
             raise SimError(f"{name!r} is not read from the departures")
         return read
 

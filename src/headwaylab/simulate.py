@@ -55,12 +55,18 @@ happened: by time, ties to the lowest bus.  It takes one of two paths.
 * Bus by bus, for an aggregated run of Erlang patches without holding: no
   rule then couples two buses (a timetable slot reads only the bus's own
   lap and offset), so each bus's departures follow from its own stream.
-  Each bus draws the sojourns of its coming patches in one array `gamma`
-  call, bit for bit the scalar calls in order, and its departure times
-  follow with exactly the event loop's float operations: t += sojourn, or
-  at a timetabled terminus t = max(t, slot).  The buses are then merged by
-  (t, bus).  A bus reads its stream ahead, past until_time; the times it
-  has drawn wait for the next run.
+  A bus draws its coming departures in fixed blocks: a short head up to its
+  next terminus entry, then _AHEAD_LAPS whole laps, their sojourns in one
+  array `gamma` call, bit for bit the scalar calls in order.  The times
+  follow with exactly the event loop's float operations, t += sojourn, or
+  at a timetabled terminus t = max(t, slot), but a lap at a time: the laps
+  are the rows of a matrix, and one cumulative sum per terminus, from its
+  column up to the next terminus, speculates that every terminus departure
+  is on its slot (an accumulation adds in sequence, so it equals the
+  scalar sums).  Where a bus reaches a terminus after its slot, the scalar
+  recursion redoes the times from there until the bus is back on a slot.
+  The buses are then merged by (t, bus).  A bus reads its stream ahead,
+  past until_time; the times it has drawn wait for the next run.
 * The event loop, for every other run: it binds the simulator's lists once
   per call, picks each next departure itself and applies it (the holding
   base and the entry into the next patch).  It consumes no draw past
@@ -69,10 +75,11 @@ happened: by time, ties to the lowest bus.  It takes one of two paths.
 
 Neither path's read-ahead shows: a run cut into pieces gives the same
 departures, and leaves the same pending, patch, lap, t and
-events_processed, as one run, and the bus-by-bus path gives what the event
-loop gives on the same streams.  The patch entry, with the timetable slot
-and the sojourn draw, is one function with the generators bound once per
-simulator; construction places the buses through it too.
+events_processed, as one run, whatever the block sizes, and the bus-by-bus
+path gives what the event loop gives on the same streams.  The patch entry,
+with the timetable slot and the sojourn draw, is one function with the
+generators bound once per simulator; construction places the buses through
+it too.
 
 The simulator keeps only the state its own rules read, such as the last
 departure from each patch for holding.  The per-patch quantities a query
@@ -88,7 +95,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -110,9 +116,11 @@ _STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
 _BLOCK_START = 32
 _BLOCK_CAP = 512
 
-# The bus-by-bus path draws a bus's coming laps in blocks: enough laps to
-# pass the run's end at the mean lap time, at most _AHEAD_LAPS, so a run to
-# a far end draws block after block.
+# The bus-by-bus path draws each bus's departures in blocks of _AHEAD_LAPS
+# whole laps (after a head up to the bus's next terminus entry), whatever
+# the run's end: a run to a far end draws block after block, and a short
+# run takes its departures from the block drawn before.  The block size
+# changes no departure, only how far a bus reads its stream ahead.
 _AHEAD_LAPS = 64
 
 
@@ -308,7 +316,8 @@ class Simulator:
         self._init_buses()
         # bus by bus: each bus's departure times from its pending one on,
         # drawn ahead of the runs that return them
-        self.ahead = [[t] for t in self.pending] if self.by_bus else None
+        self.ahead = [np.array([t]) for t in self.pending] if self.by_bus else None
+        self._draw_block = self._blocks() if self.by_bus else None
 
     # -- initialisation ----------------------------------------------------
 
@@ -498,7 +507,8 @@ class Simulator:
     def run(self, until_time: float) -> Departures:
         """Process the departures at or before until_time, in time order
         (ties to the lowest bus index), and return them.  Afterwards
-        self.t <= until_time.  A `by_bus` simulator takes the bus-by-bus
+        self.t <= until_time.  until_time must be finite: no run processes
+        every departure there is.  A `by_bus` simulator takes the bus-by-bus
         path (_run_by_bus); every other one runs the event loop below.
 
         The event loop's next item is the earliest pending one.  Once it
@@ -509,9 +519,10 @@ class Simulator:
         leave sooner than theta_h after the last departure from its patch is
         moved to that gate.  A departure sets the holding base of its patch
         and enters the bus into the next patch."""
-        stop = min(until_time, sys.float_info.max)  # so an infinite pending time stops too
+        if not math.isfinite(until_time):
+            raise SimError(f"a run must end at a finite time, got {until_time}")
         if self.by_bus:
-            return self._run_by_bus(stop)
+            return self._run_by_bus(until_time)
         n, theta_h = self.n, self.model.cfg.holding_threshold
         pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
         last_dep = self.last_dep
@@ -521,7 +532,7 @@ class Simulator:
         record = out.append
         while True:
             t = min(pending)
-            if t > stop:
+            if t > until_time:
                 if not math.isfinite(t):
                     raise SimError("simulation stalled: no pending events")
                 break
@@ -549,61 +560,128 @@ class Simulator:
         return Departures(np.array(t, dtype=float), np.array(i, dtype=np.int64) + 1,
                           np.array(j, dtype=np.int64), np.array(k, dtype=np.int64))
 
+    # -- bus by bus ---------------------------------------------------------------
 
-    def _run_by_bus(self, stop: float) -> Departures:
-        """run's bus-by-bus path.  ahead[i] holds bus i's departure times
-        from its pending one on.  While its last time is at or before stop,
-        the bus draws whole laps more: the sojourns of their non-terminus
-        entries in one array gamma call from its generator, bit for bit the
-        scalar draws of the patch entry in order, and then each entry's
-        departure time with the patch entry's float operations.  The times
-        at or before stop are the bus's departures in this run; the rest
-        wait for the next run.  The buses' departures are merged by
-        (t, bus), so ties go to the lowest bus and a bus's own departures at
-        one time keep their order.  Departure number g of a bus, counted
-        over its laps, is from patch g % n + 1 in lap g // n."""
-        m, n, beta = self.model, self.n, self.beta
-        pending, patch, lap, ahead = self.pending, self.patch, self.lap, self.ahead
-        terminus = [j in m.termini for j in range(1, n + 1)]
-        drawn = ~np.array(terminus)
+    def _blocks(self) -> Callable[[int, int, float], np.ndarray]:
+        """The bus-by-bus path's block draw, with the per-model arrays built
+        once and the layout of a block that starts in a given patch built
+        on first use: draw(i, g, t) returns the times of bus i's departures g, g + 1,
+        ..., through the end of its block, for a bus whose departure g - 1
+        was at t.  Departure number g of a bus, counted over its laps, is
+        from patch g % n + 1 in lap g // n.
+
+        The block is a head, the departures up to the bus's next terminus
+        entry, then _AHEAD_LAPS whole laps from that entry on, all of whose
+        sojourns come from one gamma call.  Position k + 1 of the block's
+        entry array holds the sojourn, or at a terminus the timetable slot
+        r * lap + offset + anchor, of departure g + k; position 0 holds t.
+        Without a timetable the times are one cumulative sum of it.  With
+        one, the laps are the rows of a matrix and each segment, the columns
+        from a terminus up to the next one, is one cumulative sum along the
+        rows: the times if every terminus departure in it is on its slot.
+        The head is walked (_walk), and from each terminus entry that the
+        speculated times reach after its slot, the walk redoes the times
+        until the bus is back on a slot, where the speculation holds again.
+        Like the patch entry, it binds the generators, not the simulator."""
+        m, n, laps = self.model, self.n, _AHEAD_LAPS
+        r, offsets = m.r, m.offsets
+        gammas = [g.gamma for g in self.rngs]
+        terminus = np.array([j in m.termini for j in range(1, n + 1)])
+        is_terminus = terminus.tolist()
         shape = np.array([d.k for d in m.dists])
         scale = np.array([1.0 / d.rate for d in m.dists])
-        r, offsets, anchors = m.r, m.offsets, m.anchors
-        lap_time = max(sum(m.means), r if m.termini else 0.0)
-        times: list[float] = []
+        anchors = np.array(m.anchors)
+        stops = np.flatnonzero(terminus)
+        rounds = np.arange(laps)[:, None]
+        plans: dict[int, tuple] = {}  # by the patch column of a block's first departure
+
+        def plan(q: int) -> tuple:
+            h = int(((stops - q) % n).min()) if len(stops) else 0
+            cols = (q + h + np.arange(n)) % n  # one lap's patches, from the terminus entry on
+            drawn = ~terminus[cols]
+            tcols = np.flatnonzero(~drawn)
+            sojourns = (q + np.arange(h + laps * n)) % n  # the patch of each entry of a block
+            sojourns = sojourns[~terminus[sojourns]]
+            plans[q] = (
+                h, drawn, tcols, int(drawn.sum()),
+                (q + h + tcols) // n + rounds, anchors[cols[tcols]],  # each slot's lap from g // n
+                (h + 1 + n * rounds + tcols).ravel(),  # each slot's position
+                list(zip(tcols.tolist(), [*tcols[1:].tolist(), n])),  # the segments
+                shape[sojourns], scale[sojourns])
+            return plans[q]
+
+        def draw(i: int, g: int, t: float) -> np.ndarray:
+            q = g % n
+            h, drawn, tcols, per_lap, slot_laps, slot_anchors, at, segments, shapes, scales = (
+                plans.get(q) or plan(q))
+            s = gammas[i](shapes, scales)
+            vals = np.empty(1 + h + laps * n)
+            vals[0] = t
+            vals[1:h + 1] = s[:h]
+            grid = vals[h + 1:].reshape(laps, n)
+            grid[:, drawn] = s[h:].reshape(laps, per_lap)
+            if not len(tcols):
+                return np.cumsum(vals)[1:]
+            grid[:, tcols] = r * (g // n + slot_laps) + offsets[i] + slot_anchors
+            # speculate: every terminus departure on its slot
+            times = vals.copy()
+            rows = times[h + 1:].reshape(laps, n)
+            for a, b in segments:
+                np.add.accumulate(rows[:, a:b], axis=1, out=rows[:, a:b])
+            # walk the head, then redo the times from each late terminus entry
+            redone = _walk(t, vals, is_terminus, g, 1)
+            times[1:1 + len(redone)] = redone
+            done = 1 + len(redone)  # the speculated times hold from here on
+            for p in at[times[at - 1] > vals[at]].tolist():
+                if p > done:
+                    redone = _walk(times.item(p - 1), vals, is_terminus, g, p)
+                    times[p:p + len(redone)] = redone
+                    done = p + len(redone)
+            return times[1:]
+        return draw
+
+    def _run_by_bus(self, until_time: float) -> Departures:
+        """run's bus-by-bus path.  ahead[i] holds bus i's departure times
+        from its pending one on.  While its last time is at or before
+        until_time, the bus draws a block more (_blocks); a run to a far end
+        collects its blocks and joins them once.  The times at or before
+        until_time are the bus's departures in this run; the rest wait for
+        the next run.  The buses' departures are merged by (t, bus), so ties
+        go to the lowest bus and a bus's own departures at one time keep
+        their order."""
+        n, beta, termini = self.n, self.beta, self.model.termini
+        pending, patch, lap, ahead = self.pending, self.patch, self.lap, self.ahead
+        draw = self._draw_block
+        parts = []
         counts = [0] * beta
         first = [0] * beta  # the number of each bus's first departure in this run
         for i, due in enumerate(ahead):
-            while (t := due[-1]) <= stop:
-                start = lap[i] * n + patch[i] - 1 + len(due)
-                entries = np.arange(start, start + n * min(_AHEAD_LAPS, 1 + int((stop - t) / lap_time)))
-                j = entries % n
-                j = j[drawn[j]]
-                draws = iter(self.rngs[i].gamma(shape[j], scale[j]).tolist())
-                offset = offsets[i]
-                for g in range(start, int(entries[-1]) + 1):
-                    slot_lap, q = divmod(g, n)
-                    if terminus[q]:
-                        t = max(t, r * slot_lap + offset + anchors[q])
-                    else:
-                        t += next(draws)
-                    due.append(t)
-            c = bisect_right(due, stop)
+            g = lap[i] * n + patch[i] - 1  # the number of its pending departure, due[0]
+            if (t := float(due[-1])) <= until_time:
+                blocks, nxt = [due], g + len(due)
+                while t <= until_time:
+                    block = draw(i, nxt, t)
+                    blocks.append(block)
+                    nxt += len(block)
+                    t = float(block[-1])
+                due = np.concatenate(blocks)
+            c = int(due.searchsorted(until_time, side="right"))
+            ahead[i] = due[c:]
             if not c:
                 continue
-            times += due[:c]
-            del due[:c]
-            counts[i], first[i] = c, lap[i] * n + patch[i] - 1
-            lap[i], q = divmod(first[i] + c, n)
+            parts.append(due[:c])
+            counts[i], first[i] = c, g
+            lap[i], q = divmod(g + c, n)
             patch[i] = q + 1
-            pending[i] = due[0]
+            pending[i] = float(due[c])
             # the state the patch entry leaves
+            at_terminus = q + 1 in termini
             self.progress_base[i] = 0.0
-            self.phases_left[i] = 0 if terminus[q] else 1
-            self.progress_per_phase[i] = 0.0 if terminus[q] else 1.0
+            self.phases_left[i] = 0 if at_terminus else 1
+            self.progress_per_phase[i] = 0.0 if at_terminus else 1.0
         if not math.isfinite(min(pending)):
             raise SimError("simulation stalled: no pending events")
-        t = np.array(times, dtype=float)
+        t = np.concatenate(parts) if parts else np.empty(0)
         bus = np.repeat(np.arange(1, beta + 1), counts)
         g = np.arange(len(t)) + np.repeat(np.array(first) - (np.cumsum(counts) - counts), counts)
         order = np.lexsort((bus, t))
@@ -612,6 +690,25 @@ class Simulator:
             self.t = float(t[-1])
             self.events_processed += len(t)
         return Departures(t, bus, g % n + 1, g // n)
+
+
+def _walk(t: float, values: np.ndarray, terminus: list[bool], g: int, p: int) -> list[float]:
+    """The scalar recursion of a bus's departure times over a block whose
+    position k holds departure g + k - 1, from position p on, for a bus
+    that reaches it at t: t += values[k], or where the departure is from a
+    terminus (patch column (g + k - 1) % n) t = max(t, values[k]), its slot.
+    Returns the times up to the first terminus the bus reaches at or before
+    its slot, where it leaves on the slot, or to the block's end."""
+    out = []
+    n = len(terminus)
+    for k in range(p, len(values)):
+        v = values.item(k)
+        if not terminus[(g + k - 1) % n]:
+            t += v
+        elif t <= v:
+            break  # on its slot: max(t, v) is v
+        out.append(t)  # a late bus leaves a terminus as it reaches it: max(t, v) is t
+    return out
 
 
 def write_event_log(deps: Departures, path: str) -> None:

@@ -6,9 +6,9 @@ at b schedules an expiry event at b + HOUR, and at equal times an expiry
 comes first; expiries among themselves leave a heap in (time, patch, bus)
 order.  The state it keeps is updated per event, H_j as a count, and a
 query is a tree of closures evaluated once per sample, fed to an
-accumulator one sample at a time.  None of it shares code with the column
-path except the parser, the accumulator's unit filling and batch cutting,
-and the verdict rule.
+accumulator one sample at a time, which cuts its batches from sums over
+every unit (full_recompute).  None of it shares code with the column path
+except the parser, the accumulator's unit filling and the verdict rule.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from headwaylab.properties import (HOUR, MIN_SAMPLES, Binary, Call, EstimateResu
                                    Rval, SteadyStateQuery, Unary, UndefinedSample, _Accumulator,
                                    _state_names, _verdict)
 from headwaylab.simulate import Departures, SimError, SimModel, Simulator, parse_state_name
+
+from full_recompute import full_cut
 
 
 class Event(NamedTuple):
@@ -151,7 +153,10 @@ def compile_scalar(expr, read: Callable[[str], Callable[[float], float]],
 
 class PerSampleAccumulator(_Accumulator):
     """_Accumulator fed one sample at a time, its units in lists from the
-    start, as the estimator fed it before samples came in chunks."""
+    start, as the estimator fed it before samples came in chunks, and cut
+    from sums over every unit."""
+
+    _cut = full_cut
 
     def __init__(self, limit: int = 1 << 20):
         super().__init__(limit)

@@ -260,6 +260,21 @@ def test_simulate_events_end_at_the_horizon(tmp_path):
     assert times and max(times) <= 20000
 
 
+@pytest.mark.parametrize("horizon", ["inf", "-inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_a_horizon_that_is_not_finite_and_non_negative_is_a_usage_error(
+        tmp_path, capsys, command, horizon):
+    # a run to an infinite horizon would never return: the flag is
+    # rejected as it is parsed, before any stage runs
+    argv = three_patch_run(tmp_path)
+    argv[0] = command
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--horizon={horizon}"])
+    assert exc.value.code == 2
+    assert "argument --horizon: must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "events.tsv").exists()
+
+
 SEED3_FLAGS = {  # subcommand -> its flags in the runs below; `pipeline` takes them all
     "skeleton": ["--tau", "0.3", "--eta", "1"],
     "patches": ["--gamma", "40", "--n", "8"],

@@ -14,7 +14,8 @@ from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalErro
                                    check_assertions, compile_expr, estimate_steady_state,
                                    evaluate_expr, evwt_query, ewt_query, expand_per_patch,
                                    headway_query, parse_quatex, write_results_tsv)
-from headwaylab.simulate import SimConfig, SimError, Simulator, build_model
+from headwaylab.simulate import Departures, SimConfig, SimError, Simulator, build_model
+from full_recompute import SortedHistory, full_cut
 from per_event import EventReplay, PerSampleAccumulator, estimate_per_event
 
 EWT_TEXT = ('ewt() = 0.5 * (s.rval("y_6") - mu_tot) * (s.rval("y_6") - mu_tot) / mu_tot;\n'
@@ -463,6 +464,14 @@ def test_estimator_config_needs_a_positive_finite_chunk(chunk_time):
         EstimatorConfig(chunk_time=chunk_time, wall_budget=1.0)
 
 
+@pytest.mark.parametrize("seconds", [-1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["warmup_time", "max_sim_time"])
+def test_estimator_config_needs_non_negative_times(field, seconds):
+    with pytest.raises(PropertyError, match=f"{field} must be >= 0"):
+        EstimatorConfig(**{field: seconds})
+    assert getattr(EstimatorConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_estimate_repeats_bit_for_bit():
     # stops at the half-width target, so the t quantile sets where it stops;
     # recorded from the bus's own stream on the bus-by-bus path
@@ -572,6 +581,65 @@ def test_chunk_intake_matches_per_sample_intake(seed):
     if size >= 4:
         a, b = chunked.batch_means(4), single.batch_means(4)
         assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+
+
+def random_departures(rng, size: int, n: int, beta: int):
+    """A time-ordered departure stream with many equal-time ties: t on a
+    grid of 30 s, patch and bus drawn at random."""
+    t = np.sort(rng.integers(0, size * 3, size=size)) * 30.0
+    return t, rng.integers(1, n + 1, size=size), rng.integers(1, beta + 1, size=size)
+
+
+@pytest.mark.parametrize("expiries", [False, True], ids=["no-expiries", "expiries"])
+@pytest.mark.parametrize("seed", range(4))
+def test_history_matches_the_sorting_oracle(seed, expiries):
+    # chunks of random length, empty ones too, never splitting equal times
+    # (a run returns every departure at or before its end); each chunk and
+    # the state carried on must be the sorting oracle's, bit for bit
+    n, beta = 5, 3
+    rng = np.random.default_rng(seed)
+    t, patch, bus = random_departures(rng, 2000, n, beta)
+    edges = np.flatnonzero(np.diff(t)) + 1  # cuts between distinct times
+    cuts = np.sort(rng.choice(edges, size=40, replace=True))
+    fast, oracle = _History(n, beta, expiries), SortedHistory(n, beta, expiries)
+    for lo, hi in zip([0, *cuts], [*cuts, len(t)]):
+        end = t[hi - 1] + rng.uniform(0.0, 29.0) if hi else 0.0
+        deps = Departures(t[lo:hi], bus[lo:hi], patch[lo:hi], np.zeros(hi - lo, dtype=np.int64))
+        got, want = fast.next(deps, end), oracle.next(deps, end)
+        assert got.boundaries.tobytes() == want.boundaries.tobytes()
+        for a, b in ((got.last, want.last), (got.last_bus, want.last_bus),
+                     (got.count, want.count), (fast.last, oracle.last),
+                     (fast.last_bus, oracle.last_bus), (fast.count, oracle.count)):
+            assert a.tobytes() == b.tobytes()
+        assert fast.time == oracle.time
+        if expiries:
+            assert fast.expiries.tobytes() == oracle.expiries.tobytes()
+    assert np.isfinite(fast.last[1:]).all() and fast.count.sum() == len(t)
+
+
+@pytest.mark.parametrize("limit", [64, 1 << 20])
+@pytest.mark.parametrize("constant", [False, True], ids=["random-f", "constant-f"])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_cuts_match_the_full_recompute(seed, constant, limit):
+    # chunks of random length into the running prefix sums, and at limit 64
+    # through the re-cut and the pairwise doubling: each look's batch
+    # means are those of sums over every unit, bit for bit
+    rng = np.random.default_rng(seed)
+    acc = _Accumulator(limit=limit)
+    for size in rng.integers(0, 300, size=30):
+        w = rng.choice([0.5, 1.0, 3.0, 40.0], size=size) * rng.uniform(0.5, 2.0, size=size)
+        f = np.full(size, 0.1) if constant else rng.normal(2.0, 1.0, size=size)
+        acc.add_chunk(w, f)
+        for k in (2, 7, 32):
+            got = acc.batch_means(k)
+            if got is None:
+                assert acc.n < k
+                continue
+            want = full_cut(acc, k)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            if constant:
+                assert np.all(got[0] == 0.1)
+    assert (acc.unit is None) == (limit > acc.n)
 
 
 def test_verdict_rules_and_monotonicity():

@@ -662,6 +662,88 @@ def test_bus_by_bus_equals_the_event_loop(case, seed):
     assert (late > 0, on_time > 0) == (case == "late-bus-timetable", m.cfg.timetable)
 
 
+# the ORACLE_CASES models a simulator runs bus by bus
+BY_BUS_ORACLES = [case for case, (make, _) in ORACLE_CASES.items() if Simulator(make()).by_bus]
+
+
+def block_walks(monkeypatch) -> list[tuple[int, int]]:
+    """Spy on the scalar recursion of the bus-by-bus path: for each walk,
+    (the terminus entries it walked past, each reached late, and the
+    terminus entries of the block before its start)."""
+    walks = []
+    walk = simulate._walk
+
+    def spy(t, values, terminus, g, p):
+        out = walk(t, values, terminus, g, p)
+        stops = [k for k in range(1, len(values)) if terminus[(g + k - 1) % len(terminus)]]
+        walks.append((sum(p <= k < p + len(out) for k in stops), sum(k < p for k in stops)))
+        return out
+    monkeypatch.setattr(simulate, "_walk", spy)
+    return walks
+
+
+@pytest.mark.parametrize("laps", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+@pytest.mark.parametrize("case", BY_BUS_ORACLES)
+def test_block_size_changes_no_departure(monkeypatch, case, laps):
+    # a bus draws whole laps a block at a time and speculates that it
+    # leaves every terminus on its slot; wherever the blocks end and runs
+    # are cut, and wherever the repair takes over, the departures and the
+    # state are the event loop's
+    m = ORACLE_CASES[case][0]()
+    held = dataclasses.replace(m, cfg=dataclasses.replace(m.cfg, holding_threshold=0.0))
+    loop = Simulator(held, seed=7)
+    end = 250 * m.r
+    want = rows(loop.run(until_time=end))
+    walks = block_walks(monkeypatch)
+    if laps is not None:
+        monkeypatch.setattr(simulate, "_AHEAD_LAPS", laps)
+    cut, whole = Simulator(m, seed=7), Simulator(m, seed=7)
+    ends = [0.3 * m.r, 1.7 * m.r, 2.0 * m.r, 5.5 * m.r, 40 * m.r, 41 * m.r, end]
+    assert [row for e in ends for row in rows(cut.run(until_time=e))] == want
+    assert rows(whole.run(until_time=end)) == want
+    assert min(loop.lap) > 200
+    for sim in (cut, whole):
+        assert (sim.pending, sim.patch, sim.lap, sim.t, sim.events_processed) == (
+            loop.pending, loop.patch, loop.lap, loop.t, loop.events_processed)
+    late_at_first = any(passed and not before for passed, before in walks)
+    carried = any(passed >= 2 for passed, _ in walks)
+    repaired = any(passed and before for passed, before in walks)
+    if case == "late-bus-timetable":
+        # late at a block's first terminus column (walked on from the
+        # head), late at a later one (the repair of the speculated times),
+        # and still late at the terminus after it
+        assert late_at_first and repaired and carried
+    else:
+        assert not (late_at_first or repaired or carried)
+
+
+@pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("overrides", [{}, dict(timetable=False), dict(holding_threshold=0.0),
+                                       dict(speedmod_threshold=0.15)],
+                         ids=["by-bus", "by-bus-untimetabled", "event-loop", "phased"])
+def test_a_run_to_a_non_finite_end_raises(overrides, end):
+    # no run can process every departure: the check comes before the first
+    # one, so nothing runs and nothing is drawn
+    sim = Simulator(airlink_model(n_buses=2, **overrides), seed=3)
+    pending = list(sim.pending)
+    with pytest.raises(SimError, match="finite"):
+        sim.run(until_time=end)
+    assert (sim.events_processed, sim.pending) == (0, pending)
+
+
+@pytest.mark.parametrize("holding", [None, 0.0], ids=["by-bus", "event-loop"])
+def test_a_stalled_fleet_raises_at_a_finite_end(holding):
+    # a rate so small that 1 / rate overflows: every sojourn in patch 1 is
+    # infinite, so no bus ever departs
+    pm = PatchModel([ErlangParams(2, 1e-310), ErlangParams(2, 0.1)])
+    m = build_model(pm, SimConfig(n_buses=2, timetable=False, init="terminus",
+                                  holding_threshold=holding))
+    sim = Simulator(m, seed=1)
+    assert sim.by_bus == (holding is None)
+    with pytest.raises(SimError, match="stalled"):
+        sim.run(until_time=1000.0)
+
+
 @pytest.mark.parametrize("block", [(1, 1), (3, 7), None], ids=["1-1", "3-7", "default"])
 @pytest.mark.parametrize("case", ["airlink-speedmod-holding", "hyper-erlang-phased-speedmod"])
 def test_block_schedule_changes_no_draw(monkeypatch, case, block):
@@ -780,7 +862,7 @@ def _hyper_model(speedmod_threshold):
 def test_simulator_is_freed_without_the_cyclic_collector(make, speedmod):
     # the patch entry and the settling loop bind the simulator's lists and
     # generators, not the simulator, and the bus-by-bus path keeps its
-    # drawn-ahead times in plain lists, so dropping the last reference frees
+    # drawn-ahead times in arrays, so dropping the last reference frees
     # the simulator at once
     sim = Simulator(make(speedmod), seed=3)
     assert len(sim.run(until_time=20_000.0)) > 0
