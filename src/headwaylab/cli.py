@@ -80,8 +80,15 @@ def _graph_flags(p):
     p.add_argument("--split-divisor", type=float, default=1.0)
 
 
+def _radius(text: str) -> float:
+    radius = float(text)
+    if not (math.isfinite(radius) and radius > 0):  # no point snaps within a radius of 0
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return radius
+
+
 def _route_flags(p):
-    p.add_argument("--rejection-radius", type=float,
+    p.add_argument("--rejection-radius", type=_radius,
                    help="snapping radius; required by `route`, `pipeline` defaults to 3 cells")
     p.add_argument("--termini", default="dwell", choices=["dwell", "extremes"])
 
@@ -112,21 +119,22 @@ def _sim_flags(p):
     p.add_argument("--init", default="uniform", choices=["uniform", "terminus"])
 
 
-def _horizon(text: str) -> float:
+def _seconds(text: str) -> float:
     seconds = float(text)
-    if not (math.isfinite(seconds) and seconds >= 0):  # a run to infinity never returns
+    # a run to an infinite horizon never returns, and no sample passes an infinite warm-up
+    if not (math.isfinite(seconds) and seconds >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return seconds
 
 
 def _simulate_flags(p):
-    p.add_argument("--horizon", type=_horizon, default=50000.0, help="simulated seconds")
+    p.add_argument("--horizon", type=_seconds, default=50000.0, help="simulated seconds")
 
 
 def _check_flags(p):
     p.add_argument("--properties", help="property file; default: EWT/EVWT/BPH per patch")
     p.add_argument("--patches-list", help="patch indices for the default properties")
-    p.add_argument("--warmup", type=float)
+    p.add_argument("--warmup", type=_seconds, help="simulated seconds before sampling; default 10 r")
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--rel-halfwidth", type=float, default=0.10)
     p.add_argument("--budget", type=float, default=300.0, help="wall-clock seconds per assertion")

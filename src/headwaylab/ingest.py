@@ -82,15 +82,23 @@ class TimeWindow:
             raise IngestError("require 0 <= daily_start < daily_end <= 86400")
 
 
+def _whole_seconds(seconds: float) -> int:
+    """Truncate a time in [0, 2**53) to whole seconds; raise ValueError for
+    any other value, so that no time in (-1, 0) truncates to 0."""
+    if not 0 <= seconds < 2**53:
+        raise ValueError(f"time {seconds} outside [0, 2**53)")
+    return int(seconds)
+
+
 def _parse_unix(tok: str) -> int:
-    return int(float(tok))
+    return _whole_seconds(float(tok))
 
 
 def _parse_iso8601(tok: str) -> int:
     dt = datetime.fromisoformat(tok)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return _whole_seconds(dt.timestamp())
 
 
 TIME_HOOKS: dict[str, Callable[[str], int]] = {

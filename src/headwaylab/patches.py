@@ -93,10 +93,11 @@ def _terminus_far_nodes(rm) -> dict[int, tuple[float, float]]:
 def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     """Route-completion fraction for every raw measurement.
 
-    Each vehicle trace is snapped with batched KD-tree queries
-    (`snap_columns`, one query per record per call); the plain snap and
-    both directions' restricted snaps and fractions are picks among those
-    candidates, so what follows works on the vehicle's arrays.
+    Each vehicle trace is snapped in batches through the grid cells of
+    the `EdgeIndex` (`snap_columns`, one cell lookup per record per call);
+    the plain snap and both directions' restricted snaps and fractions are
+    picks among those candidates, so what follows works on the vehicle's
+    arrays.
 
     Direction state starts undefined and records before a vehicle's first
     terminus-edge visit are skipped.  A terminus run is a maximal run of

@@ -516,6 +516,9 @@ class EstimatorConfig:
             seconds = getattr(self, name)
             if seconds is not None and not seconds >= 0:  # NaN too
                 raise PropertyError(f"{name} must be >= 0, got {seconds}")
+        # no sample passes an infinite warm-up; an infinite max_sim_time is no cap
+        if self.warmup_time == math.inf:
+            raise PropertyError("warmup_time must be finite, got inf")
 
 
 @dataclass

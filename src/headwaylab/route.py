@@ -7,15 +7,18 @@ stitched through the graph where the sampling interval skips edges.  A point
 then maps to a route-completion fraction in [0, 1): cumulative offset of its
 snapped edge plus the along-edge projection, divided by the full loop length.
 
-Snapping is batched: `EdgeIndex.candidates` makes one KD-tree query for a
-batch of points (a vehicle trace, in chunks of at most `EdgeIndex.batch`)
-and projects every point onto the edges owning its k nearest samples in
-numpy.  Each pass over the records (route derivation, each
-`compute_fractions` call) snaps a record with that one query; the plain and
-the direction-restricted snaps are picks among the same candidates
-(`snap_columns`).  The passes then work on each vehicle's arrays: route
-derivation sums the dwell of all records with one `np.bincount` and walks
-only the vehicle's edge stream with consecutive repeats dropped.
+A record snaps to the nearest edge within the rejection radius, the lowest
+edge id on a tie, and is unmatched when no edge lies within the radius.
+Snapping is batched: `EdgeIndex.candidates` looks up the grid cell of each
+point of a batch (a vehicle trace, in chunks of at most `EdgeIndex.batch`)
+and projects the point onto every edge its cell lists, a superset of the
+edges within the radius, in numpy.  Each pass over the records (route
+derivation, each `compute_fractions` call) snaps a record with that one
+lookup; the plain and the direction-restricted snaps are picks among the
+same candidates (`snap_columns`).  The passes then work on each vehicle's
+arrays: route derivation sums the dwell of all records with one
+`np.bincount` and walks only the vehicle's edge stream with consecutive
+repeats dropped.
 """
 
 from __future__ import annotations
@@ -66,71 +69,125 @@ class RouteModel:
         return sum(e.length for e in self.directions[d])
 
 
-class EdgeIndex:
-    """Nearest-edge lookup via a KD-tree over densified edge samples.
+# The cell side is at least the graph's extent over this many cells, so the
+# grid stays bounded however small the rejection radius is.
+_GRID_CELLS = 4096
 
-    Every lookup goes through `candidates`: one KD-tree query for a batch of
-    points, then a numpy projection of each point onto the edges owning its
-    k nearest samples.  Edge geometry is held in arrays by the edge's
+
+class EdgeIndex:
+    """Nearest-edge lookup through a sparse grid of square cells.
+
+    The cell side is the rejection radius, or more when the radius is small
+    against the graph (`_GRID_CELLS`).  Each stored cell lists, in ascending
+    edge id, every edge within `reach` of the cell's centre: the radius plus
+    half the cell diagonal, so the list holds every edge within the radius of
+    any point in the cell.  Only cells within reach of some edge are stored,
+    under sorted keys counted from the corner of the graph's bounding box
+    widened by `reach`.  Edge geometry is held in arrays by the edge's
     position among the sorted edge ids, so edge ids need not be small, dense
     or non-negative."""
 
     batch = 8192  # points per `candidates` call in `batches`
 
-    def __init__(self, graph: RouteGraph, sample_step: float):
-        from scipy.spatial import cKDTree
-
+    def __init__(self, graph: RouteGraph, rejection_radius: float):
+        radius = float(rejection_radius)
+        if not (math.isfinite(radius) and radius > 0):
+            raise RouteError(f"rejection radius must be finite and > 0, got {rejection_radius}")
         self.graph = graph
         ids = _edge_ids(graph)
-        self._ax, self._ay, self._dx, self._dy, self._len = np.zeros((5, len(ids)))
-        pts = []
-        owners = []
-        positions = []
-        for pos, eid in enumerate(ids.tolist()):
-            a, b, ln = graph.edges[eid]
-            pa, pb = graph.nodes[a], graph.nodes[b]
-            self._ax[pos], self._ay[pos] = pa
-            self._dx[pos], self._dy[pos] = pb[0] - pa[0], pb[1] - pa[1]
-            self._len[pos] = ln
-            n = max(1, int(math.ceil(ln / sample_step)))
-            for k in range(n + 1):
-                t = k / n
-                pts.append((pa[0] + (pb[0] - pa[0]) * t, pa[1] + (pb[1] - pa[1]) * t))
-                owners.append(eid)
-                positions.append(pos)
-        self.tree = cKDTree(np.asarray(pts))
-        self.owners = np.asarray(owners)
-        self._owner_pos = np.asarray(positions)
+        ends = np.array([graph.nodes[n] for eid in ids.tolist() for n in graph.edges[eid][:2]],
+                        dtype=np.float64).reshape(len(ids), 2, 2)
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        # one more slot, the padding of short rows, whose distance is inf
+        self._ids = np.append(ids, ids[-1] if len(ids) else 0)
+        self._ax, self._ay, self._dx, self._dy = (np.append(col, 0.0) for col in (*a.T, *d.T))
+        self._len = np.append([graph.edges[eid][2] for eid in ids.tolist()], 0.0)
 
-    def candidates(self, points, k: int = 6):
-        """Project each of N points onto the edges owning its k nearest
-        samples (k capped at the sample count).  Returns (edge, along, dist)
-        arrays of shape (N, k), columns in nearest-sample order; an edge that
-        owns several of the samples repeats."""
+        geo_len = np.hypot(d[:, 0], d[:, 1])
+        corners = ends.reshape(-1, 2) if len(ids) else np.zeros((1, 2))
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        magnitude = float(np.abs(corners).max())
+        extent = max(float(geo_len.sum()), *(hi - lo).tolist())
+        # cells far below the coordinates' float spacing would be lost in rounding
+        side = max(radius, extent / _GRID_CELLS, magnitude * 2.0 ** -20)
+        # the slack covers rounding in the cell of a point and in its distances
+        reach = radius + side * math.sqrt(0.5) + (magnitude + radius + side) * 2.0 ** -36
+        self._side, self._origin = side, lo - reach
+        self._shape = np.floor((hi + reach - self._origin) / side).astype(np.int64) + 1
+        self._keys, self._rows = self._cells(a, d, geo_len, reach)
+
+    def _cells(self, a, d, geo_len, reach):
+        """The sorted keys of the stored cells and, per key, the positions of
+        the edges within reach of the cell's centre in ascending order,
+        padded with the padding slot; then the largest int64 as a key that
+        no point has, with an all-padding row."""
+        n_edges, side = len(a), self._side
+        # pieces of at most one side, so each piece's neighbourhood is a few cells
+        pieces = np.maximum(1, np.ceil(geo_len / side)).astype(np.int64)
+        pos = np.repeat(np.arange(n_edges), pieces)
+        t0 = (np.arange(len(pos)) - np.repeat(np.cumsum(pieces) - pieces, pieces)) / pieces[pos]
+        p0 = a[pos] + d[pos] * t0[:, None]
+        p1 = a[pos] + d[pos] * (t0 + 1.0 / pieces[pos])[:, None]
+        lo = np.floor((np.minimum(p0, p1) - reach - self._origin) / side).astype(np.int64)
+        hi = np.floor((np.maximum(p0, p1) + reach - self._origin) / side).astype(np.int64)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, self._shape - 1)
+        width = int((hi - lo).max(initial=0)) + 1
+        ix = lo[:, :1] + np.tile(np.arange(width), width)  # (pieces, width**2)
+        iy = lo[:, 1:] + np.repeat(np.arange(width), width)
+        ok = (ix <= hi[:, :1]) & (iy <= hi[:, 1:])
+        # each cell centre's distance to the whole edge, not just the piece
+        dx, dy = d[pos, :1], d[pos, 1:]
+        cx = self._origin[0] + (ix + 0.5) * side - a[pos, :1]
+        cy = self._origin[1] + (iy + 0.5) * side - a[pos, 1:]
+        l2 = dx * dx + dy * dy
+        t = np.divide(cx * dx + cy * dy, l2, out=np.zeros_like(cx), where=l2 > 0)
+        t = np.clip(t, 0.0, 1.0)
+        ok &= np.hypot(cx - dx * t, cy - dy * t) <= reach
+        stride = max(n_edges, 1)
+        cell = (iy * self._shape[0] + ix)[ok]
+        pairs = np.unique(cell * stride + np.broadcast_to(pos[:, None], ok.shape)[ok])
+        key, edge_pos = np.divmod(pairs, stride)
+        starts = run_starts(key)
+        counts = np.diff(np.append(starts, len(key)))
+        rows = np.full((len(starts) + 1, max(1, int(counts.max(initial=0)))), n_edges)
+        slot = np.arange(len(key)) - np.repeat(starts, counts)
+        rows[np.repeat(np.arange(len(starts)), counts), slot] = edge_pos
+        return np.append(key[starts], np.iinfo(np.int64).max), rows
+
+    def candidates(self, points):
+        """Project each of N points onto the edges listed in its cell.
+        Returns (edge, along, dist) arrays of shape (N, M), M the longest
+        cell row, each row's edges in ascending id; a point outside every
+        stored cell, and every padding slot, has dist inf.  The edges within
+        the rejection radius of a point are always among its candidates."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        k = min(k, self.owners.size)
-        _, idx = self.tree.query(pts, k=k)
-        idx = idx.reshape(len(pts), k)
-        pos = self._owner_pos[idx]
+        col = np.floor((pts - self._origin) / self._side)
+        inside = ((col >= 0) & (col < self._shape)).all(axis=1)  # NaN is outside
+        col = np.where(inside[:, None], col, 0).astype(np.int64)
+        key = col[:, 1] * self._shape[0] + col[:, 0]
+        row = np.searchsorted(self._keys, key)
+        pos = self._rows[np.where(inside & (self._keys[row] == key), row, len(self._keys) - 1)]
         x, y = pts[:, :1], pts[:, 1:]
         ax, ay, dx, dy, ln = (tbl[pos] for tbl in (self._ax, self._ay, self._dx, self._dy, self._len))
         t = np.divide((x - ax) * dx + (y - ay) * dy, ln * ln,
                       out=np.zeros_like(ln), where=ln != 0)
         t = np.clip(t, 0.0, 1.0)
-        return self.owners[idx], t * ln, np.hypot(x - (ax + dx * t), y - (ay + dy * t))
+        dist = np.hypot(x - (ax + dx * t), y - (ay + dy * t))
+        dist[pos == len(self._ids) - 1] = math.inf
+        return self._ids[pos], t * ln, dist
 
-    def batches(self, points, k: int = 6):
+    def batches(self, points):
         """`candidates` of successive chunks of at most `batch` points, so the
-        (chunk, k) arrays stay bounded however long a vehicle trace is."""
+        (chunk, M) arrays stay bounded however long a vehicle trace is."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         for start in range(0, len(pts), self.batch):
-            yield self.candidates(pts[start:start + self.batch], k)
+            yield self.candidates(pts[start:start + self.batch])
 
-    def snap(self, x: float, y: float, k: int = 6, restrict: set[int] | None = None):
-        """Return (edge_id, along_distance, distance) of the best projection
-        among the edges owning the k nearest samples, or None when restrict
-        excludes all of them."""
-        edge, along, dist = self.candidates([(x, y)], k)
+    def snap(self, x: float, y: float, restrict: set[int] | None = None):
+        """Return (edge_id, along_distance, distance) of the nearest edge
+        among the point's candidates (the lowest id on a tie), or None when
+        none is a candidate or restrict excludes all of them."""
+        edge, along, dist = self.candidates([(x, y)])
         keep = None if restrict is None else np.isin(edge, list(restrict))
         edge, along, dist = best_candidate(edge, along, dist, keep)
         if dist[0] == math.inf:
@@ -139,8 +196,10 @@ class EdgeIndex:
 
 
 def snap_index(graph: RouteGraph, rejection_radius: float) -> EdgeIndex:
-    """The EdgeIndex the route stages snap with: a sample every half radius."""
-    return EdgeIndex(graph, sample_step=max(rejection_radius / 2, 1e-9))
+    """The EdgeIndex the route stages snap with: its cell table is built
+    here, once for the graph and radius.  Raises RouteError unless the
+    radius is finite and > 0."""
+    return EdgeIndex(graph, rejection_radius)
 
 
 def _edge_ids(graph: RouteGraph) -> np.ndarray:

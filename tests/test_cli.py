@@ -193,6 +193,32 @@ def test_cli_import_and_a_simulation_load_no_scipy():
     assert done.stdout == "[]\n"
 
 
+SNAP_WITHOUT_SCIPY_SPATIAL = """
+import sys
+import numpy as np
+from headwaylab import graphs, patches, raster, route, synthetic
+ts = synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=3, seed=3)
+heat = raster.rasterize_heatmap(ts, resolution=300, delta=0.0)
+blur = raster.gaussian_blur(heat, 1.0)
+eta = float(np.percentile(blur.intensity[blur.intensity > 0], 90)) / 40
+g = graphs.build_graph(raster.skeletonize(blur, tau=0.3, eta=eta), epsilon=2.0)
+rm = route.derive_route_model(g, ts, rejection_radius=3 * heat.cell_size)
+rows, unmatched = patches.compute_fractions(ts, rm)
+assert rows and unmatched < len(ts)
+print(sorted(m for m in sys.modules if m == "scipy.spatial" or m.startswith("scipy.spatial.")))
+"""
+
+
+def test_snapping_loads_no_scipy_spatial():
+    # records snap through the EdgeIndex's own grid cells, with no KD-tree
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run([sys.executable, "-c", SNAP_WITHOUT_SCIPY_SPATIAL], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(tests.parent / "src")},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text("patch 1 erlang 4 0.01\n")
@@ -273,6 +299,29 @@ def test_a_horizon_that_is_not_finite_and_non_negative_is_a_usage_error(
     assert exc.value.code == 2
     assert "argument --horizon: must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "events.tsv").exists()
+
+
+@pytest.mark.parametrize("radius", ["0", "-2", "nan", "inf"])
+def test_a_rejection_radius_that_is_not_finite_and_positive_is_a_usage_error(
+        tmp_path, capsys, seed3_csv, radius):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", str(seed3_csv), "--out", str(tmp_path), *SEED3_FLAGS["skeleton"],
+              f"--rejection-radius={radius}"])
+    assert exc.value.code == 2
+    assert "argument --rejection-radius: must be finite and > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("warmup", ["inf", "nan", "-1"])
+def test_a_warmup_that_is_not_finite_and_non_negative_is_a_usage_error(tmp_path, capsys, warmup):
+    # no sample passes an infinite warm-up, so the check would run to its budget
+    argv = three_patch_run(tmp_path)
+    argv[0] = "check"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--warmup={warmup}"])
+    assert exc.value.code == 2
+    assert "argument --warmup: must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "results.tsv").exists()
 
 
 SEED3_FLAGS = {  # subcommand -> its flags in the runs below; `pipeline` takes them all

@@ -151,6 +151,16 @@ def test_time_beyond_exact_float_range_rejected():
     assert ingest.serialize(ts) == f"a,0.0,0.0,{2**53 - 1}\n"
 
 
+def test_time_between_minus_one_and_zero_rejected_not_truncated():
+    # int() truncates toward zero, so these would read as t = 0 and as its duplicate
+    ts, report = parse(["a,0,0,-0.5", "a,1,0,-0.9", "a,2,0,-0.0", "a,3,0,0.5", "a,4,0,nan"])
+    assert report.rows_rejected == 3 and report.duplicates_dropped == 1
+    assert ts.traces["a"].tolist() == [[0.0, 3.0, 0.0]]
+    iso = ColumnSchema(time_format="iso8601")
+    ts, report = parse(["a,0,0,1969-12-31T23:59:59.5+00:00", "a,1,0,1970-01-01T00:00:00.5+00:00"], iso)
+    assert report.rows_rejected == 1 and ts.traces["a"].tolist() == [[0.0, 1.0, 0.0]]
+
+
 def per_record_window(ts: TraceSet, window: TimeWindow, tz_offset: int = 0) -> dict:
     """The per-record window loop filter_window replaced, as the oracle: each
     record is kept when its local second-of-day lies in [daily_start,

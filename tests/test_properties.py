@@ -472,6 +472,13 @@ def test_estimator_config_needs_non_negative_times(field, seconds):
     assert getattr(EstimatorConfig(**{field: 0.0}), field) == 0.0
 
 
+def test_estimator_config_needs_a_finite_warmup():
+    # no sample passes an infinite warm-up; an infinite max_sim_time is no cap
+    with pytest.raises(PropertyError, match="warmup_time must be finite"):
+        EstimatorConfig(warmup_time=math.inf)
+    assert EstimatorConfig(max_sim_time=math.inf).max_sim_time == math.inf
+
+
 def test_estimate_repeats_bit_for_bit():
     # stops at the half-width target, so the t quantile sets where it stops;
     # recorded from the bus's own stream on the bus-by-bus path

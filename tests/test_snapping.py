@@ -1,62 +1,88 @@
-"""Batched snapping against a scalar per-point reference.
+"""Batched snapping against a brute-force reference.
 
-The reference below is the per-point projection loop: one KD-tree query per
-point, the owners of its k nearest samples in nearest-sample order, each
-projected with plain float arithmetic, and the first strictly smaller
-distance kept.  The production path (`EdgeIndex.candidates`) must pick the
-same edge with the same along-distance for every record.
+The reference projects a point onto every edge of the graph, with the same
+float arithmetic as `EdgeIndex.candidates`, and keeps the least distance,
+the lowest edge id on a tie; a point with no edge within the rejection
+radius is unmatched.  The production path (the cell lookup of
+`EdgeIndex.candidates`) must pick the same edge with the same
+along-distance and distance for every record within the radius.
 """
 
 import math
+import time
 from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headwaylab import graphs, patches, raster, route, synthetic
 from headwaylab.graphs import RouteGraph
 from headwaylab.ingest import GAP_SECONDS, TraceSet
-from headwaylab.route import (DirectedEdge, EdgeIndex, RouteModel, UnmatchedMeasurement,
-                              best_candidate, route_completion)
+from headwaylab.route import (DirectedEdge, EdgeIndex, RouteError, RouteModel,
+                              UnmatchedMeasurement, best_candidate, route_completion,
+                              snap_index)
 
 
-# --- scalar reference ------------------------------------------------------
+# --- brute-force reference -------------------------------------------------
 
-def ref_project(graph, eid, x, y):
-    a, b, ln = graph.edges[eid]
-    pa, pb = graph.nodes[a], graph.nodes[b]
-    dx, dy = pb[0] - pa[0], pb[1] - pa[1]
-    t = 0.0 if ln == 0 else ((x - pa[0]) * dx + (y - pa[1]) * dy) / (ln * ln)
-    t = min(1.0, max(0.0, t))
-    px, py = pa[0] + dx * t, pa[1] + dy * t
-    return t * ln, math.hypot(x - px, y - py)
+def ref_project_all(graph, points):
+    """Every point projected onto every edge: the edge ids in ascending
+    order, and along-distance and distance arrays of shape (N, edges)."""
+    ids = sorted(graph.edges)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    a = np.array([graph.nodes[graph.edges[e][0]] for e in ids], dtype=np.float64).reshape(-1, 2)
+    b = np.array([graph.nodes[graph.edges[e][1]] for e in ids], dtype=np.float64).reshape(-1, 2)
+    ln = np.array([graph.edges[e][2] for e in ids], dtype=np.float64)
+    x, y = pts[:, :1], pts[:, 1:]
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = ((x - a[:, 0]) * dx + (y - a[:, 1]) * dy) / (ln * ln)
+    t = np.clip(np.where(ln == 0, 0.0, t), 0.0, 1.0)
+    return ids, t * ln, np.hypot(x - (a[:, 0] + dx * t), y - (a[:, 1] + dy * t))
 
 
-def ref_snap(index, x, y, k=6, restrict=None):
-    _, idx = index.tree.query((x, y), k=k)
-    best = None
-    for eid in dict.fromkeys(index.owners[np.atleast_1d(idx)]):
-        if restrict is not None and eid not in restrict:
+def ref_snaps(graph, radius, points, restrict=None):
+    """Per point, (edge_id, along, dist) of the nearest edge in restrict
+    (every edge when None) within radius, the lowest id on a tie, or None."""
+    ids, along, dist = ref_project_all(graph, points)
+    out = []
+    for a_row, d_row in zip(along.tolist(), dist.tolist()):
+        best = None
+        for eid, a, d in zip(ids, a_row, d_row):
+            if d <= radius and (restrict is None or eid in restrict) and (best is None or d < best[2]):
+                best = (eid, a, d)
+        out.append(best)
+    return out
+
+
+def ref_snap(graph, radius, x, y, restrict=None):
+    return ref_snaps(graph, radius, [(x, y)], restrict)[0]
+
+
+def ref_completions(rm, points, d):
+    """The route-completion fraction of each point in direction d, or None
+    when no edge of the direction lies within the rejection radius."""
+    seq = rm.directions[d]
+    out = []
+    for hit in ref_snaps(rm.graph, rm.rejection_radius, points, {e.edge_id for e in seq}):
+        if hit is None:
+            out.append(None)
             continue
-        along, dist = ref_project(index.graph, int(eid), x, y)
-        if best is None or dist < best[2]:
-            best = (int(eid), along, dist)
-    return best
+        eid, along, _ = hit
+        de = next(de for de in seq if de.edge_id == eid)
+        within = along if de.forward else de.length - along
+        out.append(min((de.start_offset + within) / rm.loop_length, math.nextafter(1.0, 0.0)))
+    return out
 
 
-def ref_completion(rm, index, x, y, last_terminus):
-    seq = rm.directions[0 if last_terminus == rm.termini[0] else 1]
-    hit = ref_snap(index, x, y, restrict={e.edge_id for e in seq})
-    if hit is None or hit[2] > rm.rejection_radius:
-        return None
-    eid, along, _ = hit
-    de = next(de for de in seq if de.edge_id == eid)
-    within = along if de.forward else de.length - along
-    return min((de.start_offset + within) / rm.loop_length, math.nextafter(1.0, 0.0))
+def ref_completion(rm, x, y, last_terminus):
+    return ref_completions(rm, [(x, y)], 0 if last_terminus == rm.termini[0] else 1)[0]
 
 
-def ref_fractions(ts, rm, index):
+def ref_fractions(ts, rm):
     """compute_fractions with every snap made by ref_snap, point by point."""
     term_a, term_b = rm.termini
     far_nodes = patches._terminus_far_nodes(rm)
@@ -64,15 +90,15 @@ def ref_fractions(ts, rm, index):
 
     def completion(x, y, term):
         nonlocal unmatched
-        frac = ref_completion(rm, index, x, y, term)
+        frac = ref_completion(rm, x, y, term)
         unmatched += frac is None
         return frac
 
     for vid in ts.vehicles():
         snaps = []
         for t, x, y in ts.traces[vid].tolist():
-            hit = ref_snap(index, x, y)
-            if hit is None or hit[2] > rm.rejection_radius:
+            hit = ref_snap(rm.graph, rm.rejection_radius, x, y)
+            if hit is None:
                 unmatched += 1
                 continue
             snaps.append(((t, x, y), hit[0]))
@@ -109,24 +135,21 @@ def ref_fractions(ts, rm, index):
 
 
 def ref_snap_dwell(index, ts, rejection_radius):
-    """route._snap_dwell as a per-record loop: the dwell summed per edge id
-    in a dict, and each vehicle's edges within the radius, repeats kept."""
+    """route._snap_dwell as a per-record loop over ref_snap: the dwell summed
+    per edge id in a dict, and each vehicle's edges within the radius,
+    repeats kept."""
     dwell = defaultdict(float)
     streams = []
     for vid in ts.vehicles():
         recs = ts.traces[vid].tolist()
-        edges, dists = [], []
-        for cands in index.batches([(x, y) for _, x, y in recs]):
-            edge, _, dist = best_candidate(*cands)
-            edges += edge.tolist()
-            dists += dist.tolist()
+        hits = ref_snaps(index.graph, rejection_radius, [(x, y) for _, x, y in recs])
         kept = []
-        for i, (rec, eid, dist) in enumerate(zip(recs, edges, dists)):
-            if dist > rejection_radius:
+        for i, (rec, hit) in enumerate(zip(recs, hits)):
+            if hit is None:
                 continue
             if i + 1 < len(recs):
-                dwell[eid] += min(recs[i + 1][0] - rec[0], GAP_SECONDS)
-            kept.append(eid)
+                dwell[hit[0]] += min(recs[i + 1][0] - rec[0], GAP_SECONDS)
+            kept.append(hit[0])
         streams.append(kept)
     return np.array([dwell.get(e, 0.0) for e in sorted(index.graph.edges)]), streams
 
@@ -173,7 +196,7 @@ def small_map():
     eta = float(np.percentile(blur.intensity[blur.intensity > 0], 90)) / 40
     g = graphs.build_graph(raster.skeletonize(blur, tau=0.3, eta=eta), epsilon=2.0)
     rm = route.derive_route_model(g, ts, rejection_radius=3 * heat.cell_size)
-    return ts, rm, EdgeIndex(g, sample_step=rm.rejection_radius / 2)
+    return ts, rm, snap_index(g, rm.rejection_radius)
 
 
 def two_way_path(radius=10.0):
@@ -193,16 +216,16 @@ def test_batched_completion_matches_reference_per_record(small_map):
     ts, rm, index = small_map
     points = [(x, y) for vid in ts.vehicles() for _, x, y in ts.traces[vid].tolist()]
     cands = index.candidates(points)
-    for d, term in enumerate(rm.termini):
+    for d in (0, 1):
         frac, matched = route.CompletionTable(rm, d).fractions(*cands)
-        ref = [ref_completion(rm, index, x, y, term) for x, y in points]
+        ref = ref_completions(rm, points, d)
         assert [f if ok else None for f, ok in zip(frac.tolist(), matched.tolist())] == ref
 
 
 def test_compute_fractions_matches_reference(small_map):
     ts, rm, index = small_map
     got, unmatched = fractions(ts, rm, index)
-    want, want_unmatched = ref_fractions(ts, rm, index)
+    want, want_unmatched = ref_fractions(ts, rm)
     assert unmatched == want_unmatched > 0
     assert got == want
 
@@ -221,56 +244,121 @@ def test_derive_route_model_snaps_like_reference(small_map, monkeypatch):
     assert len(picks) == len(ts.vehicles())  # one batch per vehicle trace
     rejected = 0
     for vid, (edge, along, dist) in zip(ts.vehicles(), picks):
-        ref = [ref_snap(index, x, y) for _, x, y in ts.traces[vid].tolist()]
-        assert edge.tolist() == [h[0] for h in ref]
-        assert along.tolist() == [h[1] for h in ref]
-        far = [d > rm.rejection_radius for d in dist.tolist()]
-        assert far == [h[2] > rm.rejection_radius for h in ref]
-        rejected += sum(far)
+        ref = ref_snaps(rm.graph, rm.rejection_radius, [(x, y) for _, x, y in ts.traces[vid].tolist()])
+        within = dist <= rm.rejection_radius
+        assert within.tolist() == [h is not None for h in ref]
+        assert list(zip(edge[within].tolist(), along[within].tolist(), dist[within].tolist())) == \
+            [h for h in ref if h is not None]
+        rejected += np.count_nonzero(~within)
     assert rejected > 0  # the pushed records
 
 
-def test_equidistant_shared_node_takes_first_candidate_in_kd_order():
+@st.composite
+def snap_cases(draw):
+    """A random graph (shared nodes, coincident nodes, zero-length and
+    parallel edges, ids negative and far apart), shifted by up to 3.5e7,
+    two random direction sequences, a radius, and points: anywhere, on the
+    edges, exactly the radius or just over it from a node, and far away."""
+    shift = draw(st.sampled_from([0.0, 1e6, -3.5e7]))
+    half = st.integers(-12, 12).map(lambda v: v / 2)
+    nodes = draw(st.lists(st.tuples(half, half), min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1)),
+                          min_size=1, max_size=8))
+    ids = draw(st.lists(st.integers(-10**12, 10**12), min_size=len(pairs), max_size=len(pairs),
+                        unique=True))
+    g = RouteGraph()
+    g.nodes = {n: (x + shift, y + shift) for n, (x, y) in enumerate(nodes)}
+    g.edges = {eid: (a, b, math.dist(nodes[a], nodes[b])) for eid, (a, b) in zip(ids, pairs)}
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 2.5, 6.0]))
+
+    points = draw(st.lists(st.tuples(st.floats(-16, 16), st.floats(-16, 16)), max_size=12))
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        u = draw(st.floats(0, 1))
+        points.append((nodes[a][0] + u * (nodes[b][0] - nodes[a][0]),
+                       nodes[a][1] + u * (nodes[b][1] - nodes[a][1])))
+    for n in draw(st.lists(st.integers(0, len(nodes) - 1), max_size=6)):
+        r = radius * draw(st.sampled_from([1.0, 1.0 + 1e-9]))
+        dx, dy = draw(st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]))
+        points.append((nodes[n][0] + dx, nodes[n][1] + dy))
+    points += [(1e3, 1e3), (-40.0, 0.0)]
+    points = [(x + shift, y + shift) for x, y in points]
+
+    directions, offset = [], 0.0
+    for _ in range(2):
+        seq = []
+        for eid in draw(st.lists(st.sampled_from(ids), max_size=5)):
+            seq.append(DirectedEdge(eid, draw(st.booleans()), offset, g.edges[eid][2]))
+            offset += g.edges[eid][2]
+        directions.append(seq)
+    rm = RouteModel(g, (ids[0], ids[-1]), tuple(directions), offset + 1.0, radius)
+    return rm, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(snap_cases())
+def test_candidates_pick_the_nearest_edge_within_the_radius(case):
+    rm, points = case
+    g, radius = rm.graph, rm.rejection_radius
+    cands = snap_index(g, radius).candidates(points)
+    edge, _, dist = cands
+    # every edge within the radius is a candidate, at the reference's distance
+    ids, _, all_dist = ref_project_all(g, points)
+    for i, row in enumerate(all_dist.tolist()):
+        near = {(eid, d) for eid, d in zip(ids, row) if d <= radius}
+        listed = {(e, d) for e, d in zip(edge[i].tolist(), dist[i].tolist()) if d <= radius}
+        assert near == listed
+    edge, along, dist = best_candidate(*cands)
+    ref = ref_snaps(g, radius, points)
+    assert [(e, a, d) if d <= radius else None
+            for e, a, d in zip(edge.tolist(), along.tolist(), dist.tolist())] == ref
+    for d in (0, 1):
+        frac, matched = route.CompletionTable(rm, d).fractions(*cands)
+        assert [f if ok else None for f, ok in zip(frac.tolist(), matched.tolist())] == \
+            ref_completions(rm, points, d)
+
+
+def test_equidistant_edges_snap_to_the_lowest_id():
+    # (10, 3) lies 3 units from the node both edges share; edge 5 runs
+    # parallel to edge 0 between the same nodes
     g = RouteGraph()
     g.nodes = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0)}
-    g.edges = {0: (0, 1, 10.0), 1: (1, 2, 10.0)}
-    index = EdgeIndex(g, sample_step=5.0)
-    assert ref_project(g, 0, 10.0, 3.0)[1] == ref_project(g, 1, 10.0, 3.0)[1] == 3.0  # a true tie
-    _, idx = index.tree.query((10.0, 3.0), k=6)
-    first = int(index.owners[idx[0]])
-    hit = index.snap(10.0, 3.0)
-    assert hit == ref_snap(index, 10.0, 3.0)
-    assert hit[0] == first and hit[2] == 3.0
-    assert hit[1] == (10.0 if first == 0 else 0.0)
+    for right, left in ((0, 1), (1, 0)):
+        g.edges = {left: (0, 1, 10.0), right: (1, 2, 10.0)}
+        assert ref_snap(g, 5.0, 10.0, 3.0) == (0, 10.0 if left == 0 else 0.0, 3.0)  # a true tie
+        assert snap_index(g, 5.0).snap(10.0, 3.0) == ref_snap(g, 5.0, 10.0, 3.0)
+    g.edges = {5: (1, 0, 10.0), 7: (1, 2, 10.0), 6: (0, 1, 10.0)}
+    assert snap_index(g, 5.0).snap(4.0, -2.0) == (5, 6.0, 2.0) == ref_snap(g, 5.0, 4.0, -2.0)
+    assert snap_index(g, 5.0).snap(4.0, -2.0, restrict={6, 7}) == (6, 4.0, 2.0)
 
 
-def test_restricted_snap_without_direction_candidate_stays_unmatched():
-    # the direction edge lies 8 units away, inside the 10-unit radius, but
-    # the 6 nearest samples all sit on the spur
+def test_restricted_snap_finds_the_direction_edge_behind_a_spur():
+    # (50, 8) lies on the spur and 8 units from the direction edges, inside
+    # the 10-unit radius: restricted to a direction, it snaps to edge 0, the
+    # lower id of the two edges that tie at the node they share
     rm = two_way_path(radius=10.0)
-    index = EdgeIndex(rm.graph, sample_step=1.0)
-    assert index.snap(50.0, 8.0)[0] == 2
-    assert index.snap(50.0, 8.0, restrict={0, 1}) is None
-    assert ref_snap(index, 50.0, 8.0, restrict={0, 1}) is None
-    with pytest.raises(UnmatchedMeasurement):
-        route_completion(rm, (50.0, 8.0), rm.termini[0], index)
+    index = snap_index(rm.graph, rm.rejection_radius)
+    assert index.snap(50.0, 8.0) == (2, 8.0, 0.0)
+    assert index.snap(50.0, 8.0, restrict={0, 1}) == (0, 50.0, 8.0) == \
+        ref_snap(rm.graph, rm.rejection_radius, 50.0, 8.0, restrict={0, 1})
+    assert route_completion(rm, (50.0, 8.0), rm.termini[0], index) == 0.25
+    assert route_completion(rm, (50.0, 8.0), rm.termini[1], index) == 0.75
     ts = TraceSet({"v": [(0, 5.0, 0.0), (10, 30.0, 0.0), (20, 50.0, 8.0), (30, 70.0, 0.0)]})
     rows, unmatched = fractions(ts, rm, index)
-    assert (rows, unmatched) == ref_fractions(ts, rm, index)
-    assert unmatched == 1 and [t for t, *_ in rows["v"]] == [10, 30]
+    assert (rows, unmatched) == ref_fractions(ts, rm)
+    assert unmatched == 0 and rows["v"][1] == (20, 0.25, 50.0, 8.0)
 
 
 def test_vehicles_without_snapped_records_add_only_unmatched():
     # "far" never comes within the radius, "none" has no records and "one"
     # has a single record on a terminus edge, before any direction is known
     rm = two_way_path(radius=10.0)
-    index = EdgeIndex(rm.graph, sample_step=1.0)
+    index = snap_index(rm.graph, rm.rejection_radius)
     ts = TraceSet({"far": [(0, 500.0, 500.0), (10, 510.0, 500.0)],
                    "none": [],
                    "one": [(3, 5.0, 0.0)],
                    "v": [(t, x, 0.0) for t, x in enumerate([5.0, 30.0, 70.0, 95.0, 60.0, 20.0, 3.0])]})
     rows, unmatched = fractions(ts, rm, index)
-    assert (rows, unmatched) == ref_fractions(ts, rm, index)
+    assert (rows, unmatched) == ref_fractions(ts, rm)
     assert list(rows) == ["v"] and unmatched == 2 and type(unmatched) is int
     assert sum(patches.bin_counts(ts, rm, 4).counts) == len(rows["v"])
     dwell, streams = route._snap_dwell(index, ts, rm.rejection_radius)
@@ -279,15 +367,52 @@ def test_vehicles_without_snapped_records_add_only_unmatched():
     assert [s.tolist() for s in streams[:3]] == [[], [], [0]]
 
 
-def test_index_with_fewer_samples_than_k():
+def test_points_in_no_stored_cell_and_padding_slots_are_inf():
+    # cells near (1, 0) list edges 0 and 1, the cells of edge 2 list it alone
     g = RouteGraph()
-    g.nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
-    g.edges = {0: (0, 1, 1.0), 1: (1, 2, 1.0)}
-    index = EdgeIndex(g, sample_step=1.0)
-    assert index.owners.size == 4
-    edge, along, dist = index.snap(0.5, 0.1)
-    assert (edge, along) == (0, 0.5) and dist == pytest.approx(0.1)
-    assert index.candidates([(0.5, 0.1), (1.5, -0.1)])[0].shape == (2, 4)
+    g.nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0), 3: (10.0, 0.0), 4: (11.0, 0.0)}
+    g.edges = {0: (0, 1, 1.0), 1: (1, 2, 1.0), 2: (3, 4, 1.0)}
+    index = snap_index(g, 1.0)
+    edge, along, dist = index.candidates([(1.0, 0.5), (10.5, 0.0), (40.0, 0.0), (math.nan, 0.0)])
+    assert edge.shape == along.shape == dist.shape == (4, index._rows.shape[1])
+    assert edge.shape[1] >= 2
+    assert dist[0].tolist()[:2] == [0.5, 0.5] and edge[0].tolist()[:2] == [0, 1]
+    assert np.isfinite(dist[1]).tolist() == [True] + [False] * (edge.shape[1] - 1)
+    assert np.isinf(dist[2:]).all()
+    assert index.snap(10.5, 0.5) == (2, 0.5, 0.5)
+    assert index.snap(40.0, 0.0) is None
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_radius_that_is_not_finite_and_positive_is_a_route_error(radius):
+    rm = two_way_path()
+    ts = TraceSet({"v": [(0, 5.0, 0.0), (10, 95.0, 0.0)]})
+    with pytest.raises(RouteError, match="rejection radius must be finite and > 0"):
+        snap_index(rm.graph, radius)
+    with pytest.raises(RouteError, match="rejection radius must be finite and > 0"):
+        route.derive_route_model(rm.graph, ts, radius)
+
+
+def test_a_tiny_radius_builds_a_bounded_index_quickly():
+    # the cell side stays at least the graph's extent over _GRID_CELLS, so
+    # the cell count does not grow as the radius shrinks
+    rm = replace(two_way_path(), rejection_radius=1e-12)
+    start = time.perf_counter()
+    index = snap_index(rm.graph, rm.rejection_radius)
+    assert time.perf_counter() - start < 2.0
+    assert len(index._keys) < 16 * route._GRID_CELLS
+    assert index.snap(25.0, 1e-12) == (0, 25.0, 1e-12)
+    assert route_completion(rm, (75.0, 0.0), rm.termini[0], index) == 0.375
+    with pytest.raises(UnmatchedMeasurement):
+        route_completion(rm, (75.0, 1e-11), rm.termini[0], index)
+    # far from the origin the cells stay wider than the coordinates' float spacing
+    far = replace(rm, graph=RouteGraph({n: (x + 1e9, y - 1e9) for n, (x, y) in rm.graph.nodes.items()},
+                                       rm.graph.edges))
+    start = time.perf_counter()
+    index = snap_index(far.graph, far.rejection_radius)
+    assert time.perf_counter() - start < 2.0
+    assert len(index._keys) < 16 * route._GRID_CELLS
+    assert route_completion(far, (1e9 + 75.0, -1e9), far.termini[0], index) == 0.375
 
 
 def relabelled(rm, new_id):
@@ -304,12 +429,13 @@ def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
     odd = relabelled(rm, {0: -7, 1: 10**12, 2: -1})
     ts = TraceSet({"v": [(t, x, y) for t, (x, y) in
                          enumerate([(5, 1), (30, -2), (50, 8), (50, 25), (70, 0), (95, 1), (60, 2), (20, 0)])]})
-    want = fractions(ts, rm, EdgeIndex(rm.graph, sample_step=1.0))
-    index = EdgeIndex(odd.graph, sample_step=1.0)
-    assert fractions(ts, odd, index) == want == ref_fractions(ts, odd, index)
+    want = fractions(ts, rm, snap_index(rm.graph, rm.rejection_radius))
+    index = snap_index(odd.graph, odd.rejection_radius)
+    assert fractions(ts, odd, index) == want == ref_fractions(ts, odd)
     assert want[0]["v"] and want[1] > 0
     assert index.snap(50.0, 25.0) == (-1, 25.0, 0.0)
-    assert index.snap(80.0, 3.0) == ref_snap(index, 80.0, 3.0) and index.snap(80.0, 3.0)[0] == 10**12
+    assert index.snap(80.0, 3.0) == ref_snap(odd.graph, 10.0, 80.0, 3.0)
+    assert index.snap(80.0, 3.0)[0] == 10**12
     assert route_completion(odd, (80.0, 3.0), odd.termini[0], index) == \
         route_completion(rm, (80.0, 3.0), rm.termini[0])
 
@@ -320,9 +446,9 @@ def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
     sizes = []
     real = EdgeIndex.candidates
 
-    def recording(self, points, k=6):
+    def recording(self, points):
         sizes.append(len(points))
-        return real(self, points, k)
+        return real(self, points)
 
     monkeypatch.setattr(EdgeIndex, "batch", 100)
     monkeypatch.setattr(EdgeIndex, "candidates", recording)
