@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifacts import read_lines, write_lines
 from .ingest import distances
-from .route import CompletionTable, EdgeIndex, run_starts, snap_columns, snap_index
+from .route import CompletionTable, EdgeIndex, run_starts, snap_columns
 from .route import route_completion  # noqa: F401  (kept public here; perfbench counts its calls)
 
 
@@ -110,7 +110,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     rest flipping to the outbound one.  Returns (per vehicle with matched
     records, a float64 array of shape (n, 4) with columns t, fraction, x and
     y, one row per matched record in time order; unmatched count)."""
-    index = index or snap_index(rm.graph, rm.rejection_radius)
+    index = index or EdgeIndex(rm.graph, rm.rejection_radius)
     far_nodes = _terminus_far_nodes(rm)
     tables = [CompletionTable(rm, d) for d in (0, 1)]
     out: dict[str, np.ndarray] = {}
@@ -118,9 +118,9 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
 
     for vid in ts.vehicles():
         txy = ts.traces[vid]
-        edge, dist, frac0, ok0, frac1, ok1 = snap_columns(index, txy[:, 1:], tables)
+        pos, dist, frac0, ok0, frac1, ok1 = snap_columns(index, txy[:, 1:], tables)
         snapped = np.flatnonzero(dist <= rm.rejection_radius)
-        d = _directions(edge[snapped], txy[snapped, 1:], rm.termini, far_nodes)
+        d = _directions(index.ids[pos[snapped]], txy[snapped, 1:], rm.termini, far_nodes)
         rec, first = snapped[d >= 0], d[d >= 0] == 0
         ok = np.where(first, ok0[rec], ok1[rec])
         unmatched += len(txy) - len(snapped) + len(ok) - np.count_nonzero(ok)

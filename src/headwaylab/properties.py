@@ -10,9 +10,10 @@ evaluates it with non-overlapping batch means; at each chunk end the run
 stops when the relative 95% confidence half-width has reached the target,
 the simulated time its cap, or the wall-clock time the budget (see
 EstimatorConfig).  Batches carry equal clock weight, so the mean of the
-batch means equals sum(w*F)/sum(w); on long runs the stored units of clock
-weight merge pairwise when full (batch doubling, as in LBATCH and dynamic
-batch means), which bounds memory.
+batch means equals sum(w*F)/sum(w).  The batches are cut from prefix sums
+stored at every stride-th sample; on long runs the stride doubles whenever
+the stored spans reach a limit (as the batch size doubles in LBATCH and
+dynamic batch means), which bounds memory.
 
 The estimator works a chunk at a time, as MultiVeStA evaluates a query over
 a whole run: `Simulator.run` hands it the chunk's departures as columns, and
@@ -512,10 +513,12 @@ class EstimatorConfig:
         if self.chunk_time is not None and not (math.isfinite(self.chunk_time)
                                                 and self.chunk_time > 0):
             raise PropertyError(f"chunk_time must be positive and finite, got {self.chunk_time}")
-        for name in ("warmup_time", "max_sim_time"):
-            seconds = getattr(self, name)
-            if seconds is not None and not seconds >= 0:  # NaN too
-                raise PropertyError(f"{name} must be >= 0, got {seconds}")
+        for name in ("warmup_time", "max_sim_time", "rel_halfwidth_target"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN too
+                raise PropertyError(f"{name} must be >= 0, got {value}")
+        if math.isnan(self.wall_budget):  # the run would never stop
+            raise PropertyError("wall_budget must be a number, got nan")
         # no sample passes an infinite warm-up; an infinite max_sim_time is no cap
         if self.warmup_time == math.inf:
             raise PropertyError("warmup_time must be finite, got inf")
@@ -538,134 +541,91 @@ class EstimateResult:
 
 
 class _Accumulator:
-    """Weighted samples (C increment w, F value f) kept as units of clock
-    weight, each holding the weighted mean of F over its weight.
+    """Weighted samples (C increment w, F value f), kept as running prefix
+    sums thinned to every `stride`-th sample.
 
-    Samples arrive a chunk at a time.  Until `limit` (>= 2) samples have
-    arrived, each sample is its own unit, and the units are float arrays,
-    with the running prefix sums cw of w and cg of w * (f - m[0]) that a cut
-    reads.  A chunk extends them with one cumulative sum continued from the
-    last prefix value, the very additions of a sum over all the samples, and
-    the arrays grow by doubling their capacity, so a chunk costs its own
-    length and a cut O(batches log N).  Then the stream is re-cut into
-    limit/2 units of equal weight, kept in lists, and from there on new
-    samples fill the open unit, a sample straddling a unit edge being split
-    at the edge (exact, as F is constant over the sample).  When the list
-    reaches `limit` full units they merge pairwise, doubling the unit
-    weight, so memory stays bounded on long runs.  Unit means are updated
-    incrementally, m += (w/W)(f - m), so a constant F stays exact."""
+    The rows cw and cg hold the prefix sums of w and of w * (f - ref), ref
+    the first f, at sample 0, at every stride-th sample and at the last one;
+    m holds the mean of F over each span between two entries: at stride 1,
+    each sample is a span and m is its f.  A chunk continues the sums from
+    the last entry with the very additions of a sum over all the samples, so
+    the entries do not depend on the chunking; it costs its own length, and
+    a cut O(batches log N).  Each time `limit` (>= 2) spans are stored, the
+    stride doubles and every other entry is dropped, the last one staying:
+    each span but the last covers `stride` samples, and a merged span's mean
+    is ref + dcg/dcw.  Memory stays bounded, and a constant F stays exact."""
 
     def __init__(self, limit: int = 1 << 20):
-        # w, m, cw and cg of the array mode, each with room to grow; w and m
-        # are views of the first two
-        self._rows: list[np.ndarray] | None = [np.zeros(1) for _ in range(4)]
-        self.w: np.ndarray | list[float] = self._rows[0][:0]
-        self.m: np.ndarray | list[float] = self._rows[1][:0]
-        self.n = 0  # samples added, however they are stored
-        self.unit: float | None = None  # unit weight once re-cut
+        self.rows = [np.zeros(1) for _ in range(3)]  # cw, cg and m, with room to grow
+        self.size = 1  # entries stored: the spans + 1
+        self.n = 0  # samples added
+        self.stride = 1
+        self.ref = 0.0
         self.nonzero_f = False
         self.limit = limit
 
-    def add_chunk(self, w: np.ndarray, f: np.ndarray):
-        """Add the samples (w[k], f[k]) in order, every w[k] > 0: the same
-        units, bit for bit, as adding them one at a time."""
-        if len(w) == 0:
-            return
-        self.n += len(w)
-        if not self.nonzero_f and np.any(f != 0.0):
-            self.nonzero_f = True
-        if self.unit is None:
-            room = self.limit - len(self.w)
-            self._extend(w[:room], f[:room])
-            if len(self.w) < self.limit:
-                return
-            k = self.limit // 2
-            means, total = self._cut(k)
-            self.unit = total / k
-            self.w = [self.unit] * k
-            self.m = means.tolist()
-            self._rows = None
-            w, f = w[room:], f[room:]
-        for wk, fk in zip(w.tolist(), f.tolist()):
-            self._fill(wk, fk)
-
-    def _extend(self, w: np.ndarray, f: np.ndarray):
-        size, end = len(self.w), len(self.w) + len(w)
-        rows = self._rows
-        if end >= len(rows[0]):
-            cap = min(max(2 * len(rows[0]), end + 1), self.limit + 1)
-            self.w = self.m = None  # views that would keep the old arrays alive
+    def _resize(self, size: int) -> list[np.ndarray]:
+        """Resize to `size` entries, keeping the current ones; returns the rows."""
+        rows = self.rows
+        if size > len(rows[0]):
+            cap = min(max(2 * len(rows[0]), size), self.limit + 1)
             for k, row in enumerate(rows):  # one at a time, so one old array is kept
                 rows[k] = np.empty(cap)
-                rows[k][:size + 1] = row[:size + 1]
-        wr, mr, cw, cg = rows
-        wr[size:end] = w
-        mr[size:end] = f
-        cw[size + 1:end + 1] = w
-        np.multiply(w, f - mr[0], out=cg[size + 1:end + 1])
-        for prefix in (cw[size:end + 1], cg[size:end + 1]):
-            np.add.accumulate(prefix, out=prefix)  # on from the last prefix value
-        self.w, self.m = wr[:end], mr[:end]
+                rows[k][:self.size] = row[:self.size]
+        self.size = size
+        return rows
 
-    def _fill(self, w: float, f: float):
-        while True:
-            room = self.unit - self.w[-1]
-            if room <= 0.0:
-                if len(self.w) >= self.limit:
-                    self._double()
-                    continue
-                self.w.append(0.0)
-                self.m.append(f)
-                room = self.unit
-            if w < room:
-                total = self.w[-1] + w
-                self.m[-1] += w / total * (f - self.m[-1])
-                self.w[-1] = total
-                return
-            self.m[-1] += room / self.unit * (f - self.m[-1])
-            self.w[-1] = self.unit
-            w -= room
-            if w <= 0.0:
-                return
+    def add_chunk(self, w: np.ndarray, f: np.ndarray):
+        """Add the samples (w[k], f[k]) in order, every w[k] > 0: the same
+        entries, bit for bit, as adding them one at a time."""
+        if len(w) == 0:
+            return
+        if self.n == 0:
+            self.ref = float(f[0])
+        self.nonzero_f = self.nonzero_f or bool(np.any(f != 0.0))
+        start, self.n, old = self.n, self.n + len(w), self.stride
+        while -(-self.n // self.stride) >= self.limit:  # the spans at this stride
+            self.stride *= 2
+        if self.stride == 1:
+            cw, cg, m = self._resize(self.n + 1)
+            m[start:self.n] = f
+            cw[start + 1:self.n + 1] = w
+            np.multiply(w, f - self.ref, out=cg[start + 1:self.n + 1])
+            for prefix in (cw[start:self.n + 1], cg[start:self.n + 1]):
+                np.add.accumulate(prefix, out=prefix)  # on from the last prefix value
+            return
+        # entries at multiples of the stride and at the last sample: the new
+        # ones counted in samples past `start`, the old ones kept up to it
+        stride, last = self.stride, self.size - 1
+        at = np.arange(stride - start % stride, len(w) + 1, stride)
+        if self.n % stride:
+            at = np.append(at, len(w))
+        kept, step = start // stride + 1, stride // old
+        cw, cg, m = self._resize(kept + len(at))
+        for row, inc in ((cw, w), (cg, w * (f - self.ref))):
+            prefix = np.add.accumulate(np.concatenate((row[last:last + 1], inc)))
+            if step > 1:
+                row[:kept] = row[:kept * step:step]
+            row[kept:self.size] = prefix[at]
+        first = 0 if step > 1 else kept - 1  # the first span that changed
+        m[first:self.size - 1] = self.ref + (np.diff(cg[first:self.size])
+                                             / np.diff(cw[first:self.size]))
 
-    def _double(self):
-        # every unit is full here; an odd last one stays as the open unit
-        w = np.asarray(self.w)
-        m = np.asarray(self.m)
-        p = w.size // 2 * 2
-        w1, w2 = w[0:p:2], w[1:p:2]
-        m1, m2 = m[0:p:2], m[1:p:2]
-        self.m = (m1 + w2 / (w1 + w2) * (m2 - m1)).tolist() + self.m[p:]
-        self.w = (w1 + w2).tolist() + self.w[p:]
-        self.unit *= 2.0
-
-    def _cut(self, k: int):
-        """Means of F over k batches of equal clock weight, cut at exact
-        multiples of total/k; a unit cut by an edge lends its mean to both
-        sides in proportion to its weight on each.  The array mode reads its
-        running prefix sums; the list mode, at most `limit` units, sums its
-        own."""
-        m = np.asarray(self.m)
-        ref = m[0]
-        if self.unit is None:
-            cw, cg = self._rows[2][:m.size + 1], self._rows[3][:m.size + 1]
-        else:
-            w = np.asarray(self.w)
-            cw = np.concatenate([[0.0], np.cumsum(w)])
-            cg = np.concatenate([[0.0], np.cumsum(w * (m - ref))])
+    def batch_means(self, k: int):
+        """(means of F over k batches of equal clock weight, the total clock
+        weight), or None before k samples.  The batches are cut at exact
+        multiples of total/k; a span cut by an edge lends its mean to both
+        sides in proportion to its weight on each, so the mean of the batch
+        means equals sum(w*f)/sum(w)."""
+        if self.n < k:
+            return None
+        cw, cg, m = (row[:self.size] for row in self.rows)
         total = float(cw[-1])
         edges = total * np.arange(k + 1) / k
         edges[-1] = total
-        i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, m.size - 1)
-        g = cg[i] + (edges - cw[i]) * (m[i] - ref)  # integral of (F - ref) up to each edge
-        return ref + np.diff(g) / np.diff(edges), total
-
-    def batch_means(self, batches: int):
-        """(batch means, total clock weight), or None before `batches`
-        samples.  The mean of the batch means equals sum(w*f)/sum(w)."""
-        if self.n < batches:
-            return None
-        return self._cut(batches)
+        i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, self.size - 2)
+        g = cg[i] + (edges - cw[i]) * (m[i] - self.ref)  # integral of (F - ref) up to each edge
+        return self.ref + np.diff(g) / np.diff(edges), total
 
 
 class _History:

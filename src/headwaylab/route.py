@@ -98,8 +98,7 @@ class EdgeIndex:
         ends = np.array([graph.nodes[n] for eid in ids.tolist() for n in graph.edges[eid][:2]],
                         dtype=np.float64).reshape(len(ids), 2, 2)
         a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
-        # one more slot, the padding of short rows, whose distance is inf
-        self._ids = np.append(ids, ids[-1] if len(ids) else 0)
+        self.ids = ids  # edge id by position; position len(ids) pads short rows
         self._ax, self._ay, self._dx, self._dy = (np.append(col, 0.0) for col in (*a.T, *d.T))
         self._len = np.append([graph.edges[eid][2] for eid in ids.tolist()], 0.0)
 
@@ -156,10 +155,12 @@ class EdgeIndex:
 
     def candidates(self, points):
         """Project each of N points onto the edges listed in its cell.
-        Returns (edge, along, dist) arrays of shape (N, M), M the longest
-        cell row, each row's edges in ascending id; a point outside every
-        stored cell, and every padding slot, has dist inf.  The edges within
-        the rejection radius of a point are always among its candidates."""
+        Returns (pos, along, dist) arrays of shape (N, M), M the longest
+        cell row: each candidate edge's position among the sorted edge ids,
+        ascending in each row, its along distance and its distance.  A point
+        outside every stored cell, and every padding slot, has dist inf.  The
+        edges within the rejection radius of a point are always among its
+        candidates."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         col = np.floor((pts - self._origin) / self._side)
         inside = ((col >= 0) & (col < self._shape)).all(axis=1)  # NaN is outside
@@ -173,8 +174,8 @@ class EdgeIndex:
                       out=np.zeros_like(ln), where=ln != 0)
         t = np.clip(t, 0.0, 1.0)
         dist = np.hypot(x - (ax + dx * t), y - (ay + dy * t))
-        dist[pos == len(self._ids) - 1] = math.inf
-        return self._ids[pos], t * ln, dist
+        dist[pos == len(self.ids)] = math.inf
+        return pos, t * ln, dist
 
     def batches(self, points):
         """`candidates` of successive chunks of at most `batch` points, so the
@@ -187,33 +188,28 @@ class EdgeIndex:
         """Return (edge_id, along_distance, distance) of the nearest edge
         among the point's candidates (the lowest id on a tie), or None when
         none is a candidate or restrict excludes all of them."""
-        edge, along, dist = self.candidates([(x, y)])
-        keep = None if restrict is None else np.isin(edge, list(restrict))
-        edge, along, dist = best_candidate(edge, along, dist, keep)
+        pos, along, dist = self.candidates([(x, y)])
+        keep = None
+        if restrict is not None:  # at the positions of the allowed ids
+            keep = np.isin(pos, np.flatnonzero(np.isin(self.ids, list(restrict))))
+        pos, along, dist = best_candidate(pos, along, dist, keep)
         if dist[0] == math.inf:
             return None
-        return int(edge[0]), float(along[0]), float(dist[0])
-
-
-def snap_index(graph: RouteGraph, rejection_radius: float) -> EdgeIndex:
-    """The EdgeIndex the route stages snap with: its cell table is built
-    here, once for the graph and radius.  Raises RouteError unless the
-    radius is finite and > 0."""
-    return EdgeIndex(graph, rejection_radius)
+        return int(self.ids[pos[0]]), float(along[0]), float(dist[0])
 
 
 def _edge_ids(graph: RouteGraph) -> np.ndarray:
     return np.array(sorted(graph.edges), dtype=np.int64)
 
 
-def best_candidate(edge, along, dist, keep=None):
+def best_candidate(pos, along, dist, keep=None):
     """Per row of `EdgeIndex.candidates` output, the first candidate of least
-    distance among those where `keep` is true.  Returns (edge, along, dist)
+    distance among those where `keep` is true.  Returns (pos, along, dist)
     arrays of shape (N,); dist is inf where no candidate is kept."""
     if keep is not None:
         dist = np.where(keep, dist, math.inf)
     j = np.argmin(dist, axis=1)[:, None]
-    return tuple(np.take_along_axis(a, j, axis=1)[:, 0] for a in (edge, along, dist))
+    return tuple(np.take_along_axis(a, j, axis=1)[:, 0] for a in (pos, along, dist))
 
 
 def _dijkstra(graph: RouteGraph, adj, sources) -> tuple[dict[int, float], dict[int, tuple[int, int]]]:
@@ -303,17 +299,18 @@ def run_starts(a: np.ndarray) -> np.ndarray:
 
 def snap_columns(index: EdgeIndex, points, tables=()) -> list[np.ndarray]:
     """Snap a trace's points in `EdgeIndex.batches` chunks.  Returns arrays
-    of shape (N,): the plain snap's edge id and distance, then the fraction
-    and matched flag of each `CompletionTable` in `tables`."""
+    of shape (N,): the plain snap's edge position (as in `EdgeIndex.ids`)
+    and distance, then the fraction and matched flag of each
+    `CompletionTable` in `tables`."""
     chunks = []
     for cands in index.batches(points):
-        edge, _, dist = best_candidate(*cands)
-        picks = [edge, dist]
+        pos, _, dist = best_candidate(*cands)
+        picks = [pos, dist]
         for tbl in tables:
             picks += tbl.fractions(*cands)
         chunks.append(picks)
     if not chunks:
-        return [np.empty(0)] * (2 + 2 * len(tables))
+        return [np.empty(0, dtype=np.int64)] + [np.empty(0)] * (1 + 2 * len(tables))
     return [np.concatenate(col) for col in zip(*chunks)]
 
 
@@ -324,18 +321,18 @@ def _snap_dwell(index: EdgeIndex, ts, rejection_radius: float) -> tuple[np.ndarr
     capped at GAP_SECONDS (a vehicle's last record adds none), added in
     vehicle and record order.  And for each vehicle, the edge ids of those
     records with consecutive repeats dropped."""
-    ids = _edge_ids(index.graph)
     positions, steps, streams = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
     for vid in ts.vehicles():
         txy = ts.traces[vid]
-        edge, dist = snap_columns(index, txy[:, 1:])
+        pos, dist = snap_columns(index, txy[:, 1:])
         within = dist <= rejection_radius
         dwelt = np.flatnonzero(within[:-1])
-        positions.append(np.searchsorted(ids, edge[dwelt]))
+        positions.append(pos[dwelt])
         steps.append(np.minimum(np.diff(txy[:, 0]), GAP_SECONDS)[dwelt])
-        kept = edge[within]
-        streams.append(kept[run_starts(kept)])
-    dwell = np.bincount(np.concatenate(positions), np.concatenate(steps), minlength=len(ids))
+        kept = pos[within]
+        streams.append(index.ids[kept[run_starts(kept)]])
+    dwell = np.bincount(np.concatenate(positions), np.concatenate(steps),
+                        minlength=len(index.ids))
     return dwell, streams
 
 
@@ -370,7 +367,7 @@ def derive_route_model(graph: RouteGraph, ts, rejection_radius: float,
     if len(graph.edges) < 2:
         raise RouteError("graph needs at least 2 edges")
     adj = graph.adjacency()
-    dwell, streams = _snap_dwell(snap_index(graph, rejection_radius), ts, rejection_radius)
+    dwell, streams = _snap_dwell(EdgeIndex(graph, rejection_radius), ts, rejection_radius)
 
     if terminus_mode == "extremes":
         degree = Counter()
@@ -448,15 +445,16 @@ class CompletionTable:
     """Route-completion fractions in one direction: the start offset,
     orientation and length of each direction edge, by the edge's position
     among the sorted graph edge ids as in `EdgeIndex` (the first visit wins
-    if a direction repeats an edge)."""
+    if a direction repeats an edge).  The arrays have one more slot, for
+    `EdgeIndex`'s padding position, which is never a member."""
 
     def __init__(self, rm: RouteModel, d: int):
         self.rm = rm
-        self.ids = _edge_ids(rm.graph)
-        position = {eid: pos for pos, eid in enumerate(self.ids.tolist())}
-        self.member = np.zeros(len(self.ids), dtype=bool)
-        self.forward = np.zeros(len(self.ids), dtype=bool)
-        self.offset, self.length = np.zeros((2, len(self.ids)))
+        ids = _edge_ids(rm.graph).tolist()
+        position = {eid: pos for pos, eid in enumerate(ids)}
+        self.member = np.zeros(len(ids) + 1, dtype=bool)
+        self.forward = np.zeros(len(ids) + 1, dtype=bool)
+        self.offset, self.length = np.zeros((2, len(ids) + 1))
         for de in reversed(rm.directions[d]):
             pos = position.get(de.edge_id)
             if pos is None:
@@ -466,13 +464,12 @@ class CompletionTable:
             self.offset[pos] = de.start_offset
             self.length[pos] = de.length
 
-    def fractions(self, edge, along, dist):
+    def fractions(self, pos, along, dist):
         """Fractions of the points whose `EdgeIndex.candidates` output is
         given, each point snapped to the nearest of its candidate edges that
         belong to this direction.  Returns (fraction, matched) arrays of
         shape (N,); a point is matched when that edge exists and lies within
         the rejection radius."""
-        pos = np.searchsorted(self.ids, edge)
         pos, along, dist = best_candidate(pos, along, dist, self.member[pos])
         within = np.where(self.forward[pos], along, self.length[pos] - along)
         frac = np.minimum((self.offset[pos] + within) / self.rm.loop_length, _BELOW_ONE)
@@ -484,7 +481,7 @@ def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: 
     """Fraction in [0, 1) of the full loop at the given point, travelling in
     the direction that starts at last_terminus."""
     d = 0 if last_terminus == rm.termini[0] else 1
-    index = index or snap_index(rm.graph, rm.rejection_radius)
+    index = index or EdgeIndex(rm.graph, rm.rejection_radius)
     frac, matched = CompletionTable(rm, d).fractions(*index.candidates([point]))
     if not matched[0]:
         raise UnmatchedMeasurement(f"point beyond rejection radius {rm.rejection_radius}")

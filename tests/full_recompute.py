@@ -1,11 +1,13 @@
 """The estimator's between-chunk bookkeeping done the direct way, kept as
-the oracle of `_History.next` and `_Accumulator._cut`.
+the oracle of `_History.next` and `_Accumulator`.
 
 `SortedHistory.next` sorts each chunk: np.unique gives the boundaries, and
 each patch's and each (patch, bus)'s last departure is its first row in the
-reversed chunk.  `full_cut` sums the prefix sums of every unit afresh at
-each cut.  The estimator moves its history on with a maximum per row and
-keeps running prefix sums; both must give the same bits.
+reversed chunk.  `AllSamples` keeps every sample it is fed and, for a given
+stride, takes np.cumsum over all of them and keeps the sums at every
+stride-th sample and at the last one.  The estimator moves its history on
+with a maximum per row and keeps running prefix sums, thinned as it goes;
+both must give the same bits.
 """
 
 from __future__ import annotations
@@ -38,18 +40,38 @@ class SortedHistory(_History):
         return chunk
 
 
-def full_cut(acc, k: int):
-    """(means of F over k batches of equal clock weight, total) from the
-    units of `acc` alone, either mode."""
-    w = np.asarray(acc.w)
-    m = np.asarray(acc.m)
-    ref = m[0]
-    d = m - ref
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    cg = np.concatenate([[0.0], np.cumsum(w * d)])
-    total = float(cw[-1])
-    edges = total * np.arange(k + 1) / k
-    edges[-1] = total
-    i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, w.size - 1)
-    g = cg[i] + (edges - cw[i]) * d[i]  # integral of (F - ref) up to each edge
-    return ref + np.diff(g) / np.diff(edges), total
+class AllSamples:
+    """Every (w, f) fed, in order, and the accumulator's entries and batch
+    means at a given stride, recomputed from all of them at each call."""
+
+    def __init__(self):
+        self.w: list[float] = []
+        self.f: list[float] = []
+
+    def add_chunk(self, w, f):
+        self.w += np.asarray(w, dtype=float).tolist()
+        self.f += np.asarray(f, dtype=float).tolist()
+
+    def entries(self, stride: int):
+        """(cw, cg, m): the prefix sums of w and of w * (f - f[0]) at sample
+        0, at every stride-th sample and at the last one, and the mean of F
+        over each span between them: f itself at stride 1."""
+        w, f = np.array(self.w), np.array(self.f)
+        cw = np.concatenate([[0.0], np.cumsum(w)])
+        cg = np.concatenate([[0.0], np.cumsum(w * (f - f[0]))])
+        at = np.append(np.arange(0, len(w), stride), len(w))
+        cw, cg = cw[at], cg[at]
+        return cw, cg, f if stride == 1 else f[0] + np.diff(cg) / np.diff(cw)
+
+    def cut(self, k: int, stride: int):
+        """(means of F over k batches of equal clock weight, total) from the
+        entries at `stride`; a span cut by an edge lends its mean to both
+        sides in proportion to its weight on each."""
+        cw, cg, m = self.entries(stride)
+        ref = self.f[0]
+        total = float(cw[-1])
+        edges = total * np.arange(k + 1) / k
+        edges[-1] = total
+        i = np.clip(np.searchsorted(cw, edges, side="right") - 1, 0, m.size - 1)
+        g = cg[i] + (edges - cw[i]) * (m[i] - ref)  # integral of (F - ref) up to each edge
+        return ref + np.diff(g) / np.diff(edges), total

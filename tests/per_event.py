@@ -6,9 +6,9 @@ at b schedules an expiry event at b + HOUR, and at equal times an expiry
 comes first; expiries among themselves leave a heap in (time, patch, bus)
 order.  The state it keeps is updated per event, H_j as a count, and a
 query is a tree of closures evaluated once per sample, fed to an
-accumulator one sample at a time, which cuts its batches from sums over
-every unit (full_recompute).  None of it shares code with the column path
-except the parser, the accumulator's unit filling and the verdict rule.
+accumulator one sample at a time, which keeps every sample and cuts its
+batches from sums over all of them (full_recompute).  None of it shares
+code with the column path except the parser and the verdict rule.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from typing import Callable, NamedTuple
 
 from headwaylab.properties import (HOUR, MIN_SAMPLES, Binary, Call, EstimateResult,
                                    EstimatorConfig, EvalError, IfThenElse, Num, PropertyError,
-                                   Rval, SteadyStateQuery, Unary, UndefinedSample, _Accumulator,
-                                   _state_names, _verdict)
+                                   Rval, SteadyStateQuery, Unary, UndefinedSample, _state_names,
+                                   _verdict)
 from headwaylab.simulate import Departures, SimError, SimModel, Simulator, parse_state_name
 
-from full_recompute import full_cut
+from full_recompute import AllSamples
 
 
 class Event(NamedTuple):
@@ -151,34 +151,33 @@ def compile_scalar(expr, read: Callable[[str], Callable[[float], float]],
     return comp(expr)
 
 
-class PerSampleAccumulator(_Accumulator):
-    """_Accumulator fed one sample at a time, its units in lists from the
-    start, as the estimator fed it before samples came in chunks, and cut
-    from sums over every unit."""
-
-    _cut = full_cut
+class PerSampleAccumulator(AllSamples):
+    """An accumulator fed one sample at a time, as the estimator fed it
+    before samples came in chunks.  Its stride doubles each time `limit`
+    spans would be stored, and it cuts its batches from sums over every
+    sample it was fed, thinned at that stride."""
 
     def __init__(self, limit: int = 1 << 20):
-        super().__init__(limit)
-        self.w, self.m = [], []
+        super().__init__()
+        self.limit = limit
+        self.stride = 1
+        self.nonzero_f = False
+
+    @property
+    def n(self) -> int:
+        return len(self.w)
 
     def add(self, w: float, f: float):
         if w <= 0.0:
             return
-        self.n += 1
-        if f != 0.0:
-            self.nonzero_f = True
-        if self.unit is not None:
-            self._fill(w, f)
-            return
         self.w.append(w)
-        self.m.append(f)
-        if len(self.w) >= self.limit:
-            k = self.limit // 2
-            means, total = self._cut(k)
-            self.unit = total / k
-            self.w = [self.unit] * k
-            self.m = means.tolist()
+        self.f.append(f)
+        self.nonzero_f = self.nonzero_f or f != 0.0
+        if -(-self.n // self.stride) >= self.limit:  # the spans at this stride
+            self.stride *= 2
+
+    def batch_means(self, k: int):
+        return None if self.n < k else self.cut(k, self.stride)
 
 
 def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict[str, object],

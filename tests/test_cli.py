@@ -170,6 +170,22 @@ def test_check_with_fewer_than_two_batches_is_a_usage_error(tmp_path, capsys, ba
     assert "error: stage 'check' failed: need at least 2 batches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rel-halfwidth", "0", "--budget", "nan"], "wall_budget must be a number, got nan"),
+    (["--rel-halfwidth", "nan"], "rel_halfwidth_target must be >= 0, got nan"),
+    (["--rel-halfwidth", "-0.1"], "rel_halfwidth_target must be >= 0, got -0.1"),
+])
+def test_check_with_a_nan_budget_or_a_bad_target_is_a_usage_error(tmp_path, capsys, flags,
+                                                                  message):
+    # with a NaN budget and a zero target the run never stopped
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3)))
+    rc = main(["check", str(model), "--out", str(tmp_path), "--beta", "2", "--seed", "1",
+               "--termini-patches", "1,2", "--patches-list", "1", *flags])
+    assert rc == 2
+    assert f"error: stage 'check' failed: {message}" in capsys.readouterr().err
+
+
 SIMULATE_WITHOUT_SCIPY = """
 import sys
 import headwaylab.cli

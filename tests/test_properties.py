@@ -15,7 +15,7 @@ from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalErro
                                    evaluate_expr, evwt_query, ewt_query, expand_per_patch,
                                    headway_query, parse_quatex, write_results_tsv)
 from headwaylab.simulate import Departures, SimConfig, SimError, Simulator, build_model
-from full_recompute import SortedHistory, full_cut
+from full_recompute import AllSamples, SortedHistory
 from per_event import EventReplay, PerSampleAccumulator, estimate_per_event
 
 EWT_TEXT = ('ewt() = 0.5 * (s.rval("y_6") - mu_tot) * (s.rval("y_6") - mu_tot) / mu_tot;\n'
@@ -465,7 +465,7 @@ def test_estimator_config_needs_a_positive_finite_chunk(chunk_time):
 
 
 @pytest.mark.parametrize("seconds", [-1.0, -math.inf, math.nan])
-@pytest.mark.parametrize("field", ["warmup_time", "max_sim_time"])
+@pytest.mark.parametrize("field", ["warmup_time", "max_sim_time", "rel_halfwidth_target"])
 def test_estimator_config_needs_non_negative_times(field, seconds):
     with pytest.raises(PropertyError, match=f"{field} must be >= 0"):
         EstimatorConfig(**{field: seconds})
@@ -477,6 +477,13 @@ def test_estimator_config_needs_a_finite_warmup():
     with pytest.raises(PropertyError, match="warmup_time must be finite"):
         EstimatorConfig(warmup_time=math.inf)
     assert EstimatorConfig(max_sim_time=math.inf).max_sim_time == math.inf
+
+
+def test_estimator_config_needs_a_budget_that_is_a_number():
+    # with a NaN budget a run never stopped: monotonic() > nan is always False
+    with pytest.raises(PropertyError, match="wall_budget must be a number, got nan"):
+        EstimatorConfig(wall_budget=math.nan)
+    assert EstimatorConfig(wall_budget=-1.0).wall_budget == -1.0  # spent at the first look
 
 
 def test_estimate_repeats_bit_for_bit():
@@ -530,7 +537,7 @@ def test_accumulator_counts_samples_not_units():
     for _ in range(100):
         acc.add_chunk(np.ones(10), np.full(10, 2.0))
     assert acc.n == 1000
-    assert len(acc.w) <= 16
+    assert acc.size - 1 < 16
     assert acc.batch_means(8) is not None
     short = _Accumulator()
     short.add_chunk(np.ones(7), np.full(7, 2.0))
@@ -558,18 +565,25 @@ def test_accumulator_constant_exact_after_doubling():
     means, _ = acc.batch_means(32)
     assert np.all(means == 0.1)
 
-def units(acc) -> tuple:
-    """Everything an accumulator keeps, exactly: unit weights and means as
-    bit patterns, then n, unit and nonzero_f."""
-    return (np.asarray(acc.w, dtype=float).tobytes(), np.asarray(acc.m, dtype=float).tobytes(),
-            acc.n, acc.unit, acc.nonzero_f)
+
+def entries(acc) -> tuple:
+    """Everything an accumulator keeps, exactly: its stored prefix sums and
+    span means as bit patterns, then n, stride and nonzero_f."""
+    cw, cg, m = (row[:acc.size] for row in acc.rows)
+    return (cw.tobytes(), cg.tobytes(), m[:-1].tobytes(), acc.n, acc.stride, acc.nonzero_f)
+
+
+def oracle_entries(oracle: AllSamples, stride: int) -> tuple:
+    """`entries` of an accumulator fed what `oracle` was, at `stride`."""
+    cw, cg, m = oracle.entries(stride)
+    return (cw.tobytes(), cg.tobytes(), m.tobytes(), len(oracle.w), stride,
+            any(f != 0.0 for f in oracle.f))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_chunk_intake_matches_per_sample_intake(seed):
-    # limit 8: the list regime, the re-cut at the 8th sample, and the
-    # filling and pairwise doubling after it, with chunks of random length
-    # that cross each transition
+    # limit 8: stride 1, the first doubling at the 8th sample and the
+    # doublings after it, with chunks of random length that cross each one
     rng = np.random.default_rng(seed)
     size = [0, 5, 8, 9, 40, 600][seed]
     w = rng.choice([0.5, 1.0, 3.0, 40.0], size=size) * rng.uniform(0.5, 2.0, size=size)
@@ -582,8 +596,9 @@ def test_chunk_intake_matches_per_sample_intake(seed):
         chunked.add_chunk(w[lo:hi], f[lo:hi])
         for wk, fk in zip(w[lo:hi].tolist(), f[lo:hi].tolist()):
             single.add(wk, fk)
-        assert units(chunked) == units(single)
-    assert (chunked.unit is None) == (size < 8)
+        if single.n:
+            assert entries(chunked) == oracle_entries(single, single.stride)
+    assert (chunked.stride == 1) == (size < 8)
     assert (chunked.batch_means(4) is None) == (size < 4)
     if size >= 4:
         a, b = chunked.batch_means(4), single.batch_means(4)
@@ -629,24 +644,69 @@ def test_history_matches_the_sorting_oracle(seed, expiries):
 @pytest.mark.parametrize("seed", range(3))
 def test_batch_cuts_match_the_full_recompute(seed, constant, limit):
     # chunks of random length into the running prefix sums, and at limit 64
-    # through the re-cut and the pairwise doubling: each look's batch
-    # means are those of sums over every unit, bit for bit
+    # through the stride doublings: the entries and each look's batch means
+    # are those of sums over every sample, thinned at the stride, bit for bit
     rng = np.random.default_rng(seed)
-    acc = _Accumulator(limit=limit)
+    acc, oracle = _Accumulator(limit=limit), AllSamples()
     for size in rng.integers(0, 300, size=30):
         w = rng.choice([0.5, 1.0, 3.0, 40.0], size=size) * rng.uniform(0.5, 2.0, size=size)
         f = np.full(size, 0.1) if constant else rng.normal(2.0, 1.0, size=size)
         acc.add_chunk(w, f)
+        oracle.add_chunk(w, f)
+        if acc.n:
+            assert entries(acc) == oracle_entries(oracle, acc.stride)
         for k in (2, 7, 32):
             got = acc.batch_means(k)
             if got is None:
                 assert acc.n < k
                 continue
-            want = full_cut(acc, k)
+            want = oracle.cut(k, acc.stride)
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
             if constant:
                 assert np.all(got[0] == 0.1)
-    assert (acc.unit is None) == (limit > acc.n)
+    assert (acc.stride == 1) == (limit > acc.n)
+
+
+H3_TEXT = 'f() = if {s.rval("H_3") < 11} then 1 else 0 fi;\nS [ f(), "time" ] < 0.5;\n'
+
+
+def test_estimator_past_the_accumulator_limit(monkeypatch):
+    # untimetabled Airlink on the time clock, about 41,000 samples: with
+    # the limit at 256 the stride doubles to 256, and every intake must
+    # leave the entries of sums over all the samples fed so far, thinned
+    # at the stride, and those of the same samples fed one at a time
+    model = airlink_model(seed=5, timetable=False)
+    prop = parse_quatex(H3_TEXT)
+    cfg = EstimatorConfig(max_sim_time=200 * model.r, rel_halfwidth_target=0.0, wall_budget=1e9)
+    full = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    intakes = []
+
+    class Small(_Accumulator):
+        def __init__(self):
+            super().__init__(limit=256)
+
+        def add_chunk(self, w, f):
+            super().add_chunk(w, f)
+            assert self.size - 1 < self.limit
+            intakes.append((w.copy(), f.copy(), entries(self)))
+
+    monkeypatch.setattr(properties, "_Accumulator", Small)
+    small = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    oracle, single = AllSamples(), _Accumulator(limit=256)
+    for w, f, got in intakes:
+        oracle.add_chunk(w, f)
+        for k in range(len(w)):
+            single.add_chunk(w[k:k + 1], f[k:k + 1])
+        stride = got[4]
+        assert got == entries(single) == oracle_entries(oracle, stride)
+        # each span but the last covers `stride` samples, and the stride is
+        # the least power of two that keeps the spans below the limit
+        assert stride == 1 or -(-single.n // (stride // 2)) >= 256
+    assert single.stride == 256 and single.size - 1 == 163
+    assert small.batches == full.batches == 32 and small.total_clock == full.total_clock
+    # merged spans move the batch edges, and with them the half-width
+    assert small.halfwidth != full.halfwidth
+    assert abs(small.estimate - full.estimate) < full.halfwidth
 
 
 def test_verdict_rules_and_monotonicity():

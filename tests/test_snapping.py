@@ -22,8 +22,7 @@ from headwaylab import graphs, patches, raster, route, synthetic
 from headwaylab.graphs import RouteGraph
 from headwaylab.ingest import GAP_SECONDS, TraceSet
 from headwaylab.route import (DirectedEdge, EdgeIndex, RouteError, RouteModel,
-                              UnmatchedMeasurement, best_candidate, route_completion,
-                              snap_index)
+                              UnmatchedMeasurement, best_candidate, route_completion)
 
 
 # --- brute-force reference -------------------------------------------------
@@ -196,7 +195,7 @@ def small_map():
     eta = float(np.percentile(blur.intensity[blur.intensity > 0], 90)) / 40
     g = graphs.build_graph(raster.skeletonize(blur, tau=0.3, eta=eta), epsilon=2.0)
     rm = route.derive_route_model(g, ts, rejection_radius=3 * heat.cell_size)
-    return ts, rm, snap_index(g, rm.rejection_radius)
+    return ts, rm, EdgeIndex(g, rm.rejection_radius)
 
 
 def two_way_path(radius=10.0):
@@ -243,11 +242,12 @@ def test_derive_route_model_snaps_like_reference(small_map, monkeypatch):
     assert (again.termini, again.directions) == (rm.termini, rm.directions)
     assert len(picks) == len(ts.vehicles())  # one batch per vehicle trace
     rejected = 0
-    for vid, (edge, along, dist) in zip(ts.vehicles(), picks):
+    for vid, (pos, along, dist) in zip(ts.vehicles(), picks):
         ref = ref_snaps(rm.graph, rm.rejection_radius, [(x, y) for _, x, y in ts.traces[vid].tolist()])
         within = dist <= rm.rejection_radius
         assert within.tolist() == [h is not None for h in ref]
-        assert list(zip(edge[within].tolist(), along[within].tolist(), dist[within].tolist())) == \
+        edge = index.ids[pos[within]]
+        assert list(zip(edge.tolist(), along[within].tolist(), dist[within].tolist())) == \
             [h for h in ref if h is not None]
         rejected += np.count_nonzero(~within)
     assert rejected > 0  # the pushed records
@@ -299,15 +299,19 @@ def snap_cases(draw):
 def test_candidates_pick_the_nearest_edge_within_the_radius(case):
     rm, points = case
     g, radius = rm.graph, rm.rejection_radius
-    cands = snap_index(g, radius).candidates(points)
-    edge, _, dist = cands
+    index = EdgeIndex(g, radius)
+    cands = index.candidates(points)
+    pos, _, dist = cands
+    # a padding slot maps to no edge: its distance is inf
+    edge = np.append(index.ids, 0)[pos]
     # every edge within the radius is a candidate, at the reference's distance
     ids, _, all_dist = ref_project_all(g, points)
     for i, row in enumerate(all_dist.tolist()):
         near = {(eid, d) for eid, d in zip(ids, row) if d <= radius}
         listed = {(e, d) for e, d in zip(edge[i].tolist(), dist[i].tolist()) if d <= radius}
         assert near == listed
-    edge, along, dist = best_candidate(*cands)
+    pos, along, dist = best_candidate(*cands)
+    edge = np.append(index.ids, 0)[pos]
     ref = ref_snaps(g, radius, points)
     assert [(e, a, d) if d <= radius else None
             for e, a, d in zip(edge.tolist(), along.tolist(), dist.tolist())] == ref
@@ -325,10 +329,10 @@ def test_equidistant_edges_snap_to_the_lowest_id():
     for right, left in ((0, 1), (1, 0)):
         g.edges = {left: (0, 1, 10.0), right: (1, 2, 10.0)}
         assert ref_snap(g, 5.0, 10.0, 3.0) == (0, 10.0 if left == 0 else 0.0, 3.0)  # a true tie
-        assert snap_index(g, 5.0).snap(10.0, 3.0) == ref_snap(g, 5.0, 10.0, 3.0)
+        assert EdgeIndex(g, 5.0).snap(10.0, 3.0) == ref_snap(g, 5.0, 10.0, 3.0)
     g.edges = {5: (1, 0, 10.0), 7: (1, 2, 10.0), 6: (0, 1, 10.0)}
-    assert snap_index(g, 5.0).snap(4.0, -2.0) == (5, 6.0, 2.0) == ref_snap(g, 5.0, 4.0, -2.0)
-    assert snap_index(g, 5.0).snap(4.0, -2.0, restrict={6, 7}) == (6, 4.0, 2.0)
+    assert EdgeIndex(g, 5.0).snap(4.0, -2.0) == (5, 6.0, 2.0) == ref_snap(g, 5.0, 4.0, -2.0)
+    assert EdgeIndex(g, 5.0).snap(4.0, -2.0, restrict={6, 7}) == (6, 4.0, 2.0)
 
 
 def test_restricted_snap_finds_the_direction_edge_behind_a_spur():
@@ -336,7 +340,7 @@ def test_restricted_snap_finds_the_direction_edge_behind_a_spur():
     # the 10-unit radius: restricted to a direction, it snaps to edge 0, the
     # lower id of the two edges that tie at the node they share
     rm = two_way_path(radius=10.0)
-    index = snap_index(rm.graph, rm.rejection_radius)
+    index = EdgeIndex(rm.graph, rm.rejection_radius)
     assert index.snap(50.0, 8.0) == (2, 8.0, 0.0)
     assert index.snap(50.0, 8.0, restrict={0, 1}) == (0, 50.0, 8.0) == \
         ref_snap(rm.graph, rm.rejection_radius, 50.0, 8.0, restrict={0, 1})
@@ -352,7 +356,7 @@ def test_vehicles_without_snapped_records_add_only_unmatched():
     # "far" never comes within the radius, "none" has no records and "one"
     # has a single record on a terminus edge, before any direction is known
     rm = two_way_path(radius=10.0)
-    index = snap_index(rm.graph, rm.rejection_radius)
+    index = EdgeIndex(rm.graph, rm.rejection_radius)
     ts = TraceSet({"far": [(0, 500.0, 500.0), (10, 510.0, 500.0)],
                    "none": [],
                    "one": [(3, 5.0, 0.0)],
@@ -372,13 +376,14 @@ def test_points_in_no_stored_cell_and_padding_slots_are_inf():
     g = RouteGraph()
     g.nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0), 3: (10.0, 0.0), 4: (11.0, 0.0)}
     g.edges = {0: (0, 1, 1.0), 1: (1, 2, 1.0), 2: (3, 4, 1.0)}
-    index = snap_index(g, 1.0)
-    edge, along, dist = index.candidates([(1.0, 0.5), (10.5, 0.0), (40.0, 0.0), (math.nan, 0.0)])
-    assert edge.shape == along.shape == dist.shape == (4, index._rows.shape[1])
-    assert edge.shape[1] >= 2
-    assert dist[0].tolist()[:2] == [0.5, 0.5] and edge[0].tolist()[:2] == [0, 1]
-    assert np.isfinite(dist[1]).tolist() == [True] + [False] * (edge.shape[1] - 1)
+    index = EdgeIndex(g, 1.0)
+    pos, along, dist = index.candidates([(1.0, 0.5), (10.5, 0.0), (40.0, 0.0), (math.nan, 0.0)])
+    assert pos.shape == along.shape == dist.shape == (4, index._rows.shape[1])
+    assert pos.shape[1] >= 2
+    assert dist[0].tolist()[:2] == [0.5, 0.5] and pos[0].tolist()[:2] == [0, 1]
+    assert np.isfinite(dist[1]).tolist() == [True] + [False] * (pos.shape[1] - 1)
     assert np.isinf(dist[2:]).all()
+    assert (pos[np.isinf(dist)] == len(index.ids)).all()  # the padding position
     assert index.snap(10.5, 0.5) == (2, 0.5, 0.5)
     assert index.snap(40.0, 0.0) is None
 
@@ -388,7 +393,7 @@ def test_a_radius_that_is_not_finite_and_positive_is_a_route_error(radius):
     rm = two_way_path()
     ts = TraceSet({"v": [(0, 5.0, 0.0), (10, 95.0, 0.0)]})
     with pytest.raises(RouteError, match="rejection radius must be finite and > 0"):
-        snap_index(rm.graph, radius)
+        EdgeIndex(rm.graph, radius)
     with pytest.raises(RouteError, match="rejection radius must be finite and > 0"):
         route.derive_route_model(rm.graph, ts, radius)
 
@@ -398,7 +403,7 @@ def test_a_tiny_radius_builds_a_bounded_index_quickly():
     # the cell count does not grow as the radius shrinks
     rm = replace(two_way_path(), rejection_radius=1e-12)
     start = time.perf_counter()
-    index = snap_index(rm.graph, rm.rejection_radius)
+    index = EdgeIndex(rm.graph, rm.rejection_radius)
     assert time.perf_counter() - start < 2.0
     assert len(index._keys) < 16 * route._GRID_CELLS
     assert index.snap(25.0, 1e-12) == (0, 25.0, 1e-12)
@@ -409,7 +414,7 @@ def test_a_tiny_radius_builds_a_bounded_index_quickly():
     far = replace(rm, graph=RouteGraph({n: (x + 1e9, y - 1e9) for n, (x, y) in rm.graph.nodes.items()},
                                        rm.graph.edges))
     start = time.perf_counter()
-    index = snap_index(far.graph, far.rejection_radius)
+    index = EdgeIndex(far.graph, far.rejection_radius)
     assert time.perf_counter() - start < 2.0
     assert len(index._keys) < 16 * route._GRID_CELLS
     assert route_completion(far, (1e9 + 75.0, -1e9), far.termini[0], index) == 0.375
@@ -429,8 +434,8 @@ def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
     odd = relabelled(rm, {0: -7, 1: 10**12, 2: -1})
     ts = TraceSet({"v": [(t, x, y) for t, (x, y) in
                          enumerate([(5, 1), (30, -2), (50, 8), (50, 25), (70, 0), (95, 1), (60, 2), (20, 0)])]})
-    want = fractions(ts, rm, snap_index(rm.graph, rm.rejection_radius))
-    index = snap_index(odd.graph, odd.rejection_radius)
+    want = fractions(ts, rm, EdgeIndex(rm.graph, rm.rejection_radius))
+    index = EdgeIndex(odd.graph, odd.rejection_radius)
     assert fractions(ts, odd, index) == want == ref_fractions(ts, odd)
     assert want[0]["v"] and want[1] > 0
     assert index.snap(50.0, 25.0) == (-1, 25.0, 0.0)
@@ -463,7 +468,7 @@ def test_route_derivation_matches_per_record_reference(small_map, monkeypatch, i
     ts, rm, _ = small_map
     if ids == "sparse":  # negative, far apart, and out of order against the dense ids
         rm = relabelled(rm, {e: (-1) ** e * (e * 10**9 + 7) for e in rm.graph.edges})
-    index = route.snap_index(rm.graph, rm.rejection_radius)
+    index = route.EdgeIndex(rm.graph, rm.rejection_radius)
     dwell, streams = route._snap_dwell(index, ts, rm.rejection_radius)
     want_dwell, want_streams = ref_snap_dwell(index, ts, rm.rejection_radius)
     assert dwell.tolist() == want_dwell.tolist()
