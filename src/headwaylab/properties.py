@@ -586,14 +586,6 @@ class _Accumulator:
         start, self.n, old = self.n, self.n + len(w), self.stride
         while -(-self.n // self.stride) >= self.limit:  # the spans at this stride
             self.stride *= 2
-        if self.stride == 1:
-            cw, cg, m = self._resize(self.n + 1)
-            m[start:self.n] = f
-            cw[start + 1:self.n + 1] = w
-            np.multiply(w, f - self.ref, out=cg[start + 1:self.n + 1])
-            for prefix in (cw[start:self.n + 1], cg[start:self.n + 1]):
-                np.add.accumulate(prefix, out=prefix)  # on from the last prefix value
-            return
         # entries at multiples of the stride and at the last sample: the new
         # ones counted in samples past `start`, the old ones kept up to it
         stride, last = self.stride, self.size - 1
@@ -607,9 +599,12 @@ class _Accumulator:
             if step > 1:
                 row[:kept] = row[:kept * step:step]
             row[kept:self.size] = prefix[at]
-        first = 0 if step > 1 else kept - 1  # the first span that changed
-        m[first:self.size - 1] = self.ref + (np.diff(cg[first:self.size])
-                                             / np.diff(cw[first:self.size]))
+        if stride == 1:
+            m[start:self.n] = f
+        else:
+            first = 0 if step > 1 else kept - 1  # the first span that changed
+            m[first:self.size - 1] = self.ref + (np.diff(cg[first:self.size])
+                                                 / np.diff(cw[first:self.size]))
 
     def batch_means(self, k: int):
         """(means of F over k batches of equal clock weight, the total clock

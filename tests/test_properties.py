@@ -671,10 +671,10 @@ H3_TEXT = 'f() = if {s.rval("H_3") < 11} then 1 else 0 fi;\nS [ f(), "time" ] < 
 
 
 def test_estimator_past_the_accumulator_limit(monkeypatch):
-    # untimetabled Airlink on the time clock, about 41,000 samples: with
-    # the limit at 256 the stride doubles to 256, and every intake must
-    # leave the entries of sums over all the samples fed so far, thinned
-    # at the stride, and those of the same samples fed one at a time
+    # untimetabled Airlink on the time clock, with the limit at 256 so that
+    # the stride doubles several times: every intake must leave the entries
+    # of sums over all the samples fed so far, thinned at the stride, and
+    # those of the same samples fed one at a time
     model = airlink_model(seed=5, timetable=False)
     prop = parse_quatex(H3_TEXT)
     cfg = EstimatorConfig(max_sim_time=200 * model.r, rel_halfwidth_target=0.0, wall_budget=1e9)
@@ -702,10 +702,9 @@ def test_estimator_past_the_accumulator_limit(monkeypatch):
         # each span but the last covers `stride` samples, and the stride is
         # the least power of two that keeps the spans below the limit
         assert stride == 1 or -(-single.n // (stride // 2)) >= 256
-    assert single.stride == 256 and single.size - 1 == 163
+    # the run went past the limit, and the last span is the only short one
+    assert single.stride > 1 and single.size - 1 == -(-single.n // single.stride)
     assert small.batches == full.batches == 32 and small.total_clock == full.total_clock
-    # merged spans move the batch edges, and with them the half-width
-    assert small.halfwidth != full.halfwidth
     assert abs(small.estimate - full.estimate) < full.halfwidth
 
 
