@@ -182,20 +182,17 @@ def parse_records(stream: Iterable[str], schema: ColumnSchema | None = None) -> 
     return ts, report
 
 
-def serialize(ts: TraceSet, schema: ColumnSchema | None = None) -> str:
-    """Inverse of parse_records (default column order).  A vehicle id that
-    would not read back as written, because it contains the delimiter or
+def serialize(ts: TraceSet) -> str:
+    """Inverse of parse_records with the default `ColumnSchema`.  A vehicle
+    id that would not read back as written, because it contains a comma or
     starts with the comment mark '#', raises IngestError."""
-    schema = schema or ColumnSchema()
-    if (schema.vehicle_col, schema.x_col, schema.y_col, schema.t_col) != (0, 1, 2, 3):
-        raise IngestError("serialize supports the default column order only")
     lines = []
     for vid in ts.vehicles():
         rows = ts.traces[vid].tolist()
-        if rows and (schema.delimiter in vid or vid.startswith("#")):
+        if rows and ("," in vid or vid.startswith("#")):
             raise IngestError(f"vehicle {vid!r} cannot be written: its id contains "
-                              f"the delimiter {schema.delimiter!r} or starts with '#'")
-        lines.extend(schema.delimiter.join([vid, repr(x), repr(y), str(int(t))]) for t, x, y in rows)
+                              "the delimiter ',' or starts with '#'")
+        lines.extend(",".join([vid, repr(x), repr(y), str(int(t))]) for t, x, y in rows)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -90,7 +90,7 @@ def _terminus_far_nodes(rm) -> dict[int, tuple[float, float]]:
     return out
 
 
-def compute_fractions(ts, rm, index: EdgeIndex | None = None):
+def compute_fractions(ts, rm):
     """Route-completion fraction for every raw measurement.
 
     Each vehicle trace is snapped in batches through the grid cells of
@@ -110,7 +110,7 @@ def compute_fractions(ts, rm, index: EdgeIndex | None = None):
     rest flipping to the outbound one.  Returns (per vehicle with matched
     records, a float64 array of shape (n, 4) with columns t, fraction, x and
     y, one row per matched record in time order; unmatched count)."""
-    index = index or EdgeIndex(rm.graph, rm.rejection_radius)
+    index = EdgeIndex(rm.graph, rm.rejection_radius)
     far_nodes = _terminus_far_nodes(rm)
     tables = [CompletionTable(rm, d) for d in (0, 1)]
     out: dict[str, np.ndarray] = {}

@@ -183,6 +183,10 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
+# binary operators by level, loosest first: comparisons, additive, multiplicative
+_PRECEDENCE = (("<", ">", "<=", ">=", "=="), ("+", "-"), ("*", "/"))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
@@ -252,29 +256,15 @@ class _Parser:
         self.expect(";")
         return SteadyStateQuery(ftok.text, ctok.text[1:-1], sign * float(ntok.text))
 
-    # precedence: comparisons < additive < multiplicative < unary/atom
-    def parse_expr(self):
-        left = self.parse_additive()
-        while self.peek().text in ("<", ">", "<=", ">=", "=="):
+    def parse_expr(self, level: int = 0):
+        """Binary operators of _PRECEDENCE[level] and tighter, each level
+        left-associative over the next."""
+        if level == len(_PRECEDENCE):
+            return self.parse_unary()
+        left = self.parse_expr(level + 1)
+        while self.peek().text in _PRECEDENCE[level]:
             op = self.next().text
-            right = self.parse_additive()
-            left = Binary(op, left, right)
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.parse_multiplicative()
-            left = Binary(op, left, right)
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            right = self.parse_unary()
-            left = Binary(op, left, right)
+            left = Binary(op, left, self.parse_expr(level + 1))
         return left
 
     def parse_unary(self):

@@ -476,12 +476,11 @@ class CompletionTable:
         return frac, np.isfinite(dist) & (dist <= self.rm.rejection_radius)
 
 
-def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: int,
-                     index: EdgeIndex | None = None) -> float:
+def route_completion(rm: RouteModel, point: tuple[float, float], last_terminus: int) -> float:
     """Fraction in [0, 1) of the full loop at the given point, travelling in
     the direction that starts at last_terminus."""
     d = 0 if last_terminus == rm.termini[0] else 1
-    index = index or EdgeIndex(rm.graph, rm.rejection_radius)
+    index = EdgeIndex(rm.graph, rm.rejection_radius)
     frac, matched = CompletionTable(rm, d).fractions(*index.candidates([point]))
     if not matched[0]:
         raise UnmatchedMeasurement(f"point beyond rejection radius {rm.rejection_radius}")

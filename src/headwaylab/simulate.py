@@ -197,8 +197,14 @@ class SimConfig:
     def __post_init__(self):
         if self.n_buses < 1:
             raise SimError("need at least one bus")
-        if self.holding_threshold is not None and self.holding_threshold < 0:
-            raise SimError("holding threshold must be >= 0")
+        # a NaN r would drop every timetable slot and a NaN theta_h every
+        # holding, each without a word
+        if self.route_duration is not None and not (math.isfinite(self.route_duration)
+                                                    and self.route_duration > 0):
+            raise SimError(f"route duration must be finite and > 0, got {self.route_duration}")
+        if self.holding_threshold is not None and not (math.isfinite(self.holding_threshold)
+                                                       and self.holding_threshold >= 0):
+            raise SimError(f"holding threshold must be finite and >= 0, got {self.holding_threshold}")
         if not (0 < self.slowdown <= 1):
             raise SimError("slowdown factor must be in (0, 1]")
         if self.speedmod_threshold is not None and not (0 < self.speedmod_threshold < 1):

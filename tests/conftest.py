@@ -1,27 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.graphs import RouteGraph
 from headwaylab.ingest import TraceSet
 from headwaylab.route import DirectedEdge, RouteModel, _orient_chain
-from headwaylab.simulate import Departures, SimConfig, Simulator, build_model
-
-AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
-AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
-               0.0419, 0.0765, 0.1196, 0.1895]
-
-
-def airlink_model(**overrides):
-    """The published Airlink model: 10 Erlang patches, 11 buses, timetabled
-    with termini 1 and 7 and r = 5259 s."""
-    pm = PatchModel([ErlangParams(k, l) for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
-    kw = dict(n_buses=11, timetable=True, route_duration=5259.0,
-              terminus_patches=(1, 7), seed=1)
-    kw.update(overrides)
-    return build_model(pm, SimConfig(**kw))
+from headwaylab.simulate import Departures, Simulator
 
 
 def rows(deps: Departures) -> list[tuple[float, int, int, int]]:

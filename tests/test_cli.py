@@ -15,6 +15,7 @@ from headwaylab import fitting, graphs, ingest, patches, raster, route, syntheti
 from headwaylab.artifacts import ArtifactError
 from headwaylab.cli import (ARTIFACTS, _apply_config_file, _load_model_for_sim, _load_traces,
                             build_parser, main)
+from headwaylab.simulate import SimConfig, SimError
 
 
 def subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -189,9 +190,8 @@ def test_check_with_a_nan_budget_or_a_bad_target_is_a_usage_error(tmp_path, caps
 SIMULATE_WITHOUT_SCIPY = """
 import sys
 import headwaylab.cli
-from conftest import airlink_model
-from headwaylab import properties, simulate
-model = airlink_model()
+from headwaylab import properties, simulate, synthetic
+model = synthetic.airlink_model()
 prop = properties.parse_quatex(properties.ewt_query(2))
 deps = simulate.Simulator(model, seed=1).run(until_time=20_000)
 assert prop.assertions and len(deps)
@@ -201,10 +201,9 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_cli_import_and_a_simulation_load_no_scipy():
     # scipy costs about a second to import; only the functions that call it load it
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
@@ -338,6 +337,26 @@ def test_a_warmup_that_is_not_finite_and_non_negative_is_a_usage_error(tmp_path,
     assert exc.value.code == 2
     assert "argument --warmup: must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "results.tsv").exists()
+
+
+@pytest.mark.parametrize("flag, field, value, message", [
+    ("--r", "route_duration", value, "route duration must be finite and > 0")
+    for value in ("nan", "inf", "-inf", "0", "-5")
+] + [
+    ("--holding", "holding_threshold", value, "holding threshold must be finite and >= 0")
+    for value in ("nan", "inf", "-1")
+])
+def test_a_route_duration_or_holding_threshold_out_of_range_is_rejected(
+        tmp_path, capsys, flag, field, value, message):
+    # a NaN r ran with no timetable and a NaN theta_h with no holding, silently
+    with pytest.raises(SimError, match=message):
+        SimConfig(n_buses=3, terminus_patches=(1, 3), **{field: float(value)})
+    argv = three_patch_run(tmp_path)
+    for command in ("simulate", "check"):
+        argv[0] = command
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert f"error: stage {command!r} failed: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tsv"))
 
 
 SEED3_FLAGS = {  # subcommand -> its flags in the runs below; `pipeline` takes them all

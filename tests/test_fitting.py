@@ -15,11 +15,8 @@ from headwaylab.fitting import (ErlangParams, FitError, HyperErlangParams, Patch
                                 fit_hyper_erlang, read_patch_model, write_patch_model)
 from headwaylab.ingest import TraceSet, is_gap
 from headwaylab.patches import PatchStructure
-from headwaylab.simulate import SimConfig, build_model
+from headwaylab.synthetic import airlink_model
 
-AIRLINK_K = [44, 106, 68, 73, 17, 37, 40, 30, 78, 101]
-AIRLINK_LAM = [0.0482, 0.4190, 0.1858, 0.2011, 0.0523, 0.0710,
-               0.0419, 0.0765, 0.1196, 0.1895]
 
 
 # --- phase-type evaluation -------------------------------------------------
@@ -48,7 +45,8 @@ def test_exponential_special_case():
 
 
 def test_published_patch2_mean():
-    d = ErlangParams(106, 0.4190)
+    d = airlink_model().dists[1]
+    assert d.k == 106
     assert abs(d.mean - 253.0) <= 0.5
     assert d.cv == pytest.approx(1 / math.sqrt(106))
 
@@ -470,21 +468,11 @@ def test_crossing_extraction_matches_per_pair_reference_on_snapped_traces(rng):
 
 # --- timetable ---------------------------------------------------------------
 
-def airlink_model():
-    return PatchModel([ErlangParams(k, l) for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
-
-
-def timetable(pm, n_buses, route_duration=None):
-    return build_model(pm, SimConfig(n_buses=n_buses, route_duration=route_duration,
-                                     terminus_patches=(1, 7)))
-
-
 def test_timetable_airlink_constants():
-    pm = airlink_model()
-    m = timetable(pm, 11, route_duration=5259.0)
+    m = airlink_model()
     assert m.r == 5259.0
     assert m.mu_tot == pytest.approx(478.09, abs=0.01)
-    assert m.anchors == pm.cumulative_means()
+    assert m.anchors == PatchModel(m.dists).cumulative_means()
     assert m.anchors[0] == 0.0
     # cumulative mean before the second terminus patch (printed value 2744)
     assert m.anchors[6] == pytest.approx(2741.0, abs=1.0)
@@ -493,18 +481,16 @@ def test_timetable_airlink_constants():
 
 
 def test_timetable_default_r_is_sum_of_means():
-    pm = airlink_model()
-    m = timetable(pm, 11)
-    assert m.r == pytest.approx(pm.total())
+    m = airlink_model(route_duration=None)
+    assert m.r == pytest.approx(PatchModel(m.dists).total())
     assert m.r == pytest.approx(5272.98, abs=0.05)
 
 
 def test_timetable_single_bus():
-    pm = airlink_model()
-    m = timetable(pm, 1)
+    m = airlink_model(n_buses=1)
     assert m.mu_tot == m.r
     assert m.offsets == [0.0]
-    assert [m.offsets[0] + c for c in m.anchors] == pytest.approx(pm.cumulative_means())
+    assert [m.offsets[0] + c for c in m.anchors] == pytest.approx(PatchModel(m.dists).cumulative_means())
 
 
 def test_patch_model_file_roundtrip(tmp_path):

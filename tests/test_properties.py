@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import airlink_model
 from headwaylab import properties
 from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalError, IfThenElse,
@@ -15,6 +14,7 @@ from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalErro
                                    evaluate_expr, evwt_query, ewt_query, expand_per_patch,
                                    headway_query, parse_quatex, write_results_tsv)
 from headwaylab.simulate import Departures, SimConfig, SimError, Simulator, build_model
+from headwaylab.synthetic import airlink_model
 from full_recompute import AllSamples, SortedHistory
 from per_event import EventReplay, PerSampleAccumulator, estimate_per_event
 
@@ -87,6 +87,13 @@ def test_eval_constants_arithmetic():
 def test_eval_precedence_and_unary():
     prop = parse_quatex("f() = -2 + 3 * 4 - 6 / 2;")
     assert evaluate_expr(prop.functions["f"], lambda n: 0.0) == 7.0
+
+
+def test_parse_minus_and_divide_group_left_under_a_comparison():
+    expr = parse_quatex("f() = 10 - 4 - 3 < 8 / 4 / 2;").functions["f"]
+    assert expr == Binary("<", Binary("-", Binary("-", Num(10.0), Num(4.0)), Num(3.0)),
+                          Binary("/", Binary("/", Num(8.0), Num(4.0)), Num(2.0)))
+    assert evaluate_expr(expr, lambda n: 0.0) == 0.0  # 3 < 1
 
 
 def test_eval_unknown_rval_names_identifier():

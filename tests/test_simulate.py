@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (AIRLINK_K, AIRLINK_LAM, airlink_model, as_departures, first_departures,
-                      rows)
+from conftest import as_departures, first_departures, rows
 from headwaylab import simulate
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
 from headwaylab.properties import HOUR, _History
 from headwaylab.simulate import (SimConfig, SimError, Simulator, _ring_move, _ring_step,
                                  build_model, parse_state_name)
+from headwaylab.synthetic import airlink_model
 from per_event import EventReplay
 
 
@@ -241,10 +241,9 @@ def test_timetable_no_early_terminus_departure():
 
 def test_near_deterministic_timetable_departures_on_slots():
     # zero-variance surrogate: very large shapes, same means
-    pm = PatchModel([ErlangParams(100_000, 100_000 / (k / l))
-                     for k, l in zip(AIRLINK_K, AIRLINK_LAM)])
-    m = build_model(pm, SimConfig(n_buses=11, timetable=True, route_duration=5259.0,
-                                  terminus_patches=(1, 7), seed=2))
+    airlink = airlink_model(seed=2)
+    pm = PatchModel([ErlangParams(100_000, 100_000 / mean) for mean in airlink.means])
+    m = build_model(pm, airlink.cfg)
     warm = []
     for t, bus, patch, lap in first_departures(Simulator(m, seed=2), 30_000):
         if t > 10 * m.r and patch in m.termini:

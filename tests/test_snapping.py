@@ -172,10 +172,10 @@ def ref_passages(streams, term_a, term_b):
     return passages
 
 
-def fractions(ts, rm, index):
+def fractions(ts, rm):
     """compute_fractions with each vehicle's rows as (t, fraction, x, y)
     tuples, the form ref_fractions returns."""
-    rows, unmatched = patches.compute_fractions(ts, rm, index)
+    rows, unmatched = patches.compute_fractions(ts, rm)
     for a in rows.values():
         assert a.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 4
     return {vid: [tuple(r) for r in a.tolist()] for vid, a in rows.items()}, unmatched
@@ -222,8 +222,8 @@ def test_batched_completion_matches_reference_per_record(small_map):
 
 
 def test_compute_fractions_matches_reference(small_map):
-    ts, rm, index = small_map
-    got, unmatched = fractions(ts, rm, index)
+    ts, rm, _ = small_map
+    got, unmatched = fractions(ts, rm)
     want, want_unmatched = ref_fractions(ts, rm)
     assert unmatched == want_unmatched > 0
     assert got == want
@@ -344,10 +344,10 @@ def test_restricted_snap_finds_the_direction_edge_behind_a_spur():
     assert index.snap(50.0, 8.0) == (2, 8.0, 0.0)
     assert index.snap(50.0, 8.0, restrict={0, 1}) == (0, 50.0, 8.0) == \
         ref_snap(rm.graph, rm.rejection_radius, 50.0, 8.0, restrict={0, 1})
-    assert route_completion(rm, (50.0, 8.0), rm.termini[0], index) == 0.25
-    assert route_completion(rm, (50.0, 8.0), rm.termini[1], index) == 0.75
+    assert route_completion(rm, (50.0, 8.0), rm.termini[0]) == 0.25
+    assert route_completion(rm, (50.0, 8.0), rm.termini[1]) == 0.75
     ts = TraceSet({"v": [(0, 5.0, 0.0), (10, 30.0, 0.0), (20, 50.0, 8.0), (30, 70.0, 0.0)]})
-    rows, unmatched = fractions(ts, rm, index)
+    rows, unmatched = fractions(ts, rm)
     assert (rows, unmatched) == ref_fractions(ts, rm)
     assert unmatched == 0 and rows["v"][1] == (20, 0.25, 50.0, 8.0)
 
@@ -361,7 +361,7 @@ def test_vehicles_without_snapped_records_add_only_unmatched():
                    "none": [],
                    "one": [(3, 5.0, 0.0)],
                    "v": [(t, x, 0.0) for t, x in enumerate([5.0, 30.0, 70.0, 95.0, 60.0, 20.0, 3.0])]})
-    rows, unmatched = fractions(ts, rm, index)
+    rows, unmatched = fractions(ts, rm)
     assert (rows, unmatched) == ref_fractions(ts, rm)
     assert list(rows) == ["v"] and unmatched == 2 and type(unmatched) is int
     assert sum(patches.bin_counts(ts, rm, 4).counts) == len(rows["v"])
@@ -407,9 +407,9 @@ def test_a_tiny_radius_builds_a_bounded_index_quickly():
     assert time.perf_counter() - start < 2.0
     assert len(index._keys) < 16 * route._GRID_CELLS
     assert index.snap(25.0, 1e-12) == (0, 25.0, 1e-12)
-    assert route_completion(rm, (75.0, 0.0), rm.termini[0], index) == 0.375
+    assert route_completion(rm, (75.0, 0.0), rm.termini[0]) == 0.375
     with pytest.raises(UnmatchedMeasurement):
-        route_completion(rm, (75.0, 1e-11), rm.termini[0], index)
+        route_completion(rm, (75.0, 1e-11), rm.termini[0])
     # far from the origin the cells stay wider than the coordinates' float spacing
     far = replace(rm, graph=RouteGraph({n: (x + 1e9, y - 1e9) for n, (x, y) in rm.graph.nodes.items()},
                                        rm.graph.edges))
@@ -417,7 +417,7 @@ def test_a_tiny_radius_builds_a_bounded_index_quickly():
     index = EdgeIndex(far.graph, far.rejection_radius)
     assert time.perf_counter() - start < 2.0
     assert len(index._keys) < 16 * route._GRID_CELLS
-    assert route_completion(far, (1e9 + 75.0, -1e9), far.termini[0], index) == 0.375
+    assert route_completion(far, (1e9 + 75.0, -1e9), far.termini[0]) == 0.375
 
 
 def relabelled(rm, new_id):
@@ -434,20 +434,20 @@ def test_negative_and_sparse_edge_ids_snap_like_dense_ones():
     odd = relabelled(rm, {0: -7, 1: 10**12, 2: -1})
     ts = TraceSet({"v": [(t, x, y) for t, (x, y) in
                          enumerate([(5, 1), (30, -2), (50, 8), (50, 25), (70, 0), (95, 1), (60, 2), (20, 0)])]})
-    want = fractions(ts, rm, EdgeIndex(rm.graph, rm.rejection_radius))
+    want = fractions(ts, rm)
     index = EdgeIndex(odd.graph, odd.rejection_radius)
-    assert fractions(ts, odd, index) == want == ref_fractions(ts, odd)
+    assert fractions(ts, odd) == want == ref_fractions(ts, odd)
     assert want[0]["v"] and want[1] > 0
     assert index.snap(50.0, 25.0) == (-1, 25.0, 0.0)
     assert index.snap(80.0, 3.0) == ref_snap(odd.graph, 10.0, 80.0, 3.0)
     assert index.snap(80.0, 3.0)[0] == 10**12
-    assert route_completion(odd, (80.0, 3.0), odd.termini[0], index) == \
+    assert route_completion(odd, (80.0, 3.0), odd.termini[0]) == \
         route_completion(rm, (80.0, 3.0), rm.termini[0])
 
 
 def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
-    ts, rm, index = small_map
-    whole = fractions(ts, rm, index)
+    ts, rm, _ = small_map
+    whole = fractions(ts, rm)
     sizes = []
     real = EdgeIndex.candidates
 
@@ -457,7 +457,7 @@ def test_chunked_batches_give_the_same_picks(small_map, monkeypatch):
 
     monkeypatch.setattr(EdgeIndex, "batch", 100)
     monkeypatch.setattr(EdgeIndex, "candidates", recording)
-    assert fractions(ts, rm, index) == whole
+    assert fractions(ts, rm) == whole
     again = route.derive_route_model(rm.graph, ts, rm.rejection_radius)
     assert (again.termini, again.directions) == (rm.termini, rm.directions)
     assert max(sizes) == 100 and sum(sizes) == 2 * len(ts)
