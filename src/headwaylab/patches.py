@@ -145,19 +145,24 @@ def _directions(edge, xy, termini, far_nodes) -> np.ndarray:
     last = np.zeros(len(edge), dtype=np.int64)
     last[starts] = np.arange(1, len(starts) + 1)
     dirs = np.append(-1, run_dir)[np.maximum.accumulate(last)]
-    inbound = -1
-    for s, e, eid, outbound in zip(starts.tolist(), ends.tolist(), run_edge.tolist(), run_dir.tolist()):
-        node = far_nodes[eid]
-        dists = distances(xy[s:e, 0] - node[0], xy[s:e, 1] - node[1]).tolist()
-        split = dists.index(min(dists))
-        # at equal speed on both sides, the turnaround lies between
-        # the closest sample and its nearer neighbour, so the closest
-        # sample belongs to the side of its farther neighbour
-        if 0 < split < len(dists) - 1 and \
-                dists[split + 1] - dists[split] > dists[split - 1] - dists[split]:
-            split -= 1
-        dirs[s:s + split + 1] = inbound
-        inbound = outbound
+    # the records of the arrival runs, run after run: entry e is record rec[e] of run run[e]
+    lengths = ends - starts
+    first = np.cumsum(lengths) - lengths
+    run = np.repeat(np.arange(len(starts)), lengths)
+    rec = np.arange(len(run)) + (starts - first)[run]
+    edges, which = np.unique(run_edge, return_inverse=True)
+    node = np.array([far_nodes[e] for e in edges.tolist()]).reshape(-1, 2)[which[run]]
+    dists = distances(xy[rec, 0] - node[:, 0], xy[rec, 1] - node[:, 1])
+    split = np.lexsort((dists, run))[first]  # each run's first closest entry (a stable sort)
+    # at equal speed on both sides, the turnaround lies between the closest
+    # sample and its nearer neighbour, so the closest sample belongs to the
+    # side of its farther neighbour
+    k = np.flatnonzero((split > first) & (split < first + lengths - 1))
+    c = split[k]
+    split[k] -= dists[c + 1] - dists[c] > dists[c - 1] - dists[c]
+    # up to the split a run keeps the direction of the arrival before it
+    inbound = np.arange(len(run)) <= split[run]
+    dirs[rec[inbound]] = np.append(-1, run_dir[:-1])[run[inbound]]
     return dirs
 
 

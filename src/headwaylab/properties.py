@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_lines
-from .simulate import Departures, SimError, SimModel, Simulator, parse_state_name
+from .simulate import Departures, SimModel, Simulator
 
 
 class PropertyError(ValueError):
@@ -476,6 +476,24 @@ def evaluate_expr(expr, rval, constants: dict[str, float] | None = None,
 MIN_SAMPLES = 64  # samples a run needs before the half-width target may stop it
 HOUR = 3600.0  # the trailing window of H_j
 
+# y_j, H_j, c_j (one index) and z_i_j (two)
+_STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
+
+
+def parse_state_name(name: str, n: int, beta: int) -> tuple[str, int, int]:
+    """(kind, patch j, bus i) of a state name of a model with n patches and
+    beta buses: time and mu_tot have j = i = 0; y_j, H_j and c_j have i = 0.
+    An unknown or out-of-range name raises PropertyError."""
+    if name in ("time", "mu_tot"):
+        return name, 0, 0
+    m = _STATE_NAME.fullmatch(name)
+    if m is not None:
+        kind, first, second = m.groups()
+        j, bus = (int(second), int(first)) if second else (int(first), 0)
+        if (kind == "z") == bool(second) and 1 <= j <= n and (not second or 1 <= bus <= beta):
+            return kind, j, bus
+    raise PropertyError(f"unknown state quantity {name!r}")
+
 
 @dataclass
 class EstimatorConfig:
@@ -706,7 +724,7 @@ class _Chunk:
                 steps = (np.bincount(start[live], minlength=len(at) + 1)
                          - np.bincount(stop[live], minlength=len(at) + 1))
                 return np.cumsum(steps[:-1]).astype(float)
-            raise SimError(f"{name!r} is not read from the departures")
+            raise PropertyError(f"{name!r} is not read from the departures")
         return read
 
 
@@ -721,7 +739,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     n, beta = model.n, model.cfg.n_buses
     try:
         clock_kind, clock_patch, _ = parse_state_name(clock, n, beta)
-    except SimError:
+    except PropertyError:
         clock_kind = None
     if clock_kind not in ("time", "c"):
         raise PropertyError(f"clock must be 'time' or a departure counter c_j of the "

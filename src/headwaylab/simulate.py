@@ -32,20 +32,16 @@ moves the bus along its patch and in the ring, in place when it passes no
 other bus, and draws its next phase.  Otherwise each patch sojourn is one
 Gamma draw, the sum of its phases, equal in distribution.
 
-Streams.  An aggregated run draws each bus's sojourns from a generator of
-its own, default_rng([seed, replication, bus]) with bus = 1..beta, and the
-branch uniform of a hyper-Erlang patch from the same generator, just before
-the sojourn it picks.  So the k-th draw of a bus is the same whatever the
-other buses do and wherever a run is cut.  A phased run couples the buses
-through the follower gap and draws everything from one generator,
-default_rng([seed, replication]), in event order.  It reads its phases
-ahead: one buffer per simulator holds a block of standard exponentials, and
-a phase of rate `rate` is the next value times 1.0 / rate, bit for bit the
-scalar `exponential(1.0 / rate)` at that position of the stream.  The only
-other draw of a phased run, the branch uniform at the entry into a
-hyper-Erlang patch, rewinds: it restores the generator to its state before
-the block, redraws the values already read and draws the uniform, so every
-draw sits where scalar draws would put it.
+Streams.  Every run draws each bus's values from a generator of its own,
+default_rng([seed, replication, bus]) with bus = 1..beta, so the k-th draw
+of a bus is the same whatever the other buses do and wherever a run is cut.
+An aggregated run draws a bus's sojourns from its generator, and the branch
+uniform of a hyper-Erlang patch with random(), just before the sojourn it
+picks.  A phased run reads each bus's generator ahead, a block of _BLOCK
+standard exponentials at a time: a phase of rate `rate` is the next value
+times 1.0 / rate, bit for bit the scalar exponential(1.0 / rate), and the
+branch pick at the entry into a hyper-Erlang patch takes the next value E
+as the uniform u = 1 - exp(-E), computed as -expm1(-E).
 
 The departures are the only events.  `run(until_time)` processes every
 departure at or before until_time and none after it, and returns them as
@@ -94,7 +90,6 @@ once.  No expiry is an event.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -104,17 +99,10 @@ import numpy as np
 from .artifacts import write_lines
 from .fitting import Distribution, ErlangParams, HyperErlangParams, PatchModel
 
-# y_j, H_j, c_j (one index) and z_i_j (two)
-_STATE_NAME = re.compile(r"([yzHc])_([0-9]+)(?:_([0-9]+))?")
-
-# Phased runs read their phases from blocks of standard exponentials.  The
-# first block, and the first after each branch pick (which rewinds the
-# generator), holds _BLOCK_START draws; each next one twice as many, up to
-# _BLOCK_CAP.  A short block after a pick keeps the rewinds of hyper-Erlang
-# models cheap.  The cap bounds the buffer a simulator holds; past a few
-# hundred draws a longer block saves no measurable time.
-_BLOCK_START = 32
-_BLOCK_CAP = 512
+# Phased runs read each bus's standard exponentials in blocks of _BLOCK
+# values.  The block size changes no draw, only how far a bus reads its
+# stream ahead.
+_BLOCK = 256
 
 # The bus-by-bus path draws each bus's departures in blocks of _AHEAD_LAPS
 # whole laps (after a head up to the bus's next terminus entry), whatever
@@ -126,21 +114,6 @@ _AHEAD_LAPS = 64
 
 class SimError(ValueError):
     pass
-
-
-def parse_state_name(name: str, n: int, beta: int) -> tuple[str, int, int]:
-    """(kind, patch j, bus i) of a state name of a model with n patches and
-    beta buses: time and mu_tot have j = i = 0; y_j, H_j and c_j have i = 0.
-    An unknown or out-of-range name raises SimError."""
-    if name in ("time", "mu_tot"):
-        return name, 0, 0
-    m = _STATE_NAME.fullmatch(name)
-    if m is not None:
-        kind, first, second = m.groups()
-        j, bus = (int(second), int(first)) if second else (int(first), 0)
-        if (kind == "z") == bool(second) and 1 <= j <= n and (not second or 1 <= bus <= beta):
-            return kind, j, bus
-    raise SimError(f"unknown state quantity {name!r}")
 
 
 def _branch(dist: HyperErlangParams, u: float) -> tuple[int, float]:
@@ -273,9 +246,8 @@ class Departures:
 
 
 class Simulator:
-    """Single-threaded simulator instance.  Aggregated runs draw from one
-    generator per bus, default_rng([seed, replication, bus]); phased runs
-    from one generator, default_rng([seed, replication]).  Replications
+    """Single-threaded simulator instance.  Every run draws from one
+    generator per bus (see Streams in the module docstring); replications
     with distinct (seed, replication) pairs are independent.  `run` takes
     the bus-by-bus path when `by_bus` is set (an aggregated run of Erlang
     patches without holding) and the event loop otherwise; both give the
@@ -291,11 +263,8 @@ class Simulator:
         # path and phased runs read them ahead.  Buses count from 1: a seed
         # sequence pads its entropy with zeros, so [seed, replication, 0]
         # would give the stream of [seed, replication]
-        if model.phased:
-            self.rng = np.random.default_rng([seed, replication])
-        else:
-            self.rngs = [np.random.default_rng([seed, replication, bus])
-                         for bus in range(1, self.beta + 1)]
+        self.rngs = [np.random.default_rng([seed, replication, bus])
+                     for bus in range(1, self.beta + 1)]
         self.by_bus = (not model.phased and cfg.holding_threshold is None
                        and all(isinstance(d, ErlangParams) for d in model.dists))
         self.t = 0.0
@@ -381,10 +350,10 @@ class Simulator:
         lo, hi = self.model.spans[self.patch[i] - 1]
         return lo + (hi - lo) * min(self.progress_base[i], 1.0)
 
-    def _phases(self) -> tuple[Callable[..., int], Callable[[], float]]:
+    def _phases(self) -> tuple[Callable[..., int], Callable[[int], float]]:
         """(settle, branch_uniform): the settling loop, the one phase draw
-        of phased runs, and the branch uniform, with the block buffer they
-        share.
+        of phased runs, and the branch uniform, with the per-bus blocks
+        they share.
 
         settle(until_time) completes phases, earliest first, until the
         earliest pending item is a departure or a holding gate, or lies past
@@ -396,27 +365,24 @@ class Simulator:
         its follower, and settles nothing.  A phase drawn more than theta_s
         ahead has its rate scaled by the slowdown; settle returns the number
         of such slowed draws, and the caller adds it to slow_draws.
-        Its duration is the next value of a block of standard exponentials
-        times 1.0 / rate: bit for bit the scalar rng.exponential(1.0 / rate)
-        at the same position of the stream.
+        Its duration is the next value of the bus's block times 1.0 / rate.
 
-        branch_uniform() draws the uniform of a hyper-Erlang branch pick.
-        It must come from the consumed position, so when the block has
-        values left it restores the generator to its state before the block
-        and redraws the values already read; the next block starts after the
-        uniform."""
-        rng = self.rng
-        bitgen = rng.bit_generator
+        branch_uniform(i) is the uniform of a hyper-Erlang branch pick of
+        bus i, from the next value of its block.  Each block is held
+        reversed, so its next value is the list's last (see Streams)."""
+        draws = [g.standard_exponential for g in self.rngs]
+        blocks: list[list[float]] = [[] for _ in draws]
         cfg = self.model.cfg
         theta_s, slowdown = cfg.speedmod_threshold, cfg.slowdown
         pending, phases_left, patch = self.pending, self.phases_left, self.patch
         progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
         pos, ring, spans = self.pos, self.ring, self.model.spans
-        buf: list[float] = []
-        at, block, before = 0, _BLOCK_START, None
+
+        def refill(i: int) -> list[float]:
+            blocks[i] = draws[i](_BLOCK)[::-1].tolist()
+            return blocks[i]
 
         def settle(until_time: float, i: int = -1, t: float = 0.0, gap: float = 0.0) -> int:
-            nonlocal buf, at, block, before
             slow = 0
             while True:
                 if i < 0:
@@ -438,22 +404,12 @@ class Simulator:
                 if gap > theta_s:
                     slow += 1
                     rate *= slowdown
-                if at == len(buf):
-                    before = bitgen.state
-                    buf = rng.standard_exponential(block).tolist()
-                    at, block = 0, min(2 * block, _BLOCK_CAP)
-                pending[i] = t + buf[at] * (1.0 / rate)
-                at += 1
+                pending[i] = t + (blocks[i] or refill(i)).pop() * (1.0 / rate)
                 i = -1
             return slow
 
-        def branch_uniform() -> float:
-            nonlocal buf, at, block
-            if at < len(buf):
-                bitgen.state = before
-                rng.standard_exponential(at)
-            buf, at, block = [], 0, _BLOCK_START
-            return rng.random()
+        def branch_uniform(i: int) -> float:
+            return -math.expm1(-(blocks[i] or refill(i)).pop())
 
         return settle, branch_uniform
 
@@ -495,7 +451,7 @@ class Simulator:
                 per_phase[i] = 0.0
                 return 0
             k, rate = erlang[j - 1] or _branch(
-                dists[j - 1], branch_uniform() if phased else uniforms[i]())
+                dists[j - 1], branch_uniform(i) if phased else uniforms[i]())
             k_left = max(1, k - int(progress * k)) if progress else k
             if phased:
                 phases_left[i] = k_left

@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 from headwaylab.properties import (HOUR, MIN_SAMPLES, Binary, Call, EstimateResult,
                                    EstimatorConfig, EvalError, IfThenElse, Num, PropertyError,
                                    Rval, SteadyStateQuery, Unary, UndefinedSample, _state_names,
-                                   _verdict)
-from headwaylab.simulate import Departures, SimError, SimModel, Simulator, parse_state_name
+                                   _verdict, parse_state_name)
+from headwaylab.simulate import Departures, SimModel, Simulator
 
 from full_recompute import AllSamples
 
@@ -93,11 +93,11 @@ class EventReplay:
             return lambda t: math.inf if bases[bus - 1] is None else t - bases[bus - 1]
         if kind == "H":
             if not self.hour_ticks:
-                raise SimError(f"{name!r} is kept only with hour ticks on")
+                raise PropertyError(f"{name!r} is kept only with hour ticks on")
             return lambda t: self.hour_count[j]
         if kind == "c":
             return lambda t: float(self.dep_count[j])
-        raise SimError(f"{name!r} is a constant")
+        raise PropertyError(f"{name!r} is a constant")
 
 
 def compile_scalar(expr, read: Callable[[str], Callable[[float], float]],

@@ -279,9 +279,7 @@ def test_patch_count_mismatch_is_a_usage_error(tmp_path, capsys):
 
 def test_simulate_events_tsv_is_pinned(tmp_path):
     # the 4-patch speed-modification model of the CI `simulate` step: the
-    # bytes the per-event simulator wrote from scalar draws, less the `kind`
-    # column (every row read `dep`), now written from the columns of the
-    # block-drawn phases
+    # bytes written from each bus's block-drawn phases
     (tmp_path / "model.txt").write_text(
         "patch 1 erlang 10 0.1 mu 100.0\npatch 2 erlang 20 0.1 mu 200.0\n"
         "patch 3 erlang 10 0.05 mu 200.0\npatch 4 erlang 30 0.3 mu 100.0\n")
@@ -290,7 +288,7 @@ def test_simulate_events_tsv_is_pinned(tmp_path):
     assert rc == 0
     data = (tmp_path / "events.tsv").read_bytes()
     assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (
-        873, "7539534fe1789bcc4e72c7949e630bc5d3eb33dfb75e4421f0a5a3aed4774f0b")
+        878, "89779bcc42ff7f718158a16010d98faa6e23f653e170339f88d27e2f157cae06")
 
 
 def test_simulate_events_end_at_the_horizon(tmp_path):

@@ -13,7 +13,7 @@ from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalErro
                                    check_assertions, compile_expr, estimate_steady_state,
                                    evaluate_expr, evwt_query, ewt_query, expand_per_patch,
                                    headway_query, parse_quatex, write_results_tsv)
-from headwaylab.simulate import Departures, SimConfig, SimError, Simulator, build_model
+from headwaylab.simulate import Departures, SimConfig, Simulator, build_model
 from headwaylab.synthetic import airlink_model
 from full_recompute import AllSamples, SortedHistory
 from per_event import EventReplay, PerSampleAccumulator, estimate_per_event
@@ -302,7 +302,7 @@ def test_unknown_state_name_fails_before_any_event(name, monkeypatch):
                         'S [ f(), "time" ] < 2;')
     runs = []
     monkeypatch.setattr(Simulator, "run", lambda self, *args, **kwargs: runs.append(1))
-    with pytest.raises(SimError, match=name):
+    with pytest.raises(PropertyError, match=name):
         estimate_steady_state(two_patch_model(), prop.assertions[0], prop.functions,
                               EstimatorConfig(wall_budget=1.0), seed=1)
     assert runs == []

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from conftest import as_departures, first_departures, rows
 from headwaylab import simulate
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
-from headwaylab.properties import HOUR, _History
-from headwaylab.simulate import (SimConfig, SimError, Simulator, _ring_move, _ring_step,
-                                 build_model, parse_state_name)
+from headwaylab.properties import HOUR, PropertyError, _History, parse_state_name
+from headwaylab.simulate import SimConfig, SimError, Simulator, _ring_move, _ring_step, build_model
 from headwaylab.synthetic import airlink_model
 from per_event import EventReplay
 
@@ -77,8 +76,9 @@ class ReferenceStepper:
     takes over a freshly built simulator's state and steps it one departure
     at a time.  It draws scalars from generators of its own, built from the
     same streams as the simulator's (which reads them ahead): one per bus,
-    (seed, replication, bus), for aggregated runs, and (seed, replication)
-    for phased ones.  It replays the construction draws, each checked
+    (seed, replication, bus).  A hyper-Erlang branch uniform is random() in
+    aggregated runs and 1 - exp(-E) of the next standard_exponential() E in
+    phased ones.  It replays the construction draws, each checked
     against the pending time it gave.  The next departure is selected with
     a key on (pending, bus), so ties go to the lowest bus index.  Every gap
     read recomputes each bus's route fraction from patch and progress_base
@@ -90,8 +90,7 @@ class ReferenceStepper:
         self.sim = sim
         self.wraps = 0
         s, m = sim, sim.model
-        shared = np.random.default_rng([seed, replication])
-        self.rngs = [shared if m.phased else np.random.default_rng([seed, replication, bus])
+        self.rngs = [np.random.default_rng([seed, replication, bus])
                      for bus in range(1, s.beta + 1)]
         slow_draws, s.slow_draws = s.slow_draws, 0
         for i, j in enumerate(s.patch):
@@ -110,7 +109,8 @@ class ReferenceStepper:
     def _branch(self, i: int, d) -> tuple[int, float]:
         if isinstance(d, ErlangParams):
             return d.k, d.rate
-        u = self.rngs[i].random()
+        g = self.rngs[i]
+        u = -math.expm1(-g.standard_exponential()) if self.sim.model.phased else g.random()
         return next(((k, r) for k, r, c in zip(d.shapes, d.rates, accumulate(d.weights))
                      if u <= c), (d.shapes[-1], d.rates[-1]))
 
@@ -290,7 +290,7 @@ def test_rval_semantics():
     assert read(f"z_{bus}_{patch}").tolist() == [0.0]
     assert read(f"c_{patch}").tolist() == [1.0]
     assert read(f"H_{patch}").tolist() == [1.0]
-    with pytest.raises(SimError):
+    with pytest.raises(PropertyError):
         read("Q")
     # a patch no bus has departed yet reads infinity
     fresh = chunk.reader(np.array([0.0]), np.array([0]))
@@ -301,7 +301,7 @@ def test_rval_semantics():
                                   "z_0_1", "z_12_1", "z_1_11", "H_0", "c_11", "time_1"])
 def test_reader_rejects_unknown_names_when_resolved(name):
     # every reader of state names resolves them here
-    with pytest.raises(SimError, match="unknown state quantity"):
+    with pytest.raises(PropertyError, match="unknown state quantity"):
         parse_state_name(name, 10, 11)
 
 
@@ -743,13 +743,13 @@ def test_a_stalled_fleet_raises_at_a_finite_end(holding):
         sim.run(until_time=1000.0)
 
 
-@pytest.mark.parametrize("block", [(1, 1), (3, 7), None], ids=["1-1", "3-7", "default"])
+@pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "default"])
 @pytest.mark.parametrize("case", ["airlink-speedmod-holding", "hyper-erlang-phased-speedmod"])
 def test_block_schedule_changes_no_draw(monkeypatch, case, block):
-    # the block sizes only set how far phased runs read ahead: under any
-    # schedule, a run cut into pieces, one cut right after a departure into
-    # a hyper-Erlang patch has drawn its branch, consumes the draws of one
-    # run at the defaults
+    # the block size only sets how far phased runs read each bus's stream
+    # ahead: at any size, a run cut into pieces, one cut right after a
+    # departure into a hyper-Erlang patch has drawn its branch, consumes the
+    # draws of one run at the default
     m = ORACLE_CASES[case][0]()
     whole = Simulator(m, seed=8)
     want = rows(whole.run(until_time=40_000.0))
@@ -757,8 +757,7 @@ def test_block_schedule_changes_no_draw(monkeypatch, case, block):
     assert bool(picks) == (case == "hyper-erlang-phased-speedmod")
     ends = sorted([1234.5, 9000.0, 25_000.0, 40_000.0] + picks[len(picks) // 3:][:1])
     if block is not None:
-        monkeypatch.setattr(simulate, "_BLOCK_START", block[0])
-        monkeypatch.setattr(simulate, "_BLOCK_CAP", block[1])
+        monkeypatch.setattr(simulate, "_BLOCK", block)
     sim = Simulator(m, seed=8)
     got = [row for end in ends for row in rows(sim.run(until_time=end))]
     assert got == want
@@ -768,20 +767,20 @@ def test_block_schedule_changes_no_draw(monkeypatch, case, block):
 
 # at seed 5: the time of the 20,000th departure, a digest of the departures'
 # (t, bus, patch, lap) up to it, then slow_draws and pending right after
-# it, recorded from the phased simulator that scanned the whole fleet at
-# each phase completion; the ring and the settling loop must draw the same
+# it, recorded from ReferenceStepper, which scans the whole fleet at each
+# phase completion; the ring and the settling loop must draw the same
 PHASED_PINS = {
     "airlink-holding-speedmod": (
         lambda: airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
-                              slowdown=0.9), 984863.8612809,
-        "42ea50feaabdbe8d7123a9306892fc31023265ba476dd91cb26f5b837d784047", 213029,
-        [984949.3825090125, 984884.5355616347, 984869.8783199112, 984865.6950381784,
-         984870.7275105139, 984899.0157352838, 984906.0921148598, 984909.2317181445,
-         984891.8221352546, 984876.4522499931, 984891.9739389473]),
+                              slowdown=0.9), 984861.4370765794,
+        "d5bb2e74932391f13e6e3b9ae1622d62a083eb163b3c6892dce773d801464b99", 217078,
+        [984936.5109447523, 984875.8827716903, 984887.4879258842, 984875.5660411087,
+         984866.8131724795, 984861.9204828076, 984862.8887158206, 984868.406970324,
+         984864.2683869615, 984871.7017340533, 984863.2592487973]),
     "hyper-erlang-phased-speedmod": (
-        ORACLE_CASES["hyper-erlang-phased-speedmod"][0], 926130.0108331693,
-        "ef42907b3625de3d436ccfc0262f39dada47fc687ee2e96a1e84db145e2c46b5", 60470,
-        [926143.5676253269, 926153.6776534611, 926133.8873314622, 926161.7200317034]),
+        ORACLE_CASES["hyper-erlang-phased-speedmod"][0], 927175.210535879,
+        "fc51bf543e1c73d14315737c1e56e40ea7821e457eb9b2b017f5029ec5e942df", 60532,
+        [927177.9863472068, 927198.0701357939, 927200.9546649486, 927202.2683559929]),
 }
 
 
@@ -799,6 +798,24 @@ def test_phased_stream_matches_the_recorded_one(case):
     table = rows(sim.run(until_time=end))
     assert len(table) == 20_000
     assert (digest(table), sim.slow_draws, sim.pending) == (want, slow_draws, pending)
+
+
+@pytest.mark.parametrize("dists", [
+    [ErlangParams(8, 0.05), ErlangParams(15, 0.1), ErlangParams(5, 0.02)],
+    [HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)), ErlangParams(8, 0.05),
+     HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5))],
+], ids=["erlang", "hyper-erlang"])
+def test_phased_runs_read_per_bus_streams(dists):
+    # with no timetable, no holding and a slowdown of 1.0, no rule couples
+    # two buses that start together, so bus 1 reads only its own stream and
+    # departs alike in a fleet of 2 and of 3
+    def bus_one(beta):
+        m = build_model(PatchModel(dists), SimConfig(n_buses=beta, timetable=False, init="terminus",
+                                                     speedmod_threshold=0.15, slowdown=1.0))
+        assert m.phased
+        return [row for row in rows(Simulator(m, seed=4).run(until_time=50_000.0)) if row[1] == 1]
+    got = bus_one(2)
+    assert len(got) > 100 and got == bus_one(3)
 
 
 # at seed 5: the time of the 20,000th event, a digest of the events'

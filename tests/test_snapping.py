@@ -229,6 +229,43 @@ def test_compute_fractions_matches_reference(small_map):
     assert got == want
 
 
+def ref_directions(edge, xy, termini, far_nodes):
+    """patches._directions as a loop over the terminus runs."""
+    dirs, last_term, inbound, i = [-1] * len(edge), None, -1, 0
+    while i < len(edge):
+        eid = int(edge[i])
+        if eid in termini and eid != last_term:
+            j = i
+            while j < len(edge) and edge[j] == eid:
+                j += 1
+            node = far_nodes[eid]
+            dists = [math.hypot(x - node[0], y - node[1]) for x, y in xy[i:j].tolist()]
+            split = dists.index(min(dists))
+            if 0 < split < len(dists) - 1 and \
+                    dists[split + 1] - dists[split] > dists[split - 1] - dists[split]:
+                split -= 1
+            outbound = 0 if eid == termini[0] else 1
+            dirs[i:j] = [inbound] * (split + 1) + [outbound] * (j - i - split - 1)
+            last_term, inbound, i = eid, outbound, j
+        else:
+            dirs[i] = inbound
+            i += 1
+    return dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 7, 9]), st.integers(-3, 3), st.integers(-3, 3)),
+                max_size=60), st.sampled_from([1.0, 0.37]))
+def test_directions_match_the_per_run_loop(records, scale):
+    # grid points tie often in distance to the turnaround node: the first
+    # closest record of a run sets the split
+    edge = np.array([e for e, _, _ in records], dtype=np.int64)
+    xy = np.array([(x, y) for _, x, y in records], dtype=np.float64).reshape(-1, 2) * scale
+    far_nodes = {7: (0.0, 0.0), 9: (2.0 * scale, 1.0)}
+    assert patches._directions(edge, xy, (7, 9), far_nodes).tolist() == \
+        ref_directions(edge, xy, (7, 9), far_nodes)
+
+
 def test_derive_route_model_snaps_like_reference(small_map, monkeypatch):
     ts, rm, index = small_map
     picks = []
