@@ -132,8 +132,10 @@ def _simulate_flags(p):
 
 
 def _check_flags(p):
-    p.add_argument("--properties", help="property file; default: EWT/EVWT/BPH per patch")
-    p.add_argument("--patches-list", help="patch indices for the default properties")
+    p.add_argument("--properties", help="property file, run once per patch when it names "
+                   "y_j, c_j, H_j or z_i_j; default: EWT/EVWT/BPH per patch")
+    p.add_argument("--patches-list", help="patch indices for the default properties or a "
+                   "per-patch property file")
     p.add_argument("--warmup", type=_seconds, help="simulated seconds before sampling; default 10 r")
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--rel-halfwidth", type=float, default=0.10)
@@ -400,7 +402,7 @@ def cmd_check(args, out: Path, model) -> int:
     texts: list[tuple[str, str]] = []
     if args.properties:
         raw = Path(args.properties).read_text()
-        if "_j" in raw:
+        if properties.PATCH_PLACEHOLDER.search(raw):
             for j, txt in properties.expand_per_patch(raw, plist).items():
                 texts.append((f"patch{j}", txt))
         else:

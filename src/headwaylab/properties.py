@@ -339,13 +339,14 @@ def parse_quatex(text: str) -> PropertyFile:
     return _Parser(text).parse_file()
 
 
+# the patch placeholder of a per-patch template: the suffix `_j` of y_j,
+# c_j, H_j or z_i_j; a text without one is not a template
+PATCH_PLACEHOLDER = re.compile(r"\b(y|c|H|z_[0-9]+)_j\b")
+
+
 def expand_per_patch(text: str, patches: list[int]) -> dict[int, str]:
-    """Substitute the literal patch placeholder suffix `_j` (as in y_j, c_j,
-    H_j, z_i_j) for each requested patch index."""
-    out = {}
-    for j in patches:
-        out[j] = re.sub(r"\b(y|c|H|z_[0-9]+)_j\b", lambda m: f"{m.group(1)}_{j}", text)
-    return out
+    """Substitute each requested patch index for the PATCH_PLACEHOLDER."""
+    return {j: PATCH_PLACEHOLDER.sub(lambda m: f"{m.group(1)}_{j}", text) for j in patches}
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -728,6 +729,40 @@ class _Chunk:
         return read
 
 
+_Z975 = 1.959963984540054  # the standard normal 0.975 quantile
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with df >= 1 degrees of freedom.
+
+    For integer df, P(|T| <= t) is a finite sum in c2 = cos^2(atan(t/sqrt(df)))
+    (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even); each power of
+    c2 comes from log1p, as a float c2 near 1 would carry its rounding into
+    every power.  Newton's method solves P(|T| <= t) = 0.95 from a start
+    below the root, where the CDF is concave, so every step climbs; it stops
+    once a step no longer raises t.  Within 1e-14 relative of the exact
+    quantile for the df checked in the tests; O(df) per CDF evaluation."""
+    odd = df % 2
+    log_scale = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    t = _Z975 + (_Z975 ** 3 + _Z975) / (4 * df)  # Cornish-Fisher, first term: below the root
+    while True:
+        r2 = df + t * t
+        log_c2 = math.log1p(-t * t / r2)
+        total = coef = float(df > 1)  # df // 2 terms, none for df = 1
+        for k in range(1, df // 2):
+            coef = coef * (2 * k - 1 + odd) / (2 * k + odd)
+            total += coef * math.exp(k * log_c2)
+        if odd:
+            cdf = 2 / math.pi * (math.atan(t / math.sqrt(df)) + t * math.sqrt(df) / r2 * total)
+        else:
+            cdf = t / math.sqrt(r2) * total
+        density = math.exp(log_scale + (df + 1) / 2 * log_c2)
+        nxt = t + (0.95 - cdf) / (2 * density)
+        if not nxt > t:
+            return t
+        t = nxt
+
+
 def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                           functions: dict[str, object], cfg: EstimatorConfig | None = None,
                           seed: int | None = None, replication: int = 0) -> EstimateResult:
@@ -755,10 +790,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     last = max(0.0, warmup)  # the last boundary past the warm-up (time clock)
     skipped = 0
     deadline = _time.monotonic() + cfg.wall_budget
-
-    from scipy.special import stdtrit  # the t quantile, without loading scipy.stats
-
-    tcrit = stdtrit(cfg.batches - 1, 0.975)
+    tcrit = _t975(cfg.batches - 1)
     truncated = False
     estimate, halfwidth, rel = None, math.inf, math.inf
     used_batches = 0
@@ -838,11 +870,11 @@ def check_assertions(model: SimModel, prop: PropertyFile, cfg: EstimatorConfig |
                      seed: int | None = None) -> list[EstimateResult]:
     """Evaluate every assertion, each on its own trajectory.  Its streams
     are (seed, replication) with replication the assertion's index in
-    `prop`: one generator per bus, [seed, replication, bus], in aggregated
-    runs and one generator, [seed, replication], in phased runs (see
-    simulate).  So the assertions of one file see independent trajectories,
-    but a caller that passes one assertion per file, as the CLI's `check`
-    does, replays the same (seed, 0) trajectory for every assertion."""
+    `prop`: one generator per bus, [seed, replication, bus], in every run,
+    aggregated or phased (see simulate).  So the assertions of one file see
+    independent trajectories, but a caller that passes one assertion per
+    file, as the CLI's `check` does, replays the same (seed, 0) trajectory
+    for every assertion."""
     results = []
     for idx, q in enumerate(prop.assertions):
         results.append(estimate_steady_state(model, q, prop.functions, cfg,

@@ -8,7 +8,9 @@ order.  The state it keeps is updated per event, H_j as a count, and a
 query is a tree of closures evaluated once per sample, fed to an
 accumulator one sample at a time, which keeps every sample and cuts its
 batches from sums over all of them (full_recompute).  None of it shares
-code with the column path except the parser and the verdict rule.
+code with the column path except the parser, the verdict rule and the t
+quantile: the oracle checks accumulation and evaluation, and its estimate
+must equal the library's bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple
 from headwaylab.properties import (HOUR, MIN_SAMPLES, Binary, Call, EstimateResult,
                                    EstimatorConfig, EvalError, IfThenElse, Num, PropertyError,
                                    Rval, SteadyStateQuery, Unary, UndefinedSample, _state_names,
-                                   _verdict, parse_state_name)
+                                   _t975, _verdict, parse_state_name)
 from headwaylab.simulate import Departures, SimModel, Simulator
 
 from full_recompute import AllSamples
@@ -223,9 +225,7 @@ def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict
             except UndefinedSample:
                 skipped += 1
 
-    from scipy.special import stdtrit
-
-    tcrit = stdtrit(cfg.batches - 1, 0.975)
+    tcrit = _t975(cfg.batches - 1)
     deadline = _time.monotonic() + cfg.wall_budget
     truncated = False
     estimate, halfwidth, rel = None, math.inf, math.inf

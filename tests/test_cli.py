@@ -160,6 +160,23 @@ def test_check_results_name_the_patch_of_every_row(tmp_path):
     assert rows == [[f"{q}_{j}:{q}", str(j)] for j in (1, 2) for q in ("ewt", "evwt", "bph")]
 
 
+def test_check_runs_a_file_without_a_patch_placeholder_once(tmp_path):
+    # the "_j" of max_jump is no placeholder: the file is not a per-patch
+    # template, so its one assertion runs once, not once per patch
+    model = tmp_path / "model.txt"
+    model.write_text("patch 1 erlang 10 0.1 mu 100.0\npatch 2 erlang 20 0.1 mu 200.0\n"
+                     "patch 3 erlang 10 0.05 mu 200.0\npatch 4 erlang 30 0.3 mu 100.0\n")
+    props = tmp_path / "props.txt"
+    props.write_text('max_jump() = s.rval("y_2");\nS [ max_jump(), "c_2" ] < 1e9;\n')
+    out = tmp_path / "check-out"
+    rc = main(["check", str(model), "--out", str(out), "--no-timetable", "--beta", "3",
+               "--seed", "1", "--properties", str(props), "--max-sim-time", "2e5",
+               "--budget", "20"])
+    assert rc in (0, 1)
+    rows = [row.split("\t")[:2] for row in (out / "results.tsv").read_text().splitlines()[1:]]
+    assert rows == [["file:max_jump", "2"]]
+
+
 @pytest.mark.parametrize("batches", ["1", "0", "-3"])
 def test_check_with_fewer_than_two_batches_is_a_usage_error(tmp_path, capsys, batches):
     model = tmp_path / "model.txt"
@@ -192,15 +209,27 @@ import sys
 import headwaylab.cli
 from headwaylab import properties, simulate, synthetic
 model = synthetic.airlink_model()
-prop = properties.parse_quatex(properties.ewt_query(2))
 deps = simulate.Simulator(model, seed=1).run(until_time=20_000)
-assert prop.assertions and len(deps)
+assert len(deps)
+# EWT and EVWT on the counter clock c_2, BPH on the time clock, each checked
+# on the aggregated simulator and on the phased one (speed modification)
+prop = properties.parse_quatex(properties.ewt_query(2) + properties.evwt_query(2)
+                               + properties.bph_query(2))
+cfg = properties.EstimatorConfig(max_sim_time=40 * model.r, chunk_time=10 * model.r,
+                                 wall_budget=60.0)
+phased = synthetic.airlink_model(timetable=False, holding_threshold=120.0,
+                                 speedmod_threshold=0.15)
+for m in (model, phased):
+    results = properties.check_assertions(m, prop, cfg, seed=1)
+    assert [r.batches for r in results] == [32] * 3, results
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_cli_import_and_a_simulation_load_no_scipy():
-    # scipy costs about a second to import; only the functions that call it load it
+    # importing scipy.special costs 0.2-0.3 s and about 23 MB; only the
+    # functions that call scipy load it, and neither simulation nor model
+    # checking calls it
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)

@@ -9,10 +9,11 @@ from headwaylab import properties
 from headwaylab.fitting import ErlangParams, PatchModel
 from headwaylab.properties import (HOUR, Binary, Call, EstimatorConfig, EvalError, IfThenElse,
                                    Num, ParseError, PropertyError, Rval, Unary, UndefinedSample,
-                                   _Accumulator, _History, _state_names, _verdict, bph_query,
-                                   check_assertions, compile_expr, estimate_steady_state,
-                                   evaluate_expr, evwt_query, ewt_query, expand_per_patch,
-                                   headway_query, parse_quatex, write_results_tsv)
+                                   _Accumulator, _History, _state_names, _t975, _verdict,
+                                   bph_query, check_assertions, compile_expr,
+                                   estimate_steady_state, evaluate_expr, evwt_query, ewt_query,
+                                   expand_per_patch, headway_query, parse_quatex,
+                                   write_results_tsv)
 from headwaylab.simulate import Departures, SimConfig, Simulator, build_model
 from headwaylab.synthetic import airlink_model
 from full_recompute import AllSamples, SortedHistory
@@ -440,7 +441,7 @@ ESTIMATE_PINS = {
                            (0.12948218344180842, 0.03149120982027655, 32, 210324.63163030133,
                             "violated")),
     "evwt-6-timetabled": ((evwt_query(6), {}),
-                          (0.0030395136778115506, 0.0047319348669991055, 32, 210360.0,
+                          (0.0030395136778115506, 0.004731934866999104, 32, 210360.0,
                            "satisfied")),
 }
 
@@ -502,8 +503,31 @@ def test_estimate_repeats_bit_for_bit():
                                                 rel_halfwidth_target=0.05,
                                                 max_sim_time=2e6), seed=3)
     assert (res.estimate, res.halfwidth, res.batches, res.sim_time) == (
-        0.24584920300979848, 0.010711049090219608, 32, 537507.6604188492)
+        0.24584920300979848, 0.010711049090219605, 32, 537507.6604188492)
     assert not res.truncated
+
+
+# the 0.975 quantile of Student's t, computed with mpmath at 40 digits
+T975_REFERENCE = {1: 12.706204736174704646, 2: 4.3026527297494638523, 6: 2.4469118511449699711,
+                  15: 2.1314495455597756821, 31: 2.0395134463964084879,
+                  63: 1.9983405425207415782, 1000: 1.962339080826408485}
+
+
+@pytest.mark.parametrize("df", T975_REFERENCE)
+def test_t_quantile_matches_the_reference_value(df):
+    assert _t975(df) == pytest.approx(T975_REFERENCE[df], rel=1e-14, abs=0)
+
+
+def test_t_quantile_matches_scipy():
+    # stdtrit itself is a few ulps off the reference values, so no bit identity
+    from scipy.special import stdtrit
+
+    def off(df):
+        want = float(stdtrit(df, 0.975))
+        return abs(_t975(df) - want) / want
+
+    assert [df for df in range(1, 5001) if not off(df) <= 1e-12] == []
+    assert [df for df in (10**4, 10**5) if not off(df) <= 1e-10] == []
 
 
 def test_batch_means_match_direct_t_interval():
