@@ -90,14 +90,74 @@ Distribution = ErlangParams | HyperErlangParams
 
 
 def dist_cdf(dist: Distribution, t) -> np.ndarray:
-    from scipy.special import gammainc
-
+    """The CDF at t, 0 below 0, evaluated once per distinct value of t
+    (crossing times are whole seconds, so samples repeat them)."""
     t = np.asarray(t, dtype=np.float64)
+    x, at = np.unique(np.maximum(t, 0.0), return_inverse=True)
     if isinstance(dist, ErlangParams):
-        return gammainc(dist.k, dist.rate * np.maximum(t, 0.0))
-    out = np.zeros_like(t)
-    for a, k, r in zip(dist.weights, dist.shapes, dist.rates):
-        out += a * gammainc(k, r * np.maximum(t, 0.0))
+        out = _erlang_cdf(dist.k, dist.rate * x)
+    else:
+        out = np.zeros_like(x)
+        for a, k, r in zip(dist.weights, dist.shapes, dist.rates):
+            out += a * _erlang_cdf(k, r * x)
+    return out[at].reshape(t.shape)
+
+
+# a term below this fraction of a sum's first term no longer moves the sum
+_LOG_NEGLIGIBLE = -60 * math.log(2.0)
+# cells of the terms matrix computed at once
+_TERMS_BLOCK = 1 << 16
+
+
+def _erlang_cdf(k: int, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma function P(k, x) for an integer
+    k >= 1 and x >= 0, the Erlang(k, 1) CDF at x.
+
+    Below x = k + 1 it sums the series P = x^k e^-x / k! * sum_n>=0 x^n /
+    ((k+1)...(k+n)); from there on the finite Poisson sum Q = 1 - P = e^-x *
+    sum_n<k x^n / n!, from n = k - 1 downward, where its terms are largest.
+    Either way the terms fall off, and the sum stops where they become
+    negligible (`_first_term_times_sum`)."""
+    p = (x == np.inf).astype(np.float64)
+    p[np.isnan(x)] = np.nan
+    # Past term m = 10 sqrt(k) + 60 of either sum, counted from its first,
+    # the terms are negligible for every x of its branch.
+    m = np.arange(1.0, 10 * math.sqrt(k) + 61)
+    series = (x > 0) & (x < k + 1)
+    if series.any():
+        # term m / term 0 = x^m / ((k+1)...(k+m))
+        p[series] = _first_term_times_sum(k, x[series], k, m, np.log1p(m / k), +1.0)
+    poisson = (x >= k + 1) & (x < np.inf)
+    if poisson.any():
+        # term k-1-m / term k-1 = (k-1)...(k-m) / x^m
+        m = m[:k - 1]
+        p[poisson] = 1.0 - _first_term_times_sum(k - 1, x[poisson], k, m, np.log1p(-m / k), -1.0)
+    return p
+
+
+def _first_term_times_sum(n: int, x: np.ndarray, k: int, m: np.ndarray,
+                          log_steps: np.ndarray, sign: float) -> np.ndarray:
+    """x^n e^-x / n! * (1 + the sum over m of exp(sign * (m log(x/k) - C_m))),
+    C_m the sum of the first m of log_steps, per element of x.  Each exponent
+    is below 0 and falls with m; the terms stop at the first that is
+    negligible where they fall slowest.  Centring the logarithms on k keeps
+    their rounding error far below the terms' size."""
+    out = np.exp(n * np.log(x) - x - math.lgamma(n + 1))
+    if not m.size:
+        return out
+    log_ratio = np.log(x / k)
+    c = np.cumsum(log_steps)
+    worst = log_ratio.max() if sign > 0 else log_ratio.min()
+    size = int(np.searchsorted(sign * (c - m * worst), -_LOG_NEGLIGIBLE)) + 1
+    m, c = m[:size], c[:size]
+    block = max(1, _TERMS_BLOCK // m.size)
+    for lo in range(0, x.size, block):
+        e = np.multiply.outer(log_ratio[lo:lo + block], m)
+        e -= c
+        if sign < 0:
+            np.negative(e, out=e)
+        np.exp(e, out=e)
+        out[lo:lo + block] *= 1.0 + e.sum(axis=1)
     return out
 
 
@@ -152,12 +212,11 @@ def _observations(rows: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.
 # --- Erlang / hyper-Erlang fitting ---------------------------------------
 
 def _erlang_objective(total_w: float, sum_wx: float, sum_wlogx: float,
-                      k: int, rate: float, gammaln) -> float:
+                      k: int, rate: float) -> float:
     """Weighted Erlang(k, rate) log-likelihood from the sufficient statistics
-    sum w, sum w*x and sum w*log(x).  The caller binds scipy.special.gammaln
-    once and passes it in: this runs millions of times in a hyper-Erlang fit,
-    where an import on each call would add a large share of its cost."""
-    return (total_w * (k * math.log(rate) - gammaln(k))
+    sum w, sum w*x and sum w*log(x).  It runs millions of times in a
+    hyper-Erlang fit, so it stays on Python floats and math.lgamma."""
+    return (total_w * (k * math.log(rate) - math.lgamma(k))
             + (k - 1) * sum_wlogx - rate * sum_wx)
 
 
@@ -165,14 +224,12 @@ def _scan_k(total_w: float, sum_wx: float, sum_wlogx: float):
     """Scan k = 1, 2, ..., K_CAP with rate = k / weighted mean; stop at the
     first log-likelihood decrease and return (k, rate, loglik) of the previous step.
     The profile likelihood is unimodal in k, so this is the global optimum."""
-    from scipy.special import gammaln
-
     mean = sum_wx / total_w
     if mean <= 0:
         raise FitError("non-positive mean")
 
     def loglik(k: int) -> float:
-        return _erlang_objective(total_w, sum_wx, sum_wlogx, k, k / mean, gammaln)
+        return _erlang_objective(total_w, sum_wx, sum_wlogx, k, k / mean)
 
     prev = loglik(1)
     k = 1
@@ -198,10 +255,8 @@ def fit_erlang(obs) -> ErlangParams:
 def _log_densities(x, logx, shapes, rates, weights) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch weighted log densities log(a_i f_i(x)), one row per branch,
     and the mixture log density log f(x), their log-sum-exp over branches."""
-    from scipy.special import gammaln
-
     comp = np.stack([
-        math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - gammaln(k)
+        math.log(a) + k * math.log(r) + (k - 1) * logx - r * x - math.lgamma(k)
         for a, k, r in zip(weights, shapes, rates)
     ])
     mx = comp.max(axis=0)
@@ -229,7 +284,6 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
     if m == 1:
         e = fit_erlang(x)
         return HyperErlangParams((e.k,), (e.rate,), (1.0,))
-    from scipy.special import gammaln
 
     logx = np.log(x)
     order = np.argsort(x)
@@ -265,7 +319,7 @@ def fit_hyper_erlang(obs, m: int, seed: int = 0, restarts: int = 10,
                 swl = float((w * logx).sum())
                 k_new, r_new, q_new = _scan_k(tw, swx, swl)
                 # guard: never let the M-step lower the expected objective
-                if q_new < _erlang_objective(tw, swx, swl, shapes[b], rates[b], gammaln):
+                if q_new < _erlang_objective(tw, swx, swl, shapes[b], rates[b]):
                     k_new, r_new = shapes[b], rates[b]
                 new_shapes.append(k_new)
                 new_rates.append(r_new)

@@ -23,11 +23,12 @@ locked, kept as a row-major array of flat indices with their intensities in
 a parallel array.  A pass erodes the active pixels whose code is not 255 (at
 least one neighbour unset), sweeps the ones it exhausted and drops them from
 both arrays, so it costs work in proportion to the pixels it can change
-rather than to the image.  The one whole-image
-step left is the component labelling behind the live test of an exhausted
-line end, and it runs only in the passes where such a line end needs it.
-It labels the pixels alive at the start of the pass: those alive now plus
-the pass's exhausted ones, which are the only pixels its sweep can clear.
+rather than to the image.  The one step left that may reach beyond them is
+the flood fill behind the live test of an exhausted line end, and it runs
+only in the passes where such a line end needs it.  It fills the pixels
+alive at the start of the pass (those alive now plus the pass's exhausted
+ones, which are the only pixels its sweep can clear) from the active pixels
+that are not exhausted.
 """
 
 from __future__ import annotations
@@ -111,8 +112,13 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
     A contrast boost b >= 0 then applies
     intensity <- (intensity/max)**(1/(1+b)) * max.
     """
-    if delta < 0 or boost < 0:
-        raise RasterError("delta and boost must be non-negative")
+    for name, value in (("delta", delta), ("boost", boost)):
+        if not (math.isfinite(value) and value >= 0):
+            raise RasterError(f"{name} must be finite and >= 0, got {value}")
+    if not (math.isfinite(resolution) and resolution >= 1):
+        raise RasterError(f"resolution must be finite and >= 1, got {resolution}")
+    if cell_size is not None and not (math.isfinite(cell_size) and cell_size > 0):
+        raise RasterError(f"cell_size must be finite and > 0, got {cell_size}")
     if not len(ts):
         raise RasterError("empty trace set")
     vids = ts.vehicles()
@@ -120,11 +126,8 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
     min_x, max_x, min_y, max_y = (float(v) for v in (xs.min(), xs.max(), ys.min(), ys.max()))
     extent = max(max_x - min_x, max_y - min_y)
     if cell_size is None:
-        if extent <= 0:
-            cell_size = 1.0
-        else:
-            cell_size = extent / resolution
-    if cell_size <= 0:
+        cell_size = extent / resolution if extent > 0 else 1.0
+    if cell_size <= 0:  # an extent that underflows when divided
         raise RasterError("cell_size must be positive")
     width = max(1, int(math.ceil((max_x - min_x) / cell_size)) or 1)
     height = max(1, int(math.ceil((max_y - min_y) / cell_size)) or 1)
@@ -158,20 +161,64 @@ def rasterize_heatmap(ts, cell_size: float | None = None, delta: float = 0.0,
 
 def gaussian_blur(r: Raster, sigma: float) -> Raster:
     """Separable Gaussian convolution, kernel truncated at ceil(3*sigma) cells
-    and renormalized to sum 1; sigma = 0 returns the input unchanged."""
-    if sigma < 0:
-        raise RasterError("sigma must be >= 0")
+    and renormalized to sum 1, with zeros beyond the image; sigma = 0 returns
+    the input unchanged.  sigma may be at most the raster's longer side, so
+    the kernel stays in proportion to the image."""
+    longer = max(r.height, r.width)
+    if not (math.isfinite(sigma) and 0 <= sigma <= longer):
+        raise RasterError(f"sigma must be finite and in [0, {longer}] (the raster's longer side), "
+                          f"got {sigma}")
     if sigma == 0:
         return Raster(r.intensity.copy(), r.cell_size, r.origin)
     radius = int(math.ceil(3.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     kernel /= kernel.sum()
-    from scipy.ndimage import convolve1d
+    out = _convolve_axis(r.intensity, kernel, 0)
+    return Raster(_convolve_axis(out, kernel, 1), r.cell_size, r.origin)
 
-    out = convolve1d(r.intensity, kernel, axis=0, mode="constant", cval=0.0)
-    out = convolve1d(out, kernel, axis=1, mode="constant", cval=0.0)
-    return Raster(out, r.cell_size, r.origin)
+
+# cells of the image convolved at once, so that the block's buffer stays in
+# cache and small next to the image (0.26 MB against 1.9 MB at 270 x 900)
+_BLUR_BLOCK = 1 << 15
+
+
+def _convolve_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Convolution of a 2-D array with an odd, symmetric kernel along one
+    axis, zero-padded.  Each output cell sums in scipy.ndimage's order for
+    a symmetric kernel, so the result is the same to the bit: it starts from
+    the centre tap, a[c] * w[r], then adds (a[c - m] + a[c + m]) * w[r - m]
+    for m = r down to 1.  Taps with m at least the axis length fall wholly
+    outside the image and add exactly 0, so they are skipped.  The output
+    is built a block of rows at a time."""
+    r = kernel.size // 2
+    height, width = a.shape
+    taps = min(r, a.shape[axis] - 1)
+    # shifted(lo, hi, s): for the rows lo:hi, the value at c is a[c + s - taps]
+    # along the axis, or 0 beyond the image
+    if axis == 0:
+        padded = np.zeros((height + 2 * taps, width))
+        padded[taps:taps + height] = a
+
+        def shifted(lo, hi, start):
+            return padded[lo + start:hi + start]
+    else:
+        padded = np.zeros((height, width + 2 * taps))
+        padded[:, taps:taps + width] = a
+
+        def shifted(lo, hi, start):
+            return padded[lo:hi, start:start + width]
+    out = a * kernel[r]
+    rows = max(1, _BLUR_BLOCK // width)
+    pair = np.empty((min(rows, height), width))
+    for lo in range(0, height, rows):
+        hi = min(lo + rows, height)
+        block, total = pair[:hi - lo], out[lo:hi]
+        for m in range(taps, 0, -1):
+            np.add(shifted(lo, hi, taps - m), shifted(lo, hi, taps + m), out=block)
+            block *= kernel[r - m]
+            total += block
+    return out
 
 
 # --- thinning -----------------------------------------------------------
@@ -267,16 +314,32 @@ def _sweep(alive: np.ndarray, codes: np.ndarray, ring: list, pixels: list, remov
                 progress = True
 
 
+# a frontier longer than this drops its repeated pixels; a shorter one keeps
+# them, because a flood along a thin line takes hundreds of short steps and
+# np.unique on each would cost more than the repeats
+_FLOOD_DEDUP = 256
+
+
 def _in_live_component(alive: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Flat mask of the pixels whose 8-connected component of `alive`
-    contains one of the flat indices `live`."""
-    from scipy.ndimage import label
-
-    labels, n = label(alive, structure=np.ones((3, 3), dtype=np.uint8))
-    labels = labels.ravel()
-    has_live = np.zeros(n + 1, dtype=bool)
-    has_live[labels[live]] = True
-    return has_live[labels]
+    contains one of the flat indices `live`, all of them alive.  `alive` is
+    framed by unset pixels, so a flood fill from `live` over ring offsets
+    never leaves the array."""
+    width = alive.shape[1]
+    offsets = np.array([di * width + dj for di, dj in _RING])
+    alive = alive.ravel()
+    unreached = alive.copy()
+    unreached[live] = False
+    frontier = live
+    while frontier.size:
+        step = (frontier[:, None] + offsets).ravel()
+        frontier = step[unreached[step]]
+        unreached[frontier] = False
+        if frontier.size > _FLOOD_DEDUP:
+            # a pixel next to several frontier pixels enters once per
+            # neighbour, and along a 2-wide band its count doubles per step
+            frontier = np.unique(frontier)
+    return alive & ~unreached
 
 
 def skeletonize(r: Raster, tau: float, eta: float) -> SkeletonMask:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -227,9 +228,9 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_cli_import_and_a_simulation_load_no_scipy():
-    # importing scipy.special costs 0.2-0.3 s and about 23 MB; only the
-    # functions that call scipy load it, and neither simulation nor model
-    # checking calls it
+    # importing scipy.special costs 0.2-0.3 s and about 23 MB; no module of
+    # the package imports scipy, and neither simulation nor model checking
+    # loads it
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
@@ -249,18 +250,49 @@ g = graphs.build_graph(raster.skeletonize(blur, tau=0.3, eta=eta), epsilon=2.0)
 rm = route.derive_route_model(g, ts, rejection_radius=3 * heat.cell_size)
 rows, unmatched = patches.compute_fractions(ts, rm)
 assert rows and unmatched < len(ts)
-print(sorted(m for m in sys.modules if m == "scipy.spatial" or m.startswith("scipy.spatial.")))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_snapping_loads_no_scipy_spatial():
-    # records snap through the EdgeIndex's own grid cells, with no KD-tree
+    # records snap through the EdgeIndex's own grid cells, with no KD-tree;
+    # the blur and the skeleton's component mask need no scipy.ndimage
+    # either, so no scipy module at all is loaded
     tests = Path(__file__).resolve().parent
     done = subprocess.run([sys.executable, "-c", SNAP_WITHOUT_SCIPY_SPATIAL], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(tests.parent / "src")},
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+PIPELINE_WITHOUT_SCIPY = """
+import sys
+import headwaylab.cli
+from headwaylab import ingest, synthetic
+# every stage, from the traces to the check, with a delta > 0 heat map
+ts = synthetic.generate_traces(synthetic.default_eight_patch_model(), n_buses=4, days=3, seed=3)
+with open(sys.argv[1] + "/avl.csv", "w") as fh:
+    fh.write(ingest.serialize(ts))
+rc = headwaylab.cli.main(["pipeline", sys.argv[1] + "/avl.csv", "--out", sys.argv[1] + "/out",
+                          "--delta", "0.2", "--tau", "0.3", "--eta", "1", "--beta", "1",
+                          "--seed", "1", "--gamma", "40", "--n", "8", "--max-sim-time", "1e5",
+                          "--budget", "5", "--patches-list", "1", "--cdf-out"])
+assert rc in (0, 1), rc
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_import_and_every_stage_load_no_scipy(tmp_path):
+    # importing scipy.special or scipy.ndimage costs 0.2-0.4 s and 20-30 MB,
+    # and each CLI stage is a fresh interpreter: no stage from the heat map
+    # through the fits to the check loads scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_malformed_artifact_is_a_usage_error(tmp_path, capsys):
@@ -384,6 +416,50 @@ def test_a_route_duration_or_holding_threshold_out_of_range_is_rejected(
         assert main(argv + [f"{flag}={value}"]) == 2
         assert f"error: stage {command!r} failed: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.tsv"))
+
+
+@pytest.fixture(scope="module")
+def seed3_heatmap(seed3_csv, tmp_path_factory):
+    """A directory with the seed-3 fixture's traces.csv and heatmap.pgm."""
+    d = tmp_path_factory.mktemp("seed3-heatmap")
+    assert main(["ingest", str(seed3_csv), "--out", str(d)]) == 0
+    assert main(["heatmap", str(d / "traces.csv"), "--out", str(d)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("stage, flag, value, message", [
+    ("heatmap", "--resolution", "0", "resolution must be finite and >= 1"),
+    ("heatmap", "--delta", "inf", "delta must be finite and >= 0"),
+    ("heatmap", "--delta", "nan", "delta must be finite and >= 0"),
+    ("heatmap", "--boost", "inf", "boost must be finite and >= 0"),
+    ("heatmap", "--boost", "nan", "boost must be finite and >= 0"),
+    ("heatmap", "--cell-size", "inf", "cell_size must be finite and > 0"),
+    ("heatmap", "--cell-size", "0", "cell_size must be finite and > 0"),
+    ("blur", "--sigma", "inf", "sigma must be finite and in [0, 1024]"),
+    ("blur", "--sigma", "nan", "sigma must be finite and in [0, 1024]"),
+    ("blur", "--sigma", "1e6", "sigma must be finite and in [0, 1024]"),
+])
+def test_a_map_stage_value_out_of_range_is_rejected(tmp_path, capsys, seed3_heatmap,
+                                                   stage, flag, value, message):
+    # these crashed with a traceback (inf sigma, resolution 0), ran for
+    # minutes (sigma 1e6), wrote NaN cells or a 1x1 map (inf delta or cell
+    # size), or acted as 0 (NaN delta or boost)
+    field = flag[2:].replace("-", "_")
+    number = int(value) if field == "resolution" else float(value)
+    if stage == "heatmap":
+        ts = _load_traces(seed3_heatmap / "traces.csv")
+        with pytest.raises(raster.RasterError, match=re.escape(message)):
+            raster.rasterize_heatmap(ts, **{field: number})
+        source = seed3_heatmap / "traces.csv"
+    else:
+        heat = raster.read_pgm(str(seed3_heatmap / "heatmap.pgm"))
+        with pytest.raises(raster.RasterError, match=re.escape(message)):
+            raster.gaussian_blur(heat, number)
+        source = seed3_heatmap / "heatmap.pgm"
+    capsys.readouterr()
+    assert main([stage, str(source), "--out", str(tmp_path), f"{flag}={value}"]) == 2
+    assert f"error: stage {stage!r} failed: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 SEED3_FLAGS = {  # subcommand -> its flags in the runs below; `pipeline` takes them all

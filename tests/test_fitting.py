@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 from scipy.stats import gamma
 
 from conftest import straight_route_model, traces_from_fractions
@@ -85,6 +85,47 @@ def test_cdf_limits_and_pdf_integral():
         assert dist_cdf(d, hi) >= 1 - 1e-6
         integral, _ = quad(lambda t: density(d, t), 0, hi, limit=200)
         assert abs(integral - dist_cdf(d, hi)) < 1e-6
+
+
+# largest shape of each range -> the largest error allowed against
+# scipy.special.gammainc: relative where P < 0.5, absolute where P >= 0.5
+CDF_TOLERANCE = {200: 5e-13, 1000: 5e-12, fitting.K_CAP: 1e-10}
+
+
+def shapes_up_to(top: int) -> list[int]:
+    lower = max((b for b in CDF_TOLERANCE if b < top), default=0)
+    if top == 200:
+        return list(range(1, 201))
+    rng = np.random.default_rng(top)
+    return sorted({lower + 1, top, *(int(k) for k in rng.integers(lower + 1, top + 1, size=40))})
+
+
+@pytest.mark.parametrize("top", sorted(CDF_TOLERANCE))
+def test_erlang_cdf_matches_scipy_gammainc(top):
+    tol = CDF_TOLERANCE[top]
+    for k in shapes_up_to(top):
+        sd = math.sqrt(k)
+        # the whole range, the bulk, both sides of the branch point x = k + 1,
+        # and values near 0
+        x = np.concatenate([np.linspace(0.0, k + 14 * sd + 30, 300),
+                            k + sd * np.linspace(-8.0, 8.0, 161),
+                            [k + 1.0, np.nextafter(k + 1.0, 0.0), np.nextafter(k + 1.0, math.inf)],
+                            np.geomspace(1e-6, 1.0, 20)])
+        x = x[x >= 0]
+        got, want = fitting._erlang_cdf(k, x), gammainc(k, x)
+        low = want < 0.5
+        # relative where P is a normal float; both read 0 once it underflows
+        rel = np.abs(got - want)[low & (want > 1e-300)] / want[low & (want > 1e-300)]
+        assert rel.max(initial=0.0) <= tol, k
+        assert np.abs(got - want)[~low].max(initial=0.0) <= tol, k
+        assert np.all(got[low & (want <= 1e-300)] <= 1e-300), k
+
+
+def test_cdf_at_the_ends_and_of_nan():
+    d = ErlangParams(4, 0.5)
+    assert dist_cdf(d, [-3.0, 0.0, math.inf]).tolist() == [0.0, 0.0, 1.0]
+    assert math.isnan(dist_cdf(d, math.nan))
+    assert dist_cdf(d, np.full((2, 3), 8.0)).shape == (2, 3)
 
 
 # --- Erlang fitting ----------------------------------------------------------
@@ -169,6 +210,39 @@ def test_hyper_recovers_published_mixture(rng):
     x = np.where(comp, rng.gamma(10, 1 / 0.0171, size=n), rng.gamma(84, 1 / 0.1961, size=n))
     fit = fit_hyper_erlang(x, 2, seed=3)
     assert hyper_erlang_loglik(x, fit) >= hyper_erlang_loglik(x, gen) - 0.001 * n
+
+
+def pinned_samples() -> dict[str, np.ndarray]:
+    """An Erlang-like sample and a two-mode mixture sample, seeded."""
+    rng = np.random.default_rng(2024)
+    erlang = rng.gamma(12, 100 / 12, size=400)
+    mixture = np.concatenate([rng.gamma(3, 20 / 3, size=150), rng.gamma(40, 300 / 40, size=250)])
+    rng.shuffle(mixture)
+    return {"erlang": erlang, "mixture": mixture}
+
+
+# Values recorded from the fit with scipy.special.gammaln; the fits must not
+# move when the log-gamma function does.
+PINNED_FITS = {
+    "erlang": ((11, 0.11167331470518718),
+               ((13, 17), (0.13521216629629, 0.11576639536409537),
+                (0.9535246691211585, 0.04647533087884153))),
+    "mixture": ((1, 0.005113622282610434),
+                ((3, 36), (0.14764184266450858, 0.1197214142194714),
+                 (0.375000000878194, 0.624999999121806))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FITS))
+def test_fits_of_seeded_samples_pinned(name):
+    x = pinned_samples()[name]
+    (k, rate), (shapes, rates, weights) = PINNED_FITS[name]
+    e = fit_erlang(x)
+    assert (e.k, e.rate) == (k, rate)
+    h = fit_hyper_erlang(x, 2, seed=1)
+    assert h.shapes == shapes
+    assert h.rates == pytest.approx(rates, rel=1e-10, abs=0)
+    assert h.weights == pytest.approx(weights, rel=1e-10, abs=0)
 
 
 def test_hyper_insufficient_observations():

@@ -1,7 +1,8 @@
 """Golden pins for the map stages: heat map, skeleton, graph and route on a
-small seeded fixture, and skeletons of seeded random rasters.  The values
-were recorded from the implementation these stages replaced, so any change
-of output shows here, however the stages are written."""
+small seeded fixture, the Erlang and hyper-Erlang fits of its crossing
+times, and skeletons of seeded random rasters.  The values were recorded
+from the implementation these stages replaced, so any change of output
+shows here, however the stages are written."""
 
 import hashlib
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from headwaylab import graphs, raster, route, synthetic
+from headwaylab import fitting, graphs, patches, raster, route, synthetic
 from headwaylab.ingest import TraceSet
 
 
@@ -63,6 +64,45 @@ def test_fixture_route_pinned(stages):
     assert rm.direction_length(1) == 8113.759673055872
     assert text_digest([[(de.edge_id, de.forward, de.start_offset) for de in seq]
                         for seq in rm.directions]) == "73194ac5a22ea680"
+
+
+@pytest.fixture(scope="module")
+def crossings(fixture_traces, stages):
+    rm = stages[3]
+    ps = patches.jenks_cluster_counts(patches.bin_counts(fixture_traces, rm, gamma=40), 8)
+    assert ps.break_bins == [1, 2, 18, 20, 21, 26, 33]
+    return fitting.extract_crossing_times(fixture_traces, rm, ps)
+
+
+FIXTURE_ERLANGS = {
+    1: (38, 0.11621755662092909), 2: (40, 0.1629327902240326), 3: (151, 0.15574193198165187),
+    4: (43, 0.08713272543059777), 5: (57, 0.35202340321794245), 6: (64, 0.16114818078811532),
+    7: (88, 0.2593192868719611), 8: (154, 0.25071762135298403),
+}
+
+
+def test_fixture_erlang_fits_pinned(crossings):
+    assert {j: len(xs) for j, xs in crossings.items()} == {1: 37, 2: 40, 3: 38, 4: 38, 5: 38,
+                                                          6: 40, 7: 40, 8: 38}
+    fits = {j: fitting.fit_erlang(xs) for j, xs in crossings.items()}
+    assert {j: (e.k, e.rate) for j, e in fits.items()} == FIXTURE_ERLANGS
+
+
+# three patches whose fits stay below K_CAP, so the scans stay short
+FIXTURE_HYPER_ERLANGS = {
+    2: ((277, 114), (1.39442315551636, 0.42797640984090696), (0.30817187456331113, 0.6918281254366889)),
+    4: ((3641, 55), (10.075500074063532, 0.10937844912147024), (0.06603031967682164, 0.9339696803231784)),
+    7: ((362, 273), (1.197148630466926, 0.7504578434785544), (0.3978959722362478, 0.6021040277637522)),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(FIXTURE_HYPER_ERLANGS))
+def test_fixture_hyper_erlang_fit_pinned(crossings, patch):
+    shapes, rates, weights = FIXTURE_HYPER_ERLANGS[patch]
+    h = fitting.fit_hyper_erlang(crossings[patch], 2)
+    assert h.shapes == shapes
+    assert h.rates == pytest.approx(rates, rel=1e-10, abs=0)
+    assert h.weights == pytest.approx(weights, rel=1e-10, abs=0)
 
 
 def reference_heatmap(ts, cell_size, origin, shape, delta):

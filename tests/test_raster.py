@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from headwaylab import raster
 from headwaylab.ingest import TraceSet
@@ -93,6 +95,66 @@ def test_blur_mass_conservation_interior():
     r = Raster(grid, 1.0, (0.0, 0.0))
     out = gaussian_blur(r, 2.0)
     assert abs(out.intensity.sum() - grid.sum()) / grid.sum() < 1e-9
+
+
+def scipy_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """The blur as two scipy.ndimage.convolve1d calls with zero padding (oracle)."""
+    from scipy.ndimage import convolve1d
+
+    radius = int(math.ceil(3.0 * sigma))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (x / sigma) ** 2)
+    kernel /= kernel.sum()
+    out = convolve1d(a, kernel, axis=0, mode="constant", cval=0.0)
+    return convolve1d(out, kernel, axis=1, mode="constant", cval=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(height=st.integers(1, 60), width=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 1.0), spread=st.floats(0.01, 1.0))
+@example(height=1, width=1, seed=0, share=1.0, spread=1.0)     # radius 3 on 1 x 1
+@example(height=2, width=60, seed=1, share=0.5, spread=1.0)    # radius 180 on both axes
+@example(height=60, width=60, seed=2, share=1.0, spread=0.01)  # radius 2
+def test_blur_equals_scipy_convolve1d_to_the_bit(height, width, seed, share, spread):
+    """Sparse non-negative rasters, sigma up to the longer side, so the
+    kernel's radius often exceeds one axis or both."""
+    rng = np.random.default_rng(seed)
+    grid = rng.exponential(5.0, size=(height, width)) * (rng.random((height, width)) < share)
+    sigma = spread * max(height, width)
+    got = gaussian_blur(Raster(grid, 1.0, (0.0, 0.0)), sigma).intensity
+    assert got.tobytes() == scipy_blur(grid, sigma).tobytes()
+
+
+def labelled_live_components(alive: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The live test by scipy.ndimage.label (oracle): the flat mask of the
+    8-connected components of `alive` holding a flat index of `live`."""
+    from scipy.ndimage import label
+
+    labels, n = label(alive, structure=np.ones((3, 3), dtype=np.uint8))
+    labels = labels.ravel()
+    has_live = np.zeros(n + 1, dtype=bool)
+    has_live[labels[live]] = True
+    return has_live[labels]
+
+
+@pytest.mark.parametrize("seed", [*range(40), "band"])
+def test_live_component_flood_matches_labelling(seed):
+    if seed == "band":
+        # a 2 x 60 band with one live pixel at an end: the shortest paths to a
+        # pixel double at each column, and the flood must let each pixel into
+        # its frontier once, not once per path
+        framed = np.zeros((4, 62), dtype=bool)
+        framed[1:3, 1:61] = True
+        live = np.array([62 + 1])
+    else:
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 40, size=2))
+        framed = np.zeros((h + 2, w + 2), dtype=bool)
+        framed[1:-1, 1:-1] = rng.random((h, w)) < rng.uniform(0.2, 0.7)
+        alive = np.flatnonzero(framed)
+        live = rng.choice(alive, size=min(alive.size, int(rng.integers(0, 6))), replace=False)
+    got = raster._in_live_component(framed, live)
+    assert np.array_equal(got, labelled_live_components(framed, live))
 
 
 def _line_raster(length=60, value=10.0):
