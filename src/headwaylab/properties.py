@@ -209,6 +209,7 @@ class _Parser:
 
     def parse_file(self) -> PropertyFile:
         functions: dict[str, object] = {}
+        lines: dict[str, int] = {}
         assertions: list[SteadyStateQuery] = []
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -216,7 +217,10 @@ class _Parser:
                 assertions.append(self.parse_assertion())
             elif tok.kind == "ident":
                 name, expr = self.parse_def()
-                functions[name] = expr
+                if name in functions:
+                    raise ParseError(f"function {name!r} defined twice, first at line {lines[name]}",
+                                     tok.line, tok.col)
+                functions[name], lines[name] = expr, tok.line
             else:
                 raise ParseError(f"expected a definition or assertion, found {tok.text!r}",
                                  tok.line, tok.col)

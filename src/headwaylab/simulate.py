@@ -211,6 +211,8 @@ def build_model(pm: PatchModel, cfg: SimConfig) -> SimModel:
         bp = list(cfg.breakpoints)
         if len(bp) != n + 1 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise SimError("breakpoints must run from 0.0 to 1.0 with one span per patch")
+        if any(lo >= hi for lo, hi in zip(bp, bp[1:])):
+            raise SimError(f"breakpoints must increase, got {tuple(bp)}")
         spans = list(zip(bp[:-1], bp[1:]))
     else:
         spans = [(j / n, (j + 1) / n) for j in range(n)]

@@ -1,11 +1,17 @@
 """Synthetic AVL fixtures with known ground truth, and the paper's two
 case-study models.
 
-Generates traces from a patch-based loop model on an out-and-back route: each
-bus sojourns in patch j for an Erlang(k_j, rate_j) time while its route
-fraction advances linearly across the patch span, and its position is sampled
-every sample_interval seconds along a known planar geometry.  Used by the
-pipeline round-trip tests and the bundled demo fixture.
+Traces come from the simulator the model checker runs: `generate_traces`
+runs a patch-based loop model untimetabled in `simulate.Simulator`, one
+replication per day, so each bus draws from the stream [seed, day, bus]
+(see Streams in `simulate`).  Each day's run starts with a lead of one lap
+before the first sample, so every bus has departed by then.
+`traces_from_run` turns a run's departures into positions on an
+out-and-back route of known planar geometry: between two departures a bus
+moves at constant speed across its patch.  Timetabled, holding and
+speed-modification fixtures come from the same two steps on another
+`SimConfig`.  Used by the pipeline round-trip tests and the bundled demo
+fixture.
 
 `airlink_model` and `bellevue_express_model` are the simulation models of the
 paper's two case studies (arXiv 2009.13053): the Airlink in Edinburgh and
@@ -25,7 +31,7 @@ import numpy as np
 
 from .fitting import ErlangParams, PatchModel
 from .ingest import TraceSet
-from .simulate import SimConfig, SimModel, build_model
+from .simulate import Departures, SimConfig, SimModel, Simulator, build_model
 
 # Published Erlang (k, rate) per patch, patch 1 first.
 _AIRLINK_ERLANGS = ((44, 0.0482), (106, 0.4190), (68, 0.1858), (73, 0.2011), (17, 0.0523),
@@ -55,21 +61,12 @@ class SyntheticRoute:
     def loop_length(self) -> float:
         return 2.0 * self.oneway_length
 
-    def point_at_arc(self, s: float) -> tuple[float, float]:
-        s = min(max(s, 0.0), self.oneway_length)
-        i = int(np.searchsorted(self.cum, s, side="right")) - 1
-        i = min(i, len(self.cum) - 2)
-        seg_len = self.cum[i + 1] - self.cum[i]
-        t = 0.0 if seg_len == 0 else (s - self.cum[i]) / seg_len
-        a, b = self.vertices[i], self.vertices[i + 1]
-        return float(a[0] + (b[0] - a[0]) * t), float(a[1] + (b[1] - a[1]) * t)
-
-    def point_at_fraction(self, f: float) -> tuple[float, float]:
-        f = f % 1.0
-        arc = f * self.loop_length
-        if arc <= self.oneway_length:
-            return self.point_at_arc(arc)
-        return self.point_at_arc(self.loop_length - arc)
+    def points_at(self, f: np.ndarray) -> np.ndarray:
+        """(len(f), 2) positions at route fractions f in [0, 1]."""
+        arc = np.asarray(f, dtype=float) * self.loop_length
+        s = np.where(arc <= self.oneway_length, arc, self.loop_length - arc)
+        return np.column_stack([np.interp(s, self.cum, self.vertices[:, 0]),
+                                np.interp(s, self.cum, self.vertices[:, 1])])
 
 
 def gentle_s_curve(length: float = 6000.0, amplitude: float = 900.0,
@@ -84,17 +81,6 @@ class SyntheticModel:
     route: SyntheticRoute
     breakpoints: list[float]  # n+1 fractions, 0.0 .. 1.0
     params: list[ErlangParams]  # one per patch
-
-    @property
-    def n(self) -> int:
-        return len(self.params)
-
-    @property
-    def means(self) -> list[float]:
-        return [p.mean for p in self.params]
-
-    def patch_span(self, j: int) -> tuple[float, float]:
-        return self.breakpoints[j - 1], self.breakpoints[j]
 
 
 def default_eight_patch_model() -> SyntheticModel:
@@ -144,48 +130,55 @@ def bellevue_express_model(**overrides) -> SimModel:
     return _case_study(_BELLEVUE_EXPRESS_ERLANGS, 12, 6323.0, overrides)
 
 
+def traces_from_run(deps: Departures, breakpoints, route: SyntheticRoute,
+                    times) -> list[np.ndarray]:
+    """Each bus's (t, x, y) rows at its sample times, times[b - 1] for bus b
+    on the run's clock.  The knots of a bus are its departures, a departure
+    from patch j at route fraction breakpoints[j]; between two knots the bus
+    moves at constant speed, so a sample at a departure sits exactly on the
+    breakpoint.  A sample time before a bus's first departure or after its
+    last raises ValueError."""
+    bp = np.asarray(breakpoints, dtype=float)
+    n = len(bp) - 1
+    out = []
+    for b, t in enumerate(times, start=1):
+        t = np.asarray(t, dtype=float)
+        mine = deps.bus == b
+        kt, patch = deps.t[mine], deps.patch[mine]
+        if len(t) and not (len(kt) and kt[0] <= t.min() and t.max() <= kt[-1]):
+            raise ValueError(f"bus {b}: sample times must lie within its departures")
+        u = np.interp(t, kt, np.arange(len(kt), dtype=float)) if len(t) else t
+        i = u.astype(np.int64)  # the knot before each sample, u - i of the way to the next
+        start = bp[patch[i]] % 1.0  # the end of the patch departed, 0.0 after the last
+        f = start + (bp[patch[i] % n + 1] - start) * (u - i)
+        out.append(np.column_stack([t, route.points_at(f)]))
+    return out
+
+
 def generate_traces(model: SyntheticModel, n_buses: int, days: int,
                     day_start: int = 10 * 3600, day_end: int = 15 * 3600,
                     sample_interval: int = 35, seed: int = 7,
                     base_day: int = 19723) -> TraceSet:
-    """Simulate buses through the patch model and sample their positions.
+    """Run the model untimetabled in `Simulator` and sample its buses.
 
-    base_day is days-since-epoch of the first generated day (a Monday by
-    default so a Mon-Fri window filter keeps everything).
+    Day d is replication d of the seed.  Its run starts one lap, ceil(r)
+    seconds, before day_start and ends one lap after day_end.  Bus b (from 0)
+    is sampled every sample_interval seconds from day_start + (7 b) %
+    sample_interval on, before day_end.  base_day is days-since-epoch of the
+    first day (a Monday by default so a Mon-Fri window filter keeps
+    everything).
     """
-    rng = np.random.default_rng(seed)
-    traces: dict[str, list[tuple[int, float, float]]] = {}
-    for b in range(n_buses):
-        vid = f"bus{b + 1:02d}"
-        rows: list[tuple[int, float, float]] = []
-        for day in range(days):
-            t0 = (base_day + day) * 86400 + day_start
-            t_end = (base_day + day) * 86400 + day_end
-            # stagger starts within the loop
-            frac = (b / n_buses) % 1.0
-            t = float(t0)
-            next_sample = t0 + (b * 7) % sample_interval
-            j = 1
-            while model.breakpoints[j] <= frac:
-                j += 1
-            # partially completed sojourn for the starting patch
-            lo, hi = model.patch_span(j)
-            p = model.params[j - 1]
-            sojourn = float(rng.gamma(p.k, 1.0 / p.rate))
-            done = (frac - lo) / (hi - lo)
-            t_entry = t - sojourn * done
-            while t < t_end:
-                t_exit = t_entry + sojourn
-                while next_sample < min(t_exit, t_end):
-                    lo, hi = model.patch_span(j)
-                    f = lo + (hi - lo) * (next_sample - t_entry) / sojourn
-                    x, y = model.route.point_at_fraction(f)
-                    rows.append((int(next_sample), x, y))
-                    next_sample += sample_interval
-                t = t_exit
-                t_entry = t_exit
-                j = j % model.n + 1
-                p = model.params[j - 1]
-                sojourn = float(rng.gamma(p.k, 1.0 / p.rate))
-        traces[vid] = rows
-    return TraceSet(traces)
+    sm = build_model(PatchModel(model.params),
+                     SimConfig(n_buses, timetable=False, breakpoints=tuple(model.breakpoints)))
+    lead = math.ceil(sm.r)
+    span = day_end - day_start
+    times = [np.arange(lead + (7 * b) % sample_interval, lead + span, sample_interval)
+             for b in range(n_buses)]
+    rows: list[list[np.ndarray]] = [[] for _ in range(n_buses)]
+    for day in range(days):
+        deps = Simulator(sm, seed=seed, replication=day).run(lead + span + lead)
+        for b, txy in enumerate(traces_from_run(deps, model.breakpoints, model.route, times)):
+            txy[:, 0] += (base_day + day) * 86400 + day_start - lead
+            rows[b].append(txy)
+    return TraceSet({f"bus{b + 1:02d}": np.concatenate(r or [np.empty((0, 3))])
+                     for b, r in enumerate(rows)})

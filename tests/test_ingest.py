@@ -207,7 +207,7 @@ def test_filter_window_matches_per_record_loop(seed):
 
 
 # the serialized mapgen fixture: 12 buses x 10 days at seed 5, 61,740 rows
-FIXTURE_CSV_SHA256 = "1ff0293649a46d8ede2056bae1adcee6e166b4c6428a6998d312a1143300a82e"
+FIXTURE_CSV_SHA256 = "1c7f92579efe2cebf957f8ffe5161d3c620fcb2b139623b99cba119d1ca4984f"
 
 
 def test_fixture_csv_bytes_pinned():

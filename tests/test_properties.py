@@ -43,6 +43,13 @@ def test_parse_missing_fi_reports_position():
     assert "line 1" in str(err.value)
 
 
+def test_parse_function_defined_twice_names_both_lines():
+    # were the last ewt kept, the assertion on c_1 would read y_2
+    with pytest.raises(ParseError, match="'ewt' defined twice, first at line 1") as err:
+        parse_quatex(ewt_query(1) + ewt_query(2))
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 def test_parse_undefined_function():
     with pytest.raises(PropertyError):
         parse_quatex('S [ ghost(), "time" ] < 1;')

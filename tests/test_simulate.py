@@ -547,6 +547,16 @@ def test_timetable_requires_termini():
         build_model(pm, SimConfig(n_buses=2, timetable=True))
 
 
+@pytest.mark.parametrize("breakpoints", [(0.0, 0.6, 0.4, 1.0), (0.0, 0.5, 0.5, 1.0),
+                                         (0.0, 0.3, 0.6), (0.1, 0.3, 0.6, 1.0)],
+                         ids=["decreasing", "repeated", "too-few", "not-from-0"])
+def test_breakpoints_must_increase_from_0_to_1(breakpoints):
+    # a decreasing pair would give a patch a backward span, (0.6, 0.4)
+    pm = PatchModel([ErlangParams(1, 0.01)] * 3)
+    with pytest.raises(SimError, match="breakpoints must"):
+        build_model(pm, SimConfig(n_buses=2, timetable=False, breakpoints=breakpoints))
+
+
 def test_event_log_roundtrip(tmp_path):
     from headwaylab.simulate import write_event_log
     deps = Simulator(airlink_model(), seed=3).run(until_time=20_000)
