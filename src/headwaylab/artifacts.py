@@ -17,7 +17,7 @@ Read back by the next stage:
 TSV reports, a header line and then one row per record: observations.tsv
 (patch duration), gof.tsv (patch n_obs A2 p mean sd cv skew kurt),
 cdf_patchJ.tsv (kind x F), events.tsv (t bus patch lap) and results.tsv
-(assertion patch estimate halfwidth verdict batches sim_time).
+(assertion patch estimate halfwidth verdict batches sim_time truncated).
 """
 
 from __future__ import annotations

@@ -426,7 +426,8 @@ def cmd_check(args, out: Path, model) -> int:
     for label, r in zip(labels, results):
         shown = (f"{r.estimate:.4g} ± {r.halfwidth:.2g}"
                  if r.event_observed and r.estimate is not None else "-")
-        print(f"check: {label} = {shown} -> {r.verdict}")
+        cut = " (truncated by --budget)" if r.truncated else ""
+        print(f"check: {label} = {shown} -> {r.verdict}{cut}")
     return 0 if not bad else 1
 
 

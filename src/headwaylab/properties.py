@@ -909,10 +909,15 @@ def headway_query(patch: int, threshold: float = 1e9) -> str:
 
 def write_results_tsv(results: list[EstimateResult], path: str,
                       labels: list[str] | None = None) -> None:
-    rows = [("assertion", "patch", "estimate", "halfwidth", "verdict", "batches", "sim_time")]
+    """One row per assertion; `truncated` is yes where the wall budget ran
+    out before the target or the cap, so a blank estimate then means "cut
+    short", not "event never observed"."""
+    rows = [("assertion", "patch", "estimate", "halfwidth", "verdict", "batches", "sim_time",
+             "truncated")]
     for i, r in enumerate(results):
         label = labels[i] if labels else (r.query.function if r.query else str(i))
         shown = ((f"{r.estimate:.6g}", f"{r.halfwidth:.3g}", r.verdict)
                  if r.event_observed and r.estimate is not None else ("-", "-", "-"))
-        rows.append((label, r.patch or "", *shown, r.batches, f"{r.sim_time:.0f}"))
+        rows.append((label, r.patch or "", *shown, r.batches, f"{r.sim_time:.0f}",
+                     "yes" if r.truncated else "no"))
     write_lines(path, rows, "\t")

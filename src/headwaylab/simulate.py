@@ -16,21 +16,21 @@ Three control mechanisms can modify departures:
 * speed modification: when a bus leads its follower (the nearest bus behind
   it) by more than a fraction theta_s of the route, its subsequently drawn
   phase rates are scaled by the slowdown factor (phase-level simulation).
-  The fleet's route fractions are kept in an ascending ring; a bus that
-  moves is taken out, and its follower is the largest fraction left at or
-  below its new one, or the largest of all across the 1.0 -> 0.0 wrap.
-  Float subtraction is monotone, so that one gap equals the minimum over
-  the whole fleet bit for bit.  A bus alone has no follower and is never
-  slowed.
+  The fleet's route fractions, in [0, 1), are kept in an ascending ring; a
+  bus that moves is taken out, and its follower is the largest fraction
+  left at or below its new one, or the largest of all across the 1.0 -> 0.0
+  wrap.  Float subtraction is monotone, so that one gap equals the minimum
+  over the whole fleet bit for bit.  A bus alone has no follower and is
+  never slowed.  A bus placed part-way into a patch can have one phase more
+  than the patch has left; during it the bus stands at the patch's end, and
+  the end of the last patch is 0.0, the same place as 1.0.
 
 The simulator is phased exactly when speed modification is on: it then
 draws each exponential phase of a sojourn in turn, so a phase drawn after
-the gap to the follower widens runs slowed.  A phase completion is not an
-event: one settling loop completes phases, earliest first, until the
-earliest pending item is a departure or a holding gate.  Each completion
-moves the bus along its patch and in the ring, in place when it passes no
-other bus, and draws its next phase.  Otherwise each patch sojourn is one
-Gamma draw, the sum of its phases, equal in distribution.
+the gap to the follower widens runs slowed.  A phase completion is not a
+departure: it moves the bus along its patch and in the ring, in place when
+it passes no other bus, and draws its next phase.  Otherwise each patch
+sojourn is one Gamma draw, the sum of its phases, equal in distribution.
 
 Streams.  Every run draws each bus's values from a generator of its own,
 default_rng([seed, replication, bus]) with bus = 1..beta, so the k-th draw
@@ -63,11 +63,13 @@ happened: by time, ties to the lowest bus.  It takes one of two paths.
   recursion redoes the times from there until the bus is back on a slot.
   The buses are then merged by (t, bus).  A bus reads its stream ahead,
   past until_time; the times it has drawn wait for the next run.
-* The event loop, for every other run: it binds the simulator's lists once
-  per call, picks each next departure itself and applies it (the holding
-  base and the entry into the next patch).  It consumes no draw past
-  until_time (a phased run may have read past it, but the next run takes
-  up those values where this one left off).
+* The event loop, for every other run: one loop, with the simulator's
+  lists bound once per simulator, takes the earliest pending item from a
+  heap of (pending time, bus), ties to the lowest bus.  An item is a phase
+  completion, a holding gate or a departure, and each rewrites its bus's
+  pending time and heap entry.  It consumes no draw past until_time (a
+  phased run may have read past it, but the next run takes up those values
+  where this one left off).
 
 Neither path's read-ahead shows: a run cut into pieces gives the same
 departures, and leaves the same pending, patch, lap, t and
@@ -75,7 +77,7 @@ events_processed, as one run, whatever the block sizes, and the bus-by-bus
 path gives what the event loop gives on the same streams.  The patch entry,
 with the timetable slot and the sojourn draw, is one function with the
 generators bound once per simulator; construction places the buses through
-it too.
+it too, and draws their first phases through the event loop.
 
 The simulator keeps only the state its own rules read, such as the last
 departure from each patch for holding.  The per-patch quantities a query
@@ -92,6 +94,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heapreplace
 from typing import Callable
 
 import numpy as np
@@ -138,20 +141,6 @@ def _ring_move(ring: list[float], old: float, new: float) -> float:
     gap = (new - ring[k - 1]) % 1.0 if ring else 0.0
     ring.insert(k, new)
     return gap
-
-
-def _ring_step(ring: list[float], old: float, new: float) -> float:
-    """_ring_move for a bus moving forward, old <= new: the same ring and the
-    same gap.  When the bus passes no other bus, its entry k is overwritten in
-    place: the entries before k lie below old, so at or below new, and the
-    ones after it above new, so its follower is ring[k - 1], or with k = 0
-    ring[-1], the largest other fraction across the wrap.  A bus alone reads
-    its own entry, a gap of 0.0."""
-    k = bisect_left(ring, old)
-    if k + 1 == len(ring) or ring[k + 1] > new:
-        ring[k] = new
-        return (new - ring[k - 1]) % 1.0
-    return _ring_move(ring, old, new)
 
 
 @dataclass
@@ -277,9 +266,12 @@ class Simulator:
         self.lap = [0] * self.beta
         self.pending = [0.0] * self.beta
         self.phases_left = [0] * self.beta
-        self.phase_rate = [0.0] * self.beta
         self.progress_base = [0.0] * self.beta  # completed fraction inside current patch
         self.progress_per_phase = [0.0] * self.beta
+        # a phase's duration per standard exponential, 1.0 / rate, and when
+        # drawn slowed 1.0 / (rate * slowdown): set at each phased patch entry
+        self.phase_scale = [0.0] * self.beta
+        self.slowed_scale = [0.0] * self.beta
         # route fraction of each bus for the gap to its follower: _route_progress,
         # rewritten in phased runs wherever patch or progress_base changes;
         # ring holds the same fractions in ascending order
@@ -288,8 +280,7 @@ class Simulator:
 
         self.last_dep = [None] * (self.n + 1)  # the holding base, by patch (event loop)
 
-        self._settle_phases, self._branch_uniform = self._phases() if model.phased else (None, None)
-        self._enter_patch = self._entry()
+        self._enter, self._advance = self._event_loop()
         self._init_buses()
         # bus by bus: each bus's departure times from its pending one on,
         # drawn ahead of the runs that return them
@@ -344,127 +335,157 @@ class Simulator:
         self.ring[:] = sorted(self.pos)
         for i, (j, prog, slot_lap) in enumerate(places):
             self.lap[i] = 0 if j == 1 else slot_lap
-            self.slow_draws += self._enter_patch(i, j, 0.0, prog, slot_lap)
+            gap = self._enter(i, j, 0.0, prog, slot_lap)
+            if gap is not None:  # the first phase, drawn as the event loop draws each
+                self.slow_draws += self._advance([(0.0, i)], -math.inf, None, i, 0.0, gap)
 
     # -- sojourn draws -------------------------------------------------------
 
     def _route_progress(self, i: int) -> float:
         lo, hi = self.model.spans[self.patch[i] - 1]
-        return lo + (hi - lo) * min(self.progress_base[i], 1.0)
+        return (lo + (hi - lo) * min(self.progress_base[i], 1.0)) % 1.0
 
-    def _phases(self) -> tuple[Callable[..., int], Callable[[int], float]]:
-        """(settle, branch_uniform): the settling loop, the one phase draw
-        of phased runs, and the branch uniform, with the per-bus blocks
-        they share.
+    def _event_loop(self) -> tuple[Callable[[int, int, float, float, int], float | None],
+                                   Callable[..., int]]:
+        """(enter, advance): the one patch entry and the one event loop,
+        with the simulator's lists and generators bound once, not the
+        simulator, so no reference cycle outlives the simulator's last use.
 
-        settle(until_time) completes phases, earliest first, until the
-        earliest pending item is a departure or a holding gate, or lies past
-        until_time.  A phase completion is not an event: the clock stays.  It
-        moves the bus along its patch and in the ring, in place when it
-        passes no other bus (_ring_step), and draws its next phase.  The
-        patch entry draws a bus's first phase through the same step:
-        settle(-inf, i, now, gap) draws the phase of bus i, `gap` ahead of
-        its follower, and settles nothing.  A phase drawn more than theta_s
-        ahead has its rate scaled by the slowdown; settle returns the number
-        of such slowed draws, and the caller adds it to slow_draws.
-        Its duration is the next value of the bus's block times 1.0 / rate.
+        enter(i, j, now, progress, slot_lap) puts bus i into patch j at
+        `now`, `progress` of the way through it.  At a timetabled terminus
+        the bus leaves at the later of now and its slot in lap `slot_lap`.
+        Elsewhere an aggregated run draws the rest of the sojourn; a phased
+        run sets the phases left and the bus's two phase time scales,
+        1.0 / rate and 1.0 / (rate * slowdown), and returns the gap to the
+        bus's follower, for advance to draw the first phase.  enter returns
+        None when it has set the bus's pending time itself.
 
-        branch_uniform(i) is the uniform of a hyper-Erlang branch pick of
-        bus i, from the next value of its block.  Each block is held
-        reversed, so its next value is the list's last (see Streams)."""
+        advance(heap, until_time, record, i, t, gap) is the event loop.
+        heap holds (pending[b], b) for every bus b, so its top is the
+        earliest pending item, ties to the lowest bus.  The loop takes the
+        top; once it lies past until_time, it returns the number of phases
+        it drew slowed.  A phase completion moves the bus along its patch
+        and in the ring, in place when it passes no other bus, and draws the
+        next phase.  A holding gate moves the bus's pending time to it.  A
+        departure is recorded, sets the holding base of its patch and enters
+        the bus into the next patch.  Every item rewrites its bus's pending
+        time and heap entry (heapreplace).  A phase is drawn slowed when the
+        bus leads its follower by more than theta_s; its duration is the
+        next value of the bus's block times one of the two scales.  With
+        i >= 0 the loop first draws the phase of bus i, entered at t with
+        `gap` ahead of its follower, whose entry is the heap's top: the
+        construction draws each first phase with heap [(0.0, i)] and
+        until_time -inf, which takes no item after it.
+
+        The blocks of standard exponentials are held reversed, so a bus's
+        next value is its list's last (see Streams); the branch uniform of a
+        phased entry into a hyper-Erlang patch comes from the same block."""
+        m, cfg = self.model, self.model.cfg
+        n, last = self.n, self.beta - 1
+        patch, lap, pending, last_dep = self.patch, self.lap, self.pending, self.last_dep
+        phases_left, progress, per_phase = self.phases_left, self.progress_base, self.progress_per_phase
+        scale, slowed = self.phase_scale, self.slowed_scale
+        pos, ring = self.pos, self.ring
+        span_lo = [lo for lo, _ in m.spans]
+        span_w = [hi - lo for lo, hi in m.spans]
+        termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
+        # (k, rate) of each Erlang patch; None where a branch is drawn first
+        erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
+        theta_h, theta_s, slowdown = cfg.holding_threshold, cfg.speedmod_threshold, cfg.slowdown
+        phased = m.phased
         draws = [g.standard_exponential for g in self.rngs]
         blocks: list[list[float]] = [[] for _ in draws]
-        cfg = self.model.cfg
-        theta_s, slowdown = cfg.speedmod_threshold, cfg.slowdown
-        pending, phases_left, patch = self.pending, self.phases_left, self.patch
-        progress, per_phase, phase_rate = self.progress_base, self.progress_per_phase, self.phase_rate
-        pos, ring, spans = self.pos, self.ring, self.model.spans
+        gammas = [g.gamma for g in self.rngs]
+        uniforms = [g.random for g in self.rngs]
 
         def refill(i: int) -> list[float]:
             blocks[i] = draws[i](_BLOCK)[::-1].tolist()
             return blocks[i]
 
-        def settle(until_time: float, i: int = -1, t: float = 0.0, gap: float = 0.0) -> int:
-            slow = 0
-            while True:
-                if i < 0:
-                    t = min(pending)
-                    if t > until_time:
-                        break
-                    i = pending.index(t)
-                    left = phases_left[i]
-                    if left < 2:
-                        break
-                    phases_left[i] = left - 1
-                    b = progress[i] + per_phase[i]
-                    progress[i] = b
-                    lo, hi = spans[patch[i] - 1]
-                    p = lo + (hi - lo) * (b if b < 1.0 else 1.0)
-                    gap = _ring_step(ring, pos[i], p)
-                    pos[i] = p
-                rate = phase_rate[i]
-                if gap > theta_s:
-                    slow += 1
-                    rate *= slowdown
-                pending[i] = t + (blocks[i] or refill(i)).pop() * (1.0 / rate)
-                i = -1
-            return slow
-
-        def branch_uniform(i: int) -> float:
-            return -math.expm1(-(blocks[i] or refill(i)).pop())
-
-        return settle, branch_uniform
-
-    def _entry(self) -> Callable[[int, int, float, float, int], int]:
-        """The one patch entry, with the state it writes bound once:
-        enter(i, j, now, progress, slot_lap) puts bus i into patch j at
-        `now`, `progress` of the way through it.  At a timetabled terminus
-        the bus leaves at the later of now and its slot in lap `slot_lap`;
-        elsewhere it draws the rest of its sojourn, or in phased runs its
-        first phase, and returns the slowed draws it made.  `_init_buses`
-        and `run` both call it.  Like the settling loop, it binds the
-        simulator's lists and generators, not the simulator, so no reference
-        cycle outlives the simulator's last use."""
-        m = self.model
-        patch, progress_base, pending = self.patch, self.progress_base, self.pending
-        phases_left, phase_rate, per_phase = self.phases_left, self.phase_rate, self.progress_per_phase
-        pos, ring, spans = self.pos, self.ring, m.spans
-        termini, r, offsets, anchors, dists = m.termini, m.r, m.offsets, m.anchors, m.dists
-        # (k, rate) of each Erlang patch; None where a branch is drawn first
-        erlang = [(d.k, d.rate) if isinstance(d, ErlangParams) else None for d in dists]
-        phased = m.phased
-        if phased:
-            settle, branch_uniform = self._settle_phases, self._branch_uniform
-        else:
-            gammas = [g.gamma for g in self.rngs]
-            uniforms = [g.random for g in self.rngs]
-
-        def enter(i: int, j: int, now: float, progress: float, slot_lap: int) -> int:
+        def enter(i: int, j: int, now: float, prog: float, slot_lap: int) -> float | None:
             patch[i] = j
-            progress_base[i] = progress
+            progress[i] = prog
             if phased:
-                lo, hi = spans[j - 1]
-                p = lo + (hi - lo) * min(progress, 1.0)
+                p = (span_lo[j - 1] + span_w[j - 1] * min(prog, 1.0)) % 1.0
                 gap = _ring_move(ring, pos[i], p)
                 pos[i] = p
             if j in termini:
                 pending[i] = max(now, r * slot_lap + offsets[i] + anchors[j - 1])
                 phases_left[i] = 0
                 per_phase[i] = 0.0
-                return 0
+                return None
             k, rate = erlang[j - 1] or _branch(
-                dists[j - 1], branch_uniform(i) if phased else uniforms[i]())
-            k_left = max(1, k - int(progress * k)) if progress else k
+                dists[j - 1], -math.expm1(-(blocks[i] or refill(i)).pop()) if phased
+                else uniforms[i]())
+            k_left = max(1, k - int(prog * k)) if prog else k
             if phased:
                 phases_left[i] = k_left
-                phase_rate[i] = rate
                 per_phase[i] = 1.0 / k
-                return settle(-math.inf, i, now, gap)
+                scale[i] = 1.0 / rate
+                slowed[i] = 1.0 / (rate * slowdown)
+                return gap
             phases_left[i] = 1
-            per_phase[i] = 1.0 - progress
+            per_phase[i] = 1.0 - prog
             pending[i] = now + gammas[i](k_left, 1.0 / rate)
-            return 0
-        return enter
+            return None
+
+        def advance(heap: list[tuple[float, int]], until_time: float,
+                    record: Callable[[tuple], None] | None,
+                    i: int = -1, t: float = 0.0, gap: float = 0.0) -> int:
+            slow = 0
+            while True:
+                if i < 0:
+                    t, i = heap[0]
+                    if t > until_time:
+                        return slow
+                    left = phases_left[i]
+                    if left > 1:  # a phase completion
+                        phases_left[i] = left - 1
+                        b = progress[i] + per_phase[i]
+                        progress[i] = b
+                        j = patch[i] - 1
+                        p = span_lo[j] + span_w[j] * (b if b < 1.0 else 1.0)
+                        # the entries before k lie below the bus's old fraction
+                        # and the ones after it above p: it passes no other
+                        # bus, and its follower is ring[k - 1], or with k = 0
+                        # ring[-1] across the wrap (its own entry when alone)
+                        k = bisect_left(ring, pos[i])
+                        if (k == last or ring[k + 1] > p) and p < 1.0:
+                            ring[k] = p
+                            gap = (p - ring[k - 1]) % 1.0
+                        else:  # a pass, or the end of the last patch: 0.0
+                            p %= 1.0
+                            gap = _ring_move(ring, pos[i], p)
+                        pos[i] = p
+                    else:
+                        j = patch[i]
+                        if theta_h is not None:
+                            base = last_dep[j]
+                            if base is not None and t < base + theta_h:
+                                pending[i] = t = base + theta_h
+                                heapreplace(heap, (t, i))
+                                i = -1
+                                continue
+                        last_dep[j] = t
+                        record((t, i, j, lap[i]))
+                        if j == n:
+                            j = 0
+                            lap[i] += 1
+                        gap = enter(i, j + 1, t, 0.0, lap[i])
+                        if gap is None:
+                            heapreplace(heap, (pending[i], i))
+                            i = -1
+                            continue
+                if gap > theta_s:
+                    slow += 1
+                    t += (blocks[i] or refill(i)).pop() * slowed[i]
+                else:
+                    t += (blocks[i] or refill(i)).pop() * scale[i]
+                pending[i] = t
+                heapreplace(heap, (t, i))
+                i = -1
+
+        return enter, advance
 
     # -- event loop -------------------------------------------------------------
 
@@ -473,49 +494,24 @@ class Simulator:
         (ties to the lowest bus index), and return them.  Afterwards
         self.t <= until_time.  until_time must be finite: no run processes
         every departure there is.  A `by_bus` simulator takes the bus-by-bus
-        path (_run_by_bus); every other one runs the event loop below.
+        path (_run_by_bus); every other one runs the event loop.
 
-        The event loop's next item is the earliest pending one.  Once it
-        lies past until_time the run stops, so it consumes no draw past
-        until_time; the phase values a phased run has read ahead wait in its
-        buffer for the next run.
-        Before that, phase completions are settled first, and a bus that would
-        leave sooner than theta_h after the last departure from its patch is
-        moved to that gate.  A departure sets the holding base of its patch
-        and enters the bus into the next patch."""
+        The event loop (_event_loop) keeps a heap of (pending[i], i), built
+        from pending at the start of each run, and takes the earliest item
+        from it: a phase completion, a holding gate or a departure.  Once
+        the earliest lies past until_time the run stops, so it consumes no
+        draw past until_time; the phase values a phased run has read ahead
+        wait in its blocks for the next run."""
         if not math.isfinite(until_time):
             raise SimError(f"a run must end at a finite time, got {until_time}")
         if self.by_bus:
             return self._run_by_bus(until_time)
-        n, theta_h = self.n, self.model.cfg.holding_threshold
-        pending, phases_left, patch, lap = self.pending, self.phases_left, self.patch, self.lap
-        last_dep = self.last_dep
-        enter, settle = self._enter_patch, self._settle_phases
-        slow = 0
-        out = []
-        record = out.append
-        while True:
-            t = min(pending)
-            if t > until_time:
-                if not math.isfinite(t):
-                    raise SimError("simulation stalled: no pending events")
-                break
-            i = pending.index(t)
-            if phases_left[i] > 1:
-                slow += settle(until_time)
-                continue
-            j = patch[i]
-            if theta_h is not None:
-                base = last_dep[j]
-                if base is not None and t < base + theta_h:
-                    pending[i] = base + theta_h
-                    continue
-            last_dep[j] = t
-            record((t, i, j, lap[i]))
-            if j == n:
-                j = 0
-                lap[i] += 1
-            slow += enter(i, j + 1, t, 0.0, lap[i])
+        heap = [(t, i) for i, t in enumerate(self.pending)]
+        heapify(heap)
+        out: list[tuple[float, int, int, int]] = []
+        slow = self._advance(heap, until_time, out.append)
+        if not math.isfinite(heap[0][0]):
+            raise SimError("simulation stalled: no pending events")
         self.slow_draws += slow
         if out:
             self.t = out[-1][0]

@@ -132,6 +132,24 @@ def test_check_shows_dash_for_observed_but_unestimated(tmp_path, capsys):
     assert rows[1].startswith("ewt_1:ewt\t1\t-\t-\t-\t")
 
 
+def test_check_marks_the_assertions_a_zero_budget_cuts(tmp_path, capsys):
+    # the budget runs out at the first chunk end: EWT and EVWT have no
+    # batches yet, which reads as an event never observed unless the row
+    # and the printed line say the run was cut
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3)))
+    rc = main(["check", str(model), "--out", str(tmp_path), "--beta", "3", "--seed", "1",
+               "--no-timetable", "--holding", "60", "--speedmod", "0.3", "--patches-list", "1",
+               "--max-sim-time", "1e6", "--budget", "0"])
+    assert rc in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert "check: ewt_1:ewt = - -> undecided (truncated by --budget)" in lines
+    assert "check: evwt_1:evwt = - -> undecided (truncated by --budget)" in lines
+    head, *rows = [row.split("\t") for row in (tmp_path / "results.tsv").read_text().splitlines()]
+    cut = {row[0]: (row[head.index("batches")], row[head.index("truncated")]) for row in rows}
+    assert (cut["ewt_1:ewt"], cut["evwt_1:evwt"]) == (("0", "yes"), ("0", "yes"))
+
+
 def test_check_phased_with_holding_and_speedmod(tmp_path):
     # speed modification runs on the phased simulator; holding gates its departures
     model = tmp_path / "model.txt"

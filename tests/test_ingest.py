@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headwaylab import ingest, synthetic
 from headwaylab.ingest import ColumnSchema, IngestError, TimeWindow, TraceSet
@@ -159,6 +161,54 @@ def test_time_between_minus_one_and_zero_rejected_not_truncated():
     iso = ColumnSchema(time_format="iso8601")
     ts, report = parse(["a,0,0,1969-12-31T23:59:59.5+00:00", "a,1,0,1970-01-01T00:00:00.5+00:00"], iso)
     assert report.rows_rejected == 1 and ts.traces["a"].tolist() == [[0.0, 1.0, 0.0]]
+
+
+def per_row_parse(lines) -> tuple[dict, dict]:
+    """The per-row parse that parse_records' typed arrays replaced, as the
+    oracle: {vehicle: [(t, x, y), ...]} in order of first appearance, a row
+    kept per (vehicle, t), the later one, and the report's counts."""
+    report = dict(rows_read=0, rows_kept=0, rows_rejected=0, duplicates_dropped=0,
+                  rows_filtered_by_route=0)
+    by_vehicle: dict[str, dict[int, tuple]] = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        report["rows_read"] += 1
+        parts = line.split(",")
+        try:
+            vid, x, y, t = parts[0].strip(), float(parts[1]), float(parts[2]), float(parts[3])
+        except (IndexError, ValueError):
+            report["rows_rejected"] += 1
+            continue
+        if not vid or not math.isfinite(x) or not math.isfinite(y) or not 0 <= t < 2**53:
+            report["rows_rejected"] += 1
+            continue
+        rows = by_vehicle.setdefault(vid, {})
+        report["duplicates_dropped"] += int(t) in rows
+        rows[int(t)] = (float(int(t)), x, y)
+    traces = {vid: [rows[t] for t in sorted(rows)] for vid, rows in by_vehicle.items()}
+    report["rows_kept"] = sum(map(len, traces.values()))
+    return traces, report
+
+
+TOKEN = st.sampled_from(["0", "1.5", "-2.25", "nan", "inf", "-0.0", "x", "", "1e300",
+                         str(2**53 - 1), str(2**53), "-0.5", "7", "7.9"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["# note", "", "a,1"]) | st.builds(
+    lambda v, x, y, t: f"{v},{x},{y},{t}", st.sampled_from(["a", "b", " c", "", "d "]),
+    TOKEN, TOKEN, TOKEN | st.integers(0, 9).map(str)), max_size=40))
+def test_parse_matches_the_per_row_loop(lines):
+    # malformed, comment, blank and duplicate rows, among vehicles that
+    # interleave
+    ts, report = parse(lines)
+    traces, counts = per_row_parse(lines)
+    assert vars(report) == counts
+    assert list(ts.traces) == list(traces)
+    for vid, rows in traces.items():
+        assert ts.traces[vid].tolist() == [list(r) for r in rows]
 
 
 def per_record_window(ts: TraceSet, window: TimeWindow, tz_offset: int = 0) -> dict:

@@ -772,10 +772,14 @@ def test_unobserved_event_reports_blank(tmp_path):
                                                 max_sim_time=100_000.0), seed=2)
     assert not res.event_observed
     assert res.verdict == "undecided"
+    assert not res.truncated
     path = tmp_path / "results.tsv"
     write_results_tsv([res], str(path), ["rare"])
-    line = path.read_text().splitlines()[1]
-    assert "\t-\t-\t-\t" in line
+    head, line = path.read_text().splitlines()
+    assert head.split("\t") == ["assertion", "patch", "estimate", "halfwidth", "verdict",
+                                "batches", "sim_time", "truncated"]
+    assert line.split("\t") == ["rare", "1", "-", "-", "-", str(res.batches),
+                                f"{res.sim_time:.0f}", "no"]
 
 
 def test_check_assertions_runs_each_query():

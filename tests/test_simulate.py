@@ -14,7 +14,7 @@ from conftest import as_departures, first_departures, rows
 from headwaylab import simulate
 from headwaylab.fitting import ErlangParams, HyperErlangParams, PatchModel
 from headwaylab.properties import HOUR, PropertyError, _History, parse_state_name
-from headwaylab.simulate import SimConfig, SimError, Simulator, _ring_move, _ring_step, build_model
+from headwaylab.simulate import SimConfig, SimError, Simulator, _ring_move, build_model
 from headwaylab.synthetic import airlink_model
 from per_event import EventReplay
 
@@ -92,11 +92,13 @@ class ReferenceStepper:
         s, m = sim, sim.model
         self.rngs = [np.random.default_rng([seed, replication, bus])
                      for bus in range(1, s.beta + 1)]
+        self.rate = [0.0] * s.beta  # the rate of each bus's phases (phased runs)
         slow_draws, s.slow_draws = s.slow_draws, 0
         for i, j in enumerate(s.patch):
             if j in m.termini:
                 continue
             k, rate = self._branch(i, m.dists[j - 1])
+            self.rate[i] = rate
             if m.phased:
                 assert s.pending[i] == self.rngs[i].exponential(1.0 / self._rate(i, rate))
             else:
@@ -117,7 +119,7 @@ class ReferenceStepper:
     def _position(self, b: int) -> float:
         s = self.sim
         lo, hi = s.model.spans[s.patch[b] - 1]
-        return lo + (hi - lo) * min(s.progress_base[b], 1.0)
+        return (lo + (hi - lo) * min(s.progress_base[b], 1.0)) % 1.0  # the route's end is 0.0
 
     def _rate(self, i: int, rate: float) -> float:
         s, cfg = self.sim, self.sim.model.cfg
@@ -140,7 +142,7 @@ class ReferenceStepper:
             return
         k, rate = self._branch(i, m.dists[j - 1])
         if m.phased:
-            s.phases_left[i], s.phase_rate[i], s.progress_per_phase[i] = k, rate, 1.0 / k
+            s.phases_left[i], s.progress_per_phase[i], self.rate[i] = k, 1.0 / k, rate
             s.pending[i] = now + self.rngs[i].exponential(1.0 / self._rate(i, rate))
         else:
             s.phases_left[i] = 1
@@ -158,7 +160,7 @@ class ReferenceStepper:
             if s.phases_left[i] > 1:
                 s.phases_left[i] -= 1
                 s.progress_base[i] += s.progress_per_phase[i]
-                s.pending[i] = t + self.rngs[i].exponential(1.0 / self._rate(i, s.phase_rate[i]))
+                s.pending[i] = t + self.rngs[i].exponential(1.0 / self._rate(i, self.rate[i]))
                 continue
             j = s.patch[i]
             theta_h = m.cfg.holding_threshold
@@ -503,30 +505,6 @@ def test_ring_gap_is_the_fleet_minimum(fleet, mover, new, tie):
     assert ring == sorted(fleet)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(FRACTION, min_size=1, max_size=15), st.integers(0, 14), FRACTION,
-       st.none() | st.integers(0, 14))
-@example([0.3], 0, 0.5, None)  # a lone bus
-@example([0.3], 0, 0.3, None)
-@example([0.2, 0.6], 0, 0.4, None)  # two buses, no pass
-@example([0.2, 0.6], 0, 0.7, None)  # two buses, a pass
-@example([0.2, 0.6], 1, 0.9, None)  # the bus at the largest fraction, follower below
-@example([0.0, BELOW_ONE], 1, BELOW_ONE, None)
-@example([0.25, 0.25, 0.25, 0.7], 1, 0.25, None)  # duplicates, standing still
-@example([0.25, 0.25, 0.25, 0.7], 0, 0.5, None)  # duplicates, leaving the others
-@example([0.1, 0.4, 0.4, 0.9], 0, 0.4, 1)  # catching up with a duplicate pair
-def test_ring_step_matches_ring_move(fleet, mover, new, tie):
-    # a bus moving forward, old <= new: the in-place step gives the gap
-    # _ring_move gives and leaves the same ring
-    i = mover % len(fleet)
-    if tie is not None:
-        new = fleet[tie % len(fleet)]
-    new = max(new, fleet[i])
-    ring, want = sorted(fleet), sorted(fleet)
-    assert _ring_step(ring, fleet[i], new) == _ring_move(want, fleet[i], new)
-    assert ring == want
-
-
 def test_hyper_erlang_branch_draws():
     pm = PatchModel([HyperErlangParams((2, 40), (0.01, 0.4), (0.5, 0.5)),
                      ErlangParams(5, 0.05)])
@@ -593,7 +571,28 @@ ORACLE_CASES = {
     # after their slots, so most terminus departures take the arrival time
     "late-bus-timetable": (lambda: airlink_model(route_duration=3000.0), 5000),
     "one-bus": (lambda: airlink_model(n_buses=1), 2000),
+    # the model of the benchmark's speed-modification check
+    "strategy-speedmod": (
+        lambda: airlink_model(timetable=False, route_duration=None, holding_threshold=120.0,
+                              speedmod_threshold=0.15, slowdown=0.9, init="uniform"), 600),
 }
+
+
+def check_cuts(ref: ReferenceStepper, sim: Simulator, ends) -> list[tuple]:
+    """Run `sim` to each of `ends` in turn, and step the reference to the
+    same end: each run gives the reference's departures and leaves its
+    pending, phases_left, progress_base and slow_draws.  Returns the
+    departures."""
+    got = []
+    for end in ends:
+        want = []
+        while (row := ref.advance(until=end)) is not None:
+            want.append(row)
+        assert rows(sim.run(until_time=end)) == want
+        assert (sim.pending, sim.phases_left, sim.progress_base, sim.slow_draws) == (
+            ref.sim.pending, ref.sim.phases_left, ref.sim.progress_base, ref.sim.slow_draws)
+        got += want
+    return got
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -613,18 +612,52 @@ def test_cached_positions_match_fleet_scan(case):
     assert fast.pending == ref.sim.pending
     # runs that end between departures complete the phases due by then and
     # consume no draw past them
-    for end in want[-1][0] + np.array([37.5, 80.0, 400.0, 1000.0]):
-        more = []
-        while (row := ref.advance(until=end)) is not None:
-            more.append(row)
-        assert rows(fast.run(until_time=end)) == more
-        assert (fast.pending, fast.phases_left, fast.progress_base, fast.slow_draws) == (
-            ref.sim.pending, ref.sim.phases_left, ref.sim.progress_base, ref.sim.slow_draws)
+    check_cuts(ref, fast, want[-1][0] + np.array([37.5, 80.0, 400.0, 1000.0]))
     if m.cfg.speedmod_threshold is not None:
         assert ref.sim.slow_draws > 0
         # with patch 1 untimetabled, a bus just past 0.0 draws while its
         # follower is still short of 1.0
         assert ref.wraps > 0 or m.cfg.timetable
+
+
+def test_speed_modification_check_model_matches_the_reference_in_chunks_of_r():
+    # the speed-modification check of the benchmark runs this model in
+    # chunks of one r, from a 2 r warm-up on, to 8 r
+    m = ORACLE_CASES["strategy-speedmod"][0]()
+    ref = ReferenceStepper(Simulator(m, seed=5), seed=5)
+    got = check_cuts(ref, Simulator(m, seed=5), [k * m.r for k in range(1, 9)])
+    assert len(got) > 800 and ref.sim.slow_draws > 1000 and ref.wraps > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["terminus", "uniform"]),
+       st.lists(st.tuples(st.integers(1, 6), st.floats(0.005, 0.05)), min_size=2, max_size=4),
+       st.floats(0.01, 0.6), st.sampled_from([0.5, 0.9, 1.0]),
+       st.none() | st.sampled_from([0.0, 30.0, 120.0]), st.integers(0, 2**16))
+@example(1, "uniform", [(3, 0.01), (2, 0.02)], 0.1, 0.5, None, 4)  # a lone bus
+@example(5, "terminus", [(1, 0.01), (6, 0.05), (2, 0.005)], 0.15, 0.9, 120.0, 5)
+@example(2, "terminus", [(4, 0.02), (4, 0.02)], 0.01, 0.5, 0.0, 9)
+# bus 3 starts one ulp short of 0.2 into patch 2 with all 5 phases left, so
+# its last phase starts at the end of patch 2, 1.0: the place of 0.0, where
+# bus 1 is, and not 0.5 ahead of the buses at 0.5
+@example(5, "uniform", [(5, 0.046875), (5, 0.046875)], 0.25, 0.5, None, 0)
+def test_small_phased_fleets_match_the_reference(beta, init, shapes, theta_s, slowdown,
+                                                 holding, seed):
+    # the event loop moves a bus in the ring in place when it passes no
+    # other bus, and through _ring_move when it does; the reference scans
+    # the fleet at each draw.  Under terminus init the buses start tied at
+    # 0.0, and holding gates tie their pending times.  Untimetabled, a bus
+    # just past 0.0 reads its follower across the 1.0 -> 0.0 wrap
+    pm = PatchModel([ErlangParams(k, rate) for k, rate in shapes])
+    m = build_model(pm, SimConfig(n_buses=beta, timetable=False, init=init,
+                                  holding_threshold=holding, speedmod_threshold=theta_s,
+                                  slowdown=slowdown))
+    # a lap at the slowed rates, and the longest wait at the holding gates
+    lap = m.r / slowdown + m.n * beta * (holding or 0.0)
+    ref = ReferenceStepper(Simulator(m, seed=seed), seed=seed)
+    got = check_cuts(ref, Simulator(m, seed=seed), [k * lap for k in (0.5, 3.0, 3.25, 10.0)])
+    assert len(got) > m.n * beta
+    assert ref.wraps == 0 or beta > 1
 
 
 def terminus_lateness(m, table) -> tuple[int, int]:
@@ -778,7 +811,7 @@ def test_block_schedule_changes_no_draw(monkeypatch, case, block):
 # at seed 5: the time of the 20,000th departure, a digest of the departures'
 # (t, bus, patch, lap) up to it, then slow_draws and pending right after
 # it, recorded from ReferenceStepper, which scans the whole fleet at each
-# phase completion; the ring and the settling loop must draw the same
+# phase completion; the ring and the event loop must draw the same
 PHASED_PINS = {
     "airlink-holding-speedmod": (
         lambda: airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15,
@@ -886,7 +919,7 @@ def _hyper_model(speedmod_threshold):
                                   lambda s: airlink_model(speedmod_threshold=s),
                                   _hyper_model], ids=["erlang", "erlang-timetabled", "hyper-erlang"])
 def test_simulator_is_freed_without_the_cyclic_collector(make, speedmod):
-    # the patch entry and the settling loop bind the simulator's lists and
+    # the patch entry and the event loop bind the simulator's lists and
     # generators, not the simulator, and the bus-by-bus path keeps its
     # drawn-ahead times in arrays, so dropping the last reference frees
     # the simulator at once
