@@ -1,16 +1,26 @@
 """Skeleton-to-graph conversion: crossing detection, run tracing, polyline
-simplification (Ramer-Douglas-Peucker), long-edge splitting, node merging."""
+simplification (Ramer-Douglas-Peucker), long-edge splitting, node merging.
+
+The walk over the skeleton uses the pixel layout of `raster`'s thinning: the
+mask framed by one unset pixel and addressed by flat index, so the eight
+neighbours of a pixel sit at fixed flat offsets and every set pixel has all
+eight inside the array.  The eight steps are those of `_NBRS`, row by row,
+not `raster`'s ring order: the step order decides which run is traced first,
+and so the edge ids.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .artifacts import read_lines, write_lines
-from .raster import neighbour_counts
+from .raster import frame, neighbour_counts
 
 
 class GraphError(ValueError):
@@ -84,115 +94,94 @@ def build_graph(skel, epsilon: float, split_divisor: float = 1.0) -> RouteGraph:
     split into chunks of about median/split_divisor.  Only the largest
     connected component (by total length) is kept.
     """
+    if not epsilon >= 0:
+        raise GraphError(f"epsilon must be >= 0, got {epsilon}")
+    if not split_divisor >= 1:
+        raise GraphError(f"split divisor must be >= 1, got {split_divisor}")
     mask = skel.mask
     if not mask.any():
         raise GraphError("empty skeleton mask")
-    if split_divisor < 1:
-        raise GraphError("split divisor must be >= 1")
     cs = skel.cell_size
     ox, oy = skel.origin
-
-    counts = neighbour_counts(mask)
-    node_px = mask & (counts != 0) & (counts != 2)
-    isolated = mask & (counts == 0)  # stray dots: not part of any run
+    framed = frame(mask)
+    width = framed.shape[1]
+    counts = neighbour_counts(framed).ravel()
+    on = framed.ravel()
+    node = on & (counts != 0) & (counts != 2)
+    steps = [di * width + dj for di, dj in _NBRS]
 
     # merge 8-adjacent node pixels into clusters
-    cluster_of: dict[tuple[int, int], int] = {}
-    clusters: list[list[tuple[int, int]]] = []
-    for i, j in map(tuple, np.argwhere(node_px)):
-        if (i, j) in cluster_of:
+    cluster: dict[int, int] = {}  # cluster pixel -> the id of its cluster
+    clusters: list[list[int]] = []
+    for p in np.flatnonzero(node).tolist():
+        if p in cluster:
             continue
         cid = len(clusters)
-        comp = [(i, j)]
-        cluster_of[(i, j)] = cid
-        stack = [(i, j)]
+        cluster[p] = cid
+        comp = [p]
+        stack = [p]
         while stack:
-            a, b = stack.pop()
-            for di, dj in _NBRS:
-                p = (a + di, b + dj)
-                if 0 <= p[0] < mask.shape[0] and 0 <= p[1] < mask.shape[1] \
-                        and node_px[p] and p not in cluster_of:
-                    cluster_of[p] = cid
-                    comp.append(p)
-                    stack.append(p)
+            a = stack.pop()
+            for s in steps:
+                q = a + s
+                if node[q] and q not in cluster:
+                    cluster[q] = cid
+                    comp.append(q)
+                    stack.append(q)
         clusters.append(comp)
 
-    def world(px):
-        return (ox + (px[1] + 0.5) * cs, oy + (px[0] + 0.5) * cs)
+    def world(p):
+        i, j = divmod(p, width)  # in the frame: one row and one column past the mask's
+        return (ox + (j - 0.5) * cs, oy + (i - 0.5) * cs)
 
-    # trace runs of degree-2 pixels between node clusters
-    visited_steps: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    run_pixels: set[tuple[int, int]] = set()
-    polylines: list[tuple[int, int, list[tuple[int, int]]]] = []  # (cluster a, cluster b, pixels)
-
-    def trace(start_px, first_px):
-        path = [start_px, first_px]
-        prev, cur = start_px, first_px
-        while cur not in cluster_of:
-            run_pixels.add(cur)
-            nxt = None
-            for di, dj in _NBRS:
-                p = (cur[0] + di, cur[1] + dj)
-                if p == prev or not (0 <= p[0] < mask.shape[0] and 0 <= p[1] < mask.shape[1]):
-                    continue
-                if mask[p]:
-                    nxt = p
+    # trace runs of degree-2 pixels between node clusters.  A run pixel has
+    # exactly two set neighbours, one of them the pixel it was entered from.
+    def trace(start, first):
+        path = [start, first]
+        prev, cur = start, first
+        while cur not in cluster:
+            for s in steps:
+                nxt = cur + s
+                if nxt != prev and on[nxt]:
                     break
-            if nxt is None:
-                return path, None  # dangling run (ends on a non-node pixel)
             prev, cur = cur, nxt
             path.append(cur)
-        return path, cluster_of[cur]
+        return path, cluster[cur]
 
+    walked: set[tuple[int, int]] = set()  # (cluster pixel, run pixel) of each run's far end
+    cycles = on & (counts == 2)  # the degree-2 pixels no run has walked
+    polylines: list[tuple[int, int, list[int]]] = []  # (cluster a, cluster b, pixels)
     for cid, comp in enumerate(clusters):
         for px in comp:
-            for di, dj in _NBRS:
-                p = (px[0] + di, px[1] + dj)
-                if not (0 <= p[0] < mask.shape[0] and 0 <= p[1] < mask.shape[1]):
-                    continue
-                if not mask[p] or p in cluster_of or (px, p) in visited_steps:
+            for s in steps:
+                p = px + s
+                if not on[p] or p in cluster or (px, p) in walked:
                     continue
                 path, end_cid = trace(px, p)
-                visited_steps.add((px, p))
-                if end_cid is not None:
-                    visited_steps.add((path[-1], path[-2]))
-                    if end_cid == cid and len(path) <= 3:
-                        continue  # degenerate loop within one cluster
-                    polylines.append((cid, end_cid, path))
+                cycles[path] = False
+                walked.add((path[-1], path[-2]))
+                if end_cid == cid and len(path) <= 3:
+                    continue  # degenerate loop within one cluster
+                polylines.append((cid, end_cid, path))
 
-    # components made only of degree-2 pixels (pure cycles): anchor at min pixel
-    leftover = mask & ~node_px & ~isolated
-    for px in run_pixels:
-        leftover[px] = False
-    while leftover.any():
-        start = tuple(np.argwhere(leftover)[0])
+    # the rest form components of degree-2 pixels only (pure cycles): anchor at min pixel
+    for start in np.flatnonzero(cycles).tolist():
+        if not cycles[start]:
+            continue
         cid = len(clusters)
         clusters.append([start])
-        cluster_of[start] = cid
-        ring = []
-        for di, dj in _NBRS:
-            p = (start[0] + di, start[1] + dj)
-            if 0 <= p[0] < mask.shape[0] and 0 <= p[1] < mask.shape[1] and leftover[p]:
-                ring.append(p)
-        if ring:
-            path, end_cid = trace(start, ring[0])
-            polylines.append((cid, end_cid if end_cid is not None else cid, path))
-        leftover[start] = False
-        for px in run_pixels:
-            leftover[px] = False
-
-    if not polylines and not clusters:
-        raise GraphError("no traceable structure in mask")
+        cluster[start] = cid
+        path, _ = trace(start, next(start + s for s in steps if on[start + s]))
+        polylines.append((cid, cid, path))
+        cycles[path] = False
 
     # simplify each polyline; collect edges as world-coordinate segments
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
     endpoints_cluster: dict[tuple[float, float], int] = {}
     for cid_a, cid_b, path in polylines:
-        pts = [world(p) for p in path]
-        simplified = rdp(pts, epsilon * cs)
+        simplified = rdp([world(p) for p in path], epsilon * cs)
         endpoints_cluster[simplified[0]] = cid_a
-        if cid_b is not None:
-            endpoints_cluster[simplified[-1]] = cid_b
+        endpoints_cluster[simplified[-1]] = cid_b
         for a, b in zip(simplified, simplified[1:]):
             segments.append((a, b))
 
@@ -222,11 +211,9 @@ def build_graph(skel, epsilon: float, split_divisor: float = 1.0) -> RouteGraph:
         if key not in node_id_by_key:
             nid = len(g.nodes)
             node_id_by_key[key] = nid
-            if key[0] == "c":
-                comp = clusters[key[1]]
-                cx = sum(world(p)[0] for p in comp) / len(comp)
-                cy = sum(world(p)[1] for p in comp) / len(comp)
-                g.nodes[nid] = (cx, cy)
+            if key[0] == "c":  # the centroid, summed left to right as sum() did before Python 3.12
+                pts = [world(p) for p in clusters[key[1]]]
+                g.nodes[nid] = tuple(reduce(add, axis) / len(pts) for axis in zip(*pts))
             else:
                 g.nodes[nid] = pt
         return node_id_by_key[key]

@@ -227,64 +227,39 @@ def _convolve_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
 _RING = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
 
 
-def _components(cells, adjacent) -> list[set]:
-    """Connected components of `cells` under the relation adjacent(a, b)."""
-    comps = []
-    seen = set()
-    for start in cells:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            a = stack.pop()
-            for b in cells:
-                if b not in seen and adjacent(a, b):
-                    seen.add(b)
-                    comp.add(b)
-                    stack.append(b)
-        comps.append(comp)
-    return comps
-
-
 def _build_luts():
     """256-entry tables over the 8-neighborhood occupancy code.
 
     simple[code]: removing the center keeps its foreground neighbours in one
     8-connected piece and keeps the adjacent background in one 4-connected
-    piece (so no local disconnection and no pinholes).
+    piece (so no local disconnection and no pinholes).  That holds exactly
+    where the 8-connectivity number is 1 (Yokoi, Toriwaki & Fukumura 1975):
+    the sum over k in {0, 2, 4, 6} of c_k * (1 - c_{k+1} * c_{k+2}), where
+    c_k is 1 when ring neighbour k is unset and indices run mod 8.
     degree[code]: number of set neighbours.
     """
-    def steps(a, b):
-        return abs(_RING[a][0] - _RING[b][0]), abs(_RING[a][1] - _RING[b][1])
+    def connectivity(code):
+        c = [1 - (code >> k & 1) for k in range(8)]
+        return sum(c[k] * (1 - c[k + 1] * c[(k + 2) % 8]) for k in (0, 2, 4, 6))
 
-    def adjacent8(a, b):
-        return max(steps(a, b)) == 1
-
-    def adjacent4(a, b):
-        return sum(steps(a, b)) == 1
-
-    simple = np.zeros(256, dtype=bool)
-    degree = np.zeros(256, dtype=np.uint8)
-    for code in range(256):
-        fg = [k for k in range(8) if code >> k & 1]
-        bg = [k for k in range(8) if not code >> k & 1]
-        degree[code] = len(fg)
-        # background pieces 4-adjacent to the center (orthogonal ring slots)
-        touching = [c for c in _components(bg, adjacent4) if c & {0, 2, 4, 6}]
-        simple[code] = len(_components(fg, adjacent8)) == 1 and len(touching) == 1
-    return simple, degree
+    return (np.array([connectivity(code) == 1 for code in range(256)]),
+            np.array([bin(code).count("1") for code in range(256)], dtype=np.uint8))
 
 
 _SIMPLE, _DEGREE = _build_luts()
 _REDUNDANT = _SIMPLE & (_DEGREE >= 2)  # removable without cutting or ending a line
 
 
+def frame(mask: np.ndarray) -> np.ndarray:
+    """`mask` inside a frame of one unset pixel, the layout of the module docstring."""
+    framed = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    return framed
+
+
 def _codes(alive: np.ndarray) -> np.ndarray:
     code = np.zeros(alive.shape, dtype=np.uint8)
-    padded = np.zeros((alive.shape[0] + 2, alive.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = alive
+    padded = frame(alive)
     for bit, (di, dj) in enumerate(_RING):
         code |= padded[1 + di:padded.shape[0] - 1 + di,
                        1 + dj:padded.shape[1] - 1 + dj].astype(np.uint8) << bit
@@ -377,9 +352,7 @@ def skeletonize(r: Raster, tau: float, eta: float) -> SkeletonMask:
     above = (r.intensity >= tau) & (r.intensity > 0)
     if not above.any():
         raise RasterError("all pixels below threshold")
-    framed = np.zeros(shape, dtype=bool)
-    framed[1:-1, 1:-1] = above
-    alive = framed.ravel()
+    alive = frame(above).ravel()
     active = np.flatnonzero(alive)
     level = r.intensity[above].astype(np.float64)  # the active pixels' intensities
     top = level.max()

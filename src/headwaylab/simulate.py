@@ -417,7 +417,7 @@ class Simulator:
             k, rate = erlang[j - 1] or _branch(
                 dists[j - 1], -math.expm1(-(blocks[i] or refill(i)).pop()) if phased
                 else uniforms[i]())
-            k_left = max(1, k - int(prog * k)) if prog else k
+            k_left = max(1, k - int(prog * k + 4 * math.ulp(k))) if prog else k
             if phased:
                 phases_left[i] = k_left
                 per_phase[i] = 1.0 / k

@@ -456,12 +456,17 @@ def seed3_heatmap(seed3_csv, tmp_path_factory):
     ("blur", "--sigma", "inf", "sigma must be finite and in [0, 1024]"),
     ("blur", "--sigma", "nan", "sigma must be finite and in [0, 1024]"),
     ("blur", "--sigma", "1e6", "sigma must be finite and in [0, 1024]"),
+    ("graph", "--epsilon", "nan", "epsilon must be >= 0"),
+    ("graph", "--epsilon", "-1", "epsilon must be >= 0"),
+    ("graph", "--split-divisor", "nan", "split divisor must be >= 1"),
 ])
-def test_a_map_stage_value_out_of_range_is_rejected(tmp_path, capsys, seed3_heatmap,
+def test_a_map_stage_value_out_of_range_is_rejected(tmp_path, capsys, seed3_csv, seed3_heatmap,
                                                    stage, flag, value, message):
     # these crashed with a traceback (inf sigma, resolution 0), ran for
     # minutes (sigma 1e6), wrote NaN cells or a 1x1 map (inf delta or cell
-    # size), or acted as 0 (NaN delta or boost)
+    # size), acted as 0 (NaN delta or boost), collapsed every polyline to its
+    # ends (NaN epsilon), kept every pixel as a vertex (negative epsilon) or
+    # passed the divisor check (NaN divisor)
     field = flag[2:].replace("-", "_")
     number = int(value) if field == "resolution" else float(value)
     if stage == "heatmap":
@@ -469,11 +474,23 @@ def test_a_map_stage_value_out_of_range_is_rejected(tmp_path, capsys, seed3_heat
         with pytest.raises(raster.RasterError, match=re.escape(message)):
             raster.rasterize_heatmap(ts, **{field: number})
         source = seed3_heatmap / "traces.csv"
-    else:
+    elif stage == "blur":
         heat = raster.read_pgm(str(seed3_heatmap / "heatmap.pgm"))
         with pytest.raises(raster.RasterError, match=re.escape(message)):
             raster.gaussian_blur(heat, number)
         source = seed3_heatmap / "heatmap.pgm"
+    else:  # the heat map's set pixels serve as the skeleton
+        heat = raster.read_pgm(str(seed3_heatmap / "heatmap.pgm"))
+        mask = raster.SkeletonMask(heat.intensity > 0, heat.cell_size, heat.origin)
+        with pytest.raises(graphs.GraphError, match=re.escape(message)):
+            graphs.build_graph(mask, **{"epsilon": 2.0, field: number})
+        source = seed3_heatmap / "heatmap.pgm"
+        run = tmp_path / "pipeline"
+        assert main(["pipeline", str(seed3_csv), "--out", str(run), *SEED3_FLAGS["skeleton"],
+                     *SEED3_FLAGS["simulate"], f"{flag}={value}"]) == 2
+        assert f"error: stage 'pipeline' failed: {message}" in capsys.readouterr().err
+        assert not (run / "graph.txt").exists()
+        shutil.rmtree(run)
     capsys.readouterr()
     assert main([stage, str(source), "--out", str(tmp_path), f"{flag}={value}"]) == 2
     assert f"error: stage {stage!r} failed: {message}" in capsys.readouterr().err

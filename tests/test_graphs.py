@@ -104,6 +104,18 @@ def test_pure_cycle_traced():
     assert g.total_length() > 50
     # a cycle has as many edges as nodes
     assert len(g.edges) >= len(g.nodes)
+    assert all(type(v) is float for xy in g.nodes.values() for v in xy)
+
+
+def test_crossing_node_is_a_float_centroid_and_stray_dots_drop_out():
+    # the T's crossing is a cluster of four node pixels: (5, 19), (5, 20),
+    # (5, 21) and (6, 20)
+    pixels = [(5, j) for j in range(4, 40)] + [(i, 20) for i in range(6, 12)]
+    g = build_graph(mask_from_pixels(pixels), epsilon=1.0)
+    assert (20.5, 5.75) in g.nodes.values()
+    assert all(type(v) is float for xy in g.nodes.values() for v in xy)
+    dotted = build_graph(mask_from_pixels(pixels + [(30, 100), (0, 0)]), epsilon=1.0)
+    assert (dotted.nodes, dotted.edges) == (g.nodes, g.edges)
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -124,7 +136,7 @@ def test_graph_file_rejects_nonpositive_length(tmp_path):
 
 
 def test_graph_file_roundtrip_numpy_scalars(tmp_path):
-    # build_graph takes node coordinates from numpy arrays
+    # a graph built by hand may hold numpy scalars
     g = RouteGraph({0: (np.float64(0.5), np.float64(8.788)), 1: (np.float64(3.5), np.float64(12.788))},
                    {0: (0, 1, np.float64(5.0))})
     path = str(tmp_path / "g.txt")

@@ -1,10 +1,13 @@
 """Golden pins for the map stages: heat map, skeleton, graph and route on a
 small seeded fixture, the Erlang and hyper-Erlang fits of its crossing
-times, and skeletons of seeded random rasters.  The values were recorded
-from the implementation these stages replaced, so any change of output
-shows here, however the stages are written.  The fixture pins were
+times, and skeletons of seeded random rasters with their graphs.  The values
+were recorded from the implementation these stages replaced, so any change of
+output shows here, however the stages are written.  The fixture pins were
 re-recorded once, when the fixture's traces came to be sampled from
-`simulate.Simulator` departures, with the stage modules unchanged."""
+`simulate.Simulator` departures, with the stage modules unchanged.  Graph
+pins hash node coordinates as float values, so the pin does not depend on the
+type that holds them; that re-recorded the fixture's nodes digest, with the
+same values."""
 
 import hashlib
 import math
@@ -22,6 +25,12 @@ def digest(a: np.ndarray) -> str:
 
 def text_digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def graph_digests(g: graphs.RouteGraph) -> tuple[str, str]:
+    """Digests of the edges and of the node coordinates, read as floats."""
+    return (text_digest(sorted(g.edges.items())),
+            text_digest([(n, float(x), float(y)) for n, (x, y) in sorted(g.nodes.items())]))
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +64,7 @@ def test_fixture_skeleton_pinned(stages):
 def test_fixture_graph_pinned(stages):
     g = stages[2]
     assert len(g.edges) == 22
-    assert text_digest(sorted(g.edges.items())) == "2e8eff0f0aa503d9"
-    assert text_digest(sorted(g.nodes.items())) == "38efd904dadb94cb"
+    assert graph_digests(g) == ("2e8eff0f0aa503d9", "6ab970a6325c3f08")
 
 
 def test_fixture_route_pinned(stages):
@@ -176,3 +184,37 @@ RANDOM_SKELETONS = {
 def test_random_raster_skeleton_pinned(seed):
     r, tau, eta = random_raster(seed)
     assert digest(raster.skeletonize(r, tau, eta).mask) == RANDOM_SKELETONS[seed]
+
+
+# (edges, nodes) digests of build_graph(skeleton, epsilon=2.0) on the
+# skeletons above: crossings and spurs on every seed, and a pure cycle on
+# seeds 3, 8 and 19
+RANDOM_GRAPHS = {
+    0: ("62bfe20ab5971380", "26b32e7b74f4ac14"),
+    1: ("49b9b4cb05961c40", "ff438f7e69c15fe1"),
+    2: ("4b1e9be975478000", "045763a61ca8dbdd"),
+    3: ("d43aee77d1f70dff", "a58c778a334d44a3"),
+    4: ("8a508a4c6f4ae53e", "f29746ca45385215"),
+    5: ("d24ca9d6a90cae27", "396f56d497a428ba"),
+    6: ("02b41ec78a0dc21d", "d0f72e4f412d8fbe"),
+    7: ("47988e2eeefaf949", "7d999f5faceb3ed5"),
+    8: ("f7ae9d8d64534426", "cbb7e6b5b6aadafc"),
+    9: ("c4f1f163d1af50b7", "ab0d080ed6c893d9"),
+    10: ("78a1ac02fd605402", "1d00b495b5c89bf1"),
+    11: ("ce6d1e7b4586b993", "a51e7bdae9ee24c6"),
+    12: ("69f46a80f82b7c31", "744602077865aaa3"),
+    13: ("36885d9db772aa81", "cdfaaa20c8fabbed"),
+    14: ("33abb03b3178b45e", "3955f806116709e6"),
+    15: ("f397f2a0443d00f6", "cfe63234df23d037"),
+    16: ("d8b2d4604c602184", "fbab28acade5378a"),
+    17: ("caf45532b3c6a0e1", "bf02e2b40f8a73a8"),
+    18: ("19f96660df34ea15", "6916c120cf094ab7"),
+    19: ("a406ab640892307f", "6d0ca3ca396a5597"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_GRAPHS))
+def test_random_raster_graph_pinned(seed):
+    r, tau, eta = random_raster(seed)
+    assert graph_digests(graphs.build_graph(raster.skeletonize(r, tau, eta), epsilon=2.0)) \
+        == RANDOM_GRAPHS[seed]

@@ -103,7 +103,7 @@ class ReferenceStepper:
                 assert s.pending[i] == self.rngs[i].exponential(1.0 / self._rate(i, rate))
             else:
                 prog = s.progress_base[i]
-                k_left = max(1, k - int(prog * k)) if prog else k
+                k_left = max(1, k - int(prog * k + 4 * math.ulp(k))) if prog else k
                 assert s.pending[i] == float(self.rngs[i].gamma(k_left, 1.0 / rate))
         assert s.slow_draws == slow_draws
         self.wraps = 0  # count the wraps of the run only
@@ -195,6 +195,25 @@ def test_single_bus_uniform_init_at_start():
     assert sim.patch[0] == 1
     assert sim.progress_base[0] == 0.0
     assert sim.lap[0] == 0
+
+
+@pytest.mark.parametrize("speedmod", [0.3, None], ids=["phased", "aggregated"])
+@pytest.mark.parametrize("dists, bus, patch, prog, left", [
+    ([ErlangParams(3, 0.3)] * 2, 2, 2, 0.3333333333333332, 2),
+    ([ErlangParams(6, 0.0482), ErlangParams(3, 0.0482)], 4, 1, 0.49999999999999994, 3),
+], ids=["k3-bus2", "k6-bus4"])
+def test_a_bus_placed_a_few_ulps_below_a_phase_end_has_done_that_phase(
+        speedmod, dists, bus, patch, prog, left):
+    # uniform placement divides, and lands a few ulps below a multiple of
+    # 1/k: truncating prog * k kept one phase more than the patch has left
+    m = build_model(PatchModel(dists), SimConfig(6, timetable=False, speedmod_threshold=speedmod))
+    sim = Simulator(m, seed=1)
+    assert (sim.patch[bus], sim.progress_base[bus]) == (patch, prog)
+    if m.phased:
+        assert sim.phases_left[bus] == left
+    else:  # the rest of the sojourn is the bus's first draw
+        rate = dists[patch - 1].rate
+        assert sim.pending[bus] == np.random.default_rng([1, 0, bus + 1]).gamma(left, 1.0 / rate)
 
 
 def test_seed_determinism_bitwise():
