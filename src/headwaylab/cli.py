@@ -391,10 +391,29 @@ def cmd_simulate(args, out: Path, model) -> None:
     print(f"simulate: {len(deps)} departures to t={args.horizon:.0f}")
 
 
+def _patch_list(args, n: int) -> list[int]:
+    """The patches of --patches-list, each an integer in 1..n named once;
+    every patch without the flag.  Checked before any simulation."""
+    if not args.patches_list:
+        return list(range(1, n + 1))
+    plist: list[int] = []
+    for item in args.patches_list.split(","):
+        try:
+            j = int(item)
+        except ValueError:
+            j = 0
+        if not 1 <= j <= n:
+            raise StageError(args.command, f"--patches-list item {item!r} is not a patch of "
+                             f"the {n}-patch model: an integer in 1..{n}")
+        if j in plist:
+            raise StageError(args.command, f"--patches-list item {item!r} names patch {j} "
+                             f"of the {n}-patch model twice")
+        plist.append(j)
+    return plist
+
+
 def cmd_check(args, out: Path, model) -> int:
-    n = model.n
-    plist = ([int(x) for x in args.patches_list.split(",")]
-             if args.patches_list else list(range(1, n + 1)))
+    plist = _patch_list(args, model.n)
     ecfg = properties.EstimatorConfig(
         warmup_time=args.warmup, batches=args.batches,
         rel_halfwidth_target=args.rel_halfwidth, wall_budget=args.budget,
@@ -461,6 +480,7 @@ def cmd_pipeline(args, out: Path) -> int:
     pm = (cmd_fit(args, out, rm, ps, ts) if want("fit")
           else fitting.read_patch_model(saved("model.txt")))
     model = _sim_model(args, pm, ps, rm)
+    _patch_list(args, model.n)  # before the simulation, as `check` does
     if want("simulate"):
         cmd_simulate(args, out, model)
     return cmd_check(args, out, model)

@@ -22,15 +22,24 @@ The state a query reads is derived from the departures before a point,
 together with what `_History` carries from earlier chunks: the last
 departure per patch and per (patch, bus), the departure counts and, for
 H_j, the departures of the last hour.  H_j at time t counts the buses whose
-latest departure b from j has b + HOUR > t.  The sample points are:
+latest departure b from j has b + HOUR > t.  Let P be the patches the query
+reads: every state name's patch, and the clock's.  The sample points are:
 
 * clock c_j: each departure from j, read at its time in the state it finds
   (the departures before it);
-* clock time: the boundaries, where the state changes: the departures and,
-  when the query reads H_j, each hour expiry b + HOUR once it falls due (at
-  or before the chunk end).  The state after a boundary a holds until the
-  next boundary b and is one sample of weight b - a, read at a.  An expiry
-  at a departure's time takes effect before the departure.
+* clock time: the boundaries, where the state changes.  Over c_j and H_j
+  states only, these are the departures from P and, for H_j, the hour
+  expiries b + HOUR of those departures once they fall due (at or before
+  the chunk end).  A query that reads no state, or that reads time, y_j or
+  z_i_j, takes every departure instead, and with H_j every departure's
+  expiry.  The state after a boundary a holds until the next boundary b and
+  is one sample of weight b - a, read at a.  An expiry at a departure's time
+  takes effect before the departure.
+
+So on a c_j clock, and on the time clock over c_j and H_j only, the sample
+points are changes of P's state, and `Simulator.run(patches=P)` hands over
+only the departures from P, in the order the full run makes them: the
+others could change no sample.  Every other query gets every departure.
 
 Evaluation is strict per sample, as if each were evaluated alone: only the
 taken branch of an if-then-else counts, an infinite read on a sample's path
@@ -544,6 +553,8 @@ class EstimateResult:
     rel_halfwidth: float
     batches: int
     total_clock: float
+    # the later of the last departure simulated, from any patch, and the
+    # last boundary of the query (with H_j, the expiry of a departure it reads)
     sim_time: float
     verdict: str  # satisfied | violated | undecided
     event_observed: bool
@@ -637,7 +648,8 @@ class _Accumulator:
 
 
 class _History:
-    """What the estimator keeps of the departure stream between chunks:
+    """What the estimator keeps of the departure stream it is handed (see
+    the module docstring: every departure, or those from P) between chunks:
     the last departure from each patch and by each bus from each patch
     (-inf before the first), the departure counts, the time of the last
     boundary processed, and, when the query reads H_j, the hour expiries
@@ -785,6 +797,11 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
                             f"{n}-patch model, got {clock!r}")
     states = [parse_state_name(name, n, beta) for name in _state_names(expr, functions)]
     patches = {j for _, j, _ in states if j} | ({clock_patch} if clock_patch else set())
+    # the sample points are changes of the state of `patches` alone (see
+    # the module docstring): the run then hands over only their departures
+    kinds = {kind for kind, _, _ in states} - {"mu_tot"}
+    own = clock_kind == "c" or (bool(kinds) and kinds <= {"c", "H"})
+    handed = sorted(patches) if own else None
     sim = Simulator(model, seed=seed, replication=replication)
     history = _History(n, beta, expiries=any(kind == "H" for kind, _, _ in states))
     f = compile_expr(expr, {"mu_tot": model.mu_tot}, functions)
@@ -802,7 +819,7 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
     cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
     for chunks in itertools.count(1):
         end = min(chunks * chunk_time, cap)  # absolute, so the cap is exact
-        chunk = history.next(sim.run(until_time=end), end)
+        chunk = history.next(sim.run(until_time=end, patches=handed), end)
         t = chunk.deps.t
         if clock == "time":
             # the state after the boundary a holds until the next boundary b:
@@ -846,9 +863,9 @@ def estimate_steady_state(model: SimModel, query: SteadyStateQuery,
 
     event_observed = acc.nonzero_f and acc.n > 0
     verdict = _verdict(estimate, halfwidth, query.threshold, event_observed)
-    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, history.time,
-                          verdict, event_observed, skipped, truncated, query,
-                          patches.pop() if len(patches) == 1 else None)
+    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock,
+                          max(sim.t, history.time), verdict, event_observed, skipped,
+                          truncated, query, patches.pop() if len(patches) == 1 else None)
 
 
 def _state_names(expr, functions):

@@ -257,18 +257,21 @@ def frame(mask: np.ndarray) -> np.ndarray:
     return framed
 
 
-def _codes(alive: np.ndarray) -> np.ndarray:
-    code = np.zeros(alive.shape, dtype=np.uint8)
-    padded = frame(alive)
+def _codes(framed: np.ndarray) -> np.ndarray:
+    """The neighbourhood code of every pixel of a framed image (`frame`):
+    bit k set when ring neighbour k is set.  The frame's own codes are 0."""
+    code = np.zeros(framed.shape, dtype=np.uint8)
+    inner = code[1:-1, 1:-1]
+    height, width = framed.shape
     for bit, (di, dj) in enumerate(_RING):
-        code |= padded[1 + di:padded.shape[0] - 1 + di,
-                       1 + dj:padded.shape[1] - 1 + dj].astype(np.uint8) << bit
+        inner |= framed[1 + di:height - 1 + di, 1 + dj:width - 1 + dj].astype(np.uint8) << bit
     return code
 
 
-def neighbour_counts(mask: np.ndarray) -> np.ndarray:
-    """Number of set 8-neighbours of every pixel; off-image neighbours are unset."""
-    return _DEGREE[_codes(mask)]
+def neighbour_counts(framed: np.ndarray) -> np.ndarray:
+    """Number of set 8-neighbours of every pixel of a framed image (`frame`),
+    0 on the frame."""
+    return _DEGREE[_codes(framed)]
 
 
 def _sweep(alive: np.ndarray, codes: np.ndarray, ring: list, pixels: list, removable) -> None:

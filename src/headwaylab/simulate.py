@@ -46,7 +46,12 @@ as the uniform u = 1 - exp(-E), computed as -expm1(-E).
 The departures are the only events.  `run(until_time)` processes every
 departure at or before until_time and none after it, and returns them as
 numpy columns t, bus, patch and lap (`Departures`), in the order they
-happened: by time, ties to the lowest bus.  It takes one of two paths.
+happened: by time, ties to the lowest bus, and a bus's own departures at
+one time (a late bus leaves a terminus as it reaches it) in the order it
+makes them.  `run(until_time, patches)` returns only the departures from
+those patches, the same rows in the same order, and advances exactly as the
+full run does: the same draws, pending, patch, lap, t and events_processed.
+It takes one of two paths.
 
 * Bus by bus, for an aggregated run of Erlang patches without holding: no
   rule then couples two buses (a timetable slot reads only the bus's own
@@ -61,13 +66,16 @@ happened: by time, ties to the lowest bus.  It takes one of two paths.
   is on its slot (an accumulation adds in sequence, so it equals the
   scalar sums).  Where a bus reaches a terminus after its slot, the scalar
   recursion redoes the times from there until the bus is back on a slot.
-  The buses are then merged by (t, bus).  A bus reads its stream ahead,
-  past until_time; the times it has drawn wait for the next run.
+  A bus's departures from patch j are the stride-n slice of its times from
+  its first departure from j, taken before the merge, and the buses are
+  merged by (t, bus, departure number).  A bus reads its stream ahead, past
+  until_time; the times it has drawn wait for the next run.
 * The event loop, for every other run: one loop, with the simulator's
   lists bound once per simulator, takes the earliest pending item from a
   heap of (pending time, bus), ties to the lowest bus.  An item is a phase
   completion, a holding gate or a departure, and each rewrites its bus's
-  pending time and heap entry.  It consumes no draw past until_time (a
+  pending time and heap entry.  A departure from a patch not asked for is
+  processed but not recorded.  It consumes no draw past until_time (a
   phased run may have read past it, but the next run takes up those values
   where this one left off).
 
@@ -95,7 +103,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -489,12 +497,17 @@ class Simulator:
 
     # -- event loop -------------------------------------------------------------
 
-    def run(self, until_time: float) -> Departures:
+    def run(self, until_time: float, patches: Iterable[int] | None = None) -> Departures:
         """Process the departures at or before until_time, in time order
-        (ties to the lowest bus index), and return them.  Afterwards
-        self.t <= until_time.  until_time must be finite: no run processes
-        every departure there is.  A `by_bus` simulator takes the bus-by-bus
-        path (_run_by_bus); every other one runs the event loop.
+        (ties to the lowest bus index, a bus's own in the order it makes
+        them), and return them, or with `patches` only those from the
+        patches it names (1-based; empty returns none).  Either way the run
+        advances the simulator alike: the same draws, pending, patch, lap,
+        t and events_processed, since the filter only drops rows from the
+        record.  Afterwards self.t <= until_time is the last departure
+        processed, from any patch.  until_time must be finite: no run
+        processes every departure there is.  A `by_bus` simulator takes the
+        bus-by-bus path (_run_by_bus); every other one runs the event loop.
 
         The event loop (_event_loop) keeps a heap of (pending[i], i), built
         from pending at the start of each run, and takes the earliest item
@@ -504,21 +517,41 @@ class Simulator:
         wait in its blocks for the next run."""
         if not math.isfinite(until_time):
             raise SimError(f"a run must end at a finite time, got {until_time}")
+        if patches is not None:
+            patches = sorted(set(patches))
+            if patches and not 1 <= patches[0] <= patches[-1] <= self.n:
+                raise SimError(f"patches must lie in 1..{self.n}, got {patches}")
         if self.by_bus:
-            return self._run_by_bus(until_time)
+            return self._run_by_bus(until_time, patches)
         heap = [(t, i) for i, t in enumerate(self.pending)]
         heapify(heap)
         out: list[tuple[float, int, int, int]] = []
-        slow = self._advance(heap, until_time, out.append)
+        if patches is None:
+            record = out.append
+        else:
+            keep = [j in patches for j in range(self.n + 1)]
+
+            def record(row: tuple[float, int, int, int]) -> None:
+                if keep[row[2]]:
+                    out.append(row)
+        made = self._departures_made()
+        slow = self._advance(heap, until_time, record)
         if not math.isfinite(heap[0][0]):
             raise SimError("simulation stalled: no pending events")
         self.slow_draws += slow
-        if out:
-            self.t = out[-1][0]
-            self.events_processed += len(out)
+        if done := self._departures_made() - made:
+            # the holding base of each patch is its last departure
+            self.t = max(b for b in self.last_dep if b is not None)
+            self.events_processed += done
         t, i, j, k = zip(*out) if out else ((), (), (), ())
         return Departures(np.array(t, dtype=float), np.array(i, dtype=np.int64) + 1,
                           np.array(j, dtype=np.int64), np.array(k, dtype=np.int64))
+
+    def _departures_made(self) -> int:
+        """The departures the fleet has made, up to a constant: each bus's
+        departure number lap * n + patch - 1 steps by one at each of its
+        departures."""
+        return sum(self.lap) * self.n + sum(self.patch)
 
     # -- bus by bus ---------------------------------------------------------------
 
@@ -600,21 +633,28 @@ class Simulator:
             return times[1:]
         return draw
 
-    def _run_by_bus(self, until_time: float) -> Departures:
+    def _run_by_bus(self, until_time: float, patches: list[int] | None) -> Departures:
         """run's bus-by-bus path.  ahead[i] holds bus i's departure times
         from its pending one on.  While its last time is at or before
         until_time, the bus draws a block more (_blocks); a run to a far end
         collects its blocks and joins them once.  The times at or before
         until_time are the bus's departures in this run; the rest wait for
-        the next run.  The buses' departures are merged by (t, bus), so ties
-        go to the lowest bus and a bus's own departures at one time keep
-        their order."""
+        the next run.  Of these, a bus's departures from patch j are the
+        stride-n slice from its first departure number g with g % n = j - 1;
+        for several patches a mask over the departure numbers picks them.
+        Each bus's rows are taken in the order it makes them, the buses one
+        after another, and a stable sort by t merges them: by (t, bus,
+        departure number), so ties go to the lowest bus and a late bus's
+        two departures at one time keep their order."""
         n, beta, termini = self.n, self.beta, self.model.termini
         pending, patch, lap, ahead = self.pending, self.patch, self.lap, self.ahead
         draw = self._draw_block
-        parts = []
-        counts = [0] * beta
-        first = [0] * beta  # the number of each bus's first departure in this run
+        keep = None  # by patch column, where one stride-n slice would not do
+        if patches is not None and len(patches) != 1:
+            keep = np.zeros(n, dtype=bool)
+            keep[[j - 1 for j in patches]] = True
+        parts, numbers, counts = [], [], [0] * beta
+        done, last = 0, self.t
         for i, due in enumerate(ahead):
             g = lap[i] * n + patch[i] - 1  # the number of its pending departure, due[0]
             if (t := float(due[-1])) <= until_time:
@@ -629,8 +669,17 @@ class Simulator:
             ahead[i] = due[c:]
             if not c:
                 continue
-            parts.append(due[:c])
-            counts[i], first[i] = c, g
+            done += c
+            last = max(last, due.item(c - 1))
+            if keep is not None:
+                at = np.flatnonzero(keep[(g + np.arange(c)) % n])
+                rows, nums = due[at], at + g
+            else:  # every departure, or the stride-n slice of one patch
+                k, step = (0, 1) if patches is None else ((patches[0] - 1 - g) % n, n)
+                rows, nums = due[k:c:step], np.arange(g + k, g + c, step)
+            parts.append(rows)
+            numbers.append(nums)
+            counts[i] = len(rows)
             lap[i], q = divmod(g + c, n)
             patch[i] = q + 1
             pending[i] = float(due[c])
@@ -641,14 +690,15 @@ class Simulator:
             self.progress_per_phase[i] = 0.0 if at_terminus else 1.0
         if not math.isfinite(min(pending)):
             raise SimError("simulation stalled: no pending events")
-        t = np.concatenate(parts) if parts else np.empty(0)
+        if done:
+            self.t = last
+            self.events_processed += done
+        if not parts:
+            return Departures(np.empty(0), *(np.empty(0, dtype=np.int64) for _ in range(3)))
+        t, g = np.concatenate(parts), np.concatenate(numbers)
         bus = np.repeat(np.arange(1, beta + 1), counts)
-        g = np.arange(len(t)) + np.repeat(np.array(first) - (np.cumsum(counts) - counts), counts)
-        order = np.lexsort((bus, t))
+        order = np.argsort(t, kind="stable")
         t, bus, g = t[order], bus[order], g[order]
-        if len(t):
-            self.t = float(t[-1])
-            self.events_processed += len(t)
         return Departures(t, bus, g % n + 1, g // n)
 
 

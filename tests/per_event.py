@@ -4,13 +4,15 @@ It replays each chunk of departures as the event stream the simulator used
 to hand an observer one event at a time: with hour ticks on, each departure
 at b schedules an expiry event at b + HOUR, and at equal times an expiry
 comes first; expiries among themselves leave a heap in (time, patch, bus)
-order.  The state it keeps is updated per event, H_j as a count, and a
-query is a tree of closures evaluated once per sample, fed to an
-accumulator one sample at a time, which keeps every sample and cuts its
-batches from sums over all of them (full_recompute).  None of it shares
-code with the column path except the parser, the verdict rule and the t
-quantile: the oracle checks accumulation and evaluation, and its estimate
-must equal the library's bit for bit.
+order.  Where a query's sample points are the changes of the patches it
+reads, it replays only their departures, filtered from each full run.  The
+state it keeps is updated per event, H_j as a count, and a query is a tree
+of closures evaluated once per sample, fed to an accumulator one sample at
+a time, which keeps every sample and cuts its batches from sums over all of
+them (full_recompute).  None of it shares code with the column path
+except the parser, the verdict rule and the t quantile: the oracle checks
+accumulation and evaluation, and its estimate must equal the library's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import itertools
 import math
 import time as _time
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from headwaylab.properties import (HOUR, MIN_SAMPLES, Binary, Call, EstimateResult,
                                    EstimatorConfig, EvalError, IfThenElse, Num, PropertyError,
@@ -184,9 +188,17 @@ class PerSampleAccumulator(AllSamples):
 
 def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict[str, object],
                        cfg: EstimatorConfig | None = None, seed: int | None = None,
-                       replication: int = 0) -> EstimateResult:
+                       replication: int = 0, every_departure: bool = False) -> EstimateResult:
     """The estimator as it ran on one event at a time, with the stopping
-    rule of estimate_steady_state."""
+    rule of estimate_steady_state.
+
+    Where the sample points are changes of the state of the patches the
+    query reads (a c_j clock, or the time clock over c_j and H_j states
+    only), it replays only their departures, dropping the others from each
+    full run itself; `every_departure` replays every departure, and with
+    H_j every departure's expiry, for every query, as for a query that
+    reads time, y_j or z_i_j.  sim_time is the later of the last departure
+    run and the last event replayed."""
     cfg = cfg or EstimatorConfig()
     expr = functions[query.function]
     clock = query.clock
@@ -196,6 +208,8 @@ def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict
         raise PropertyError(f"bad clock {clock!r}")
     states = [parse_state_name(name, n, beta) for name in _state_names(expr, functions)]
     patches = {j for _, j, _ in states if j} | ({clock_patch} if clock_patch else set())
+    kinds = {kind for kind, _, _ in states if kind != "mu_tot"}
+    own = not every_departure and (clock_kind == "c" or (bool(kinds) and kinds <= {"c", "H"}))
     sim = Simulator(model, seed=seed, replication=replication)
     replay = EventReplay(n, beta, hour_ticks=any(kind == "H" for kind, _, _ in states))
     f = compile_scalar(expr, replay.reader, {"mu_tot": model.mu_tot}, functions)
@@ -233,7 +247,11 @@ def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict
     cap = math.inf if cfg.max_sim_time is None else cfg.max_sim_time
     for chunks in itertools.count(1):
         end = min(chunks * chunk, cap)
-        for ev in replay.events(sim.run(until_time=end), end):
+        deps = sim.run(until_time=end)
+        if own:
+            mine = np.isin(deps.patch, sorted(patches))
+            deps = Departures(deps.t[mine], deps.bus[mine], deps.patch[mine], deps.lap[mine])
+        for ev in replay.events(deps, end):
             observer(ev)
         bm = acc.batch_means(cfg.batches)
         if bm is not None:
@@ -252,7 +270,8 @@ def estimate_per_event(model: SimModel, query: SteadyStateQuery, functions: dict
             truncated = True
             break
     event_observed = acc.nonzero_f and acc.n > 0
-    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock, replay.t,
+    return EstimateResult(estimate, halfwidth, rel, used_batches, total_clock,
+                          max(sim.t, replay.t),
                           _verdict(estimate, halfwidth, query.threshold, event_observed),
                           event_observed, skipped, truncated, query,
                           patches.pop() if len(patches) == 1 else None)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from headwaylab import fitting, graphs, ingest, patches, raster, route, synthetic
+from headwaylab import fitting, graphs, ingest, patches, properties, raster, route, synthetic
 from headwaylab.artifacts import ArtifactError
 from headwaylab.cli import (ARTIFACTS, _apply_config_file, _load_model_for_sim, _load_traces,
                             build_parser, main)
@@ -194,6 +194,30 @@ def test_check_runs_a_file_without_a_patch_placeholder_once(tmp_path):
     assert rc in (0, 1)
     rows = [row.split("\t")[:2] for row in (out / "results.tsv").read_text().splitlines()[1:]]
     assert rows == [["file:max_jump", "2"]]
+
+
+@pytest.mark.parametrize("plist, message", [
+    ("1,5", "item '5' is not a patch of the 4-patch model: an integer in 1..4"),
+    ("1,1", "item '1' names patch 1 of the 4-patch model twice"),
+    ("1,,2", "item '' is not a patch of the 4-patch model: an integer in 1..4"),
+    ("0", "item '0' is not a patch of the 4-patch model"),
+    ("2.5", "item '2.5' is not a patch of the 4-patch model"),
+])
+def test_check_rejects_a_bad_patches_list_before_simulating(tmp_path, capsys, monkeypatch,
+                                                            plist, message):
+    # before, "1,5" simulated patch 1's assertions and then failed without
+    # a results.tsv, and "1,1" ran patch 1 twice
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("simulated before checking --patches-list")
+
+    monkeypatch.setattr(properties, "estimate_steady_state", no_estimate)
+    model = tmp_path / "model.txt"
+    model.write_text("".join(f"patch {j} erlang 4 0.01 mu 400.0\n" for j in (1, 2, 3, 4)))
+    rc = main(["check", str(model), "--out", str(tmp_path), "--beta", "2", "--seed", "1",
+               "--termini-patches", "1,2", "--patches-list", plist, "--max-sim-time", "1e5"])
+    assert rc == 2
+    assert f"error: stage 'check' failed: --patches-list {message}" in capsys.readouterr().err
+    assert not (tmp_path / "results.tsv").exists()
 
 
 @pytest.mark.parametrize("batches", ["1", "0", "-3"])

@@ -2,7 +2,9 @@
 small seeded fixture, the Erlang and hyper-Erlang fits of its crossing
 times, and skeletons of seeded random rasters with their graphs.  The values
 were recorded from the implementation these stages replaced, so any change of
-output shows here, however the stages are written.  The fixture pins were
+output shows here, however the stages are written.  The segment crossings
+of the fixture's heat map at delta = 0.2 were recorded later, from the
+per-segment supercover walk, for a walk over all segments at once to match.  The fixture pins were
 re-recorded once, when the fixture's traces came to be sampled from
 `simulate.Simulator` departures, with the stage modules unchanged.  Graph
 pins hash node coordinates as float values, so the pin does not depend on the
@@ -53,6 +55,19 @@ def test_fixture_heat_map_pinned(stages):
     heat = stages[0]
     assert heat.intensity.shape == (91, 300)
     assert digest(heat.intensity) == "1f36157bda7efee5"
+
+
+def test_fixture_heat_map_with_segments_pinned(fixture_traces, stages):
+    # at delta = 0.2 each cell adds 0.2 per segment that crosses it; the
+    # crossing counts are pinned as integers, so a segment walk that adds
+    # in another order still matches
+    heat = raster.rasterize_heatmap(fixture_traces, resolution=300, delta=0.2)
+    assert heat.intensity.shape == (91, 300)
+    crossed = (heat.intensity - stages[0].intensity) / 0.2
+    counts = np.rint(crossed).astype(np.int64)
+    assert np.abs(crossed - counts).max() < 1e-9
+    assert (int(counts.sum()), int((counts > 0).sum())) == (40108, 729)
+    assert digest(counts) == "ffccbefd7c0f5521"
 
 
 def test_fixture_skeleton_pinned(stages):

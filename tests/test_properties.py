@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -67,19 +68,27 @@ def test_call_check_errors_name_the_function():
         parse_quatex('f() = 1 + (if {1 < 2} then g() else 0 fi);\ng() = -f();\nS [ f(), "time" ] < 1;')
 
 
-@pytest.mark.parametrize("body, ticks", [
-    ('s.rval("y_1")', False),
-    ('1 + (if {1 < 2} then 0 else -s.rval("H_2") fi)', True),
-    ('2 * g()', True),  # g reads H_1 in the branch of an if
-    ('2 * h()', False),
+H2_BODY = '1 + (if {1 < 2} then 0 else -s.rval("H_2") fi)'
+
+
+@pytest.mark.parametrize("body, patch, ticks", [
+    pytest.param('s.rval("y_1")', 1, False, id='s.rval("y_1")-False'),
+    pytest.param(H2_BODY, 2, True, id=f"{H2_BODY}-True"),
+    # g reads H_1 in the branch of an if
+    pytest.param('2 * g()', 1, True, id="2 * g()-True"),
+    pytest.param('2 * h()', 1, False, id="2 * h()-False"),
+    # the expiry of a departure from a patch the query does not read
+    pytest.param(H2_BODY, 1, False, id=f"{H2_BODY}-False-at-patch-1"),
 ])
-def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, ticks):
-    # the run ends on the first departure's expiry: it is the last boundary
-    # processed only when the hour expiries are boundaries
+def test_hour_ticks_when_a_term_or_a_callee_reads_h(body, patch, ticks):
+    # the run ends on the expiry of the first departure from `patch`: it is
+    # the last boundary processed only when the query reads H_patch, whose
+    # departures' hour expiries are then boundaries
     prop = parse_quatex('g() = if {s.rval("c_1") > 0} then s.rval("H_1") else 0 fi;\n'
                         f'h() = s.rval("z_1_1");\nf() = {body};\nS [ f(), "time" ] < 1;')
     model = two_patch_model()
-    end = Simulator(model, seed=1).run(until_time=HOUR).t[0] + HOUR
+    first = Simulator(model, seed=1).run(until_time=HOUR)
+    end = first.t[first.patch == patch][0] + HOUR
     res = estimate_steady_state(model, prop.assertions[0], prop.functions,
                                 EstimatorConfig(warmup_time=0.0, max_sim_time=end), seed=1)
     last_departure = Simulator(model, seed=1).run(until_time=end).t[-1]
@@ -442,10 +451,11 @@ def test_alternating_renewal_estimate():
 
 # (query, Airlink overrides) -> (estimate, halfwidth, batches, sim_time, verdict)
 # at seed 5 over 40 r, recorded from the per-bus streams on the bus-by-bus
-# path; the event loop (theta_h = 0) gave the same
+# path; the event loop (theta_h = 0) and the per-event oracle gave the same.
+# BPH samples at the departures from its patch and at their hour expiries
 ESTIMATE_PINS = {
     "bph-3-untimetabled": ((bph_query(3), dict(timetable=False)),
-                           (0.12948218344180842, 0.03149120982027655, 32, 210324.63163030133,
+                           (0.12950527460243072, 0.03148945945760236, 32, 210296.50709463388,
                             "violated")),
     "evwt-6-timetabled": ((evwt_query(6), {}),
                           (0.0030395136778115506, 0.004731934866999104, 32, 210360.0,
@@ -892,6 +902,70 @@ def test_column_estimator_matches_the_per_event_one(case):
         assert res.sim_time < cfg.max_sim_time
     if settings.get("warmup") == 0.0:
         assert res.skipped_samples > 0
+
+
+def counter_clock(text: str) -> bool:
+    return parse_quatex(text).assertions[0].clock.startswith("c_")
+
+
+@pytest.mark.parametrize("case", [case for case, (_, text, _) in ORACLE_CASES.items()
+                                  if counter_clock(text)])
+def test_a_counter_clock_query_gives_what_sampling_every_departure_gave(case):
+    # a c_j clock samples at the departures from j alone, whichever
+    # departures the run hands over: the result is the one of a replay of
+    # every departure, bit for bit, but for the sim_time of a query that
+    # reads H_j, which no longer counts the expiries of other patches
+    model_name, text, settings = ORACLE_CASES[case]
+    model = airlink_model(seed=5, **ORACLE_MODELS[model_name])
+    prop = parse_quatex(text)
+    cfg = oracle_config(model, **settings)
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    ref = estimate_per_event(model, prop.assertions[0], prop.functions, cfg, seed=5,
+                             every_departure=True)
+    reads_h = "H_" in text
+    assert dataclasses.replace(res, sim_time=0.0) == dataclasses.replace(ref, sim_time=0.0)
+    assert (res.sim_time == ref.sim_time) != reads_h
+    assert res.sim_time <= ref.sim_time
+
+
+COUNTS_AND_HOURS_TEXT = (
+    'f() = if {s.rval("c_4") > 2 * s.rval("c_3")} then s.rval("H_4") / (s.rval("c_4") - '
+    's.rval("c_3")) else -s.rval("H_3") fi;\nS [ f(), "time" ] < 1;\n')
+# (model, query text, the patches it reads, chunk in units of r) of
+# time-clock queries over c_j and H_j states only
+OWN_CHANGES_CASES = {
+    "bph-timetable": ("timetable", bph_query(6), [6], 2.0),
+    "bph-holding": ("holding", bph_query(2), [2], 2.0),
+    "bph-phased-speedmod": ("phased-speedmod", bph_query(4), [4], 3.0),
+    "bph-short-chunks": ("untimetabled", bph_query(9), [9], 0.02),
+    "counts-and-hours-terminus-init": ("terminus-init", COUNTS_AND_HOURS_TEXT, [3, 4], 1.5),
+}
+
+
+@pytest.mark.parametrize("case", OWN_CHANGES_CASES)
+def test_sampling_the_changes_of_the_patches_read_agrees_with_sampling_every_departure(case):
+    # over c_j and H_j only, the state changes only at the departures from
+    # the patches read and at their hour expiries: sampled there, the step
+    # function is the one sampled at every departure and every expiry.  On
+    # a run that ends at a departure from those patches, both cover the
+    # same time and differ only in how the float sums group
+    model_name, text, patches, chunk = OWN_CHANGES_CASES[case]
+    model = airlink_model(seed=5, **ORACLE_MODELS[model_name])
+    prop = parse_quatex(text)
+    deps = Simulator(model, seed=5).run(until_time=12 * model.r)
+    end = float(deps.t[np.isin(deps.patch, patches)][-1])
+    cfg = EstimatorConfig(warmup_time=0.5 * model.r, chunk_time=chunk * model.r,
+                          max_sim_time=end, rel_halfwidth_target=0.0, wall_budget=1e9)
+    res = estimate_steady_state(model, prop.assertions[0], prop.functions, cfg, seed=5)
+    ref = estimate_per_event(model, prop.assertions[0], prop.functions, cfg, seed=5,
+                             every_departure=True)
+    for got, want in ((res.estimate, ref.estimate), (res.halfwidth, ref.halfwidth),
+                      (res.total_clock, ref.total_clock)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert (res.batches, res.verdict, res.event_observed) == (
+        ref.batches, ref.verdict, ref.event_observed)
+    assert res.batches == 32 and res.event_observed and res.halfwidth > 0
+    assert res.sim_time == ref.sim_time == end
 
 
 UNTAKEN_TEXT = ('f() = if {s.rval("c_1") == 0} then 7 else 1 / s.rval("c_1") + s.rval("y_1") '

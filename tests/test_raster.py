@@ -239,8 +239,8 @@ def test_skeleton_fixed_point_no_removable_pixels():
     grid[20, 2:38] += 12.0
     r = Raster(grid, 1.0, (0.0, 0.0))
     mask = skeletonize(r, tau=1.0, eta=0.5).mask
-    from headwaylab.raster import _DEGREE, _SIMPLE, _codes
-    codes = _codes(mask)
+    from headwaylab.raster import _DEGREE, _SIMPLE, _codes, frame
+    codes = _codes(frame(mask))[1:-1, 1:-1]
     for i, j in map(tuple, np.argwhere(mask)):
         code = codes[i, j]
         assert not (_DEGREE[code] >= 2 and _SIMPLE[code])
@@ -303,7 +303,7 @@ def reference_skeletonize(r: Raster, tau: float, eta: float) -> np.ndarray:
     for _ in range(100000):
         if not (alive & ~locked).any():
             break
-        boundary = alive & ~locked & (raster.neighbour_counts(alive) < 8)
+        boundary = alive & ~locked & (raster.neighbour_counts(raster.frame(alive))[1:-1, 1:-1] < 8)
         intensity[boundary] -= eta
         dead = alive & ~locked & (intensity <= 0)
         if dead.any():
@@ -386,7 +386,7 @@ def test_skeleton_ends_when_unlocked_pixels_are_enclosed_by_locked_ones():
     r, tau, eta = random_raster(1662)
     r.intensity *= np.random.default_rng(1662).uniform(0.5, 3, size=r.intensity.shape)
     mask = skeletonize(r, tau, eta).mask
-    codes = raster._codes(mask)
+    codes = raster._codes(raster.frame(mask))[1:-1, 1:-1]
     assert not (mask & (r.intensity < tau)).any()
     assert not raster._REDUNDANT[codes[mask]].any()
 

@@ -778,6 +778,68 @@ def test_block_size_changes_no_departure(monkeypatch, case, laps):
         assert not (late_at_first or repaired or carried)
 
 
+# the models of the patch filter, one per path a run can take
+FILTER_MODELS = {
+    "by-bus": airlink_model(),
+    # buses reach the termini after their slots: a late bus departs twice at one time
+    "by-bus-late": airlink_model(route_duration=3000.0),
+    "event-loop-holding": airlink_model(holding_threshold=120.0),
+    "phased": airlink_model(timetable=False, holding_threshold=120.0, speedmod_threshold=0.15),
+    "hyper-erlang": build_model(
+        PatchModel([HyperErlangParams((2, 12), (0.02, 0.1), (0.3, 0.7)), ErlangParams(8, 0.05),
+                    HyperErlangParams((3, 9), (0.05, 0.04), (0.5, 0.5)), ErlangParams(15, 0.1)]),
+        SimConfig(n_buses=4, timetable=True, terminus_patches=(1, 3))),
+}
+
+
+def simulator_state(sim: Simulator) -> tuple:
+    return (sim.pending, sim.patch, sim.lap, sim.t, sim.events_processed, sim.phases_left,
+            sim.progress_base, sim.progress_per_phase, sim.slow_draws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FILTER_MODELS)), st.data())
+def test_a_run_for_some_patches_returns_the_full_runs_rows_for_them(case, data):
+    # the rows of the full run from the patches asked for, in its order,
+    # and the same simulator afterwards, wherever the runs are cut
+    m = FILTER_MODELS[case]
+    patches = data.draw(st.sets(st.integers(1, m.n)), label="patches")
+    ends = data.draw(st.lists(st.floats(0.0, 12 * m.r), min_size=1, max_size=4), label="ends")
+    full, some = Simulator(m, seed=3), Simulator(m, seed=3)
+    for end in sorted(ends):
+        want = rows(full.run(until_time=end))
+        assert rows(some.run(until_time=end, patches=patches)) == [
+            row for row in want if row[2] in patches]
+        assert simulator_state(some) == simulator_state(full)
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_MODELS))
+def test_a_run_for_no_patch_returns_no_row_and_advances_alike(case):
+    m = FILTER_MODELS[case]
+    full, none = Simulator(m, seed=3), Simulator(m, seed=3)
+    for end in (0.5 * m.r, 3 * m.r):
+        assert len(full.run(until_time=end)) > 0
+        assert len(none.run(until_time=end, patches=())) == 0
+        assert simulator_state(none) == simulator_state(full)
+
+
+def test_a_late_bus_departs_twice_at_one_time_in_the_order_it_makes_them():
+    # a bus that reaches terminus 7 after its slot departs patches 6 and 7
+    # at one time; the run for both keeps the full run's order
+    m = FILTER_MODELS["by-bus-late"]
+    want = [row for row in rows(Simulator(m, seed=3).run(until_time=40 * m.r))
+            if row[2] in (6, 7)]
+    got = rows(Simulator(m, seed=3).run(until_time=40 * m.r, patches=[7, 6]))
+    assert got == want
+    assert any(a[:2] == b[:2] for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("patches", [[0], [11], [1, 12]])
+def test_a_run_for_a_patch_out_of_range_raises(patches):
+    with pytest.raises(SimError, match="1..10"):
+        Simulator(airlink_model(), seed=3).run(until_time=100.0, patches=patches)
+
+
 @pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("overrides", [{}, dict(timetable=False), dict(holding_threshold=0.0),
                                        dict(speedmod_threshold=0.15)],
